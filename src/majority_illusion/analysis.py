@@ -139,6 +139,39 @@ class NetworkIllusionReport:
             IllusionKind.UNANIMITY_WEAK_MAJORITY: self.unanimity_weak_majority,
         }[kind]
 
+    @classmethod
+    def from_statuses(
+        cls, cg: ColoredGraph, statuses: list[AgentStatus]
+    ) -> "NetworkIllusionReport":
+        """Network-level classification from ``agent_statuses(cg)``.
+
+        Thresholds are exact: strict flags need ``2 * count > n``, weak flags
+        ``2 * count >= n``, unanimity flags ``count == n`` (on nonempty graphs).
+        """
+        n = cg.graph.n
+        strict = sum(1 for s in statuses if s.illusion is Level.STRICT)
+        weak_only = sum(1 for s in statuses if s.illusion is Level.WEAK)
+        under = strict + weak_only
+        witnesses = {s.illusion_color for s in statuses if s.illusion is not Level.NONE}
+        return cls(
+            n=n,
+            strict_count=strict,
+            weak_only_count=weak_only,
+            none_count=n - under,
+            majority_majority=2 * strict > n,
+            weak_majority_majority=2 * strict >= n and n > 0,
+            majority_weak_majority=2 * under > n,
+            weak_majority_weak_majority=2 * under >= n and n > 0,
+            unanimity_majority=strict == n and n > 0,
+            unanimity_weak_majority=under == n and n > 0,
+            chromaticity=(
+                Chromaticity.MONOCHROMATIC
+                if len(witnesses) <= 1
+                else Chromaticity.POLYCHROMATIC
+            ),
+            isolated_nodes=cg.graph.isolated_nodes(),
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -154,35 +187,9 @@ class NetworkIllusionReport:
 
 
 def classify_network(cg: ColoredGraph) -> NetworkIllusionReport:
-    """Network-level classification from the per-agent statuses.
-
-    Thresholds are exact: strict flags need ``2 * count > n``, weak flags
-    ``2 * count >= n``, unanimity flags ``count == n`` (on nonempty graphs).
-    """
-    statuses = agent_statuses(cg)
-    n = cg.graph.n
-    strict = sum(1 for s in statuses if s.illusion is Level.STRICT)
-    weak_only = sum(1 for s in statuses if s.illusion is Level.WEAK)
-    under = strict + weak_only
-    witnesses = {s.illusion_color for s in statuses if s.illusion is not Level.NONE}
-    return NetworkIllusionReport(
-        n=n,
-        strict_count=strict,
-        weak_only_count=weak_only,
-        none_count=n - under,
-        majority_majority=2 * strict > n,
-        weak_majority_majority=2 * strict >= n and n > 0,
-        majority_weak_majority=2 * under > n,
-        weak_majority_weak_majority=2 * under >= n and n > 0,
-        unanimity_majority=strict == n and n > 0,
-        unanimity_weak_majority=under == n and n > 0,
-        chromaticity=(
-            Chromaticity.MONOCHROMATIC
-            if len(witnesses) <= 1
-            else Chromaticity.POLYCHROMATIC
-        ),
-        isolated_nodes=cg.graph.isolated_nodes(),
-    )
+    """Network-level classification from the per-agent statuses; see
+    :meth:`NetworkIllusionReport.from_statuses`."""
+    return NetworkIllusionReport.from_statuses(cg, agent_statuses(cg))
 
 
 def _check_threshold(q: Threshold) -> None:

@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analysis import agent_statuses, classify_network, pq_report
+from .analysis import NetworkIllusionReport, agent_statuses, pq_report
+from .analysis import classify_network  # noqa: F401  (perfbench traces it here)
 from .coloring import (
     ColoredGraph,
     all_red,
@@ -118,8 +119,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         derived = True
     else:
         cg = ColoredGraph(graph, colors)
-    report = classify_network(cg)
     statuses = agent_statuses(cg)
+    report = NetworkIllusionReport.from_statuses(cg, statuses)
     pq = None
     if args.p is not None or args.q is not None:
         p = args.p if args.p is not None else Fraction(1, 2)

@@ -10,6 +10,7 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
@@ -177,6 +178,8 @@ def weak_majority_2_coloring(
     swap strictly decreases the total monochromatic count, so the loop
     terminates after at most ``|E|`` swaps.  The default initial coloring is
     all-red; pass a seeded :func:`random_coloring` for randomized starts.
+    The first violating node is found through a heap of positions in
+    ``node_order``, so a run costs ``O((n + swaps * maxdeg) * log n)``.
     """
     colors, _ = weak_majority_2_coloring_swaps(g, initial, node_order)
     return colors
@@ -189,7 +192,14 @@ def weak_majority_2_coloring_swaps(
     on_swap: Callable[[int, int], None] | None = None,
 ) -> tuple[Coloring, int]:
     """Like :func:`weak_majority_2_coloring` but also returns the number of
-    swaps performed; ``on_swap(node, mono_after)`` is invoked per swap."""
+    swaps performed; ``on_swap(node, mono_after)`` is invoked per swap.
+
+    The swap sequence is that of rescanning ``node_order`` from the start
+    after every swap: a lazy min-heap holds the position of every violating
+    node (plus stale entries, dropped when popped), and a swap can create
+    violations only among the swapped node's neighbors, which are pushed as
+    they cross the threshold.  Cost ``O((n + swaps * maxdeg) * log n)``.
+    """
     colors = list(initial) if initial is not None else [Color.RED] * g.n
     if len(colors) != g.n:
         raise PreconditionError("initial coloring must cover every node")
@@ -197,37 +207,45 @@ def weak_majority_2_coloring_swaps(
     if sorted(order) != list(range(g.n)):
         raise PreconditionError("node_order must be a permutation of all node ids")
 
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    pos = [0] * g.n
+    for p, i in enumerate(order):
+        pos[i] = p
     mono_deg = [
-        sum(1 for j in g.adj[i] if colors[j] is colors[i]) for i in range(g.n)
+        sum(1 for j in adj[i] if colors[j] is colors[i]) for i in range(g.n)
     ]
     total_mono = sum(mono_deg) // 2
     swaps = 0
     budget = total_mono  # each swap strictly decreases total_mono
-    while True:
-        target = -1
-        for i in order:
-            if 2 * mono_deg[i] > g.degree(i):
-                target = i
-                break
-        if target < 0:
-            return tuple(colors), swaps
+    # Ascending positions: already a valid heap.
+    heap = [p for p, i in enumerate(order) if 2 * mono_deg[i] > deg[i]]
+    while heap:
+        target = order[heappop(heap)]
+        d = deg[target]
+        mono = mono_deg[target]
+        if 2 * mono <= d:
+            continue  # stale entry
         if swaps >= budget:
             raise InternalInvariantError(
                 "swap loop exceeded its monochromatic-edge budget"
             )
         old = colors[target]
         colors[target] = old.other
-        delta = mono_deg[target] - (g.degree(target) - mono_deg[target])
-        total_mono -= delta
-        mono_deg[target] = g.degree(target) - mono_deg[target]
-        for j in g.adj[target]:
+        total_mono -= 2 * mono - d
+        mono_deg[target] = d - mono
+        for j in adj[target]:
             if colors[j] is old:
                 mono_deg[j] -= 1
             else:
-                mono_deg[j] += 1
+                m = mono_deg[j] + 1
+                mono_deg[j] = m
+                if 2 * m > deg[j] >= 2 * m - 2:
+                    heappush(heap, pos[j])  # just crossed the threshold
         swaps += 1
         if on_swap is not None:
             on_swap(target, total_mono)
+    return tuple(colors), swaps
 
 
 def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph:

@@ -104,6 +104,54 @@ def test_swap_loop_postcondition_any_start(g, rng):
     assert all(b < a for a, b in zip([mono_start] + seen, seen))
 
 
+def _rescan_swap_loop(g, initial, order, on_swap):
+    """Reference oracle: the original loop, rescanning ``order`` from the
+    start after every swap."""
+    colors = list(initial)
+    mono_deg = [
+        sum(1 for j in g.adj[i] if colors[j] is colors[i]) for i in range(g.n)
+    ]
+    total_mono = sum(mono_deg) // 2
+    swaps = 0
+    while True:
+        target = next((i for i in order if 2 * mono_deg[i] > g.degree(i)), -1)
+        if target < 0:
+            return tuple(colors), swaps
+        old = colors[target]
+        colors[target] = old.other
+        total_mono -= 2 * mono_deg[target] - g.degree(target)
+        mono_deg[target] = g.degree(target) - mono_deg[target]
+        for j in g.adj[target]:
+            mono_deg[j] += -1 if colors[j] is old else 1
+        swaps += 1
+        on_swap(target, total_mono)
+
+
+@settings(max_examples=200)
+@given(graphs(max_n=30), st.data())
+def test_swap_loop_matches_rescan_reference(g, data):
+    initial = tuple(
+        data.draw(st.lists(st.sampled_from((R, B)), min_size=g.n, max_size=g.n))
+    )
+    order = data.draw(st.permutations(range(g.n)))
+    seen, expected_seen = [], []
+    got = weak_majority_2_coloring_swaps(
+        g, initial, order, on_swap=lambda node, mono: seen.append((node, mono))
+    )
+    expected = _rescan_swap_loop(
+        g, initial, order, lambda node, mono: expected_seen.append((node, mono))
+    )
+    assert got == expected
+    assert seen == expected_seen
+
+
+def test_swap_loop_scales_to_long_cycles():
+    g = cycle_graph(100_000)
+    colors, swaps = weak_majority_2_coloring_swaps(g, all_red(g.n))
+    assert swaps == 50_000
+    assert is_weak_majority_coloring(g, colors)
+
+
 def test_illusion_coloring_on_complete_4():
     cg = illusion_coloring(complete_graph(4))
     assert sorted(c.value for c in cg.colors) == ["B", "B", "R", "R"]
