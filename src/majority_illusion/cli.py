@@ -2,7 +2,8 @@
 
 Subcommands compose through the colored-graph text format on stdin/stdout;
 JSON is reserved for reports.  Exit codes: 0 success (or a positive
-verdict), 1 negative verdict, 2 usage error, 3 internal-invariant failure.
+verdict), 1 negative verdict, 2 usage error, 3 internal-invariant failure
+or any other unexpected exception (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -379,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # anything else is a bug, not a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -4,15 +4,18 @@ majority-majority illusion.
 The pipeline colors ``n//2 + 1`` nodes red and the rest blue, wires every
 red node to just over ``k/2`` blue nodes (round-robin), tops the blue side
 up with a pairing pass, and finishes each color class with circulant
-subgraphs plus a deterministic repair pass for the odd-parity leftovers.
-Every stage validates its degree accounting and the final product is
-re-checked for simplicity, regularity, and the majority-majority flag; any
-violation raises :class:`InternalInvariantError` rather than returning a
-wrong witness.
+subgraphs plus an exact pairing of the odd-parity leftovers.  The pairing
+is an iterative depth-first search with an explicit undo stack, so it runs
+at any size; no stage has a fallback path, because none is reachable on a
+feasible input (the proofs are in CHANGES.md).  Every stage validates its
+degree accounting and the final product is re-checked for simplicity,
+regularity, and the majority-majority flag; any violation raises
+:class:`InternalInvariantError` rather than returning a wrong witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from .analysis import IllusionKind, classify_network
@@ -34,6 +37,10 @@ def _degrees(edges: set[Edge], count: int) -> list[int]:
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+def _blue_quota(k: int) -> int:
+    return k // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class ConstructionPlan:
     @property
     def blue_target(self) -> int:
         """Blue neighbors per red node after the initial bipartite stage."""
-        return (self.k + 2) // 2 if self.k % 2 == 0 else (self.k + 1) // 2
+        return _blue_quota(self.k)
 
 
 def construction_plan(n: int, k: int) -> ConstructionPlan:
@@ -84,7 +91,6 @@ class ConstructionReport:
     k: int
     fast: bool
     stages: list[dict] = field(default_factory=list)
-    deviations: list[str] = field(default_factory=list)
     validated: bool = False
 
     def record(self, stage: str, edges_before: int, edges_after: int, **extra) -> None:
@@ -98,59 +104,36 @@ class ConstructionReport:
             "k": self.k,
             "fast": self.fast,
             "stages": self.stages,
-            "deviations": self.deviations,
             "validated": self.validated,
         }
 
 
 def add_initial_edges(
-    edges: set[Edge],
-    blue: list[int],
-    red: list[int],
-    k: int,
-    deviations: list[str] | None = None,
+    edges: set[Edge], blue: list[int], red: list[int], k: int
 ) -> set[Edge]:
     """Give every red node its quota of blue neighbors, round-robin.
 
     Red node ``i % |R|`` meets blue node ``(x + i) % |B|``; on a collision
-    the offset ``x`` becomes 1 (once, permanently).  If the shifted pick
-    also collides, the next cyclic non-adjacent blue node is used and the
-    deviation recorded.  Raises when no blue partner remains.
+    the offset ``x`` becomes 1 (once, permanently).  A collision of the
+    shifted pick cannot happen on a feasible input and raises.
     """
-    target = (k + 2) // 2 if k % 2 == 0 else (k + 1) // 2
-    n_edges = len(red) * target
     x = 0
-    for i in range(n_edges):
+    for i in range(len(red) * _blue_quota(k)):
         node_red = red[i % len(red)]
-        node_blue = blue[(x + i) % len(blue)]
-        if _norm(node_red, node_blue) in edges:
+        e = _norm(node_red, blue[(x + i) % len(blue)])
+        if e in edges:
             x = 1
-            node_blue = blue[(x + i) % len(blue)]
-        if _norm(node_red, node_blue) in edges:
-            # single-shift wiring failed; scan onward for a free blue node
-            for step in range(1, len(blue)):
-                candidate = blue[(x + i + step) % len(blue)]
-                if _norm(node_red, candidate) not in edges:
-                    node_blue = candidate
-                    break
-            else:
-                raise InternalInvariantError(
-                    f"red node {node_red} has no unconnected blue node left"
-                )
-            if deviations is not None:
-                deviations.append(
-                    f"initial-edges: scanned past shift for red {node_red}"
-                )
-        edges.add(_norm(node_red, node_blue))
+            e = _norm(node_red, blue[(x + i) % len(blue)])
+        if e in edges:
+            raise InternalInvariantError(
+                f"red node {node_red} collides again after the shift"
+            )
+        edges.add(e)
     return edges
 
 
 def add_extra_blue_edges(
-    edges: set[Edge],
-    blue: list[int],
-    k: int,
-    k_blue: int,
-    deviations: list[str] | None = None,
+    edges: set[Edge], blue: list[int], k: int, k_blue: int
 ) -> set[Edge]:
     """Pair up blue nodes that still have more than ``k_blue`` open ends.
 
@@ -220,92 +203,70 @@ def _realize_deficits(
 ) -> int:
     """Connect same-color nodes until every member reaches degree ``k``.
 
-    Exact backtracking search over simple, non-duplicate pairings, always
-    extending the most-deficient node (lowest id on ties) and trying
-    partners in the same order.  Raises when the open ends cannot be
+    Exact depth-first search over simple, non-duplicate pairings, run as a
+    loop with an explicit undo stack.  The open members are kept sorted by
+    ``(deg - k, id)``, so the most-deficient node (lowest id on ties) is
+    ``keys[0]``; it takes the first later key it is not adjacent to.  When
+    no partner is left, the last choice is undone and its scan resumes just
+    past the partner it had taken.  Raises when the open ends cannot be
     realized at all; returns the number of edges added.
     """
     deficit = {u: k - deg[u] for u in members if deg[u] < k}
-    if not deficit:
-        return 0
     if sum(deficit.values()) % 2 == 1:
         raise InternalInvariantError(
             f"{label} open ends sum to an odd number: {deficit}"
         )
-    chosen: list[Edge] = []
-
-    def solve() -> bool:
-        open_nodes = [u for u, d in deficit.items() if d > 0]
-        if not open_nodes:
-            return True
-        u = min(open_nodes, key=lambda x: (-deficit[x], x))
-        partners = sorted(
-            (
-                v
-                for v in open_nodes
-                if v != u and _norm(u, v) not in edges
-            ),
-            key=lambda x: (-deficit[x], x),
-        )
-        for v in partners:
-            e = _norm(u, v)
-            edges.add(e)
-            chosen.append(e)
-            deficit[u] -= 1
-            deficit[v] -= 1
-            if solve():
-                return True
-            edges.discard(e)
-            chosen.pop()
-            deficit[u] += 1
-            deficit[v] += 1
-        return False
-
-    if not solve():
-        raise InternalInvariantError(
-            f"{label} open ends {deficit} cannot be paired without duplicates"
-        )
-    for u, v in chosen:
-        deg[u] += 1
-        deg[v] += 1
+    keys = sorted((-d, u) for u, d in deficit.items())
+    chosen: list[Edge] = []  # (extended node, partner), in choice order
+    start = 1
+    while keys:
+        u = keys[0][1]
+        for i in range(start, len(keys)):
+            v = keys[i][1]
+            if _norm(u, v) not in edges:
+                break
+        else:
+            if not chosen:
+                raise InternalInvariantError(
+                    f"{label} open ends {deficit} cannot be paired without duplicates"
+                )
+            u, v = chosen.pop()
+            edges.discard(_norm(u, v))
+            for w in (u, v):
+                if deg[w] < k:
+                    del keys[bisect_left(keys, (deg[w] - k, w))]
+                deg[w] -= 1
+                insort(keys, (deg[w] - k, w))
+            start = bisect_right(keys, (deg[v] - k, v))
+            continue
+        del keys[i], keys[0]
+        edges.add(_norm(u, v))
+        chosen.append((u, v))
+        for w in (u, v):
+            deg[w] += 1
+            if deg[w] < k:
+                insort(keys, (deg[w] - k, w))
+        start = 1
     return len(chosen)
 
 
-def _blue_circulant_with_fallback(
-    edges: set[Edge],
-    blue: list[int],
-    k_sub: int,
-    k: int,
-    report: ConstructionReport,
-    short: bool = False,
-) -> None:
-    """Add the blue circulant; when it collides with a top-up edge, fall
-    back (recording a deviation): realize the open ends directly, or, for
-    the short circulant, defer them to the final pairing stage."""
-    stage = "blue-circulant-short" if short else "blue-circulant"
-    if k_sub == 0:
-        return
-    before = len(edges)
-    snapshot = set(edges)
-    try:
-        add_regular_subgraph(edges, blue, k_sub)
-        report.record(stage, before, len(edges), degree=k_sub)
-        return
-    except InternalInvariantError:
-        edges.clear()
-        edges.update(snapshot)
-    if short:
-        report.deviations.append(
-            f"{stage}: circulant collided with a top-up edge; open ends "
-            "deferred to the pairing stage"
+def _require_feasible(n: int, k: int) -> ConstructionPlan:
+    verdict = regular_exists(n, k)
+    if not verdict.possible:
+        raise InfeasibleError(
+            f"no {k}-regular graph on {n} nodes admits a majority-majority "
+            f"illusion (failed: {', '.join(verdict.failed)})",
+            verdict,
         )
-        return
-    report.deviations.append(
-        f"{stage}: circulant collided with a top-up edge; open ends paired directly"
-    )
-    deg = _degrees(edges, max(blue) + 1)
-    _realize_deficits(edges, blue, k, deg, "blue")
-    report.record(stage + "-fallback", before, len(edges))
+    return construction_plan(n, k)
+
+
+def _add_circulant(
+    edges: set[Edge], nodes: list[int], degree: int, report: ConstructionReport, stage: str
+) -> None:
+    before = len(edges)
+    add_regular_subgraph(edges, nodes, degree)
+    report.record(stage, before, len(edges), degree=degree)
 
 
 def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> None:
@@ -331,6 +292,17 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
         raise InternalInvariantError("construction is not majority-majority")
 
 
+def _finish(
+    plan: ConstructionPlan, edges: set[Edge], report: ConstructionReport
+) -> tuple[ColoredGraph, ConstructionReport]:
+    """Color the first ``n_red`` nodes red, build the graph and validate it."""
+    colors = tuple(Color.RED if i < plan.n_red else Color.BLUE for i in range(plan.n))
+    cg = ColoredGraph(make_graph(plan.n, edges), colors)
+    _validate_colored_regular(cg, plan.n, plan.k, plan.n_red)
+    report.validated = True
+    return cg, report
+
+
 def construct_regular_illusion(n: int, k: int) -> ColoredGraph:
     cg, _ = construct_regular_illusion_report(n, k)
     return cg
@@ -349,21 +321,13 @@ def construct_regular_illusion_report(
     blue end (only needed when the red side is the odd one), and a pairing
     pass closes the rest.
     """
-    verdict = regular_exists(n, k)
-    if not verdict.possible:
-        raise InfeasibleError(
-            f"no {k}-regular graph on {n} nodes admits a majority-majority "
-            f"illusion (failed: {', '.join(verdict.failed)})",
-            verdict,
-        )
-    plan = construction_plan(n, k)
+    plan = _require_feasible(n, k)
     report = ConstructionReport(n=n, k=k, fast=False)
     red, blue = plan.red_nodes, plan.blue_nodes
     edges: set[Edge] = set()
 
-    before = len(edges)
-    add_initial_edges(edges, blue, red, k, report.deviations)
-    report.record("initial-bipartite", before, len(edges), per_red=plan.blue_target)
+    add_initial_edges(edges, blue, red, k)
+    report.record("initial-bipartite", 0, len(edges), per_red=plan.blue_target)
     deg = _degrees(edges, n)
     bad = [i for i in red if deg[i] != plan.blue_target]
     if bad:
@@ -373,10 +337,9 @@ def construct_regular_illusion_report(
 
     # Top-up edges join blues consecutive in this order, so a circulant over
     # the same order only uses larger cyclic distances and cannot collide.
-    stage1_deg = _degrees(edges, n)
-    blue_order = sorted(blue, key=lambda b: (stage1_deg[b], b))
+    blue_order = sorted(blue, key=lambda b: (deg[b], b))
     before = len(edges)
-    add_extra_blue_edges(edges, blue, k, plan.k_blue, report.deviations)
+    add_extra_blue_edges(edges, blue, k, plan.k_blue)
     report.record("blue-top-up", before, len(edges))
     deg = _degrees(edges, n)
     short = [b for b in blue if deg[b] < k - plan.k_blue]
@@ -388,21 +351,15 @@ def construct_regular_illusion_report(
     red_deferred = plan.k_red % 2 == 1 and plan.n_red % 2 == 1
     blue_deferred = plan.k_blue % 2 == 1 and plan.n_blue % 2 == 1
     if not red_deferred:
-        before = len(edges)
-        add_regular_subgraph(edges, red, plan.k_red)
-        report.record("red-circulant", before, len(edges), degree=plan.k_red)
-    if not blue_deferred:
-        _blue_circulant_with_fallback(edges, blue_order, plan.k_blue, k, report)
+        _add_circulant(edges, red, plan.k_red, report, "red-circulant")
+    if not blue_deferred and plan.k_blue:
+        _add_circulant(edges, blue_order, plan.k_blue, report, "blue-circulant")
 
     if red_deferred or blue_deferred:
         if red_deferred and plan.k_red > 1:
-            before = len(edges)
-            add_regular_subgraph(edges, red, plan.k_red - 1)
-            report.record("red-circulant-short", before, len(edges), degree=plan.k_red - 1)
+            _add_circulant(edges, red, plan.k_red - 1, report, "red-circulant-short")
         if blue_deferred and plan.k_blue > 1:
-            _blue_circulant_with_fallback(
-                edges, blue_order, plan.k_blue - 1, k, report, short=True
-            )
+            _add_circulant(edges, blue_order, plan.k_blue - 1, report, "blue-circulant-short")
         deg = _degrees(edges, n)
         bridged_blue = -1
         bridged_red = -1
@@ -434,13 +391,7 @@ def construct_regular_illusion_report(
         if added:
             report.record("red-pairing", before, len(edges))
 
-    colors = tuple(
-        Color.RED if i < plan.n_red else Color.BLUE for i in range(n)
-    )
-    cg = ColoredGraph(make_graph(n, edges), colors)
-    _validate_colored_regular(cg, n, k, plan.n_red)
-    report.validated = True
-    return cg, report
+    return _finish(plan, edges, report)
 
 
 def fast_construct(n: int, k: int) -> ColoredGraph:
@@ -466,28 +417,11 @@ def fast_construct_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionRep
         raise PreconditionError(
             f"fast construction needs n <= 2k - 2, got n={n}, k={k}"
         )
-    verdict = regular_exists(n, k)
-    if not verdict.possible:
-        raise InfeasibleError(
-            f"no {k}-regular graph on {n} nodes admits a majority-majority "
-            f"illusion (failed: {', '.join(verdict.failed)})",
-            verdict,
-        )
-    plan = construction_plan(n, k)
+    plan = _require_feasible(n, k)
     report = ConstructionReport(n=n, k=k, fast=True)
     red, blue = plan.red_nodes, plan.blue_nodes
     edges: set[Edge] = {_norm(r, b) for r in red for b in blue}
     report.record("complete-bipartite", 0, len(edges))
-    red_residual = k - plan.n_blue
-    blue_residual = k - plan.n_red
-    before = len(edges)
-    add_regular_subgraph(edges, red, red_residual)
-    report.record("red-circulant", before, len(edges), degree=red_residual)
-    before = len(edges)
-    add_regular_subgraph(edges, blue, blue_residual)
-    report.record("blue-circulant", before, len(edges), degree=blue_residual)
-    colors = tuple(Color.RED if i < plan.n_red else Color.BLUE for i in range(n))
-    cg = ColoredGraph(make_graph(n, edges), colors)
-    _validate_colored_regular(cg, n, k, plan.n_red)
-    report.validated = True
-    return cg, report
+    _add_circulant(edges, red, k - plan.n_blue, report, "red-circulant")
+    _add_circulant(edges, blue, k - plan.n_red, report, "blue-circulant")
+    return _finish(plan, edges, report)

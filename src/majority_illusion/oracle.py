@@ -23,6 +23,7 @@ from .graphs import Graph, make_graph
 
 DEFAULT_CAP = 22
 _CHUNK_BITS = 18
+_MASK_BITS = 32  # colorings and neighborhoods are uint32 masks
 
 
 class Objective(enum.Enum):
@@ -38,18 +39,14 @@ def coloring_from_mask(mask: int, n: int) -> Coloring:
     return tuple(Color.RED if (mask >> i) & 1 else Color.BLUE for i in range(n))
 
 
-def mask_from_coloring(colors: Coloring) -> int:
-    mask = 0
-    for i, c in enumerate(colors):
-        if c is Color.RED:
-            mask |= 1 << i
-    return mask
-
-
 def _check_cap(g: Graph, cap: int) -> None:
     if g.n > cap:
         raise PreconditionError(
             f"graph has {g.n} nodes, above the exhaustive-search cap {cap}"
+        )
+    if g.n > _MASK_BITS:
+        raise PreconditionError(
+            f"graph has {g.n} nodes, above the {_MASK_BITS}-bit coloring masks"
         )
 
 
@@ -192,7 +189,6 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
         return
 
     residual = [k] * n
-    adj: list[set[int]] = [set() for _ in range(n)]
     edges: list[tuple[int, int]] = []
 
     def rec(lowest: int) -> Iterator[Graph]:
@@ -208,16 +204,12 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
             return
         for combo in combinations(cands, need):
             for v in combo:
-                adj[u].add(v)
-                adj[v].add(u)
                 residual[v] -= 1
                 edges.append((u, v))
             residual[u] = 0
             yield from rec(u + 1)
             residual[u] = need
             for v in combo:
-                adj[u].discard(v)
-                adj[v].discard(u)
                 residual[v] += 1
                 edges.pop()
 

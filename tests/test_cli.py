@@ -205,6 +205,25 @@ def test_internal_invariant_maps_to_exit_three(capsys, monkeypatch):
     assert "synthetic" in err
 
 
+def test_unexpected_exception_maps_to_exit_three(capsys, monkeypatch):
+    def boom(n, k):
+        raise RuntimeError("synthetic crash")
+
+    monkeypatch.setattr(cli, "construct_regular_illusion_report", boom)
+    code, _, err = run(capsys, "construct", "12", "6")
+    assert code == 3
+    assert err == "internal error: RuntimeError: synthetic crash\n"
+
+
+def test_oracle_rejects_graphs_wider_than_the_masks(capsys, tmp_path):
+    _, graph_text, _ = run(capsys, "gen", "cycle", "33")
+    path = tmp_path / "c33.txt"
+    path.write_text(graph_text)
+    code, _, err = run(capsys, "oracle", str(path), "--cap", "40")
+    assert code == 2
+    assert "32-bit" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/path.txt")
     assert code == 2

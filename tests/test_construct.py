@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majority_illusion import (
     Color,
@@ -16,7 +18,48 @@ from majority_illusion import (
     fast_construct_report,
     make_graph,
 )
-from majority_illusion.construct import _degrees
+from majority_illusion.construct import _degrees, _norm, _realize_deficits
+
+
+def reference_realize_deficits(edges, members, k, deg, label):
+    """The recursive backtracker the iterative pairing replaced, kept as
+    the reference it must match edge for edge."""
+    deficit = {u: k - deg[u] for u in members if deg[u] < k}
+    if not deficit:
+        return 0
+    if sum(deficit.values()) % 2 == 1:
+        raise InternalInvariantError(f"{label} open ends sum to an odd number")
+    chosen = []
+
+    def solve():
+        open_nodes = [u for u, d in deficit.items() if d > 0]
+        if not open_nodes:
+            return True
+        u = min(open_nodes, key=lambda x: (-deficit[x], x))
+        partners = sorted(
+            (v for v in open_nodes if v != u and _norm(u, v) not in edges),
+            key=lambda x: (-deficit[x], x),
+        )
+        for v in partners:
+            e = _norm(u, v)
+            edges.add(e)
+            chosen.append(e)
+            deficit[u] -= 1
+            deficit[v] -= 1
+            if solve():
+                return True
+            edges.discard(e)
+            chosen.pop()
+            deficit[u] += 1
+            deficit[v] += 1
+        return False
+
+    if not solve():
+        raise InternalInvariantError(f"{label} open ends cannot be paired")
+    for u, v in chosen:
+        deg[u] += 1
+        deg[v] += 1
+    return len(chosen)
 
 
 def test_plan_even_even():
@@ -123,7 +166,7 @@ def test_reference_construction_12_6():
     assert len(red_red) == 7  # a 2-regular ring over the 7 red nodes
     assert classify_network(cg).majority_majority
     assert report.validated
-    assert not report.deviations
+    assert "deviations" not in report.to_json_dict()
 
 
 def test_construction_with_clamped_blue_residual():
@@ -135,7 +178,9 @@ def test_construction_with_clamped_blue_residual():
     assert cg.graph.is_regular(3)
 
 
-@pytest.mark.parametrize("n,k", [(16, 8), (15, 6), (13, 8), (12, 7), (11, 6)])
+@pytest.mark.parametrize(
+    "n,k", [(16, 8), (15, 6), (13, 8), (12, 7), (11, 6), (4000, 7), (8000, 8)]
+)
 def test_odd_parity_branches_validate(n, k):
     cg = construct_regular_illusion(n, k)
     assert cg.graph.is_regular(k)
@@ -184,3 +229,38 @@ def test_fast_construction_rejects_misaligned_n():
 def test_fast_construction_rejects_infeasible():
     with pytest.raises(InfeasibleError):
         fast_construct(6, 4)
+
+
+@st.composite
+def pairing_instances(draw):
+    """Up to 8 members with random existing edges among them and deficits
+    1-3 of even sum; members are spread over ids so that sort order and id
+    order differ from list order."""
+    count = draw(st.integers(1, 8))
+    members = draw(st.permutations(range(2 * count)))[:count]
+    pairs = [_norm(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+    edges = {e for e in pairs if draw(st.booleans())}
+    deficits = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    if sum(deficits) % 2:
+        deficits[0] += 1 if deficits[0] < 3 else -1
+    k = 10
+    deg = [k] * (2 * count)
+    for u, d in zip(members, deficits):
+        deg[u] = k - d
+    return edges, members, k, deg
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairing_instances())
+def test_iterative_pairing_matches_recursive_reference(instance):
+    edges, members, k, deg = instance
+    outcomes = []
+    for realize in (_realize_deficits, reference_realize_deficits):
+        e, d = set(edges), list(deg)
+        try:
+            added = realize(e, members, k, d, "test")
+        except InternalInvariantError:
+            outcomes.append(("raised", e == edges, d == deg))
+        else:
+            outcomes.append((added, frozenset(e), tuple(d)))
+    assert outcomes[0] == outcomes[1]
