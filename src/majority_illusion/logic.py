@@ -21,14 +21,19 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable
+
+import numpy as np
 
 from .analysis import IllusionKind
 from .coloring import Color, ColoredGraph
 from .errors import FormulaSyntaxError, PreconditionError
 from .graphs import Graph
+from .oracle import DEFAULT_CAP, _chunks, _check_cap, _neighbor_masks
 
-DEFAULT_VALUATION_CAP = 22
+# At 100 levels the deepest expansion and evaluation use about 610 of Python's
+# default 1000 frames.
+MAX_FORMULA_DEPTH = 100
 
 
 class Formula:
@@ -137,17 +142,42 @@ def expand(f: Formula) -> Formula:
     raise TypeError(f"unknown formula node {f!r}")
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, (Or, And, Implies)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, NeighborCountOver, WeakNeighborMajority, NeighborMajority,
+                      GlobalCountOver, WeakGlobalMajority, GlobalMajority)):
+        return (f.sub,)
+    raise TypeError(f"unknown formula node {f!r}")
+
+
 def atom_names(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         return frozenset({f.name})
-    if isinstance(f, (Not, WeakNeighborMajority, NeighborMajority,
-                      WeakGlobalMajority, GlobalMajority)):
-        return atom_names(f.sub)
-    if isinstance(f, (NeighborCountOver, GlobalCountOver)):
-        return atom_names(f.sub)
-    if isinstance(f, (Or, And, Implies)):
-        return atom_names(f.left) | atom_names(f.right)
-    raise TypeError(f"unknown formula node {f!r}")
+    return frozenset().union(*map(atom_names, _children(f)))
+
+
+def _too_deep() -> PreconditionError:
+    return PreconditionError(
+        f"formula nested too deep: more than {MAX_FORMULA_DEPTH} levels"
+    )
+
+
+def _check_depth(f: Formula) -> None:
+    """Reject ``f`` if it is nested deeper than :data:`MAX_FORMULA_DEPTH`.
+
+    Expansion, evaluation, hashing and printing recurse once per level, and
+    expansion can triple the depth.  Walks one level of distinct nodes at a
+    time, so shared subformulas are not revisited.
+    """
+    level = [f]
+    for _ in range(MAX_FORMULA_DEPTH):
+        level = list({id(c): c for node in level for c in _children(node)}.values())
+        if not level:
+            return
+    raise _too_deep()
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +228,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -217,12 +248,14 @@ class _Parser:
         return f
 
     def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        tok = self.peek()
-        if tok is not None and tok.kind == "arrow":
+        operands = [self.parse_or()]
+        while (tok := self.peek()) is not None and tok.kind == "arrow":
             self.take()
-            return Implies(left, self.parse_implies())
-        return left
+            operands.append(self.parse_or())
+        f = operands.pop()
+        while operands:
+            f = Implies(operands.pop(), f)
+        return f
 
     def parse_or(self) -> Formula:
         f = self.parse_and()
@@ -239,6 +272,15 @@ class _Parser:
         return f
 
     def parse_unary(self) -> Formula:
+        # prefix operators and parentheses recurse through here
+        if self.depth == MAX_FORMULA_DEPTH:
+            raise _too_deep()
+        self.depth += 1
+        f = self.parse_prefixed()
+        self.depth -= 1
+        return f
+
+    def parse_prefixed(self) -> Formula:
         tok = self.peek()
         if tok is None:
             raise FormulaSyntaxError("unexpected end of input", len(self.text))
@@ -293,8 +335,11 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse the surface syntax; raises :class:`FormulaSyntaxError` with the
     offending position on lexical errors, unbalanced parentheses, or
-    malformed counting indices."""
-    return _Parser(text).parse()
+    malformed counting indices, and :class:`PreconditionError` on formulas
+    nested deeper than :data:`MAX_FORMULA_DEPTH`."""
+    f = _Parser(text).parse()
+    _check_depth(f)
+    return f
 
 
 def format_formula(f: Formula) -> str:
@@ -428,6 +473,7 @@ class _Evaluator:
 
 def extension(model: Model, f: Formula) -> frozenset[int]:
     """Set of nodes at which ``f`` holds."""
+    _check_depth(f)
     return _Evaluator(model).extension(expand(f))
 
 
@@ -511,33 +557,108 @@ def illusion_formula(kind: str | IllusionKind, atom: str = "p") -> Formula:
     return table[name]
 
 
-def _valuations(n: int, atom: str) -> Iterator[tuple[frozenset[str], ...]]:
-    only = frozenset({atom})
-    empty: frozenset[str] = frozenset()
-    for mask in range(1 << n):
-        yield tuple(only if (mask >> i) & 1 else empty for i in range(n))
+def _program(core: Formula) -> list[tuple[Formula, tuple[int, ...]]]:
+    """The unique subformulas of ``core``, children first, each with the
+    positions of its children in the list; ``core`` comes last."""
+    index: dict[Formula, int] = {}
+    program: list[tuple[Formula, tuple[int, ...]]] = []
+    stack = [core]
+    while stack:
+        node = stack[-1]
+        if node in index:
+            stack.pop()
+            continue
+        pending = [c for c in _children(node) if c not in index]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        index[node] = len(program)
+        program.append((node, tuple(index[c] for c in _children(node))))
+    return program
+
+
+def _compile(g: Graph, core: Formula) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile the expanded formula ``core`` into a function from valuation
+    masks (bit ``i`` set: the atom holds at node ``i``) to the node bitsets
+    of ``core``'s extension under each of them."""
+    program = _program(core)
+    last_reader = {k: j for j, (_, kids) in enumerate(program) for k in kids}
+    nbr = _neighbor_masks(g)
+    degrees = g.degrees()
+    full = np.uint32((1 << g.n) - 1)
+
+    def extensions(masks: np.ndarray) -> np.ndarray:
+        ext: list[np.ndarray | None] = [None] * len(program)
+        for j, (node, kids) in enumerate(program):
+            ext[j] = _bitsets(node, [ext[k] for k in kids], masks, nbr, degrees, full)
+            for k in kids:
+                if last_reader[k] == j:
+                    ext[k] = None  # keep only the bitsets still to be read
+        return ext[-1]
+
+    return extensions
+
+
+def _bitsets(
+    node: Formula,
+    args: list[np.ndarray],
+    masks: np.ndarray,
+    nbr: np.ndarray,
+    degrees: tuple[int, ...],
+    full: np.uint32,
+) -> np.ndarray:
+    """Extension of ``node`` under each valuation in ``masks``, as node
+    bitsets, given its children's extensions ``args``.
+
+    A count ``c`` meets ``2c >= d`` exactly when ``c >= (d + 1) // 2``, and
+    "more than ``b``" is ``c >= b + 1``; thresholds above the most nodes
+    that could count are never met, so uint8 popcounts are only compared
+    with Python ints they can hold.
+    """
+    if isinstance(node, Atom):
+        return masks
+    if isinstance(node, Not):
+        return args[0] ^ full
+    if isinstance(node, Or):
+        return args[0] | args[1]
+    if isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
+        out = np.zeros_like(masks)
+        for i, deg in enumerate(degrees):
+            least = (
+                node.bound + 1
+                if isinstance(node, NeighborCountOver)
+                else (deg + 1) // 2
+            )
+            if least <= deg:
+                hit = np.bitwise_count(args[0] & nbr[i]) >= least
+                out |= hit.astype(np.uint32) << np.uint32(i)
+        return out
+    if isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
+        n = len(degrees)
+        least = node.bound + 1 if isinstance(node, GlobalCountOver) else (n + 1) // 2
+        if least > n:
+            return np.zeros_like(masks)
+        return np.where(np.bitwise_count(args[0]) >= least, full, np.uint32(0))
+    raise TypeError(f"evaluation reached unexpanded node {node!r}")
 
 
 def formula_possible(
-    g: Graph, f: Formula, atom: str = "p", cap: int = DEFAULT_VALUATION_CAP
+    g: Graph, f: Formula, atom: str = "p", cap: int = DEFAULT_CAP
 ) -> bool:
     """Is ``f`` satisfiable at some node under some valuation of ``atom``?
 
-    Enumerates all single-atom valuations; formulas mentioning other atoms
-    are rejected.
+    Scans all 2^n single-atom valuations in the oracle's chunks, with every
+    subformula evaluated as one node bitset per valuation, and stops at the
+    first chunk with a satisfying valuation.  Formulas mentioning other
+    atoms are rejected.
     """
-    if g.n > cap:
-        raise PreconditionError(
-            f"graph has {g.n} nodes, above the valuation-search cap {cap}"
-        )
+    _check_cap(g, cap)
+    _check_depth(f)
     used = atom_names(f)
     if not used <= {atom}:
         raise PreconditionError(
             f"satisfiability search is single-atom; formula uses {sorted(used)}"
         )
-    core = expand(f)
-    for valuation in _valuations(g.n, atom):
-        model = Model(g, valuation, atoms=frozenset({atom}))
-        if extension(model, core):
-            return True
-    return False
+    extensions = _compile(g, expand(f))
+    return any(extensions(masks).any() for masks in _chunks(g.n))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import majority_illusion.cli as cli
 from majority_illusion import (
     InternalInvariantError,
@@ -193,6 +195,16 @@ def test_mc_syntax_error_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "mc", str(path), "--formula", "(p", "--node", "0")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("formula", [" | ".join(["p"] * 3000), "~" * 1000 + "p"])
+def test_mc_deeply_nested_formula_is_usage_error(capsys, tmp_path, formula):
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ncolors RB\n0 1\n")
+    code, _, err = run(capsys, "mc", str(path), "--formula", formula, "--global")
+    assert code == 2
+    assert err.startswith("error: formula nested too deep")
+    assert err.count("\n") == 1
 
 
 def test_internal_invariant_maps_to_exit_three(capsys, monkeypatch):

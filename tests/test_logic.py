@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,16 +31,19 @@ from majority_illusion.logic import (
     Atom,
     GlobalCountOver,
     GlobalMajority,
+    Implies,
+    MAX_FORMULA_DEPTH,
     NeighborCountOver,
     NeighborMajority,
     Not,
     Or,
     WeakGlobalMajority,
     WeakNeighborMajority,
+    _compile,
     expand,
 )
 
-from conftest import colored_graphs
+from conftest import colored_graphs, graphs
 
 
 def triangle_model(colors="RRR"):
@@ -81,21 +85,26 @@ def test_parse_errors_carry_positions(text):
     assert err.value.position >= 0
 
 
-formulas = st.recursive(
-    st.sampled_from([Atom("p"), Atom("q")]),
-    lambda sub: st.one_of(
-        sub.map(Not),
-        st.tuples(sub, sub).map(lambda t: Or(*t)),
-        st.tuples(sub, sub).map(lambda t: And(*t)),
-        sub.map(WeakNeighborMajority),
-        sub.map(NeighborMajority),
-        sub.map(WeakGlobalMajority),
-        sub.map(GlobalMajority),
-        st.tuples(st.integers(0, 3), sub).map(lambda t: NeighborCountOver(*t)),
-        st.tuples(st.integers(0, 3), sub).map(lambda t: GlobalCountOver(*t)),
-    ),
-    max_leaves=12,
-)
+def formula_trees(atoms, bounds):
+    return st.recursive(
+        st.sampled_from([Atom(a) for a in atoms]),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda t: Or(*t)),
+            st.tuples(sub, sub).map(lambda t: And(*t)),
+            st.tuples(sub, sub).map(lambda t: Implies(*t)),
+            sub.map(WeakNeighborMajority),
+            sub.map(NeighborMajority),
+            sub.map(WeakGlobalMajority),
+            sub.map(GlobalMajority),
+            st.tuples(bounds, sub).map(lambda t: NeighborCountOver(*t)),
+            st.tuples(bounds, sub).map(lambda t: GlobalCountOver(*t)),
+        ),
+        max_leaves=12,
+    )
+
+
+formulas = formula_trees("pq", st.integers(0, 3))
 
 
 @given(formulas)
@@ -200,6 +209,91 @@ def test_multi_atom_satisfiability_rejected():
 def test_satisfiability_cap():
     with pytest.raises(PreconditionError, match="cap"):
         formula_possible(cycle_graph(6), Atom("p"), cap=5)
+
+
+def test_satisfiability_rejects_graphs_wider_than_the_masks():
+    with pytest.raises(PreconditionError, match="32-bit"):
+        formula_possible(make_graph(33, []), Atom("p"), cap=40)
+
+
+def extension_bitsets_reference(g, f):
+    """Node bitset of ``f``'s extension under each valuation of ``p``, one
+    frozenset model at a time."""
+    only, none = frozenset({"p"}), frozenset()
+    out = []
+    for mask in range(1 << g.n):
+        valuation = tuple(only if mask >> i & 1 else none for i in range(g.n))
+        sat = extension(Model(g, valuation, atoms=frozenset({"p"})), f)
+        out.append(sum(1 << i for i in sat))
+    return out
+
+
+# bounds at 0, at every degree and node count, and past uint8
+_huge_bounds = st.sampled_from([255, 256, 10**30])
+_single_atom_formulas = [
+    formula_trees("p", st.one_of(st.integers(0, n), _huge_bounds)) for n in range(9)
+]
+
+
+@st.composite
+def graphs_and_single_atom_formulas(draw):
+    g = draw(graphs(max_n=8, min_n=0))
+    return g, draw(_single_atom_formulas[g.n])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_single_atom_formulas())
+def test_bitset_kernel_matches_frozenset_extension(case):
+    g, f = case
+    expected = extension_bitsets_reference(g, f)
+    masks = np.arange(1 << g.n, dtype=np.uint32)
+    assert _compile(g, expand(f))(masks).tolist() == expected
+    assert formula_possible(g, f) == any(expected)
+
+
+def test_bitset_satisfiability_on_isolated_nodes_and_huge_bounds():
+    g = make_graph(4, [(0, 1)])  # nodes 2 and 3 are isolated
+    for text in ("W p & ~p", "<>0 p & ~p", "E_3 p & ~E_4 p", f"<>{10**30} p"):
+        f = parse_formula(text)
+        assert formula_possible(g, f) == any(extension_bitsets_reference(g, f))
+
+
+def _nested(depth, wrap):
+    f = Atom("p")
+    for _ in range(depth - 1):
+        f = wrap(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " | ".join(["p"] * 3000),
+        " -> ".join(["p"] * 3000),
+        "~" * 1000 + "p",
+        "(" * 1000 + "p" + ")" * 1000,
+    ],
+)
+def test_parse_rejects_deep_nesting(text):
+    with pytest.raises(PreconditionError, match="nested too deep"):
+        parse_formula(text)
+
+
+@pytest.mark.parametrize("wrap", [Not, NeighborMajority, lambda f: And(f, Atom("p"))])
+def test_depth_limit_is_exact_at_every_entry_point(wrap):
+    model = triangle_model("RRB")
+    ok = _nested(MAX_FORMULA_DEPTH, wrap)
+    assert parse_formula(format_formula(ok)) == ok
+    extension(model, ok)
+    formula_possible(model.graph, ok)
+    deep = wrap(ok)
+    for call in (
+        lambda: parse_formula(format_formula(deep)),
+        lambda: extension(model, deep),
+        lambda: formula_possible(model.graph, deep),
+    ):
+        with pytest.raises(PreconditionError, match="nested too deep"):
+            call()
 
 
 def test_unknown_atom_warns_and_is_false():

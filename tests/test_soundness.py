@@ -8,7 +8,9 @@ from majority_illusion import (
     Winner,
     classify_network,
     enumerate_regular,
+    formula_possible,
     illusion_coloring,
+    illusion_formula,
     illusion_possible,
     proper_2_coloring,
     regular_exists,
@@ -38,6 +40,24 @@ def test_weak_illusion_reachable_on_every_graph_up_to_6_nodes():
         assert illusion_possible(g, IllusionKind.MAJORITY_WEAK_MAJORITY)
         count += 1
     assert count == 208  # isomorphism classes on 1..6 nodes
+
+
+NETWORK_KINDS = (
+    IllusionKind.MAJORITY_MAJORITY,
+    IllusionKind.WEAK_MAJORITY_MAJORITY,
+    IllusionKind.MAJORITY_WEAK_MAJORITY,
+    IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY,
+)
+
+
+def test_logic_and_oracle_agree_on_every_graph_up_to_6_nodes():
+    # the empty graph is left out: there the oracle counts zero agents as a
+    # weak half, while no node can satisfy a formula
+    for g in _all_atlas_graphs(6):
+        for kind in NETWORK_KINDS:
+            assert formula_possible(g, illusion_formula(kind)) == illusion_possible(
+                g, kind
+            ), (g.n, g.edges, kind)
 
 
 def _max_strict_count(graphs, n, k):
