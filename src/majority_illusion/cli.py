@@ -374,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         GraphError,
         PreconditionError,
         FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

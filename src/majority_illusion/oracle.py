@@ -2,17 +2,27 @@
 enumeration of small regular graphs.
 
 Colorings are integers whose bit ``b`` gives node ``b``'s color (set bit =
-red), so global and neighborhood tallies are vectorized popcounts.  The
-coloring space is scanned in fixed-size chunks whose results combine
-associatively (better score, then lexicographically smaller coloring
-string), so chunked and sequential scans agree bit for bit.
+red), so global and neighborhood tallies are vectorized popcounts.  One
+kernel serves every objective: per block of colorings it counts each
+node's red neighbours once, as a 2D uint8 block, and derives the illusion
+and monochromatic counts from that block without any per-node or per-edge
+loop.
+
+Swapping every color negates each local and the global lead, so it keeps
+every agent's strict or weak illusion status and every edge's
+monochromaticity.  The scans therefore cover only the half of the space
+with node 0 blue; that half holds the lexicographically smallest of each
+swapped pair ('B' < 'R').  Blocks combine associatively (better score,
+then lexicographically smaller coloring string), so the block size never
+changes a result.  Masks are uint32, so graphs are limited to 32 nodes,
+and the empty graph has no illusion, as in the classifier.
 """
 
 from __future__ import annotations
 
 import enum
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,7 +32,7 @@ from .errors import PreconditionError
 from .graphs import Graph, make_graph
 
 DEFAULT_CAP = 22
-_CHUNK_BITS = 18
+_CHUNK_BITS = 18  # a scan's largest temporary holds 2^18 uint32 words
 _MASK_BITS = 32  # colorings and neighborhoods are uint32 masks
 
 
@@ -60,47 +70,69 @@ def _neighbor_masks(g: Graph) -> np.ndarray:
     return masks
 
 
-def _chunks(n: int, chunk_bits: int = _CHUNK_BITS) -> Iterator[np.ndarray]:
-    total = 1 << n
-    step = 1 << min(chunk_bits, n)
+def _chunks(n: int, rows: int = 1, half: bool = False) -> Iterator[np.ndarray]:
+    """The colorings of ``n`` nodes in ascending blocks small enough that
+    ``rows`` uint32 words per coloring fit in ``2^_CHUNK_BITS`` words; with
+    ``half``, only those with node 0 blue (``n >= 1``).  The block size is
+    looked up at each call."""
+    total = 1 << (n - 1 if half else n)
+    step = max(1, (1 << _CHUNK_BITS) // rows)
     for start in range(0, total, step):
-        yield np.arange(start, min(start + step, total), dtype=np.uint32)
+        block = np.arange(start, min(start + step, total), dtype=np.uint32)
+        yield block << np.uint32(1) if half else block
 
 
-def _illusion_counts(
-    g: Graph, masks: np.ndarray, nbr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coloring counts of agents under strict and weak illusion."""
+def _red_neighbors(masks: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Entry ``[i, j]``: node ``i``'s red neighbours under coloring ``masks[j]``."""
+    return np.bitwise_count(masks[None, :] & nbr[:, None])
+
+
+def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-coloring count of agents under strict (or weak) illusion.
+
+    With ``c`` red neighbours of ``d``, let ``A`` count the agents with
+    ``2c <= d`` (no red local lead) and ``B`` those with ``2c < d`` (blue
+    local lead).  Under a global red lead the weak and strict counts are
+    ``A`` and ``B``, under a blue lead ``n - B`` and ``n - A``, and under a
+    global tie ``n - (A - B)`` and 0.
+    """
     n = g.n
-    global_red = np.bitwise_count(masks).astype(np.int16)
-    global_side = np.sign(2 * global_red - n).astype(np.int8)
-    strict = np.zeros(len(masks), dtype=np.uint8)
-    weak = np.zeros(len(masks), dtype=np.uint8)
-    for i in range(n):
-        local_red = np.bitwise_count(masks & nbr[i]).astype(np.int16)
-        local_side = np.sign(2 * local_red - g.degree(i)).astype(np.int8)
-        differ = local_side != global_side
-        weak += differ
-        strict += differ & (local_side != 0) & (global_side != 0)
-    return strict, weak
+    nbr = _neighbor_masks(g)
+    deg = np.array(g.degrees(), dtype=np.uint8)[:, None]
+    no_red_lead, blue_lead_below = deg // 2, (deg + 1) // 2
+
+    def count(masks: np.ndarray) -> np.ndarray:
+        c = _red_neighbors(masks, nbr)
+        a = (c <= no_red_lead).sum(axis=0, dtype=np.uint8)
+        b = (c < blue_lead_below).sum(axis=0, dtype=np.uint8)
+        red = np.bitwise_count(masks)
+        red_lead, blue_lead = red > n // 2, red < (n + 1) // 2
+        if strict:
+            return np.where(red_lead, b, np.where(blue_lead, n - a, 0))
+        return np.where(red_lead, a, np.where(blue_lead, n - b, n - a + b))
+
+    return count
 
 
-def _mono_counts(g: Graph, masks: np.ndarray) -> np.ndarray:
-    di = np.zeros(len(masks), dtype=np.int32)
-    for u, v in g.edges:
-        di += ((masks >> np.uint32(u)) ^ (masks >> np.uint32(v))) & 1
-    return g.edge_count - di
+def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-coloring count of edges with ends of both colors: each is
+    counted once, as a red neighbour of its blue end."""
+    nbr = _neighbor_masks(g)
+    bit = np.uint32(1) << np.arange(g.n, dtype=np.uint32)[:, None]
+
+    def count(masks: np.ndarray) -> np.ndarray:
+        blue = (masks[None, :] & bit) == 0
+        return (_red_neighbors(masks, nbr) * blue).sum(axis=0, dtype=np.uint16)
+
+    return count
 
 
 def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
     """Bit-reversed masks: ordering by key equals ordering the R/B strings
     lexicographically (node 0 first, 'B' < 'R')."""
-    keys = np.zeros(len(masks), dtype=np.uint32)
-    for i in range(n):
-        keys |= (((masks >> np.uint32(i)) & 1) << np.uint32(n - 1 - i)).astype(
-            np.uint32
-        )
-    return keys
+    shift = np.arange(n, dtype=np.uint32)[:, None]
+    bits = (masks[None, :] >> shift) & np.uint32(1)
+    return np.bitwise_or.reduce(bits << (np.uint32(n - 1) - shift), axis=0)
 
 
 def best_coloring(
@@ -109,66 +141,65 @@ def best_coloring(
     """Exact optimum over all 2^n colorings for the given objective.
 
     Ties break toward the lexicographically smallest coloring string.
+    Every objective is invariant under swapping all colors, and of each
+    swapped pair the string with node 0 blue is the smaller, so only the
+    colorings with node 0 blue are scanned.  Fewest monochromatic edges
+    is found as most dichromatic ones.
     """
     _check_cap(g, cap)
-    maximize = objective is not Objective.MIN_MONOCHROMATIC
-    nbr = _neighbor_masks(g)
-    best_score: int | None = None
+    if g.n == 0:
+        return (), 0
+    if objective is Objective.MIN_MONOCHROMATIC:
+        gain = _dichromatic_counter(g)
+    else:
+        gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    best: int | None = None
     best_key: int | None = None
     best_mask = 0
-    for masks in _chunks(g.n):
-        if objective is Objective.MIN_MONOCHROMATIC:
-            scores = _mono_counts(g, masks)
-        else:
-            strict, weak = _illusion_counts(g, masks, nbr)
-            scores = strict if objective is Objective.MAX_STRICT_ILLUSION else weak
-        chunk_best = int(scores.max() if maximize else scores.min())
-        if best_score is not None:
-            if (maximize and chunk_best < best_score) or (
-                not maximize and chunk_best > best_score
-            ):
-                continue
-        candidates = masks[scores == chunk_best]
+    for masks in _chunks(g.n, rows=g.n, half=True):
+        scores = gain(masks)
+        top = int(scores.max())
+        if best is not None and top < best:
+            continue
+        candidates = masks[scores == top]
         keys = _string_keys(candidates, g.n)
         pos = int(keys.argmin())
         key = int(keys[pos])
-        if (
-            best_score is None
-            or (maximize and chunk_best > best_score)
-            or (not maximize and chunk_best < best_score)
-            or key < best_key
-        ):
-            best_score = chunk_best
-            best_key = key
-            best_mask = int(candidates[pos])
-    return coloring_from_mask(best_mask, g.n), best_score
+        if best is None or top > best or key < best_key:
+            best, best_key, best_mask = top, key, int(candidates[pos])
+    if objective is Objective.MIN_MONOCHROMATIC:
+        best = g.edge_count - best
+    return coloring_from_mask(best_mask, g.n), best
+
+
+# kind -> (counts strict illusions, fewest illusioned agents on n nodes)
+_ILLUSION_TESTS: dict[IllusionKind, tuple[bool, Callable[[int], int]]] = {
+    IllusionKind.MAJORITY_MAJORITY: (True, lambda n: n // 2 + 1),
+    IllusionKind.WEAK_MAJORITY_MAJORITY: (True, lambda n: (n + 1) // 2),
+    IllusionKind.MAJORITY_WEAK_MAJORITY: (False, lambda n: n // 2 + 1),
+    IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY: (False, lambda n: (n + 1) // 2),
+    IllusionKind.UNANIMITY_MAJORITY: (True, lambda n: n),
+    IllusionKind.UNANIMITY_WEAK_MAJORITY: (False, lambda n: n),
+}
 
 
 def illusion_possible(
     g: Graph, kind: IllusionKind, cap: int = DEFAULT_CAP
 ) -> bool:
     """Does some coloring place ``g`` in the given network illusion?
-    Exact, by exhaustive enumeration."""
+    Exact, by exhaustive enumeration of the colorings with node 0 blue
+    (see :func:`best_coloring`).  False on the empty graph, which has no
+    agents to deceive."""
     _check_cap(g, cap)
-    n = g.n
-    nbr = _neighbor_masks(g)
-    for masks in _chunks(n):
-        strict, weak = _illusion_counts(g, masks, nbr)
-        if kind is IllusionKind.MAJORITY_MAJORITY:
-            hit = 2 * strict.astype(np.int32) > n
-        elif kind is IllusionKind.WEAK_MAJORITY_MAJORITY:
-            hit = 2 * strict.astype(np.int32) >= n
-        elif kind is IllusionKind.MAJORITY_WEAK_MAJORITY:
-            hit = 2 * weak.astype(np.int32) > n
-        elif kind is IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY:
-            hit = 2 * weak.astype(np.int32) >= n
-        elif kind is IllusionKind.UNANIMITY_MAJORITY:
-            hit = strict == n
-        else:
-            hit = weak == n
-        if bool(hit.any()):
-            return True
-    return False
+    if g.n == 0:
+        return False
+    strict, least = _ILLUSION_TESTS[kind]
+    count = _illusion_counter(g, strict)
+    threshold = least(g.n)
+    return any(
+        bool((count(masks) >= threshold).any())
+        for masks in _chunks(g.n, rows=g.n, half=True)
+    )
 
 
 def enumerate_regular(n: int, k: int) -> Iterator[Graph]:

@@ -62,6 +62,19 @@ def atlas_connected(max_n: int = 6) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def atlas_graphs(max_n: int, min_n: int = 1):
+    """Every graph on min_n..max_n nodes, one per isomorphism class,
+    connected or not."""
+    import networkx as nx
+
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not min_n <= n <= max_n:
+            continue
+        relabel = {node: idx for idx, node in enumerate(sorted(ag.nodes()))}
+        yield make_graph(n, [(relabel[u], relabel[v]) for u, v in ag.edges()])
+
+
 @st.composite
 def graphs(draw, max_n: int = 8, min_n: int = 1):
     n = draw(st.integers(min_value=min_n, max_value=max_n))

@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import majority_illusion.cli as cli
 from majority_illusion import (
     InternalInvariantError,
+    Objective,
     classify_network,
     is_weak_majority_coloring,
     parse_colored_graph,
     parse_graph,
 )
+from majority_illusion.logic import FORMULA_KINDS
 
 
 def run(capsys, *argv):
@@ -241,6 +249,12 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def test_directory_as_file_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_analyze_text_and_json_agree_on_flags(capsys, tmp_path):
     samples = {
         "k4.txt": "n 4\ncolors RRBB\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
@@ -260,3 +274,192 @@ def test_analyze_text_and_json_agree_on_flags(capsys, tmp_path):
 
 def test_bad_subcommand_usage(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+# --- exit-code contract under fuzzing ---------------------------------------
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_junk = st.text(max_size=6).filter(_not_an_int)
+
+
+def _mostly(valid, other=_junk, odds=9):
+    """``valid`` ``odds`` times in ``odds + 1``, else ``other``."""
+    return st.tuples(st.integers(0, odds), valid, other).map(
+        lambda t: t[2] if t[0] == 0 else t[1]
+    )
+
+
+def _choice(values):
+    return _mostly(st.sampled_from(values))
+
+
+_count = _mostly(st.integers(-3, 64).map(str))  # node counts stay at most 64
+_anyint = _mostly(st.integers(-3, 70).map(str) | st.integers().map(str))
+_nodes = st.integers(0, 12) | st.integers(0, 64)
+
+
+def _header_free(line):
+    tokens = line.split("#", 1)[0].split()
+    return not tokens or tokens[0] != "n"
+
+
+@st.composite
+def _well_formed_graph_texts(draw):
+    n = draw(_nodes)
+    lines = [f"n {n}"]
+    if draw(st.booleans()):
+        lines.append("colors " + draw(st.text(alphabet="RB", min_size=n, max_size=n)))
+    if n > 1:
+        node = st.integers(0, n - 1)
+        edges = st.tuples(node, node).filter(lambda e: e[0] < e[1])
+        lines += [f"{u} {v}" for u, v in draw(st.lists(edges, unique=True, max_size=3 * n))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _noisy_graph_texts(draw):
+    n = draw(_nodes)
+    node = st.integers(-2, n + 2)
+    line = st.one_of(
+        st.just(f"n {n}"),
+        st.sampled_from(["n", "n -1", "n x", f"n {n} {n}", "colors", "# c"]),
+        st.text(alphabet="RBx", max_size=n + 2).map(lambda c: f"colors {c}"),
+        st.tuples(node, node).map(lambda e: f"{e[0]} {e[1]}"),
+        st.text(max_size=12).filter(_header_free),
+    )
+    return "\n".join(draw(st.lists(line, max_size=3 * n + 4)))
+
+
+_graph_texts = _mostly(_well_formed_graph_texts(), _noisy_graph_texts(), odds=3)
+
+_formula = _mostly(
+    st.recursive(
+        st.sampled_from(["p", "q"]),
+        lambda f: st.one_of(
+            f.map("~{}".format),
+            st.tuples(st.sampled_from(["<>2 ", "E_3 ", "<>0 ", "E_99999999999999999999 ",
+                                       "W ", "M ", "GW ", "GM "]), f).map("".join),
+            st.tuples(f, st.sampled_from([" & ", " | ", " -> "]), f).map(
+                lambda t: f"({''.join(t)})"
+            ),
+        ),
+        max_leaves=6,
+    ),
+    st.text(max_size=20),
+    odds=3,
+)
+_valuation = st.lists(
+    _mostly(
+        st.tuples(st.integers(-2, 66), st.lists(st.sampled_from(["p", "q", "#"]), max_size=2)).map(
+            lambda row: " ".join([str(row[0]), *row[1]])
+        )
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+def _flags(draw, options):
+    """A random subset of ``options`` (flag -> value strategy, or None for
+    a bare switch), in random order."""
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    argv = []
+    for flag in chosen:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    return argv
+
+
+@st.composite
+def _invocations(draw):
+    """An argv for one subcommand (or a soup of tokens), the graph text
+    behind the file argument and stdin, and a valuation file's text."""
+    fmt = _choice(["text", "json"])
+    commands = ["gen", "color", "analyze", "feasible", "construct", "oracle", "mc", "soup"]
+    command = draw(st.sampled_from(commands))
+    if command == "gen":
+        argv = ["gen", draw(_choice(["cycle", "complete", "circulant"])), draw(_count)]
+        offsets = st.lists(_mostly(st.integers(-3, 70).map(str)), max_size=4).map(",".join)
+        argv += _flags(draw, {"--offsets": offsets})
+    elif command == "feasible":
+        argv = ["feasible", draw(_count), draw(_anyint)] + _flags(draw, {"--format": fmt})
+    elif command == "construct":
+        argv = ["construct", draw(_count), draw(_anyint)]
+        argv += _flags(draw, {"--fast": None, "--format": fmt})
+    elif command == "soup":
+        vocab = ["gen", "color", "analyze", "feasible", "construct", "oracle", "mc", "cycle",
+                 "--format", "json", "--fast", "--global", "--node", "--help", "--version",
+                 "-", "GRAPH"]
+        argv = draw(st.lists(_mostly(st.sampled_from(vocab), _count, odds=1), max_size=8))
+    else:
+        file = _mostly(st.just("GRAPH"), st.sampled_from(["-", "MISSING", "DIR"]), odds=3)
+        argv = [command, draw(file)]
+        if command == "color":
+            argv += _flags(draw, {
+                "--mode": _choice(["weak", "illusion"]),
+                "--initial": _choice(["all-red", "random", "as-is"]),
+                "--seed": _anyint,
+                "--format": fmt,
+            })
+        elif command == "analyze":
+            fraction = _mostly(st.fractions().map(str), st.floats().map(str) | _junk)
+            argv += _flags(draw, {"--p": fraction, "--q": fraction, "--format": fmt})
+        elif command == "oracle":
+            objectives = [o.value for o in Objective]
+            cap = st.integers(-3, 16) | st.integers(max_value=16)
+            argv += ["--cap", draw(_mostly(cap.map(str)))]
+            argv += _flags(draw, {"--objective": _choice(objectives), "--format": fmt})
+        else:
+            presets = _choice(list(FORMULA_KINDS))
+            flag, value = draw(st.sampled_from([("--formula", _formula), ("--preset", presets)]))
+            argv += [flag, draw(value)]
+            argv += draw(st.sampled_from([["--global"], ["--node", draw(_anyint)]]))
+            argv += _flags(draw, {
+                "--atom": _mostly(st.sampled_from(["p", "q"])),
+                "--valuation": st.just("VALUATION"),
+                "--format": fmt,
+            })
+    return argv, draw(_graph_texts), draw(_valuation)
+
+
+@pytest.mark.filterwarnings("ignore::majority_illusion.UnknownAtomWarning")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_invocations())
+def test_every_invocation_keeps_the_exit_code_contract(invocation):
+    """``main`` returns 0, 1, 2 or 3 and never raises, whatever the
+    subcommand, graph text, formula text and argument values.  Node counts
+    (graph headers, ``gen``/``construct``/``feasible`` sizes) stay at most
+    64: an unbounded ``n <count>`` header makes ``make_graph`` allocate that
+    many sets, which is still an open item.  Oracle caps stay at most 16
+    (token soups keep the default, 22), so a scan covers at most 2^21
+    colorings."""
+    argv, graph_text, valuation_text = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {
+            "GRAPH": os.path.join(tmp, "graph.txt"),
+            "VALUATION": os.path.join(tmp, "valuation.txt"),
+            "MISSING": os.path.join(tmp, "missing.txt"),
+            "DIR": tmp,
+        }
+        with open(paths["GRAPH"], "w", encoding="utf-8") as fh:
+            fh.write(graph_text)
+        with open(paths["VALUATION"], "w", encoding="utf-8") as fh:
+            fh.write(valuation_text)
+        argv = [paths.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO(graph_text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            saved, cli.sys.stdin = cli.sys.stdin, stdin
+            try:
+                code = cli.main(argv)
+            finally:
+                cli.sys.stdin = saved
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

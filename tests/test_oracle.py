@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -18,8 +19,73 @@ from majority_illusion import (
     make_graph,
     monochromatic_count,
 )
+from majority_illusion.oracle import _neighbor_masks, coloring_from_mask
 
-from conftest import graphs
+from conftest import atlas_graphs, graphs
+
+
+def _full_scan_counts(g, masks):
+    """The oracle's kernel before the half scan, kept as the reference:
+    strict and weak illusion counts per node, then monochromatic edges per
+    edge, over every coloring in ``masks``."""
+    n = g.n
+    nbr = _neighbor_masks(g)
+    global_red = np.bitwise_count(masks).astype(np.int16)
+    global_side = np.sign(2 * global_red - n).astype(np.int8)
+    strict = np.zeros(len(masks), dtype=np.uint8)
+    weak = np.zeros(len(masks), dtype=np.uint8)
+    for i in range(n):
+        local_red = np.bitwise_count(masks & nbr[i]).astype(np.int16)
+        local_side = np.sign(2 * local_red - g.degree(i)).astype(np.int8)
+        differ = local_side != global_side
+        weak += differ
+        strict += differ & (local_side != 0) & (global_side != 0)
+    di = np.zeros(len(masks), dtype=np.int32)
+    for u, v in g.edges:
+        di += ((masks >> np.uint32(u)) ^ (masks >> np.uint32(v))) & 1
+    return strict, weak, g.edge_count - di
+
+
+def _reference(g):
+    """Optimum mask and score per objective, the tie broken toward the
+    smallest coloring string, and the verdict per kind (none on 0 nodes),
+    from a scan of all 2^n colorings."""
+    n = g.n
+    masks = np.arange(1 << n, dtype=np.uint32)
+    strict, weak, mono = _full_scan_counts(g, masks)
+    best = {}
+    for objective, scores, pick in (
+        (Objective.MAX_STRICT_ILLUSION, strict, np.max),
+        (Objective.MAX_WEAK_ILLUSION, weak, np.max),
+        (Objective.MIN_MONOCHROMATIC, mono, np.min),
+    ):
+        score = int(pick(scores))
+        tied = [int(m) for m in masks[scores == score]]
+        mask = min(tied, key=lambda m: coloring_to_string(coloring_from_mask(m, n)))
+        best[objective] = (mask, score, tied)
+    s2, w2 = 2 * strict.astype(np.int32), 2 * weak.astype(np.int32)
+    hits = {
+        IllusionKind.MAJORITY_MAJORITY: s2 > n,
+        IllusionKind.WEAK_MAJORITY_MAJORITY: s2 >= n,
+        IllusionKind.MAJORITY_WEAK_MAJORITY: w2 > n,
+        IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY: w2 >= n,
+        IllusionKind.UNANIMITY_MAJORITY: strict == n,
+        IllusionKind.UNANIMITY_WEAK_MAJORITY: weak == n,
+    }
+    verdicts = {kind: n > 0 and bool(hit.any()) for kind, hit in hits.items()}
+    return best, verdicts
+
+
+def _assert_matches_reference(g):
+    best, verdicts = _reference(g)
+    for objective, (mask, score, _) in best.items():
+        assert best_coloring(g, objective) == (coloring_from_mask(mask, g.n), score), (
+            g.n,
+            g.edges,
+            objective,
+        )
+    for kind, verdict in verdicts.items():
+        assert illusion_possible(g, kind) == verdict, (g.n, g.edges, kind)
 
 
 def triangle():
@@ -53,10 +119,40 @@ def test_cap_is_enforced():
 
 
 def test_chunked_scan_matches_single_chunk(monkeypatch):
-    g = cycle_graph(6)
-    want = best_coloring(g, Objective.MAX_WEAK_ILLUSION)
-    monkeypatch.setattr(oracle_module, "_CHUNK_BITS", 2)
-    assert best_coloring(g, Objective.MAX_WEAK_ILLUSION) == want
+    """Blocks of one to a few colorings give the full-scan answers on
+    every graph with up to 5 nodes, and the corpus has optima whose
+    smallest string lies outside the first block holding an optimum, so
+    the cross-block tie-break is exercised."""
+    corpus = list(atlas_graphs(5)) + [cycle_graph(6), complete_graph(6)]
+    for bits in (0, 3, 4):
+        monkeypatch.setattr(oracle_module, "_CHUNK_BITS", bits)
+        split = 0
+        for g in corpus:
+            blocks = list(oracle_module._chunks(g.n, rows=g.n, half=True))
+            block_of = {int(m): b for b, block in enumerate(blocks) for m in block}
+            best, _ = _reference(g)
+            for mask, _, tied in best.values():
+                tied_blocks = [block_of[m] for m in tied if m in block_of]
+                split += block_of[mask] != min(tied_blocks)
+            _assert_matches_reference(g)
+        assert split > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10, min_n=0))
+def test_half_scan_matches_the_full_scan(g):
+    """Coloring, score and every verdict equal a scan of all 2^n colorings
+    with the per-node and per-edge kernel, isolated nodes and the empty
+    graph included."""
+    _assert_matches_reference(g)
+
+
+def test_empty_graph_has_no_illusion():
+    g = make_graph(0, [])
+    for objective in Objective:
+        assert best_coloring(g, objective) == ((), 0)
+    for kind in IllusionKind:
+        assert not illusion_possible(g, kind)
 
 
 def test_no_strict_majority_illusion_on_odd_cycle():

@@ -18,25 +18,12 @@ from majority_illusion import (
 from majority_illusion.coloring import ColoredGraph
 from majority_illusion.oracle import _neighbor_masks
 
-from conftest import atlas_connected, odd_degree_graph
-
-
-def _all_atlas_graphs(max_n):
-    import networkx as nx
-
-    from majority_illusion import make_graph
-
-    for ag in nx.graph_atlas_g():
-        n = ag.number_of_nodes()
-        if not 1 <= n <= max_n:
-            continue
-        relabel = {node: idx for idx, node in enumerate(sorted(ag.nodes()))}
-        yield make_graph(n, [(relabel[u], relabel[v]) for u, v in ag.edges()])
+from conftest import atlas_connected, atlas_graphs, odd_degree_graph
 
 
 def test_weak_illusion_reachable_on_every_graph_up_to_6_nodes():
     count = 0
-    for g in _all_atlas_graphs(6):
+    for g in atlas_graphs(6):
         assert illusion_possible(g, IllusionKind.MAJORITY_WEAK_MAJORITY)
         count += 1
     assert count == 208  # isomorphism classes on 1..6 nodes
@@ -51,9 +38,7 @@ NETWORK_KINDS = (
 
 
 def test_logic_and_oracle_agree_on_every_graph_up_to_6_nodes():
-    # the empty graph is left out: there the oracle counts zero agents as a
-    # weak half, while no node can satisfy a formula
-    for g in _all_atlas_graphs(6):
+    for g in atlas_graphs(6, min_n=0):
         for kind in NETWORK_KINDS:
             assert formula_possible(g, illusion_formula(kind)) == illusion_possible(
                 g, kind
