@@ -17,6 +17,7 @@ from .coloring import Color, ColoredGraph, Winner
 from .errors import InternalInvariantError, PreconditionError
 
 Threshold = Fraction
+_HALF = Fraction(1, 2)
 
 
 class Level(enum.Enum):
@@ -31,6 +32,11 @@ class Level(enum.Enum):
 class Chromaticity(enum.Enum):
     MONOCHROMATIC = "monochromatic"
     POLYCHROMATIC = "polychromatic"
+
+    @classmethod
+    def of(cls, witnesses: set[Color]) -> "Chromaticity":
+        """Monochromatic when the witnesses hold at most one color."""
+        return cls.MONOCHROMATIC if len(witnesses) <= 1 else cls.POLYCHROMATIC
 
     def __str__(self) -> str:
         return self.value
@@ -130,14 +136,8 @@ class NetworkIllusionReport:
         return self.strict_count + self.weak_only_count
 
     def flag(self, kind: IllusionKind) -> bool:
-        return {
-            IllusionKind.MAJORITY_MAJORITY: self.majority_majority,
-            IllusionKind.WEAK_MAJORITY_MAJORITY: self.weak_majority_majority,
-            IllusionKind.MAJORITY_WEAK_MAJORITY: self.majority_weak_majority,
-            IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY: self.weak_majority_weak_majority,
-            IllusionKind.UNANIMITY_MAJORITY: self.unanimity_majority,
-            IllusionKind.UNANIMITY_WEAK_MAJORITY: self.unanimity_weak_majority,
-        }[kind]
+        """The field named after ``kind``."""
+        return getattr(self, kind.name.lower())
 
     @classmethod
     def from_statuses(
@@ -145,30 +145,28 @@ class NetworkIllusionReport:
     ) -> "NetworkIllusionReport":
         """Network-level classification from ``agent_statuses(cg)``.
 
-        Thresholds are exact: strict flags need ``2 * count > n``, weak flags
-        ``2 * count >= n``, unanimity flags ``count == n`` (on nonempty graphs).
+        Thresholds are exact: the four majority flags are the p-flags at
+        ``p = 1/2`` (strict ``2 * count > n``, weak ``2 * count >= n``),
+        unanimity flags need ``count == n`` (on nonempty graphs).
         """
         n = cg.graph.n
         strict = sum(1 for s in statuses if s.illusion is Level.STRICT)
         weak_only = sum(1 for s in statuses if s.illusion is Level.WEAK)
         under = strict + weak_only
         witnesses = {s.illusion_color for s in statuses if s.illusion is not Level.NONE}
+        flags = _p_flags(strict, under, n, _HALF)
         return cls(
             n=n,
             strict_count=strict,
             weak_only_count=weak_only,
             none_count=n - under,
-            majority_majority=2 * strict > n,
-            weak_majority_majority=2 * strict >= n and n > 0,
-            majority_weak_majority=2 * under > n,
-            weak_majority_weak_majority=2 * under >= n and n > 0,
+            majority_majority=flags["pq"],
+            weak_majority_majority=flags["weak_pq"],
+            majority_weak_majority=flags["p_weak_q"],
+            weak_majority_weak_majority=flags["weak_p_weak_q"],
             unanimity_majority=strict == n and n > 0,
             unanimity_weak_majority=under == n and n > 0,
-            chromaticity=(
-                Chromaticity.MONOCHROMATIC
-                if len(witnesses) <= 1
-                else Chromaticity.POLYCHROMATIC
-            ),
+            chromaticity=Chromaticity.of(witnesses),
             isolated_nodes=cg.graph.isolated_nodes(),
         )
 
@@ -197,23 +195,39 @@ def _check_threshold(q: Threshold) -> None:
         raise PreconditionError(f"threshold must lie in [0, 1], got {q}")
 
 
+def _in_q_window(
+    local: int, d: int, total: int, n: int, q: Threshold, strict: bool
+) -> bool:
+    """Does a color held by ``local`` of ``d`` neighbours and ``total`` of
+    ``n`` agents witness a (weak) q-illusion?  Strict: local share above
+    ``q`` and global share below it.  Weak: both non-strict, but not both
+    exactly at ``q``."""
+    over = local * q.denominator - q.numerator * d
+    under = q.numerator * n - total * q.denominator
+    if strict:
+        return over > 0 and under > 0
+    return over >= 0 and under >= 0 and (over, under) != (0, 0)
+
+
+def _q_witness(cg: ColoredGraph, i: int, q: Threshold, strict: bool) -> Color | None:
+    """Node ``i``'s (weak) q-illusion witness, red tested first; no checks."""
+    n, d = cg.graph.n, len(cg.graph.adj[i])
+    local_red = cg.red_neighbor_counts[i]
+    global_red, global_blue = cg.color_counts
+    if _in_q_window(local_red, d, global_red, n, q, strict):
+        return Color.RED
+    if _in_q_window(d - local_red, d, global_blue, n, q, strict):
+        return Color.BLUE
+    return None
+
+
 def q_illusion(cg: ColoredGraph, i: int, q: Threshold) -> Color | None:
     """Witness color whose local share strictly exceeds ``q`` while its
     global share stays strictly below ``q``; ``None`` when neither color
     qualifies.  At ``q = 1/2`` this coincides with the strict illusion."""
     _check_threshold(q)
     cg.graph.check_node(i)
-    d = cg.graph.degree(i)
-    n = cg.graph.n
-    local_red = cg.local_red_count(i)
-    global_red, global_blue = cg.color_counts
-    for color, local, total in (
-        (Color.RED, local_red, global_red),
-        (Color.BLUE, d - local_red, global_blue),
-    ):
-        if local * q.denominator > q.numerator * d and total * q.denominator < q.numerator * n:
-            return color
-    return None
+    return _q_witness(cg, i, q, strict=True)
 
 
 def weak_q_illusion(cg: ColoredGraph, i: int, q: Threshold) -> Color | None:
@@ -222,23 +236,19 @@ def weak_q_illusion(cg: ColoredGraph, i: int, q: Threshold) -> Color | None:
     ``q = 1/2`` this coincides with the weak illusion."""
     _check_threshold(q)
     cg.graph.check_node(i)
-    d = cg.graph.degree(i)
-    n = cg.graph.n
-    local_red = cg.local_red_count(i)
-    global_red, global_blue = cg.color_counts
-    for color, local, total in (
-        (Color.RED, local_red, global_red),
-        (Color.BLUE, d - local_red, global_blue),
-    ):
-        local_ok = local * q.denominator >= q.numerator * d
-        total_ok = total * q.denominator <= q.numerator * n
-        both_exact = (
-            local * q.denominator == q.numerator * d
-            and total * q.denominator == q.numerator * n
-        )
-        if local_ok and total_ok and not both_exact:
-            return color
-    return None
+    return _q_witness(cg, i, q, strict=False)
+
+
+def _p_flags(strict: int, weak: int, n: int, p: Threshold) -> dict[str, bool]:
+    """The four proportion flags for ``strict`` and ``weak`` illusioned
+    agents out of ``n``: above ``p`` (strict) or at least ``p`` (weak, on
+    nonempty graphs)."""
+    return {
+        "pq": strict * p.denominator > p.numerator * n,
+        "weak_pq": strict * p.denominator >= p.numerator * n and n > 0,
+        "p_weak_q": weak * p.denominator > p.numerator * n,
+        "weak_p_weak_q": weak * p.denominator >= p.numerator * n and n > 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -290,21 +300,11 @@ def pq_report(cg: ColoredGraph, p: Threshold, q: Threshold) -> PqReport:
     _check_threshold(p)
     _check_threshold(q)
     n = cg.graph.n
-    strict_witnesses: set[Color] = set()
-    weak_witnesses: set[Color] = set()
-    strict_count = weak_count = 0
-    for i in range(n):
-        w = q_illusion(cg, i, q)
-        if w is not None:
-            strict_count += 1
-            strict_witnesses.add(w)
-        w = weak_q_illusion(cg, i, q)
-        if w is not None:
-            weak_count += 1
-            weak_witnesses.add(w)
-    half = Fraction(1, 2)
-    strict_forced = q <= half
-    weak_forced = q < half
+    strict = [w for i in range(n) if (w := _q_witness(cg, i, q, True)) is not None]
+    weak = [w for i in range(n) if (w := _q_witness(cg, i, q, False)) is not None]
+    strict_witnesses, weak_witnesses = set(strict), set(weak)
+    strict_forced = q <= _HALF
+    weak_forced = q < _HALF
     if strict_forced and len(strict_witnesses) > 1:
         raise InternalInvariantError(
             f"strict witnesses {strict_witnesses} must agree for q={q} <= 1/2"
@@ -317,22 +317,11 @@ def pq_report(cg: ColoredGraph, p: Threshold, q: Threshold) -> PqReport:
         n=n,
         p=p,
         q=q,
-        strict_count=strict_count,
-        weak_count=weak_count,
-        pq=strict_count * p.denominator > p.numerator * n,
-        weak_pq=strict_count * p.denominator >= p.numerator * n and n > 0,
-        p_weak_q=weak_count * p.denominator > p.numerator * n,
-        weak_p_weak_q=weak_count * p.denominator >= p.numerator * n and n > 0,
-        strict_chromaticity=(
-            Chromaticity.MONOCHROMATIC
-            if len(strict_witnesses) <= 1
-            else Chromaticity.POLYCHROMATIC
-        ),
-        weak_chromaticity=(
-            Chromaticity.MONOCHROMATIC
-            if len(weak_witnesses) <= 1
-            else Chromaticity.POLYCHROMATIC
-        ),
+        strict_count=len(strict),
+        weak_count=len(weak),
+        **_p_flags(len(strict), len(weak), n, p),
+        strict_chromaticity=Chromaticity.of(strict_witnesses),
+        weak_chromaticity=Chromaticity.of(weak_witnesses),
         strict_monochromatic_forced=strict_forced,
         weak_monochromatic_forced=weak_forced,
     )

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -40,6 +42,7 @@ from .graphs import circulant_graph, complete_graph, cycle_graph
 from .logic import (
     FORMULA_KINDS,
     Model,
+    UnknownAtomWarning,
     extension,
     illusion_formula,
     model_from_colored_graph,
@@ -57,7 +60,23 @@ def _read_input(path: str | None) -> str:
         return fh.read()
 
 
+# Fraction expands a decimal exponent into an exact integer, so both the
+# text and its exponent are bounded before it is built.
+_FRACTION_MAX_CHARS = 100
+_FRACTION_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
+
+
 def _fraction(text: str) -> Fraction:
+    if len(text) > _FRACTION_MAX_CHARS:
+        raise argparse.ArgumentTypeError(
+            f"fraction text longer than {_FRACTION_MAX_CHARS} characters"
+        )
+    exponent = _EXPONENT.search(text)
+    if exponent and int(exponent.group(1).replace("_", "")) > _FRACTION_MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"decimal exponent beyond {_FRACTION_MAX_EXPONENT} in {text!r}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -254,7 +273,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         raise PreconditionError(
             "model checking needs a colored graph or --valuation file"
         )
-    sat = extension(model, formula)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnknownAtomWarning)
+        sat = extension(model, formula)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.node is not None:
         graph.check_node(args.node)
         truth = args.node in sat

@@ -86,21 +86,22 @@ def random_coloring(n: int, rng: random.Random) -> Coloring:
     return tuple(rng.choice((Color.RED, Color.BLUE)) for _ in range(n))
 
 
+def _winner(red: int, total: int) -> Winner:
+    """Majority winner of ``total`` votes of which ``red`` are red; ``TIE``
+    when neither color holds strictly more than half (in particular when
+    ``total`` is 0)."""
+    if 2 * red > total:
+        return Winner.RED
+    if 2 * (total - red) > total:
+        return Winner.BLUE
+    return Winner.TIE
+
+
 def majority_winner(colors: Iterable[Color]) -> Winner:
     """Majority winner of a multiset of colors; ``TIE`` when neither color
     holds strictly more than half (in particular for the empty multiset)."""
-    red = blue = 0
-    for c in colors:
-        if c is Color.RED:
-            red += 1
-        else:
-            blue += 1
-    total = red + blue
-    if 2 * red > total:
-        return Winner.RED
-    if 2 * blue > total:
-        return Winner.BLUE
-    return Winner.TIE
+    colors = tuple(colors)
+    return _winner(colors.count(Color.RED), len(colors))
 
 
 @dataclass(frozen=True)
@@ -123,25 +124,21 @@ class ColoredGraph:
         return red, self.graph.n - red
 
     @cached_property
+    def red_neighbor_counts(self) -> tuple[int, ...]:
+        """Red neighbours of every node, tallied once per colored graph."""
+        red = frozenset(i for i, c in enumerate(self.colors) if c is Color.RED)
+        return tuple(len(a & red) for a in self.graph.adj)
+
+    @cached_property
     def global_winner(self) -> Winner:
-        red, blue = self.color_counts
-        if 2 * red > self.graph.n:
-            return Winner.RED
-        if 2 * blue > self.graph.n:
-            return Winner.BLUE
-        return Winner.TIE
+        return _winner(self.color_counts[0], self.graph.n)
 
     def local_red_count(self, i: int) -> int:
-        return sum(1 for j in self.graph.neighbors(i) if self.colors[j] is Color.RED)
+        self.graph.check_node(i)
+        return self.red_neighbor_counts[i]
 
     def local_winner(self, i: int) -> Winner:
-        red = self.local_red_count(i)
-        d = self.graph.degree(i)
-        if 2 * red > d:
-            return Winner.RED
-        if 2 * (d - red) > d:
-            return Winner.BLUE
-        return Winner.TIE
+        return _winner(self.local_red_count(i), len(self.graph.adj[i]))
 
     def with_flipped(self, i: int) -> "ColoredGraph":
         return ColoredGraph(self.graph, flipped(self.colors, i))
@@ -158,11 +155,8 @@ def monochromatic_count(cg: ColoredGraph) -> tuple[int, int]:
 
 def is_weak_majority_coloring(g: Graph, colors: Sequence[Color]) -> bool:
     """True when no node's own color wins a strict majority of its neighborhood."""
-    for i in range(g.n):
-        same = sum(1 for j in g.adj[i] if colors[j] is colors[i])
-        if 2 * same > g.degree(i):
-            return False
-    return True
+    cg = ColoredGraph(g, tuple(colors))
+    return all(cg.local_winner(i).color is not c for i, c in enumerate(cg.colors))
 
 
 def weak_majority_2_coloring(
@@ -267,13 +261,10 @@ def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph
         cg = ColoredGraph(g, colors)
         if cg.global_winner is not Winner.TIE:
             break
-        non_tied = sum(
-            1 for i in range(g.n) if cg.local_winner(i) is not Winner.TIE
-        )
-        if 2 * non_tied > g.n:
+        tied = [i for i in range(g.n) if cg.local_winner(i) is Winner.TIE]
+        if 2 * (g.n - len(tied)) > g.n:
             break
-        j = next(i for i in range(g.n) if cg.local_winner(i) is Winner.TIE)
-        colors = weak_majority_2_coloring(g, flipped(colors, j))
+        colors = weak_majority_2_coloring(g, flipped(colors, tied[0]))
     result = ColoredGraph(g, colors)
     under = sum(
         1
@@ -363,16 +354,9 @@ def odd_degree_swap_upgrade(cg: ColoredGraph) -> ColoredGraph | None:
     if cg.global_winner is not Winner.TIE:
         raise PreconditionError("global vote must be tied")
 
-    def margin(u: int) -> int:
-        red = cg.local_red_count(u)
-        return abs(2 * red - g.degree(u))
-
-    pick = -1
-    for j in range(g.n):
-        if all(margin(u) >= 2 for u in g.adj[j]):
-            pick = j
-            break
-    if pick < 0:
+    margin = [abs(2 * red - len(a)) for red, a in zip(cg.red_neighbor_counts, g.adj)]
+    pick = next((j for j in range(g.n) if all(margin[u] >= 2 for u in g.adj[j])), None)
+    if pick is None:
         return None
     out = cg.with_flipped(pick)
     _require_strict_count(out, minimum=(g.n + 1) // 2)

@@ -22,7 +22,7 @@ from .analysis import IllusionKind, classify_network
 from .coloring import Color, ColoredGraph
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
-from .graphs import make_graph
+from .graphs import MAX_NODES, make_graph
 
 Edge = tuple[int, int]
 
@@ -251,6 +251,8 @@ def _realize_deficits(
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:
+    if n > MAX_NODES:
+        raise PreconditionError(f"node count {n} exceeds the limit of {MAX_NODES}")
     verdict = regular_exists(n, k)
     if not verdict.possible:
         raise InfeasibleError(
@@ -281,8 +283,9 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
         raise InternalInvariantError(
             f"expected {n_red} red nodes, got {len(red_nodes)}"
         )
+    counts = cg.red_neighbor_counts
     for i in red_nodes:
-        blue_nb = sum(1 for j in g.adj[i] if cg.colors[j] is Color.BLUE)
+        blue_nb = k - counts[i]
         if 2 * blue_nb <= k:
             raise InternalInvariantError(
                 f"red node {i} has only {blue_nb} blue neighbors of {k}"

@@ -26,7 +26,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import IllusionKind, Threshold, classify_network
+from .analysis import (
+    IllusionKind,
+    Threshold,
+    _check_threshold,
+    _in_q_window,
+    _p_flags,
+    classify_network,
+)
 from .coloring import ColoredGraph
 from .errors import InternalInvariantError, PreconditionError
 
@@ -88,29 +95,6 @@ class CompletePqVerdict:
     p_weak_q: bool
     weak_p_weak_q: bool
 
-    def flags(self) -> dict[str, bool]:
-        return {
-            "p-q": self.pq,
-            "weak-p-q": self.weak_pq,
-            "p-weak-q": self.p_weak_q,
-            "weak-p-weak-q": self.weak_p_weak_q,
-        }
-
-
-def _strict_window(y: int, n: int, q: Threshold) -> bool:
-    # q(n-1) < y < qn, cross-multiplied
-    return q.numerator * (n - 1) < y * q.denominator < q.numerator * n
-
-
-def _weak_window(y: int, n: int, q: Threshold) -> bool:
-    lo = q.numerator * (n - 1) <= y * q.denominator
-    hi = y * q.denominator <= q.numerator * n
-    both_exact = (
-        y * q.denominator == q.numerator * (n - 1)
-        and y * q.denominator == q.numerator * n
-    )
-    return lo and hi and not both_exact
-
 
 def complete_pq_feasible(n: int, p: Threshold, q: Threshold) -> CompletePqVerdict:
     """Exact possibility of the four (weak-)p-(weak-)q illusions on the
@@ -127,33 +111,21 @@ def complete_pq_feasible(n: int, p: Threshold, q: Threshold) -> CompletePqVerdic
     """
     if n < 1:
         raise PreconditionError(f"complete graph needs at least 1 node, got {n}")
-    for t in (p, q):
-        if not 0 <= t <= 1:
-            raise PreconditionError(f"threshold must lie in [0, 1], got {t}")
-    best_strict = 0
-    best_weak = 0
-    for x in range(n + 1):
-        strict = 0
-        weak = 0
-        if _strict_window(x, n, q):
-            strict += n - x
-        if _strict_window(n - x, n, q):
-            strict += x
-        if _weak_window(x, n, q):
-            weak += n - x
-        if _weak_window(n - x, n, q):
-            weak += x
-        best_strict = max(best_strict, strict)
-        best_weak = max(best_weak, weak)
-    return CompletePqVerdict(
-        n=n,
-        p=p,
-        q=q,
-        pq=best_strict * p.denominator > p.numerator * n,
-        weak_pq=best_strict * p.denominator >= p.numerator * n,
-        p_weak_q=best_weak * p.denominator > p.numerator * n,
-        weak_p_weak_q=best_weak * p.denominator >= p.numerator * n,
-    )
+    _check_threshold(p)
+    _check_threshold(q)
+
+    def under(x: int, strict: bool) -> int:
+        # each agent sees every one of the y agents of the other color
+        # among its n - 1 neighbours: local = total = y
+        return sum(
+            agents
+            for agents, y in ((n - x, x), (x, n - x))
+            if _in_q_window(y, n - 1, y, n, q, strict)
+        )
+
+    best_strict = max(under(x, True) for x in range(n + 1))
+    best_weak = max(under(x, False) for x in range(n + 1))
+    return CompletePqVerdict(n=n, p=p, q=q, **_p_flags(best_strict, best_weak, n, p))
 
 
 class CompleteWeakClass(enum.Enum):

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majority_illusion import (
+    AgentStatus,
     Chromaticity,
     Color,
     ColoredGraph,
     IllusionKind,
     Level,
+    NetworkIllusionReport,
+    PqReport,
     PreconditionError,
     Winner,
     agent_status,
@@ -23,6 +26,7 @@ from majority_illusion import (
     q_illusion,
     weak_q_illusion,
 )
+from majority_illusion.coloring import is_weak_majority_coloring, majority_winner
 
 from conftest import colored_graphs
 
@@ -243,3 +247,204 @@ def test_color_swap_equivariance(cg):
             assert after.illusion_color is before.illusion_color.other
     r1, r2 = classify_network(cg), classify_network(flipped)
     assert all(r1.flag(kind) == r2.flag(kind) for kind in IllusionKind)
+
+
+# Reference definitions: the classifier layer as it was before the tally,
+# counting each node's red neighbours again wherever a rule needs them.
+
+
+def _ref_local_red_count(cg, i):
+    return sum(1 for j in cg.graph.neighbors(i) if cg.colors[j] is Color.RED)
+
+
+def _ref_majority_winner(colors):
+    red = blue = 0
+    for c in colors:
+        if c is Color.RED:
+            red += 1
+        else:
+            blue += 1
+    total = red + blue
+    if 2 * red > total:
+        return Winner.RED
+    if 2 * blue > total:
+        return Winner.BLUE
+    return Winner.TIE
+
+
+def _ref_global_winner(cg):
+    red = sum(1 for c in cg.colors if c is Color.RED)
+    blue = cg.graph.n - red
+    if 2 * red > cg.graph.n:
+        return Winner.RED
+    if 2 * blue > cg.graph.n:
+        return Winner.BLUE
+    return Winner.TIE
+
+
+def _ref_local_winner(cg, i):
+    red = _ref_local_red_count(cg, i)
+    d = cg.graph.degree(i)
+    if 2 * red > d:
+        return Winner.RED
+    if 2 * (d - red) > d:
+        return Winner.BLUE
+    return Winner.TIE
+
+
+def _ref_is_weak_majority_coloring(g, colors):
+    for i in range(g.n):
+        same = sum(1 for j in g.adj[i] if colors[j] is colors[i])
+        if 2 * same > g.degree(i):
+            return False
+    return True
+
+
+def _ref_status(cg, i):
+    local, glob, own = _ref_local_winner(cg, i), _ref_global_winner(cg), cg.colors[i]
+    if local is Winner.TIE:
+        opposition = Level.WEAK
+    elif local.color is own:
+        opposition = Level.NONE
+    else:
+        opposition = Level.STRICT
+    if local is glob:
+        illusion, witness = Level.NONE, None
+    elif local is not Winner.TIE and glob is not Winner.TIE:
+        illusion, witness = Level.STRICT, local.color
+    else:
+        illusion = Level.WEAK
+        witness = local.color if local is not Winner.TIE else glob.color.other
+    isolated = cg.graph.degree(i) == 0
+    return AgentStatus(i, own, local, glob, opposition, illusion, witness, isolated)
+
+
+def _ref_chromaticity(witnesses):
+    if len(witnesses) <= 1:
+        return Chromaticity.MONOCHROMATIC
+    return Chromaticity.POLYCHROMATIC
+
+
+def _ref_report(cg, statuses):
+    n = cg.graph.n
+    strict = sum(1 for s in statuses if s.illusion is Level.STRICT)
+    weak_only = sum(1 for s in statuses if s.illusion is Level.WEAK)
+    under = strict + weak_only
+    witnesses = {s.illusion_color for s in statuses if s.illusion is not Level.NONE}
+    return NetworkIllusionReport(
+        n=n,
+        strict_count=strict,
+        weak_only_count=weak_only,
+        none_count=n - under,
+        majority_majority=2 * strict > n,
+        weak_majority_majority=2 * strict >= n and n > 0,
+        majority_weak_majority=2 * under > n,
+        weak_majority_weak_majority=2 * under >= n and n > 0,
+        unanimity_majority=strict == n and n > 0,
+        unanimity_weak_majority=under == n and n > 0,
+        chromaticity=_ref_chromaticity(witnesses),
+        isolated_nodes=cg.graph.isolated_nodes(),
+    )
+
+
+def _ref_q_sides(cg, i):
+    d = cg.graph.degree(i)
+    local_red = _ref_local_red_count(cg, i)
+    global_red = sum(1 for c in cg.colors if c is Color.RED)
+    return (
+        (Color.RED, local_red, global_red),
+        (Color.BLUE, d - local_red, cg.graph.n - global_red),
+    )
+
+
+def _ref_q_illusion(cg, i, q):
+    d, n = cg.graph.degree(i), cg.graph.n
+    for color, local, total in _ref_q_sides(cg, i):
+        if local * q.denominator > q.numerator * d and total * q.denominator < q.numerator * n:
+            return color
+    return None
+
+
+def _ref_weak_q_illusion(cg, i, q):
+    d, n = cg.graph.degree(i), cg.graph.n
+    for color, local, total in _ref_q_sides(cg, i):
+        local_ok = local * q.denominator >= q.numerator * d
+        total_ok = total * q.denominator <= q.numerator * n
+        both_exact = (
+            local * q.denominator == q.numerator * d
+            and total * q.denominator == q.numerator * n
+        )
+        if local_ok and total_ok and not both_exact:
+            return color
+    return None
+
+
+def _ref_pq_report(cg, p, q):
+    n = cg.graph.n
+    strict_witnesses, weak_witnesses = set(), set()
+    strict_count = weak_count = 0
+    for i in range(n):
+        w = _ref_q_illusion(cg, i, q)
+        if w is not None:
+            strict_count += 1
+            strict_witnesses.add(w)
+        w = _ref_weak_q_illusion(cg, i, q)
+        if w is not None:
+            weak_count += 1
+            weak_witnesses.add(w)
+
+    return PqReport(
+        n=n,
+        p=p,
+        q=q,
+        strict_count=strict_count,
+        weak_count=weak_count,
+        pq=strict_count * p.denominator > p.numerator * n,
+        weak_pq=strict_count * p.denominator >= p.numerator * n and n > 0,
+        p_weak_q=weak_count * p.denominator > p.numerator * n,
+        weak_p_weak_q=weak_count * p.denominator >= p.numerator * n and n > 0,
+        strict_chromaticity=_ref_chromaticity(strict_witnesses),
+        weak_chromaticity=_ref_chromaticity(weak_witnesses),
+        strict_monochromatic_forced=q <= HALF,
+        weak_monochromatic_forced=q < HALF,
+    )
+
+
+_thresholds = st.fractions(min_value=0, max_value=1, max_denominator=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs(max_n=12, min_n=0), _thresholds, _thresholds)
+# exactly half the agents under strict illusion: the weak and strict
+# majority flags differ
+@example(ColoredGraph(make_graph(4, [(0, 3), (1, 3)]), (R, R, R, B)), HALF, HALF)
+def test_one_tally_matches_the_per_node_definitions(cg, p, q):
+    """Every classifier-layer output read from the cached red-neighbour
+    tally equals the per-node definitions above, field by field."""
+    g, n = cg.graph, cg.graph.n
+    assert cg.red_neighbor_counts == tuple(_ref_local_red_count(cg, i) for i in range(n))
+    assert cg.global_winner is _ref_global_winner(cg)
+    assert majority_winner(cg.colors) is _ref_majority_winner(cg.colors)
+    for i in range(n):
+        assert cg.local_red_count(i) == _ref_local_red_count(cg, i)
+        assert cg.local_winner(i) is _ref_local_winner(cg, i)
+        neighbourhood = [cg.colors[j] for j in g.adj[i]]
+        assert majority_winner(neighbourhood) is _ref_majority_winner(neighbourhood)
+        assert q_illusion(cg, i, q) is _ref_q_illusion(cg, i, q)
+        assert weak_q_illusion(cg, i, q) is _ref_weak_q_illusion(cg, i, q)
+    assert is_weak_majority_coloring(g, cg.colors) == _ref_is_weak_majority_coloring(
+        g, cg.colors
+    )
+    statuses = agent_statuses(cg)
+    assert statuses == [_ref_status(cg, i) for i in range(n)]
+    report, expected = classify_network(cg), _ref_report(cg, statuses)
+    assert report == expected
+    assert [report.flag(kind) for kind in IllusionKind] == [
+        expected.majority_majority,
+        expected.weak_majority_majority,
+        expected.majority_weak_majority,
+        expected.weak_majority_weak_majority,
+        expected.unanimity_majority,
+        expected.unanimity_weak_majority,
+    ]
+    assert pq_report(cg, p, q) == _ref_pq_report(cg, p, q)

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import tempfile
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from majority_illusion import (
     parse_colored_graph,
     parse_graph,
 )
+from majority_illusion.graphs import MAX_NODES
 from majority_illusion.logic import FORMULA_KINDS
 
 
@@ -215,6 +218,58 @@ def test_mc_deeply_nested_formula_is_usage_error(capsys, tmp_path, formula):
     assert err.count("\n") == 1
 
 
+def test_mc_unknown_atom_warns_on_one_line(capsys, tmp_path):
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ncolors RB\n0 1\n")
+    code, out, err = run(capsys, "mc", str(path), "--formula", "q", "--global")
+    assert code == 1
+    assert out == "false\n"
+    assert err == "warning: atom 'q' is not part of the model; treated as false\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["analyze", "GRAPH"], MAX_NODES + 1),
+        (["gen", "cycle", str(MAX_NODES + 1)], MAX_NODES + 1),
+        (["gen", "complete", str(MAX_NODES + 1)], MAX_NODES + 1),
+        (["construct", str(MAX_NODES + 2), "8"], MAX_NODES + 2),
+    ],
+)
+def test_node_counts_above_the_cap_are_usage_errors(capsys, tmp_path, argv, n):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"n {MAX_NODES + 1}\n0 1\n")
+    code, out, err = run(capsys, *[str(path) if a == "GRAPH" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: node count {n} exceeds the limit of {MAX_NODES}\n"
+
+
+def test_feasible_stays_unbounded(capsys):
+    code, out, _ = run(capsys, "feasible", str(MAX_NODES + 2), "8")
+    assert code == 0
+    assert "feasible" in out
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1/2", Fraction(1, 2)), ("0.25", Fraction(1, 4)), ("2.5e-1", Fraction(1, 4))],
+)
+def test_threshold_texts_parse(text, value):
+    assert cli._fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "1" * 101])
+def test_threshold_texts_bounded_before_fraction(capsys, tmp_path, text):
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ncolors RB\n0 1\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", str(path), "--p", text)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "argument --p" in err
+
+
 def test_internal_invariant_maps_to_exit_three(capsys, monkeypatch):
     def boom(n, k):
         raise InternalInvariantError("synthetic failure")
@@ -301,9 +356,12 @@ def _choice(values):
     return _mostly(st.sampled_from(values))
 
 
-_count = _mostly(st.integers(-3, 64).map(str))  # node counts stay at most 64
+# Node counts are at most 64 or above MAX_NODES, never in between.
+_huge = st.integers(MAX_NODES + 1, 10**30)
+_count = _mostly(st.integers(-3, 64).map(str), _huge.map(str) | _junk)
 _anyint = _mostly(st.integers(-3, 70).map(str) | st.integers().map(str))
-_nodes = st.integers(0, 12) | st.integers(0, 64)
+_small = st.integers(0, 12) | st.integers(0, 64)
+_nodes = _mostly(_small, _huge)
 
 
 def _header_free(line):
@@ -314,28 +372,39 @@ def _header_free(line):
 @st.composite
 def _well_formed_graph_texts(draw):
     n = draw(_nodes)
+    m = min(n, 64)  # above the cap: a short colors line, edges among 64 nodes
     lines = [f"n {n}"]
     if draw(st.booleans()):
-        lines.append("colors " + draw(st.text(alphabet="RB", min_size=n, max_size=n)))
-    if n > 1:
-        node = st.integers(0, n - 1)
+        lines.append("colors " + draw(st.text(alphabet="RB", min_size=m, max_size=m)))
+    if m > 1:
+        node = st.integers(0, m - 1)
         edges = st.tuples(node, node).filter(lambda e: e[0] < e[1])
-        lines += [f"{u} {v}" for u, v in draw(st.lists(edges, unique=True, max_size=3 * n))]
+        drawn = draw(st.lists(edges, unique=True, max_size=3 * m))
+        lines += [f"{u} {v}" for u, v in drawn]
     return "\n".join(lines) + "\n"
 
 
 @st.composite
 def _noisy_graph_texts(draw):
-    n = draw(_nodes)
+    n = draw(_small)
     node = st.integers(-2, n + 2)
     line = st.one_of(
         st.just(f"n {n}"),
+        _huge.map("n {}".format),
         st.sampled_from(["n", "n -1", "n x", f"n {n} {n}", "colors", "# c"]),
         st.text(alphabet="RBx", max_size=n + 2).map(lambda c: f"colors {c}"),
         st.tuples(node, node).map(lambda e: f"{e[0]} {e[1]}"),
         st.text(max_size=12).filter(_header_free),
     )
     return "\n".join(draw(st.lists(line, max_size=3 * n + 4)))
+
+
+# Decimal texts, some with exponents far beyond what Fraction can expand.
+_exponent_texts = st.tuples(
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.sampled_from(["e", "E", "e-", "e+"]),
+    (st.integers(0, 12) | st.integers(0, 10**12)).map(str),
+).map("".join)
 
 
 _graph_texts = _mostly(_well_formed_graph_texts(), _noisy_graph_texts(), odds=3)
@@ -410,7 +479,9 @@ def _invocations(draw):
                 "--format": fmt,
             })
         elif command == "analyze":
-            fraction = _mostly(st.fractions().map(str), st.floats().map(str) | _junk)
+            fraction = _mostly(
+                st.fractions().map(str), st.floats().map(str) | _exponent_texts | _junk
+            )
             argv += _flags(draw, {"--p": fraction, "--q": fraction, "--format": fmt})
         elif command == "oracle":
             objectives = [o.value for o in Objective]
@@ -430,17 +501,17 @@ def _invocations(draw):
     return argv, draw(_graph_texts), draw(_valuation)
 
 
-@pytest.mark.filterwarnings("ignore::majority_illusion.UnknownAtomWarning")
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_invocations())
 def test_every_invocation_keeps_the_exit_code_contract(invocation):
     """``main`` returns 0, 1, 2 or 3 and never raises, whatever the
     subcommand, graph text, formula text and argument values.  Node counts
-    (graph headers, ``gen``/``construct``/``feasible`` sizes) stay at most
-    64: an unbounded ``n <count>`` header makes ``make_graph`` allocate that
-    many sets, which is still an open item.  Oracle caps stay at most 16
-    (token soups keep the default, 22), so a scan covers at most 2^21
-    colorings."""
+    (graph headers, ``gen``/``construct``/``feasible`` sizes) are at most 64
+    or above ``MAX_NODES``, which is rejected before anything is allocated;
+    counts in between would only make the run slow.  ``--p``/``--q`` texts
+    include decimal exponents up to 10^12, which are rejected before
+    ``Fraction`` expands them.  Oracle caps stay at most 16 (token soups
+    keep the default, 22), so a scan covers at most 2^21 colorings."""
     argv, graph_text, valuation_text = invocation
     with tempfile.TemporaryDirectory() as tmp:
         paths = {

@@ -19,6 +19,7 @@ from majority_illusion import (
     make_graph,
 )
 from majority_illusion.construct import _degrees, _norm, _realize_deficits
+from majority_illusion.graphs import MAX_NODES
 
 
 def reference_realize_deficits(edges, members, k, deg, label):
@@ -190,6 +191,16 @@ def test_odd_parity_branches_validate(n, k):
 def test_infeasible_parameters_rejected():
     with pytest.raises(InfeasibleError, match="minority-pool"):
         construct_regular_illusion(6, 4)
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [(construct_regular_illusion, 8), (fast_construct, (MAX_NODES + 2) // 2 + 3)],
+)
+def test_node_count_above_the_cap_rejected_before_planning(build, k):
+    # n = MAX_NODES + 2 is feasible for both builders, and n % 4 == 2
+    with pytest.raises(PreconditionError, match="exceeds the limit"):
+        build(MAX_NODES + 2, k)
 
 
 def test_proven_parity_gap_rejected():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -8,6 +10,7 @@ from majority_illusion import (
     cycle_graph,
     make_graph,
 )
+from majority_illusion.graphs import MAX_NODES
 
 from conftest import graphs
 
@@ -26,6 +29,21 @@ def test_self_loop_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(GraphError, match=r"\(1, 5\)"):
         make_graph(3, [(1, 5)])
+
+
+@pytest.mark.parametrize(
+    "build", [lambda n: make_graph(n, []), cycle_graph, complete_graph]
+)
+def test_node_count_above_the_cap_rejected_before_allocating(build):
+    assert MAX_NODES >= 100_000  # the 100 000-node witnesses still build
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="exceeds the limit"):
+            build(MAX_NODES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_duplicate_edges_collapse():
