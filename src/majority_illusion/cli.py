@@ -78,9 +78,12 @@ def _fraction(text: str) -> Fraction:
             f"decimal exponent beyond {_FRACTION_MAX_EXPONENT} in {text!r}"
         )
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {text!r}")
+    return value
 
 
 def _json_out(payload: dict) -> None:

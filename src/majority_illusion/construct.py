@@ -22,7 +22,7 @@ from .analysis import IllusionKind, classify_network
 from .coloring import Color, ColoredGraph
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
-from .graphs import MAX_NODES, make_graph
+from .graphs import MAX_NODES, check_size, make_graph
 
 Edge = tuple[int, int]
 
@@ -260,6 +260,7 @@ def _require_feasible(n: int, k: int) -> ConstructionPlan:
             f"illusion (failed: {', '.join(verdict.failed)})",
             verdict,
         )
+    check_size(n, n * k // 2)
     return construction_plan(n, k)
 
 

@@ -31,8 +31,8 @@ from .errors import FormulaSyntaxError, PreconditionError
 from .graphs import Graph
 from .oracle import DEFAULT_CAP, _chunks, _check_cap, _neighbor_masks
 
-# At 100 levels the deepest expansion and evaluation use about 610 of Python's
-# default 1000 frames.
+# At 100 levels the deepest parse (nested parentheses) uses about 605 of
+# Python's default 1000 frames, and expansion and printing about 100.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -168,7 +168,7 @@ def _too_deep() -> PreconditionError:
 def _check_depth(f: Formula) -> None:
     """Reject ``f`` if it is nested deeper than :data:`MAX_FORMULA_DEPTH`.
 
-    Expansion, evaluation, hashing and printing recurse once per level, and
+    Expansion, hashing and printing recurse once per level, and
     expansion can triple the depth.  Walks one level of distinct nodes at a
     time, so shared subformulas are not revisited.
     """
@@ -199,7 +199,23 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"W", "M", "GW", "GM"}
+# Binary connectives, loosest first: token, class and the side a chain of
+# them groups to.  A connective's precedence is its position; prefix
+# operators bind tighter than all of them.
+_BINARY = (("->", Implies, "right"), ("|", Or, "left"), ("&", And, "left"))
+_PRECEDENCE = {cls: (at, token, side) for at, (token, cls, side) in enumerate(_BINARY)}
+_TIGHTEST = len(_BINARY)
+
+# Prefix operators by token; the identifiers among them are keywords, not
+# atoms.  ``<>n`` and ``E_n`` carry an index and are handled apart.
+_PREFIX = {
+    "~": Not,
+    "W": WeakNeighborMajority,
+    "M": NeighborMajority,
+    "GW": WeakGlobalMajority,
+    "GM": GlobalMajority,
+}
+_PREFIX_TEXT = {cls: text for text, cls in _PREFIX.items()}
 
 
 @dataclass(frozen=True)
@@ -241,34 +257,26 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.parse_implies()
+        f = self.parse_binary(0)
         tok = self.peek()
         if tok is not None:
             raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
         return f
 
-    def parse_implies(self) -> Formula:
-        operands = [self.parse_or()]
-        while (tok := self.peek()) is not None and tok.kind == "arrow":
+    def parse_binary(self, at: int) -> Formula:
+        """A chain of the connectives at precedence ``at`` and tighter."""
+        if at == _TIGHTEST:
+            return self.parse_unary()
+        token, cls, side = _BINARY[at]
+        operands = [self.parse_binary(at + 1)]
+        while (tok := self.peek()) is not None and tok.text == token:
             self.take()
-            operands.append(self.parse_or())
-        f = operands.pop()
-        while operands:
-            f = Implies(operands.pop(), f)
-        return f
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while (tok := self.peek()) is not None and tok.kind == "pipe":
-            self.take()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while (tok := self.peek()) is not None and tok.kind == "amp":
-            self.take()
-            f = And(f, self.parse_unary())
+            operands.append(self.parse_binary(at + 1))
+        if side == "right":
+            operands.reverse()
+        f = operands[0]
+        for other in operands[1:]:
+            f = cls(f, other) if side == "left" else cls(other, f)
         return f
 
     def parse_unary(self) -> Formula:
@@ -281,54 +289,28 @@ class _Parser:
         return f
 
     def parse_prefixed(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", len(self.text))
-        if tok.kind == "tilde":
-            self.take()
-            return Not(self.parse_unary())
-        if tok.kind == "diamond":
-            self.take()
-            bound = self.take_index(tok.pos)
-            return NeighborCountOver(bound, self.parse_unary())
-        if tok.kind == "ident":
-            if tok.text in _KEYWORDS:
-                self.take()
-                ctor = {
-                    "W": WeakNeighborMajority,
-                    "M": NeighborMajority,
-                    "GW": WeakGlobalMajority,
-                    "GM": GlobalMajority,
-                }[tok.text]
-                return ctor(self.parse_unary())
-            if tok.text.startswith("E_"):
-                self.take()
-                suffix = tok.text[2:]
-                if not suffix.isdigit():
-                    raise FormulaSyntaxError(
-                        f"malformed counting index in {tok.text!r}", tok.pos
-                    )
-                return GlobalCountOver(int(suffix), self.parse_unary())
-        return self.parse_primary()
-
-    def take_index(self, opener_pos: int) -> int:
-        tok = self.peek()
-        if tok is None or tok.kind != "number":
-            raise FormulaSyntaxError("malformed counting index after '<>'", opener_pos)
-        self.take()
-        return int(tok.text)
-
-    def parse_primary(self) -> Formula:
         tok = self.take()
+        if tok.text in _PREFIX:
+            return _PREFIX[tok.text](self.parse_unary())
+        if tok.kind == "diamond":
+            index = self.peek()
+            if index is None or index.kind != "number":
+                raise FormulaSyntaxError("malformed counting index after '<>'", tok.pos)
+            self.take()
+            return NeighborCountOver(int(index.text), self.parse_unary())
+        if tok.kind == "ident" and tok.text.startswith("E_"):
+            if not tok.text[2:].isdigit():
+                raise FormulaSyntaxError(f"malformed counting index in {tok.text!r}", tok.pos)
+            return GlobalCountOver(int(tok.text[2:]), self.parse_unary())
+        if tok.kind == "ident":
+            return Atom(tok.text)
         if tok.kind == "lparen":
-            f = self.parse_implies()
+            f = self.parse_binary(0)
             closer = self.peek()
             if closer is None or closer.kind != "rparen":
                 raise FormulaSyntaxError("unbalanced parenthesis", tok.pos)
             self.take()
             return f
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
-            return Atom(tok.text)
         raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
 
@@ -347,34 +329,25 @@ def format_formula(f: Formula) -> str:
     ``f`` up to derived-operator expansion."""
 
     def render(node: Formula, level: int) -> str:
-        # levels: 0 implies, 1 or, 2 and, 3 unary/primary
         if isinstance(node, Atom):
             return node.name
-        if isinstance(node, Implies):
-            text = f"{render(node.left, 1)} -> {render(node.right, 0)}"
-            need = level > 0
-        elif isinstance(node, Or):
-            text = f"{render(node.left, 1)} | {render(node.right, 2)}"
-            need = level > 1
-        elif isinstance(node, And):
-            text = f"{render(node.left, 2)} & {render(node.right, 3)}"
-            need = level > 2
+        if type(node) in _PRECEDENCE:
+            # only the operand on the grouping side may be a bare chain
+            at, token, side = _PRECEDENCE[type(node)]
+            left = render(node.left, at if side == "left" else at + 1)
+            right = render(node.right, at if side == "right" else at + 1)
+            text = f"{left} {token} {right}"
+            return f"({text})" if level > at else text
+        if isinstance(node, NeighborCountOver):
+            head = f"<>{node.bound} "
+        elif isinstance(node, GlobalCountOver):
+            head = f"E_{node.bound} "
+        elif type(node) in _PREFIX_TEXT:
+            head = _PREFIX_TEXT[type(node)]
+            head += " " if head.isidentifier() else ""
         else:
-            prefix = {
-                Not: "~",
-                WeakNeighborMajority: "W ",
-                NeighborMajority: "M ",
-                WeakGlobalMajority: "GW ",
-                GlobalMajority: "GM ",
-            }.get(type(node))
-            if prefix is not None:
-                return f"{prefix}{render(node.sub, 3)}"
-            if isinstance(node, NeighborCountOver):
-                return f"<>{node.bound} {render(node.sub, 3)}"
-            if isinstance(node, GlobalCountOver):
-                return f"E_{node.bound} {render(node.sub, 3)}"
             raise TypeError(f"unknown formula node {node!r}")
-        return f"({text})" if need else text
+        return head + render(node.sub, _TIGHTEST)
 
     return render(f, 0)
 
@@ -419,62 +392,49 @@ def model_from_colored_graph(cg: ColoredGraph, atom: str = "p") -> Model:
     return Model(cg.graph, valuation, atoms=frozenset({atom}))
 
 
-class _Evaluator:
-    def __init__(self, model: Model):
-        self.model = model
-        self.all_nodes = frozenset(range(model.graph.n))
-        self.known = model.known_atoms()
-        self.memo: dict[Formula, frozenset[int]] = {}
-        self.warned: set[str] = set()
-
-    def extension(self, f: Formula) -> frozenset[int]:
-        cached = self.memo.get(f)
-        if cached is not None:
-            return cached
-        result = self._compute(f)
-        self.memo[f] = result
-        return result
-
-    def _compute(self, f: Formula) -> frozenset[int]:
-        g = self.model.graph
-        if isinstance(f, Atom):
-            if f.name not in self.known and f.name not in self.warned:
-                self.warned.add(f.name)
-                warnings.warn(
-                    f"atom {f.name!r} is not part of the model; treated as false",
-                    UnknownAtomWarning,
-                    stacklevel=4,
-                )
-            return frozenset(
-                i for i in self.all_nodes if f.name in self.model.valuation[i]
-            )
-        if isinstance(f, Not):
-            return self.all_nodes - self.extension(f.sub)
-        if isinstance(f, Or):
-            return self.extension(f.left) | self.extension(f.right)
-        if isinstance(f, NeighborCountOver):
-            sat = self.extension(f.sub)
-            return frozenset(
-                i for i in self.all_nodes if len(g.adj[i] & sat) > f.bound
-            )
-        if isinstance(f, WeakNeighborMajority):
-            sat = self.extension(f.sub)
-            return frozenset(
-                i for i in self.all_nodes if 2 * len(g.adj[i] & sat) >= g.degree(i)
-            )
-        if isinstance(f, GlobalCountOver):
-            sat = self.extension(f.sub)
-            return self.all_nodes if len(sat) > f.bound else frozenset()
-        if isinstance(f, WeakGlobalMajority):
-            sat = self.extension(f.sub)
-            return self.all_nodes if 2 * len(sat) >= g.n else frozenset()
-        raise TypeError(f"evaluation reached unexpanded node {f!r}")
+def _frozensets(
+    node: Formula, args: list[frozenset[int]], model: Model, all_nodes: frozenset[int]
+) -> frozenset[int]:
+    """Extension of ``node`` in ``model`` as a node set, given its
+    children's extensions ``args``."""
+    g = model.graph
+    if isinstance(node, Atom):
+        return frozenset(i for i in all_nodes if node.name in model.valuation[i])
+    if isinstance(node, Not):
+        return all_nodes - args[0]
+    if isinstance(node, Or):
+        return args[0] | args[1]
+    if isinstance(node, NeighborCountOver):
+        return frozenset(i for i in all_nodes if len(g.adj[i] & args[0]) > node.bound)
+    if isinstance(node, WeakNeighborMajority):
+        return frozenset(
+            i for i in all_nodes if 2 * len(g.adj[i] & args[0]) >= g.degree(i)
+        )
+    if isinstance(node, GlobalCountOver):
+        return all_nodes if len(args[0]) > node.bound else frozenset()
+    if isinstance(node, WeakGlobalMajority):
+        return all_nodes if 2 * len(args[0]) >= g.n else frozenset()
+    raise TypeError(f"evaluation reached unexpanded node {node!r}")
 
 
 def extension(model: Model, f: Formula) -> frozenset[int]:
-    """Set of nodes at which ``f`` holds."""
+    """Set of nodes at which ``f`` holds.
+
+    Warns once per atom the model does not know, in the order the atoms
+    first appear in the expanded formula, before evaluating it.
+    """
     _check_depth(f)
-    return _Evaluator(model).extension(expand(f))
+    program = _program(expand(f))
+    known = model.known_atoms()
+    for node, _, _ in program:
+        if isinstance(node, Atom) and node.name not in known:
+            warnings.warn(
+                f"atom {node.name!r} is not part of the model; treated as false",
+                UnknownAtomWarning,
+                stacklevel=2,
+            )
+    all_nodes = frozenset(range(model.graph.n))
+    return _run(program, lambda node, args: _frozensets(node, args, model, all_nodes))
 
 
 def model_check(model: Model, i: int, f: Formula) -> bool:
@@ -490,13 +450,6 @@ AGENT_WEAK_MAJORITY_OPPOSITION = "weak-majority-opposition"
 AGENT_MAJORITY_OPPOSITION = "majority-opposition"
 AGENT_MAJORITY_ILLUSION = "majority-illusion"
 AGENT_WEAK_MAJORITY_ILLUSION = "weak-majority-illusion"
-
-_NETWORK_KINDS = {
-    IllusionKind.MAJORITY_MAJORITY.value,
-    IllusionKind.WEAK_MAJORITY_MAJORITY.value,
-    IllusionKind.MAJORITY_WEAK_MAJORITY.value,
-    IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY.value,
-}
 
 FORMULA_KINDS = (
     AGENT_WEAK_MAJORITY_OPPOSITION,
@@ -557,25 +510,51 @@ def illusion_formula(kind: str | IllusionKind, atom: str = "p") -> Formula:
     return table[name]
 
 
-def _program(core: Formula) -> list[tuple[Formula, tuple[int, ...]]]:
-    """The unique subformulas of ``core``, children first, each with the
-    positions of its children in the list; ``core`` comes last."""
-    index: dict[Formula, int] = {}
+_Program = list[tuple[Formula, tuple[int, ...], tuple[int, ...]]]
+
+
+def _program(core: Formula) -> _Program:
+    """The unique subformulas of ``core``, children first and left child
+    first; ``core`` comes last.  Each comes with the positions of its
+    children in the list and of the children it is the last to read."""
+    # A subformula is keyed by its class, bound and children's positions,
+    # so no lookup hashes a whole subtree; ``at`` maps each node object
+    # visited to its position.
+    index: dict[object, int] = {}
+    at: dict[int, int] = {}
     program: list[tuple[Formula, tuple[int, ...]]] = []
-    stack = [core]
+    stack = [(core, False)]  # a node, and whether its children are done
     while stack:
-        node = stack[-1]
-        if node in index:
-            stack.pop()
+        node, ready = stack.pop()
+        if id(node) in at:
             continue
-        pending = [c for c in _children(node) if c not in index]
-        if pending:
-            stack.extend(pending)
+        kids = _children(node)
+        if not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(kids))
             continue
-        stack.pop()
-        index[node] = len(program)
-        program.append((node, tuple(index[c] for c in _children(node))))
-    return program
+        args = tuple(at[id(c)] for c in kids)
+        key = (type(node), getattr(node, "bound", None), args) if kids else node
+        if key not in index:
+            index[key] = len(program)
+            program.append((node, args))
+        at[id(node)] = index[key]
+    last_reader = {k: j for j, (_, kids) in enumerate(program) for k in kids}
+    return [
+        (node, kids, tuple({k for k in kids if last_reader[k] == j}))
+        for j, (node, kids) in enumerate(program)
+    ]
+
+
+def _run(program: _Program, step: Callable[[Formula, list], object]):
+    """Evaluate ``program`` children first: ``step(node, args)`` gives a
+    node's value from its children's values.  Returns ``core``'s value."""
+    values: list = [None] * len(program)
+    for j, (node, kids, last_read) in enumerate(program):
+        values[j] = step(node, [values[k] for k in kids])
+        for k in last_read:
+            values[k] = None  # keep only the values still to be read
+    return values[-1]
 
 
 def _compile(g: Graph, core: Formula) -> Callable[[np.ndarray], np.ndarray]:
@@ -583,19 +562,14 @@ def _compile(g: Graph, core: Formula) -> Callable[[np.ndarray], np.ndarray]:
     masks (bit ``i`` set: the atom holds at node ``i``) to the node bitsets
     of ``core``'s extension under each of them."""
     program = _program(core)
-    last_reader = {k: j for j, (_, kids) in enumerate(program) for k in kids}
     nbr = _neighbor_masks(g)
     degrees = g.degrees()
     full = np.uint32((1 << g.n) - 1)
 
     def extensions(masks: np.ndarray) -> np.ndarray:
-        ext: list[np.ndarray | None] = [None] * len(program)
-        for j, (node, kids) in enumerate(program):
-            ext[j] = _bitsets(node, [ext[k] for k in kids], masks, nbr, degrees, full)
-            for k in kids:
-                if last_reader[k] == j:
-                    ext[k] = None  # keep only the bitsets still to be read
-        return ext[-1]
+        return _run(
+            program, lambda node, args: _bitsets(node, args, masks, nbr, degrees, full)
+        )
 
     return extensions
 

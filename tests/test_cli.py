@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from majority_illusion import (
     parse_colored_graph,
     parse_graph,
 )
-from majority_illusion.graphs import MAX_NODES
+from majority_illusion.graphs import MAX_EDGES, MAX_NODES, check_size
 from majority_illusion.logic import FORMULA_KINDS
 
 
@@ -102,6 +103,32 @@ def test_analyze_pq_flags(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", str(path), "--p", "1", "--q", "1/2")
     assert code == 0
     assert "pq weak-p-weak-q yes" in out
+
+
+def test_analyze_json_carries_the_pq_report(capsys, tmp_path):
+    path = tmp_path / "k4.txt"
+    path.write_text("n 4\ncolors RRBB\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, _ = run(
+        capsys, "analyze", str(path), "--format", "json", "--p", "1/3", "--q", "1/2"
+    )
+    assert code == 0
+    assert json.loads(out)["pq"] == {
+        "chromaticity": {"strict": "monochromatic", "weak": "polychromatic"},
+        "counts": {"strict": 0, "weak": 4},
+        "flags": {"p-q": False, "p-weak-q": True, "weak-p-q": False, "weak-p-weak-q": True},
+        "n": 4,
+        "p": "1/3",
+        "q": "1/2",
+    }
+
+
+def test_color_as_is_needs_a_colored_input(capsys, tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("n 3\n0 1\n1 2\n")
+    code, out, err = run(capsys, "color", str(path), "--initial", "as-is")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --initial as-is needs a colored input\n"
 
 
 def test_feasible_negative_verdict_cites_reason(capsys):
@@ -198,6 +225,26 @@ def test_mc_valuation_file(capsys, tmp_path):
         "--node", "0", "--valuation", str(vpath),
     )
     assert code == 0
+    vpath.write_text("# node atoms\n\n0 p  # first\n   \n1 p q\n")
+    code, out, err = run(
+        capsys, "mc", str(gpath), "--formula", "E_1 p & ~E_2 p",
+        "--node", "0", "--valuation", str(vpath),
+    )
+    assert (code, out, err) == (0, "true\n", "")
+
+
+def test_mc_json_lists_the_satisfying_nodes(capsys, tmp_path):
+    path = tmp_path / "k4.txt"
+    path.write_text("n 4\ncolors RRBB\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run(
+        capsys, "mc", str(path), "--formula", "M ~p", "--global", "--format", "json"
+    )
+    assert code == 1
+    assert err == ""
+    assert out == (
+        '{\n  "format_version": 1,\n  "nodes_satisfying": [\n    0,\n    1\n  ],\n'
+        '  "scope": "global",\n  "truth": false\n}\n'
+    )
 
 
 def test_mc_syntax_error_is_usage_error(capsys, tmp_path):
@@ -245,6 +292,34 @@ def test_node_counts_above_the_cap_are_usage_errors(capsys, tmp_path, argv, n):
     assert err == f"error: node count {n} exceeds the limit of {MAX_NODES}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        (["gen", "complete", "2897"], 2897 * 2896 // 2),
+        (["construct", "200000", "150000"], 200000 * 150000 // 2),
+        (["construct", "262142", "131072", "--fast"], 262142 * 131072 // 2),
+    ],
+)
+def test_edge_counts_above_the_budget_are_usage_errors(capsys, argv, edges):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: edge count {edges} exceeds the limit of {MAX_EDGES}\n"
+    assert peak < 1 << 16
+
+
+def test_documented_sizes_fit_the_edge_budget():
+    # gen complete 2000, and the (100000, 8) and (100000, 50) witnesses
+    for n, edges in ((2000, 2000 * 1999 // 2), (100000, 100000 * 8 // 2),
+                     (100000, 100000 * 50 // 2)):
+        check_size(n, edges)
+
+
 def test_feasible_stays_unbounded(capsys):
     code, out, _ = run(capsys, "feasible", str(MAX_NODES + 2), "8")
     assert code == 0
@@ -268,6 +343,25 @@ def test_threshold_texts_bounded_before_fraction(capsys, tmp_path, text):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "argument --p" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("abc", "not a fraction: 'abc'"),
+        ("1/0", "not a fraction: '1/0'"),
+        ("3/2", "threshold must lie in [0, 1], got '3/2'"),
+        ("1e1000", "threshold must lie in [0, 1], got '1e1000'"),
+    ],
+)
+def test_bad_threshold_texts_are_named_in_one_short_line(capsys, tmp_path, text, message):
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ncolors RB\n0 1\n")
+    code, out, err = run(capsys, "analyze", str(path), "--p", text)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"millusion analyze: error: argument --p: {message}"
+    assert len(err.encode()) < 300
 
 
 def test_internal_invariant_maps_to_exit_three(capsys, monkeypatch):

@@ -56,6 +56,21 @@ def test_colors_survive_anywhere_after_header():
     assert colors is not None
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n x\n", "line 1: expected 'n <count>'"),
+        ("n 2\ncolors RB\ncolors RB\n", "line 3: duplicate 'colors' line"),
+        ("n 2\ncolors\n", "line 2: expected 'colors <RB string>'"),
+        ("n 2\n0 a\n", "line 2: non-integer node id"),
+    ],
+)
+def test_malformed_lines_are_named(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_graph_text(text)
+    assert str(err.value) == message
+
+
 def test_self_loop_reported_as_format_error():
     with pytest.raises(FormatError, match="self-loop"):
         parse_graph("n 2\n1 1\n")

@@ -10,7 +10,7 @@ from majority_illusion import (
     cycle_graph,
     make_graph,
 )
-from majority_illusion.graphs import MAX_NODES
+from majority_illusion.graphs import MAX_EDGES, MAX_NODES
 
 from conftest import graphs
 
@@ -43,6 +43,28 @@ def test_node_count_above_the_cap_rejected_before_allocating(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "build, edges",
+    [
+        (lambda: complete_graph(2897), 2897 * 2896 // 2),
+        (lambda: circulant_graph(MAX_NODES, range(1, 18)), MAX_NODES * 17),
+        # the antipodal offset adds one edge per pair of nodes
+        (lambda: circulant_graph(MAX_NODES, [*range(1, 17), MAX_NODES // 2]),
+         MAX_NODES * 16 + MAX_NODES // 2),
+    ],
+)
+def test_edge_count_above_the_budget_rejected_before_generating(build, edges):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError) as err:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"edge count {edges} exceeds the limit of {MAX_EDGES}"
     assert peak < 1 << 16
 
 

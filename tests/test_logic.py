@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majority_illusion import (
@@ -39,7 +41,10 @@ from majority_illusion.logic import (
     Or,
     WeakGlobalMajority,
     WeakNeighborMajority,
+    _check_depth,
     _compile,
+    _tokenize,
+    _too_deep,
     expand,
 )
 
@@ -314,3 +319,310 @@ def test_weak_opposition_formula_on_balanced_neighborhood():
     # node 1 is red and sees one red, one blue: at least half disagree
     assert model_check(model, 1, f)
     assert not model_check(model, 0, f)
+
+
+# --- references: the recursive evaluator, parser and printer that the shared
+# program walk and the operator table replaced, kept as they were -----------
+
+
+class ReferenceEvaluator:
+    def __init__(self, model):
+        self.model = model
+        self.all_nodes = frozenset(range(model.graph.n))
+        self.known = model.known_atoms()
+        self.memo = {}
+        self.warned = set()
+
+    def extension(self, f):
+        cached = self.memo.get(f)
+        if cached is not None:
+            return cached
+        result = self._compute(f)
+        self.memo[f] = result
+        return result
+
+    def _compute(self, f):
+        g = self.model.graph
+        if isinstance(f, Atom):
+            if f.name not in self.known and f.name not in self.warned:
+                self.warned.add(f.name)
+                warnings.warn(
+                    f"atom {f.name!r} is not part of the model; treated as false",
+                    UnknownAtomWarning,
+                    stacklevel=4,
+                )
+            return frozenset(
+                i for i in self.all_nodes if f.name in self.model.valuation[i]
+            )
+        if isinstance(f, Not):
+            return self.all_nodes - self.extension(f.sub)
+        if isinstance(f, Or):
+            return self.extension(f.left) | self.extension(f.right)
+        if isinstance(f, NeighborCountOver):
+            sat = self.extension(f.sub)
+            return frozenset(
+                i for i in self.all_nodes if len(g.adj[i] & sat) > f.bound
+            )
+        if isinstance(f, WeakNeighborMajority):
+            sat = self.extension(f.sub)
+            return frozenset(
+                i for i in self.all_nodes if 2 * len(g.adj[i] & sat) >= g.degree(i)
+            )
+        if isinstance(f, GlobalCountOver):
+            sat = self.extension(f.sub)
+            return self.all_nodes if len(sat) > f.bound else frozenset()
+        if isinstance(f, WeakGlobalMajority):
+            sat = self.extension(f.sub)
+            return self.all_nodes if 2 * len(sat) >= g.n else frozenset()
+        raise TypeError(f"evaluation reached unexpanded node {f!r}")
+
+
+_KEYWORDS = {"W", "M", "GW", "GM"}
+
+
+class ReferenceParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", len(self.text))
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        f = self.parse_implies()
+        tok = self.peek()
+        if tok is not None:
+            raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        return f
+
+    def parse_implies(self):
+        operands = [self.parse_or()]
+        while (tok := self.peek()) is not None and tok.kind == "arrow":
+            self.take()
+            operands.append(self.parse_or())
+        f = operands.pop()
+        while operands:
+            f = Implies(operands.pop(), f)
+        return f
+
+    def parse_or(self):
+        f = self.parse_and()
+        while (tok := self.peek()) is not None and tok.kind == "pipe":
+            self.take()
+            f = Or(f, self.parse_and())
+        return f
+
+    def parse_and(self):
+        f = self.parse_unary()
+        while (tok := self.peek()) is not None and tok.kind == "amp":
+            self.take()
+            f = And(f, self.parse_unary())
+        return f
+
+    def parse_unary(self):
+        if self.depth == MAX_FORMULA_DEPTH:
+            raise _too_deep()
+        self.depth += 1
+        f = self.parse_prefixed()
+        self.depth -= 1
+        return f
+
+    def parse_prefixed(self):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", len(self.text))
+        if tok.kind == "tilde":
+            self.take()
+            return Not(self.parse_unary())
+        if tok.kind == "diamond":
+            self.take()
+            bound = self.take_index(tok.pos)
+            return NeighborCountOver(bound, self.parse_unary())
+        if tok.kind == "ident":
+            if tok.text in _KEYWORDS:
+                self.take()
+                ctor = {
+                    "W": WeakNeighborMajority,
+                    "M": NeighborMajority,
+                    "GW": WeakGlobalMajority,
+                    "GM": GlobalMajority,
+                }[tok.text]
+                return ctor(self.parse_unary())
+            if tok.text.startswith("E_"):
+                self.take()
+                suffix = tok.text[2:]
+                if not suffix.isdigit():
+                    raise FormulaSyntaxError(
+                        f"malformed counting index in {tok.text!r}", tok.pos
+                    )
+                return GlobalCountOver(int(suffix), self.parse_unary())
+        return self.parse_primary()
+
+    def take_index(self, opener_pos):
+        tok = self.peek()
+        if tok is None or tok.kind != "number":
+            raise FormulaSyntaxError("malformed counting index after '<>'", opener_pos)
+        self.take()
+        return int(tok.text)
+
+    def parse_primary(self):
+        tok = self.take()
+        if tok.kind == "lparen":
+            f = self.parse_implies()
+            closer = self.peek()
+            if closer is None or closer.kind != "rparen":
+                raise FormulaSyntaxError("unbalanced parenthesis", tok.pos)
+            self.take()
+            return f
+        if tok.kind == "ident" and tok.text not in _KEYWORDS:
+            return Atom(tok.text)
+        raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+
+
+def reference_format(f):
+    def render(node, level):
+        # levels: 0 implies, 1 or, 2 and, 3 unary/primary
+        if isinstance(node, Atom):
+            return node.name
+        if isinstance(node, Implies):
+            text = f"{render(node.left, 1)} -> {render(node.right, 0)}"
+            need = level > 0
+        elif isinstance(node, Or):
+            text = f"{render(node.left, 1)} | {render(node.right, 2)}"
+            need = level > 1
+        elif isinstance(node, And):
+            text = f"{render(node.left, 2)} & {render(node.right, 3)}"
+            need = level > 2
+        else:
+            prefix = {
+                Not: "~",
+                WeakNeighborMajority: "W ",
+                NeighborMajority: "M ",
+                WeakGlobalMajority: "GW ",
+                GlobalMajority: "GM ",
+            }.get(type(node))
+            if prefix is not None:
+                return f"{prefix}{render(node.sub, 3)}"
+            if isinstance(node, NeighborCountOver):
+                return f"<>{node.bound} {render(node.sub, 3)}"
+            if isinstance(node, GlobalCountOver):
+                return f"E_{node.bound} {render(node.sub, 3)}"
+            raise TypeError(f"unknown formula node {node!r}")
+        return f"({text})" if need else text
+
+    return render(f, 0)
+
+
+def _outcome(parse, text):
+    """The parse result, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except (FormulaSyntaxError, PreconditionError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _reference_parse(text):
+    f = ReferenceParser(text).parse()
+    _check_depth(f)
+    return f
+
+
+_soup_tokens = st.sampled_from(
+    ["p", "q", "W", "M", "GW", "GM", "E_", "E_2", "E_x", "E_0 ", "<>", "<>1 ", "<> x",
+     "~", "&", "|", "->", "(", ")", "3", "@", "-", ">", " "]
+)
+_soups = st.one_of(
+    st.lists(st.tuples(_soup_tokens, st.sampled_from(["", " "])).map("".join),
+             max_size=14).map("".join),
+    formula_trees("pq", st.integers(0, 12)).map(reference_format),
+    st.lists(st.tuples(st.sampled_from(["p", "q", "~p", "(p", "q)", "(", ")", "W p"]),
+                       st.sampled_from([" -> ", " & ", " | "])).map("".join),
+             max_size=8).map(lambda chain: "".join(chain) + "p"),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_soups)
+def test_parser_matches_the_reference_on_token_soups(text):
+    assert _outcome(parse_formula, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH - 1, MAX_FORMULA_DEPTH,
+                                   MAX_FORMULA_DEPTH + 1])
+@pytest.mark.parametrize("shape", ["({})", "~{}", "W {}", "<>2 {}", "E_1 {}", "p -> {}",
+                                   "{} & p", "p | ({})"])
+def test_parser_matches_the_reference_at_the_depth_limit(depth, shape):
+    text = "p"
+    for _ in range(depth):
+        text = shape.format(text)
+    assert _outcome(parse_formula, text) == _outcome(_reference_parse, text)
+
+
+_p, _q = Atom("p"), Atom("q")
+# chains of each connective on both sides, at the top and nested
+_chains = Implies(
+    Implies(_p, _q),
+    Implies(Or(Or(_p, _q), Or(_p, _q)), Or(And(And(_p, _q), And(_p, _q)), Not(_q))),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(formula_trees("pq", st.integers(0, 12)))
+@example(_chains)
+def test_printer_matches_the_reference(f):
+    assert format_formula(f) == reference_format(f)
+
+
+def _warned(evaluate):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = evaluate()
+    return result, [str(w.message) for w in caught]
+
+
+_valuations = st.sampled_from(
+    [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
+)
+
+
+# p and q may be in the model; r and s never are
+_formulas_over_pqrs = [formula_trees("pqrs", st.integers(0, n + 1)) for n in range(9)]
+
+
+@st.composite
+def models_and_formulas(draw):
+    g = draw(graphs(max_n=8, min_n=0))
+    valuation = tuple(draw(_valuations) for _ in range(g.n))
+    atoms = draw(st.sampled_from([None, frozenset("pq")]))
+    f = draw(_formulas_over_pqrs[g.n])
+    return Model(g, valuation, atoms=atoms), f
+
+
+@settings(max_examples=500, deadline=None)
+@given(models_and_formulas())
+def test_program_walk_matches_the_recursive_evaluator(case):
+    model, f = case
+    assert _warned(lambda: extension(model, f)) == _warned(
+        lambda: ReferenceEvaluator(model).extension(expand(f))
+    )
+
+
+def test_unknown_atoms_warn_left_to_right_and_at_the_caller():
+    model = triangle_model()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        extension(model, parse_formula("q | r | ~r"))
+    assert [str(w.message) for w in caught] == [
+        "atom 'q' is not part of the model; treated as false",
+        "atom 'r' is not part of the model; treated as false",
+    ]
+    assert {w.filename for w in caught} == {__file__}
