@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -37,7 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .feasibility import regular_exists
-from .fileformat import parse_graph_text, write_graph
+from .fileformat import parse_graph_text, parse_valuation_text, write_graph
 from .graphs import circulant_graph, complete_graph, cycle_graph
 from .logic import (
     FORMULA_KINDS,
@@ -258,18 +259,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         formula = parse_formula(args.formula)
     if args.valuation is not None:
         with open(args.valuation, "r", encoding="utf-8") as fh:
-            valuation: list[frozenset[str]] = [frozenset() for _ in range(graph.n)]
-            atoms: set[str] = set()
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                node = int(parts[0])
-                graph.check_node(node)
-                valuation[node] = frozenset(parts[1:])
-                atoms.update(parts[1:])
-            model = Model(graph, tuple(valuation), atoms=frozenset(atoms))
+            valuation, atoms = parse_valuation_text(fh.read(), graph.n)
+        model = Model(graph, valuation, atoms=atoms)
     elif colors is not None:
         model = model_from_colored_graph(ColoredGraph(graph, colors), atom=args.atom)
     else:
@@ -390,7 +381,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # The reader is gone: send the rest of the output, and the flush
+        # at exit, nowhere instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

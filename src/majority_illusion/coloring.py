@@ -13,6 +13,8 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import InternalInvariantError, PreconditionError
 from .graphs import Graph
 
@@ -125,9 +127,12 @@ class ColoredGraph:
 
     @cached_property
     def red_neighbor_counts(self) -> tuple[int, ...]:
-        """Red neighbours of every node, tallied once per colored graph."""
-        red = frozenset(i for i, c in enumerate(self.colors) if c is Color.RED)
-        return tuple(len(a & red) for a in self.graph.adj)
+        """Red neighbours of every node, tallied once per colored graph: a
+        prefix sum of the neighbours' red flags, read at each row's end."""
+        g = self.graph
+        red = np.fromiter((c is Color.RED for c in self.colors), dtype=np.int64, count=g.n)
+        ends = np.concatenate(([0], np.cumsum(red[g.indices])))[g.indptr]
+        return tuple(np.diff(ends).tolist())
 
     @cached_property
     def global_winner(self) -> Winner:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import IllusionKind, classify_network
 from .coloring import Color, ColoredGraph
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
@@ -276,7 +278,7 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
     g = cg.graph
     if g.n != n:
         raise InternalInvariantError(f"expected {n} nodes, built {g.n}")
-    bad = [i for i in range(n) if g.degree(i) != k]
+    bad = np.flatnonzero(np.diff(g.indptr) != k).tolist()
     if bad:
         raise InternalInvariantError(f"nodes {bad} missed the target degree {k}")
     red_nodes = [i for i in range(n) if cg.colors[i] is Color.RED]

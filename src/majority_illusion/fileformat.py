@@ -9,18 +9,71 @@ Layout::
     1 2
 
 Writers emit a canonical form (header, optional colors line, edges sorted
-with ``u < v``), so write/read/write round-trips are byte-identical.
+with ``u < v``), so write/read/write round-trips are byte-identical.  The
+reader takes a text in the canonical layout (one space inside each edge
+line, no comments or blank lines) as one int64 array; any other text goes
+through a line-by-line reader, which names the line of the first fault.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .coloring import ColoredGraph, Coloring, coloring_from_string, coloring_to_string
 from .errors import FormatError
 from .graphs import Graph, make_graph
 
+_DIGITS = str.maketrans("", "", "0123456789")
+
 
 def parse_graph_text(text: str) -> tuple[Graph, Coloring | None]:
     """Parse the text format, returning the graph and its colors if present."""
+    parsed = _parse_canonical(text)
+    if parsed is None:
+        n, colors, edges = _parse_lines(text)
+    else:
+        n, colors, edges = parsed
+    try:
+        graph = make_graph(n, edges)
+    except Exception as exc:
+        raise FormatError(str(exc)) from exc
+    return graph, colors
+
+
+def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | None:
+    """Header, colors and edge pairs of a text in the writer's layout;
+    ``None`` for any other text, valid or not."""
+    header, _, body = text.partition("\n")
+    count = header[2:]
+    if not (header.startswith("n ") and count.isdigit()):
+        return None
+    n = int(count)
+    colors = None
+    if body.startswith("colors "):
+        line, _, body = body.partition("\n")
+        word = line[7:]
+        if not word or len(word) != n or word.strip("RB"):
+            return None
+        colors = coloring_from_string(word)
+    # Without its ASCII digits the body reads " \n" once per line, and it
+    # ends at a line end: then two tokens a line leave no line short.
+    separators = body.translate(_DIGITS)
+    lines = len(separators) // 2
+    tokens = body.split()
+    if (
+        separators != " \n" * lines
+        or body[-1:] not in ("", "\n")
+        or len(tokens) != 2 * lines
+    ):
+        return None
+    try:
+        edges = np.array(tokens, dtype=np.int64).reshape(lines, 2)
+    except (OverflowError, ValueError):  # ids beyond int64: the line reader names them
+        return None
+    return n, colors, edges
+
+
+def _parse_lines(text: str) -> tuple[int, Coloring | None, list[tuple[int, int]]]:
     n: int | None = None
     colors: Coloring | None = None
     edges: list[tuple[int, int]] = []
@@ -59,11 +112,7 @@ def parse_graph_text(text: str) -> tuple[Graph, Coloring | None]:
             edges.append((u, v))
     if n is None:
         raise FormatError("missing 'n <count>' header")
-    try:
-        graph = make_graph(n, edges)
-    except Exception as exc:
-        raise FormatError(str(exc)) from exc
-    return graph, colors
+    return n, colors, edges
 
 
 def parse_graph(text: str) -> Graph:
@@ -78,12 +127,45 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     return ColoredGraph(graph, colors)
 
 
+def parse_valuation_text(
+    text: str, n: int
+) -> tuple[tuple[frozenset[str], ...], frozenset[str]]:
+    """Parse ``node atom...`` lines (comments and blank lines as in the
+    graph format) into a valuation of ``n`` nodes and the atoms it names.
+    Nodes without a line hold no atom; a node may have one line only."""
+    valuation: list[frozenset[str] | None] = [None] * n
+    atoms: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            node = int(parts[0])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer node id") from None
+        if not 0 <= node < n:
+            raise FormatError(
+                f"line {lineno}: node id {node} out of range for graph on {n} nodes"
+            )
+        if valuation[node] is not None:
+            raise FormatError(f"line {lineno}: duplicate node {node}")
+        valuation[node] = frozenset(parts[1:])
+        atoms.update(parts[1:])
+    return tuple(v or frozenset() for v in valuation), frozenset(atoms)
+
+
 def write_graph(graph: Graph, colors: Coloring | None = None) -> str:
-    lines = [f"n {graph.n}"]
+    head = f"n {graph.n}\n"
     if colors is not None:
-        lines.append(f"colors {coloring_to_string(colors)}")
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
+        head += f"colors {coloring_to_string(colors)}\n"
+    # One name per node id and end: the body is "u v\n" for each edge.
+    left = np.array([f"{i} " for i in range(graph.n)], dtype=object)
+    right = np.array([f"{i}\n" for i in range(graph.n)], dtype=object)
+    u, v = graph.edge_arrays()
+    body = np.empty((len(u), 2), dtype=object)
+    body[:, 0] = left[u]
+    body[:, 1] = right[v]
+    return head + "".join(body.ravel().tolist())
 
 
 def write_colored_graph(cg: ColoredGraph) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 from .analysis import IllusionKind
 from .coloring import Color, Coloring
 from .errors import PreconditionError
-from .graphs import Graph, make_graph
+from .graphs import Graph, graph_from_neighbors
 
 DEFAULT_CAP = 22
 _CHUNK_BITS = 18  # a scan's largest temporary holds 2^18 uint32 words
@@ -98,7 +98,7 @@ def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray], np.ndarr
     """
     n = g.n
     nbr = _neighbor_masks(g)
-    deg = np.array(g.degrees(), dtype=np.uint8)[:, None]
+    deg = np.array([len(a) for a in g.adj], dtype=np.uint8)[:, None]
     no_red_lead, blue_lead_below = deg // 2, (deg + 1) // 2
 
     def count(masks: np.ndarray) -> np.ndarray:
@@ -220,14 +220,16 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
         return
 
     residual = [k] * n
-    edges: list[tuple[int, int]] = []
+    # Lower neighbours join a list in ascending order before the node's own
+    # choice of higher ones, so every list stays sorted.
+    neighbors: list[list[int]] = [[] for _ in range(n)]
 
     def rec(lowest: int) -> Iterator[Graph]:
         u = lowest
         while u < n and residual[u] == 0:
             u += 1
         if u == n:
-            yield make_graph(n, edges)
+            yield graph_from_neighbors(neighbors)
             return
         need = residual[u]
         cands = [v for v in range(u + 1, n) if residual[v] > 0]
@@ -236,12 +238,14 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
         for combo in combinations(cands, need):
             for v in combo:
                 residual[v] -= 1
-                edges.append((u, v))
+                neighbors[v].append(u)
+            neighbors[u].extend(combo)
             residual[u] = 0
             yield from rec(u + 1)
             residual[u] = need
+            del neighbors[u][-need:]
             for v in combo:
                 residual[v] += 1
-                edges.pop()
+                neighbors[v].pop()
 
     yield from rec(0)

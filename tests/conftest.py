@@ -7,7 +7,24 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from majority_illusion import Color, ColoredGraph, Graph, make_graph
+from majority_illusion import Color, ColoredGraph, Graph, GraphError, make_graph
+
+
+def reference_make_graph(n: int, edges) -> tuple[frozenset[int], ...]:
+    """The set-based graph builder the array one replaced, as a reference:
+    the adjacency sets of the graph on ``n`` nodes with the given pairs, and
+    the same :class:`GraphError` messages, raised at the first bad pair."""
+    if n < 0:
+        raise GraphError(f"node count must be nonnegative, got {n}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) uses a node id outside 0..{n - 1}")
+        if u == v:
+            raise GraphError(f"edge ({u}, {v}) is a self-loop")
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(frozenset(s) for s in adj)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

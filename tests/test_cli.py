@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -231,6 +233,50 @@ def test_mc_valuation_file(capsys, tmp_path):
         "--node", "0", "--valuation", str(vpath),
     )
     assert (code, out, err) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ("0 p\nx q\n", "error: line 2: non-integer node id\n"),
+        # a second line for node 0 would silently replace 'p' by 'q'
+        ("0 p\n1\n0 q\n", "error: line 3: duplicate node 0\n"),
+        ("# atoms\n3 p\n", "error: line 2: node id 3 out of range for graph on 3 nodes\n"),
+    ],
+)
+def test_mc_valuation_faults_name_the_line(capsys, tmp_path, valuation, message):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("n 3\n0 1\n1 2\n")
+    vpath = tmp_path / "v.txt"
+    vpath.write_text(valuation)
+    code, out, err = run(
+        capsys, "mc", str(gpath), "--formula", "p", "--node", "0", "--valuation", str(vpath)
+    )
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_pipe_is_an_io_error(tmp_path, fmt):
+    """A reader that has gone (``millusion analyze ... | head -1``) makes a
+    usage-class exit with one error line: no internal error, no traceback,
+    and no second failure when the interpreter flushes stdout at exit."""
+    path = tmp_path / "g.txt"
+    path.write_text("n 3\ncolors RBB\n0 1\n1 2\n")
+    # stdout block-buffered, as from a shell: a short output meets the
+    # closed pipe only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "majority_illusion.cli", "analyze", str(path), "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode() == "error: [Errno 32] Broken pipe\n"
 
 
 def test_mc_json_lists_the_satisfying_nodes(capsys, tmp_path):

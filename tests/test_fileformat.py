@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majority_illusion import (
     FormatError,
+    coloring_from_string,
     parse_colored_graph,
     parse_graph,
     parse_graph_text,
@@ -10,7 +12,9 @@ from majority_illusion import (
     write_graph,
 )
 
-from conftest import colored_graphs, graphs
+from majority_illusion.fileformat import _parse_canonical
+
+from conftest import colored_graphs, graphs, reference_make_graph
 
 
 def test_parse_basic_graph():
@@ -88,3 +92,144 @@ def test_canonical_writer_is_bit_exact(cg):
     text = write_colored_graph(cg)
     again = write_colored_graph(parse_colored_graph(text))
     assert again == text
+
+
+def _reference_parse(text):
+    """The line-by-line reader as it stood before the array path, on the
+    set-based builder: ``(n, adj, colors)``, or a FormatError."""
+    n = None
+    colors = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if n is not None:
+                raise FormatError(f"line {lineno}: duplicate 'n' header")
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise FormatError(f"line {lineno}: expected 'n <count>'")
+            n = int(parts[1])
+        elif parts[0] == "colors":
+            if n is None:
+                raise FormatError(f"line {lineno}: 'colors' before 'n' header")
+            if colors is not None:
+                raise FormatError(f"line {lineno}: duplicate 'colors' line")
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected 'colors <RB string>'")
+            if len(parts[1]) != n or any(ch not in "RB" for ch in parts[1]):
+                raise FormatError(
+                    f"line {lineno}: colors must be {n} characters from {{R,B}}"
+                )
+            colors = coloring_from_string(parts[1])
+        else:
+            if n is None:
+                raise FormatError(f"line {lineno}: edge before 'n' header")
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected 'u v' edge pair")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer node id") from None
+            edges.append((u, v))
+    if n is None:
+        raise FormatError("missing 'n <count>' header")
+    try:
+        adj = reference_make_graph(n, edges)
+    except Exception as exc:
+        raise FormatError(str(exc)) from exc
+    return n, adj, colors
+
+
+_TOKENS = ["+1", "1_0", "٣", "007", "00", str(2**63), str(2**63 + 1), "9" * 25, "-1", "x"]
+
+
+@st.composite
+def _graph_texts(draw):
+    """Mostly writer layout (the array path), then edited: comments, blank
+    lines, CRLF ends, tabs and double spaces, odd tokens ('+1', '1_0', an
+    Arabic-Indic digit, leading zeros, ids of 2^63 and above), lines of one
+    or three tokens, and colors lines that are misplaced, repeated or wrong."""
+    n = draw(st.integers(0, 9))
+    ids = list(range(n))
+    bad = not draw(st.integers(0, 3))
+    if bad:  # self-loops, the first id past the end and ids beyond int64
+        ids += [n, 2**63, 10**25]
+    pairs = [(u, v) for u in ids for v in ids if bad or u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    letters = draw(st.sampled_from(["RB", "RB", "RBX"]))
+    colors = draw(st.none() | st.text(letters, min_size=n, max_size=n))
+    lines = [f"n {n}"]
+    if colors is not None:
+        lines.append(f"colors {colors}")
+    lines += [f"{u} {v}" for u, v in chosen]
+    edits = draw(st.just([]) | st.lists(st.integers(0, 11), max_size=3))
+    for edit in edits:
+        at = draw(st.integers(0, len(lines)))
+        token = draw(st.sampled_from(_TOKENS) | st.integers(0, n + 1).map(str))
+        if edit == 0:
+            lines.insert(at, "# a comment")
+        elif edit == 1:
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == 2 and at < len(lines):
+            lines[at] += "  # trailing"
+        elif edit == 3:
+            lines.insert(at, f"{token} {draw(st.integers(0, n + 1))}")
+        elif edit == 4:
+            lines.insert(at, draw(st.sampled_from([token, f"0 1 {token}", f"{token} 1 2 3"])))
+        elif edit == 5:
+            lines.insert(at, f"colors {draw(st.text('RBX', max_size=n + 1))}")
+        elif edit == 6 and at < len(lines):
+            lines[at] = lines[at].replace(" ", draw(st.sampled_from(["\t", "  ", " \t "])), 1)
+        elif edit == 7 and at < len(lines):
+            lines[at] = draw(st.sampled_from([" ", "\t"])) + lines[at]
+        elif edit == 8 and at < len(lines):
+            lines[at] += draw(st.sampled_from([" ", "\t", "\r"]))
+        elif edit == 9:
+            lines.insert(at, draw(st.sampled_from(["n 3", "n 05", f"n {n}", "n", "n ٣"])))
+        elif edit == 10 and lines:
+            lines[0] = draw(st.sampled_from(["n 0" + str(n), f"n  {n}", f"n {n} ", f"#x\nn {n}"]))
+        elif edit == 11:
+            lines.insert(at, f"{2**63 + at} {token}")
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, end, "", end + end]))
+
+
+@st.composite
+def _token_soups(draw):
+    """A header, then digit runs (some empty) each followed by a space or a
+    line end, and maybe a last run with no line end: texts whose breaks fall
+    between the wrong tokens."""
+    n = draw(st.integers(0, 4))
+    runs = st.sampled_from(["", "0", "1", "2", "3", "12"])
+    body = draw(st.lists(st.tuples(runs, st.sampled_from([" ", "\n"])), max_size=8))
+    return f"n {n}\n" + "".join(a + b for a, b in body) + draw(runs)
+
+
+@settings(max_examples=500)
+@given(_graph_texts() | _token_soups())
+def test_array_path_matches_the_line_reader(text):
+    """Same graph and colors, or the same FormatError message, as the line
+    reader on the set-based builder, for every drawn text."""
+    try:
+        n, adj, colors = _reference_parse(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == str(exc)
+        return
+    graph, got_colors = parse_graph_text(text)
+    assert (graph.n, graph.adj, got_colors) == (n, adj, colors)
+
+
+@given(colored_graphs(max_n=12, min_n=0), st.booleans())
+def test_writer_output_takes_the_array_path(cg, with_colors):
+    # a 0-node coloring writes "colors ", which no reader accepts
+    with_colors = with_colors and cg.graph.n > 0
+    text = write_graph(cg.graph, cg.colors if with_colors else None)
+    parsed = _parse_canonical(text)
+    assert parsed is not None
+    n, colors, edges = parsed
+    assert (n, colors) == (cg.graph.n, cg.colors if with_colors else None)
+    assert edges.tolist() == [list(e) for e in cg.graph.edges]

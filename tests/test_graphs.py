@@ -1,9 +1,13 @@
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majority_illusion import (
+    Color,
+    ColoredGraph,
     GraphError,
     circulant_graph,
     complete_graph,
@@ -12,7 +16,7 @@ from majority_illusion import (
 )
 from majority_illusion.graphs import MAX_EDGES, MAX_NODES
 
-from conftest import graphs
+from conftest import colored_graphs, graphs, reference_make_graph
 
 
 def test_triangle_degrees():
@@ -122,3 +126,99 @@ def test_adjacency_symmetric_and_irreflexive(g):
         assert i not in g.adj[i]
         for j in g.adj[i]:
             assert i in g.adj[j]
+
+
+# Node ids for drawn pair lists: mostly in range, plus negatives, ids just
+# past the end and ids beyond int64, which no array can hold.
+def _ids(n: int):
+    inside = st.integers(0, max(n - 1, 0))
+    outside = st.sampled_from([-1, n, n + 1, -(2**63), 2**63 - 1, 2**63, 2**64 + 3])
+    return inside if n == 0 else st.one_of(inside, inside, inside, outside)
+
+
+@st.composite
+def _pair_lists(draw, valid: bool):
+    """A node count and a pair list with repeats, both orientations and
+    isolated nodes; with ``valid`` False, also self-loops and bad ids."""
+    n = draw(st.integers(0, 12))
+    if valid:
+        if n < 2:
+            return n, []
+        ids = st.integers(0, n - 1)
+        pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+    else:
+        pairs = st.tuples(_ids(n), _ids(n))
+    return n, draw(st.lists(pairs, max_size=30))
+
+
+def _reference_edges(adj):
+    return tuple((u, v) for u in range(len(adj)) for v in sorted(adj[u]) if u < v)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_pair_lists(valid=True), _pair_lists(valid=False)), st.sampled_from(["list", "iter", "array"]))
+def test_array_builder_matches_the_set_builder(case, form):
+    """The CSR builder gives the set builder's adjacency, edges, counts and
+    degrees, or its error message, for pairs as a list, an iterator or (when
+    every id fits int64) an array."""
+    n, pairs = case
+    if form == "iter":
+        given_pairs = iter(pairs)
+    elif form == "array" and all(-(2**63) <= x < 2**63 for p in pairs for x in p):
+        given_pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    else:
+        given_pairs = pairs
+    try:
+        adj = reference_make_graph(n, pairs)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as err:
+            make_graph(n, given_pairs)
+        assert str(err.value) == str(exc)
+        return
+    g = make_graph(n, given_pairs)
+    assert g.adj == adj
+    assert g.edges == _reference_edges(adj)
+    assert g.edge_count == len(g.edges)
+    assert g.degrees() == tuple(len(a) for a in adj)
+    assert g.isolated_nodes() == tuple(i for i in range(n) if not adj[i])
+    for i in range(n):
+        row = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+        assert row == sorted(adj[i])
+
+
+@given(colored_graphs(max_n=12, min_n=0))
+def test_red_neighbor_counts_match_set_intersections(cg):
+    red = frozenset(i for i, c in enumerate(cg.colors) if c is Color.RED)
+    assert cg.red_neighbor_counts == tuple(len(a & red) for a in cg.graph.adj)
+
+
+@given(graphs(max_n=8, min_n=0), st.randoms(use_true_random=False))
+def test_equality_and_hash_follow_the_edge_set(g, rng):
+    """``==`` and ``hash`` work on the arrays (a field-wise comparison would
+    raise) and ignore the order and orientation of the input pairs."""
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(pairs)
+    h = make_graph(g.n, pairs + pairs[:2])
+    assert h == g and hash(h) == hash(g)
+    assert g != make_graph(g.n + 1, g.edges)
+    if g.edges:
+        assert g != make_graph(g.n, g.edges[1:])
+    colors = (Color.RED,) * g.n
+    assert ColoredGraph(h, colors) == ColoredGraph(g, colors)
+    assert hash(ColoredGraph(h, colors)) == hash(ColoredGraph(g, colors))
+    assert len({g, h, ColoredGraph(g, colors)}) == 2
+
+
+def test_equal_degrees_do_not_make_equal_graphs():
+    square = cycle_graph(4)  # 0-1-2-3-0
+    crossed = make_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])  # 0-2-1-3-0
+    assert square.degrees() == crossed.degrees()
+    assert square != crossed
+
+
+def test_graph_arrays_are_read_only():
+    g = cycle_graph(5)
+    with pytest.raises(ValueError):
+        g.indices[0] = 3
+    with pytest.raises(ValueError):
+        g.indptr[1] = 0

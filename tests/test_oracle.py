@@ -189,6 +189,16 @@ def test_enumeration_yields_distinct_regular_graphs():
     assert len(seen) == 70
 
 
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (7, 4), (8, 2)])
+def test_enumerated_graphs_equal_the_builders_graphs(n, k):
+    """A graph built from the enumerator's neighbour lists has the arrays
+    (rows sorted) and the adjacency sets that make_graph gives its edges."""
+    for g in enumerate_regular(n, k):
+        built = make_graph(n, g.edges)
+        assert g == built
+        assert g.adj == built.adj
+
+
 def test_enumeration_cap():
     with pytest.raises(PreconditionError):
         next(enumerate_regular(11, 2))
