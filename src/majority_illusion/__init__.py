@@ -20,12 +20,14 @@ from .analysis import (
     Level,
     NetworkIllusionReport,
     PqReport,
+    StatusColumns,
     Threshold,
     agent_status,
     agent_statuses,
     classify_network,
     pq_report,
     q_illusion,
+    status_columns,
     weak_q_illusion,
 )
 from .coloring import (

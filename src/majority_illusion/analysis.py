@@ -5,6 +5,14 @@ majority winner; its *illusion* compares the neighborhood winner with the
 global winner.  Generalized thresholds are exact rationals
 (:class:`fractions.Fraction`) and every comparison is cross-multiplied
 integer arithmetic, so divisibility-sensitive boundaries are exact.
+
+:func:`agent_status` is the definition, one agent at a time.  The network
+report, the CLI and the construction's validation read
+:func:`status_columns` instead: every agent's status as int8 columns,
+computed in one array pass from the degrees, the red-neighbour counts and
+the global winner, with row ``i`` equal to ``agent_status(cg, i)``.  An
+agent's q-illusion witness depends on it only through its red count and
+degree, so :func:`pq_report` decides it once per distinct pair.
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import Color, ColoredGraph, Winner
+import numpy as np
+
+from .coloring import WINNER_CODES, Color, ColoredGraph, Winner
 from .errors import InternalInvariantError, PreconditionError
 
 Threshold = Fraction
@@ -111,8 +121,94 @@ def agent_status(cg: ColoredGraph, i: int) -> AgentStatus:
     )
 
 
+# What the int8 codes of the status columns stand for, by position, with
+# coloring.WINNER_CODES for the local winners.
+COLOR_CODES = (Color.RED, Color.BLUE, None)
+LEVEL_CODES = (Level.NONE, Level.WEAK, Level.STRICT)
+_R, _B, _TIE = 0, 1, 2  # _R and _B index COLOR_CODES as well
+_NO_WITNESS = 2
+_NONE, _WEAK, _STRICT = 0, 1, 2
+
+
+@dataclass(frozen=True, eq=False)
+class StatusColumns:
+    """Every agent's :class:`AgentStatus` as int8 columns indexed by node.
+
+    ``own`` and ``witness`` index :data:`COLOR_CODES` (a witness of 2 is
+    none), ``local`` indexes :data:`WINNER_CODES`, ``opposition`` and
+    ``illusion`` index :data:`LEVEL_CODES`, and ``isolated`` is 0 or 1.
+    """
+
+    global_winner: Winner
+    own: np.ndarray
+    local: np.ndarray
+    opposition: np.ndarray
+    illusion: np.ndarray
+    witness: np.ndarray
+    isolated: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six columns, in field order."""
+        return (self.own, self.local, self.opposition, self.illusion, self.witness, self.isolated)
+
+    def status(self, i: int) -> AgentStatus:
+        """Row ``i``, decoded."""
+        return self._decode(i, *(int(column[i]) for column in self.columns()))
+
+    def statuses(self) -> list[AgentStatus]:
+        """Every row, decoded: ``agent_statuses`` of the colored graph."""
+        columns = (column.tolist() for column in self.columns())
+        return list(map(self._decode, range(len(self.own)), *columns))
+
+    def _decode(
+        self, i: int, own: int, local: int, opposition: int, illusion: int, witness: int, isolated: int
+    ) -> AgentStatus:
+        return AgentStatus(
+            node=i,
+            own_color=COLOR_CODES[own],
+            local_winner=WINNER_CODES[local],
+            global_winner=self.global_winner,
+            opposition=LEVEL_CODES[opposition],
+            illusion=LEVEL_CODES[illusion],
+            illusion_color=COLOR_CODES[witness],
+            isolated=bool(isolated),
+        )
+
+    def combinations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)``: the first node holding each distinct
+        combination of column values, and each node's index into
+        ``first``."""
+        code = np.ravel_multi_index(self.columns(), (2, 3, 3, 3, 3, 2))
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        return first, inverse
+
+
+def status_columns(cg: ColoredGraph) -> StatusColumns:
+    """Every agent's status in one array pass over the local winners (from
+    the degrees and red neighbour counts) and the global winner; the rules are
+    :func:`agent_status`'s, and row ``i`` decodes to ``agent_status(cg, i)``."""
+    glob = WINNER_CODES.index(cg.global_winner)
+    own = np.where(cg.red_mask, _R, _B).astype(np.int8)
+    local = cg.local_winner_codes
+    opposition = np.select([local == _TIE, local == own], [_WEAK, _NONE], _STRICT)
+    agrees = local == glob
+    illusion = np.select([agrees, (local != _TIE) & (glob != _TIE)], [_NONE, _STRICT], _WEAK)
+    # A tied neighbourhood under a global winner witnesses the other color.
+    witness = np.select([agrees, local != _TIE], [_NO_WITNESS, local], 1 - glob)
+    return StatusColumns(
+        global_winner=cg.global_winner,
+        own=own,
+        local=local,
+        opposition=opposition.astype(np.int8),
+        illusion=illusion.astype(np.int8),
+        witness=witness.astype(np.int8),
+        isolated=(np.diff(cg.graph.indptr) == 0).astype(np.int8),
+    )
+
+
 def agent_statuses(cg: ColoredGraph) -> list[AgentStatus]:
-    return [agent_status(cg, i) for i in range(cg.graph.n)]
+    """``[agent_status(cg, i) for i in range(n)]``, from the status columns."""
+    return status_columns(cg).statuses()
 
 
 @dataclass(frozen=True)
@@ -140,20 +236,19 @@ class NetworkIllusionReport:
         return getattr(self, kind.name.lower())
 
     @classmethod
-    def from_statuses(
-        cls, cg: ColoredGraph, statuses: list[AgentStatus]
-    ) -> "NetworkIllusionReport":
-        """Network-level classification from ``agent_statuses(cg)``.
+    def from_columns(cls, cg: ColoredGraph, columns: StatusColumns) -> "NetworkIllusionReport":
+        """Network-level classification from ``status_columns(cg)``.
 
         Thresholds are exact: the four majority flags are the p-flags at
         ``p = 1/2`` (strict ``2 * count > n``, weak ``2 * count >= n``),
         unanimity flags need ``count == n`` (on nonempty graphs).
         """
         n = cg.graph.n
-        strict = sum(1 for s in statuses if s.illusion is Level.STRICT)
-        weak_only = sum(1 for s in statuses if s.illusion is Level.WEAK)
+        illusion = columns.illusion
+        strict = int(np.count_nonzero(illusion == _STRICT))
+        weak_only = int(np.count_nonzero(illusion == _WEAK))
         under = strict + weak_only
-        witnesses = {s.illusion_color for s in statuses if s.illusion is not Level.NONE}
+        witnesses = {COLOR_CODES[w] for w in np.unique(columns.witness[illusion != _NONE]).tolist()}
         flags = _p_flags(strict, under, n, _HALF)
         return cls(
             n=n,
@@ -185,9 +280,9 @@ class NetworkIllusionReport:
 
 
 def classify_network(cg: ColoredGraph) -> NetworkIllusionReport:
-    """Network-level classification from the per-agent statuses; see
-    :meth:`NetworkIllusionReport.from_statuses`."""
-    return NetworkIllusionReport.from_statuses(cg, agent_statuses(cg))
+    """Network-level classification from the status columns; see
+    :meth:`NetworkIllusionReport.from_columns`."""
+    return NetworkIllusionReport.from_columns(cg, status_columns(cg))
 
 
 def _check_threshold(q: Threshold) -> None:
@@ -209,10 +304,12 @@ def _in_q_window(
     return over >= 0 and under >= 0 and (over, under) != (0, 0)
 
 
-def _q_witness(cg: ColoredGraph, i: int, q: Threshold, strict: bool) -> Color | None:
-    """Node ``i``'s (weak) q-illusion witness, red tested first; no checks."""
-    n, d = cg.graph.n, len(cg.graph.adj[i])
-    local_red = cg.red_neighbor_counts[i]
+def _q_witness(
+    cg: ColoredGraph, local_red: int, d: int, q: Threshold, strict: bool
+) -> Color | None:
+    """The (weak) q-illusion witness of a node of ``cg`` with ``local_red``
+    red among its ``d`` neighbours, red tested first; no checks."""
+    n = cg.graph.n
     global_red, global_blue = cg.color_counts
     if _in_q_window(local_red, d, global_red, n, q, strict):
         return Color.RED
@@ -226,8 +323,7 @@ def q_illusion(cg: ColoredGraph, i: int, q: Threshold) -> Color | None:
     global share stays strictly below ``q``; ``None`` when neither color
     qualifies.  At ``q = 1/2`` this coincides with the strict illusion."""
     _check_threshold(q)
-    cg.graph.check_node(i)
-    return _q_witness(cg, i, q, strict=True)
+    return _q_witness(cg, cg.local_red_count(i), cg.graph.degree(i), q, strict=True)
 
 
 def weak_q_illusion(cg: ColoredGraph, i: int, q: Threshold) -> Color | None:
@@ -235,8 +331,7 @@ def weak_q_illusion(cg: ColoredGraph, i: int, q: Threshold) -> Color | None:
     that a color matching both thresholds exactly does not qualify.  At
     ``q = 1/2`` this coincides with the weak illusion."""
     _check_threshold(q)
-    cg.graph.check_node(i)
-    return _q_witness(cg, i, q, strict=False)
+    return _q_witness(cg, cg.local_red_count(i), cg.graph.degree(i), q, strict=False)
 
 
 def _p_flags(strict: int, weak: int, n: int, p: Threshold) -> dict[str, bool]:
@@ -300,9 +395,22 @@ def pq_report(cg: ColoredGraph, p: Threshold, q: Threshold) -> PqReport:
     _check_threshold(p)
     _check_threshold(q)
     n = cg.graph.n
-    strict = [w for i in range(n) if (w := _q_witness(cg, i, q, True)) is not None]
-    weak = [w for i in range(n) if (w := _q_witness(cg, i, q, False)) is not None]
-    strict_witnesses, weak_witnesses = set(strict), set(weak)
+    # Each distinct (degree, red count) pair, keyed as degree * n + red
+    # (red < n), is decided once and counted for every node holding it.
+    keys, sizes = np.unique(
+        np.diff(cg.graph.indptr) * n + cg.red_neighbor_array, return_counts=True
+    )
+    strict_count = weak_count = 0
+    strict_witnesses: set[Color] = set()
+    weak_witnesses: set[Color] = set()
+    for key, size in zip(keys.tolist(), sizes.tolist()):
+        d, local_red = divmod(key, n)
+        if (w := _q_witness(cg, local_red, d, q, True)) is not None:
+            strict_count += size
+            strict_witnesses.add(w)
+        if (w := _q_witness(cg, local_red, d, q, False)) is not None:
+            weak_count += size
+            weak_witnesses.add(w)
     strict_forced = q <= _HALF
     weak_forced = q < _HALF
     if strict_forced and len(strict_witnesses) > 1:
@@ -317,9 +425,9 @@ def pq_report(cg: ColoredGraph, p: Threshold, q: Threshold) -> PqReport:
         n=n,
         p=p,
         q=q,
-        strict_count=len(strict),
-        weak_count=len(weak),
-        **_p_flags(len(strict), len(weak), n, p),
+        strict_count=strict_count,
+        weak_count=weak_count,
+        **_p_flags(strict_count, weak_count, n, p),
         strict_chromaticity=Chromaticity.of(strict_witnesses),
         weak_chromaticity=Chromaticity.of(weak_witnesses),
         strict_monochromatic_forced=strict_forced,

@@ -15,11 +15,21 @@ import random
 import re
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from typing import Callable
+
+import numpy as np
 
 from . import __version__
-from .analysis import NetworkIllusionReport, agent_statuses, pq_report
-from .analysis import classify_network  # noqa: F401  (perfbench traces it here)
+from .analysis import (
+    AgentStatus,
+    NetworkIllusionReport,
+    StatusColumns,
+    pq_report,
+    status_columns,
+)
+from .analysis import agent_statuses, classify_network  # noqa: F401  (perfbench traces them here)
 from .coloring import (
     ColoredGraph,
     all_red,
@@ -87,9 +97,13 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
-def _json_out(payload: dict) -> None:
+def _json_text(payload: dict) -> str:
     payload = {"format_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _json_out(payload: dict) -> None:
+    print(_json_text(payload))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -135,6 +149,51 @@ def _cmd_color(args: argparse.Namespace) -> int:
     return 0
 
 
+def _agent_json_row(s: AgentStatus) -> str:
+    """An agent's row as ``json.dumps(indent=2)`` lays it out two levels
+    deep, inside the payload's ``agents`` list."""
+    row = {
+        "node": s.node,
+        "color": s.own_color.value,
+        "local_winner": s.local_winner.value,
+        "global_winner": s.global_winner.value,
+        "opposition": s.opposition.value,
+        "illusion": s.illusion.value,
+        "illusion_color": s.illusion_color.value if s.illusion_color else None,
+        "isolated": s.isolated,
+    }
+    return "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+def _agent_text(s: AgentStatus) -> str:
+    witness = s.illusion_color.value if s.illusion_color else "-"
+    flag = " isolated" if s.isolated else ""
+    return (
+        f"{s.node} {s.own_color.value} {s.local_winner.value} "
+        f"{s.global_winner.value} {s.opposition.value} "
+        f"{s.illusion.value} {witness}{flag}\n"
+    )
+
+
+# Row templates render a status with this node id and then put "%d" in its
+# place: no node has it, and no other field of a row holds a digit or "%".
+_NODE_MARK = -1
+# Stands for the agents list in the dumped payload, then is replaced by it.
+_AGENTS_MARK = "<agents>"
+
+
+def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
+    """``render(status)`` for every agent: each distinct combination of
+    status columns is rendered once, as a template for its nodes' ids."""
+    first, inverse = columns.combinations()
+    templates = [
+        render(replace(columns.status(i), node=_NODE_MARK)).replace(str(_NODE_MARK), "%d", 1)
+        for i in first.tolist()
+    ]
+    per_node = np.array(templates, dtype=object)[inverse].tolist()
+    return list(map(str.__mod__, per_node, range(len(per_node))))
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graph, colors = parse_graph_text(_read_input(args.file))
     derived = False
@@ -143,8 +202,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         derived = True
     else:
         cg = ColoredGraph(graph, colors)
-    statuses = agent_statuses(cg)
-    report = NetworkIllusionReport.from_statuses(cg, statuses)
+    columns = status_columns(cg)
+    report = NetworkIllusionReport.from_columns(cg, columns)
     pq = None
     if args.p is not None or args.q is not None:
         p = args.p if args.p is not None else Fraction(1, 2)
@@ -155,38 +214,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "colors": coloring_to_string(cg.colors),
             "coloring_derived": derived,
             "network": report.to_json_dict(),
-            "agents": [
-                {
-                    "node": s.node,
-                    "color": s.own_color.value,
-                    "local_winner": s.local_winner.value,
-                    "global_winner": s.global_winner.value,
-                    "opposition": s.opposition.value,
-                    "illusion": s.illusion.value,
-                    "illusion_color": s.illusion_color.value
-                    if s.illusion_color
-                    else None,
-                    "isolated": s.isolated,
-                }
-                for s in statuses
-            ],
+            "agents": _AGENTS_MARK,
         }
         if pq is not None:
             payload["pq"] = pq.to_json_dict()
-        _json_out(payload)
+        rows = _agent_rows(columns, _agent_json_row)
+        agents = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        print(_json_text(payload).replace(json.dumps(_AGENTS_MARK), agents, 1))
     else:
         if derived:
             print("# coloring derived by the illusion-coloring pipeline")
             print(f"colors {coloring_to_string(cg.colors)}")
         print("node color local global opposition illusion witness")
-        for s in statuses:
-            witness = s.illusion_color.value if s.illusion_color else "-"
-            flag = " isolated" if s.isolated else ""
-            print(
-                f"{s.node} {s.own_color.value} {s.local_winner.value} "
-                f"{s.global_winner.value} {s.opposition.value} "
-                f"{s.illusion.value} {witness}{flag}"
-            )
+        sys.stdout.write("".join(_agent_rows(columns, _agent_text)))
         print(
             f"counts strict={report.strict_count} "
             f"weak_only={report.weak_only_count} none={report.none_count}"

@@ -11,6 +11,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import repeat
+from operator import is_
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -54,22 +56,31 @@ class Winner(enum.Enum):
 
 Coloring = tuple[Color, ...]
 
+# What the int8 winner codes of the array forms stand for, by position.
+WINNER_CODES = (Winner.RED, Winner.BLUE, Winner.TIE)
+
 
 def all_red(n: int) -> Coloring:
     return (Color.RED,) * n
 
 
+# Letter to color and back, as dicts: an enum lookup by value costs
+# several times more per node.
+_BY_LETTER = {c.value: c for c in Color}
+_LETTER = {c: c.value for c in Color}
+
+
 def coloring_from_string(text: str) -> Coloring:
     try:
-        return tuple(Color(ch) for ch in text.strip())
-    except ValueError:
+        return tuple(map(_BY_LETTER.__getitem__, text.strip()))
+    except KeyError:
         raise PreconditionError(
             f"coloring string may only contain 'R' and 'B': {text!r}"
         ) from None
 
 
 def coloring_to_string(colors: Sequence[Color]) -> str:
-    return "".join(c.value for c in colors)
+    return "".join(map(_LETTER.__getitem__, colors))
 
 
 def flipped(colors: Sequence[Color], i: int) -> Coloring:
@@ -122,17 +133,41 @@ class ColoredGraph:
     @cached_property
     def color_counts(self) -> tuple[int, int]:
         """``(red, blue)`` node counts."""
-        red = sum(1 for c in self.colors if c is Color.RED)
+        red = self.colors.count(Color.RED)
         return red, self.graph.n - red
 
     @cached_property
-    def red_neighbor_counts(self) -> tuple[int, ...]:
+    def red_mask(self) -> np.ndarray:
+        """Which nodes are red, as a read-only bool array."""
+        mask = np.fromiter(map(is_, self.colors, repeat(Color.RED)), bool, self.graph.n)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def red_neighbor_array(self) -> np.ndarray:
         """Red neighbours of every node, tallied once per colored graph: a
-        prefix sum of the neighbours' red flags, read at each row's end."""
+        prefix sum of the neighbours' red flags, read at each row's end.
+        A read-only int64 array."""
         g = self.graph
-        red = np.fromiter((c is Color.RED for c in self.colors), dtype=np.int64, count=g.n)
-        ends = np.concatenate(([0], np.cumsum(red[g.indices])))[g.indptr]
-        return tuple(np.diff(ends).tolist())
+        red = np.cumsum(self.red_mask[g.indices], dtype=np.int64)
+        counts = np.diff(np.concatenate(([0], red))[g.indptr])
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def red_neighbor_counts(self) -> tuple[int, ...]:
+        """:attr:`red_neighbor_array` as a tuple of ints."""
+        return tuple(self.red_neighbor_array.tolist())
+
+    @cached_property
+    def local_winner_codes(self) -> np.ndarray:
+        """Every node's :meth:`local_winner` as an index into
+        :data:`WINNER_CODES`, a read-only int8 array."""
+        twice_red = 2 * self.red_neighbor_array
+        deg = np.diff(self.graph.indptr)
+        codes = np.select([twice_red > deg, twice_red < deg], [0, 1], 2).astype(np.int8)
+        codes.flags.writeable = False
+        return codes
 
     @cached_property
     def global_winner(self) -> Winner:
@@ -143,7 +178,7 @@ class ColoredGraph:
         return self.red_neighbor_counts[i]
 
     def local_winner(self, i: int) -> Winner:
-        return _winner(self.local_red_count(i), len(self.graph.adj[i]))
+        return _winner(self.local_red_count(i), self.graph.degree(i))
 
     def with_flipped(self, i: int) -> "ColoredGraph":
         return ColoredGraph(self.graph, flipped(self.colors, i))
@@ -266,16 +301,13 @@ def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph
         cg = ColoredGraph(g, colors)
         if cg.global_winner is not Winner.TIE:
             break
-        tied = [i for i in range(g.n) if cg.local_winner(i) is Winner.TIE]
+        tied = np.flatnonzero(cg.local_winner_codes == WINNER_CODES.index(Winner.TIE))
         if 2 * (g.n - len(tied)) > g.n:
             break
-        colors = weak_majority_2_coloring(g, flipped(colors, tied[0]))
+        colors = weak_majority_2_coloring(g, flipped(colors, int(tied[0])))
     result = ColoredGraph(g, colors)
-    under = sum(
-        1
-        for i in range(g.n)
-        if result.local_winner(i) is not result.global_winner
-    )
+    glob = WINNER_CODES.index(result.global_winner)
+    under = int(np.count_nonzero(result.local_winner_codes != glob))
     if not 2 * under > g.n:
         raise InternalInvariantError(
             f"illusion coloring left only {under} of {g.n} nodes in disagreement"

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import IllusionKind, classify_network
-from .coloring import Color, ColoredGraph
+from .analysis import COLOR_CODES, IllusionKind, classify_network, status_columns
+from .coloring import WINNER_CODES, Color, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
 from .graphs import MAX_NODES, check_size, make_graph
@@ -281,18 +281,16 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
     bad = np.flatnonzero(np.diff(g.indptr) != k).tolist()
     if bad:
         raise InternalInvariantError(f"nodes {bad} missed the target degree {k}")
-    red_nodes = [i for i in range(n) if cg.colors[i] is Color.RED]
-    if len(red_nodes) != n_red:
-        raise InternalInvariantError(
-            f"expected {n_red} red nodes, got {len(red_nodes)}"
-        )
-    counts = cg.red_neighbor_counts
-    for i in red_nodes:
-        blue_nb = k - counts[i]
-        if 2 * blue_nb <= k:
-            raise InternalInvariantError(
-                f"red node {i} has only {blue_nb} blue neighbors of {k}"
-            )
+    columns = status_columns(cg)
+    red = columns.own == COLOR_CODES.index(Color.RED)
+    reds = int(np.count_nonzero(red))
+    if reds != n_red:
+        raise InternalInvariantError(f"expected {n_red} red nodes, got {reds}")
+    outvoted = np.flatnonzero(red & (columns.local != WINNER_CODES.index(Winner.BLUE)))
+    if len(outvoted):
+        i = int(outvoted[0])
+        blue_nb = k - int(cg.red_neighbor_array[i])
+        raise InternalInvariantError(f"red node {i} has only {blue_nb} blue neighbors of {k}")
     report = classify_network(cg)
     if not report.flag(IllusionKind.MAJORITY_MAJORITY):
         raise InternalInvariantError("construction is not majority-majority")

@@ -52,7 +52,7 @@ def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | Non
     if body.startswith("colors "):
         line, _, body = body.partition("\n")
         word = line[7:]
-        if not word or len(word) != n or word.strip("RB"):
+        if len(word) != n or word.strip("RB"):
             return None
         colors = coloring_from_string(word)
     # Without its ASCII digits the body reads " \n" once per line, and it
@@ -93,13 +93,15 @@ def _parse_lines(text: str) -> tuple[int, Coloring | None, list[tuple[int, int]]
                 raise FormatError(f"line {lineno}: 'colors' before 'n' header")
             if colors is not None:
                 raise FormatError(f"line {lineno}: duplicate 'colors' line")
-            if len(parts) != 2:
+            # A 0-node coloring is the empty word: the writer's "colors " line.
+            if len(parts) > 2 or len(parts) == 1 and n > 0:
                 raise FormatError(f"line {lineno}: expected 'colors <RB string>'")
-            if len(parts[1]) != n or any(ch not in "RB" for ch in parts[1]):
+            word = "".join(parts[1:])
+            if len(word) != n or any(ch not in "RB" for ch in word):
                 raise FormatError(
                     f"line {lineno}: colors must be {n} characters from {{R,B}}"
                 )
-            colors = coloring_from_string(parts[1])
+            colors = coloring_from_string(word)
         else:
             if n is None:
                 raise FormatError(f"line {lineno}: edge before 'n' header")

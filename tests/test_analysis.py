@@ -1,5 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,9 +26,12 @@ from majority_illusion import (
     make_graph,
     pq_report,
     q_illusion,
+    status_columns,
     weak_q_illusion,
+    write_colored_graph,
 )
 from majority_illusion.coloring import is_weak_majority_coloring, majority_winner
+from majority_illusion.fileformat import parse_colored_graph
 
 from conftest import colored_graphs
 
@@ -448,3 +453,70 @@ def test_one_tally_matches_the_per_node_definitions(cg, p, q):
         expected.unanimity_weak_majority,
     ]
     assert pq_report(cg, p, q) == _ref_pq_report(cg, p, q)
+
+
+@st.composite
+def _status_cases(draw):
+    """Colored graphs on 0..10 nodes (isolated nodes and locally tied
+    neighbourhoods arise often), recolored all red, all blue, or half and
+    half (a global tie at even n) as often as drawn freely."""
+    cg = draw(colored_graphs(max_n=10, min_n=0))
+    n = cg.graph.n
+    shape = draw(st.sampled_from(["drawn", "all-red", "all-blue", "tied"]))
+    if shape == "all-red":
+        colors = (R,) * n
+    elif shape == "all-blue":
+        colors = (B,) * n
+    elif shape == "tied" and n % 2 == 0:
+        colors = tuple(draw(st.permutations((R, B) * (n // 2))))
+    else:
+        colors = cg.colors
+    return ColoredGraph(cg.graph, colors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_status_cases())
+@example(ColoredGraph(make_graph(0, []), ()))
+# node 0 ties locally (one red and one blue neighbour) under a blue global
+# winner, node 3 is isolated
+@example(ColoredGraph(make_graph(4, [(0, 1), (0, 2)]), (B, R, B, B)))
+# a global tie: each node's one neighbour wins locally
+@example(ColoredGraph(make_graph(2, [(0, 1)]), (R, B)))
+def test_status_columns_match_the_definition(cg):
+    """Every row of the status columns decodes to ``agent_status``, and the
+    combinations group exactly the nodes whose rows agree but for the id."""
+    n = cg.graph.n
+    expected = [agent_status(cg, i) for i in range(n)]
+    columns = status_columns(cg)
+    assert [columns.status(i) for i in range(n)] == expected
+    assert columns.statuses() == expected
+    assert agent_statuses(cg) == expected
+    for column in columns.columns():
+        assert column.dtype == np.int8 and column.shape == (n,)
+    first, inverse = columns.combinations()
+    assert len(first) == len({replace(s, node=0) for s in expected})
+    for i, j in enumerate(inverse.tolist()):
+        assert replace(expected[i], node=0) == replace(expected[first[j]], node=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cg: agent_status(cg, 1),
+        lambda cg: agent_statuses(cg),
+        lambda cg: cg.local_winner(2),
+        lambda cg: cg.graph.degree(3),
+        lambda cg: q_illusion(cg, 1, Fraction(1, 3)),
+        lambda cg: weak_q_illusion(cg, 1, Fraction(1, 3)),
+        lambda cg: is_weak_majority_coloring(cg.graph, cg.colors),
+        lambda cg: classify_network(cg),
+        lambda cg: pq_report(cg, HALF, Fraction(2, 3)),
+    ],
+)
+def test_classifiers_leave_the_adjacency_sets_unbuilt(call):
+    """Degrees come from the CSR offsets, so classifying a freshly parsed
+    graph never builds its lazy adjacency sets."""
+    text = write_colored_graph(ColoredGraph(cycle_graph(7), coloring_from_string("RRBRBBR")))
+    cg = parse_colored_graph(text)
+    call(cg)
+    assert "adj" not in cg.graph.__dict__

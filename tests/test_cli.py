@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,15 +16,28 @@ from hypothesis import strategies as st
 
 import majority_illusion.cli as cli
 from majority_illusion import (
+    ColoredGraph,
     InternalInvariantError,
     Objective,
+    PreconditionError,
+    agent_status,
+    circulant_graph,
     classify_network,
+    cycle_graph,
+    illusion_coloring,
     is_weak_majority_coloring,
+    make_graph,
     parse_colored_graph,
     parse_graph,
+    parse_graph_text,
+    pq_report,
+    write_graph,
 )
+from majority_illusion.coloring import coloring_to_string, random_coloring
 from majority_illusion.graphs import MAX_EDGES, MAX_NODES, check_size
 from majority_illusion.logic import FORMULA_KINDS
+
+from conftest import colored_graphs, random_graph
 
 
 def run(capsys, *argv):
@@ -469,6 +483,152 @@ def test_analyze_text_and_json_agree_on_flags(capsys, tmp_path):
 
 def test_bad_subcommand_usage(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+# --- analyze against the per-agent renderer --------------------------------
+
+
+def _reference_analyze(text, fmt, p, q):
+    """``millusion analyze`` as it rendered one agent at a time: the rows of
+    ``agent_status``, one dict each through ``json.dumps(indent=2,
+    sort_keys=True)``, or one printed line each; ``(exit code, stdout)``."""
+    graph, colors = parse_graph_text(text)
+    derived = colors is None
+    try:
+        cg = illusion_coloring(graph) if derived else ColoredGraph(graph, colors)
+    except PreconditionError:  # no coloring to derive on 0 nodes
+        return 2, ""
+    statuses = [agent_status(cg, i) for i in range(graph.n)]
+    report = classify_network(cg)
+    pq = None
+    if p is not None or q is not None:
+        pq = pq_report(cg, Fraction(p or "1/2"), Fraction(q or "1/2"))
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "format_version": cli.SCHEMA_VERSION,
+            "colors": coloring_to_string(cg.colors),
+            "coloring_derived": derived,
+            "network": report.to_json_dict(),
+            "agents": [
+                {
+                    "node": s.node,
+                    "color": s.own_color.value,
+                    "local_winner": s.local_winner.value,
+                    "global_winner": s.global_winner.value,
+                    "opposition": s.opposition.value,
+                    "illusion": s.illusion.value,
+                    "illusion_color": s.illusion_color.value
+                    if s.illusion_color
+                    else None,
+                    "isolated": s.isolated,
+                }
+                for s in statuses
+            ],
+        }
+        if pq is not None:
+            payload["pq"] = pq.to_json_dict()
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        return 0, out.getvalue()
+    if derived:
+        print("# coloring derived by the illusion-coloring pipeline", file=out)
+        print(f"colors {coloring_to_string(cg.colors)}", file=out)
+    print("node color local global opposition illusion witness", file=out)
+    for s in statuses:
+        witness = s.illusion_color.value if s.illusion_color else "-"
+        flag = " isolated" if s.isolated else ""
+        print(
+            f"{s.node} {s.own_color.value} {s.local_winner.value} "
+            f"{s.global_winner.value} {s.opposition.value} "
+            f"{s.illusion.value} {witness}{flag}",
+            file=out,
+        )
+    print(
+        f"counts strict={report.strict_count} "
+        f"weak_only={report.weak_only_count} none={report.none_count}",
+        file=out,
+    )
+    for kind_name, value in report.to_json_dict()["flags"].items():
+        print(f"flag {kind_name} {'yes' if value else 'no'}", file=out)
+    print(f"chromaticity {report.chromaticity.value}", file=out)
+    if pq is not None:
+        for name, value in pq.to_json_dict()["flags"].items():
+            print(f"pq {name} {'yes' if value else 'no'}", file=out)
+    return 0, out.getvalue()
+
+
+def _analyze(text, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        saved, cli.sys.stdin = cli.sys.stdin, io.StringIO(text)
+        try:
+            code = cli.main(["analyze", "-", *argv])
+        finally:
+            cli.sys.stdin = saved
+    return code, out.getvalue()
+
+
+_THRESHOLDS = [None, "0", "1", "1/2", "1/3", "3/4", "1e-1000"]
+
+
+def _check_analyze(text, fmt, p, q):
+    argv = ["--format", fmt]
+    argv += ["--p", p] if p is not None else []
+    argv += ["--q", q] if q is not None else []
+    assert _analyze(text, argv) == _reference_analyze(text, fmt, p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    colored_graphs(max_n=10, min_n=0),
+    st.booleans(),
+    st.sampled_from(["text", "json"]),
+    st.sampled_from(_THRESHOLDS),
+    st.sampled_from(_THRESHOLDS),
+)
+def test_analyze_renders_as_the_per_agent_reference(cg, colored, fmt, p, q):
+    """Text and JSON, colored or derived, with and without ``--p``/``--q``
+    (0, 1, 1/2, 1/3, 3/4 and 1e-1000): the same bytes as the reference."""
+    _check_analyze(write_graph(cg.graph, cg.colors if colored else None), fmt, p, q)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p, q", [(None, None), ("1/4", "3/4"), ("1/2", "1/3"), ("0", "1e-1000")])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        make_graph(0, []),
+        random_graph(random.Random(3), 300, 0.013),
+        cycle_graph(301),
+        circulant_graph(400, [1, 3, 7]),
+    ],
+)
+def test_analyze_renders_larger_graphs_as_the_reference(graph, fmt, p, q):
+    """A random coloring, the illusion coloring and a derived one (no
+    colors line) of graphs of a few hundred nodes."""
+    rng = random.Random(graph.n)
+    colorings = [random_coloring(graph.n, rng), None]
+    if graph.n:
+        colorings.append(illusion_coloring(graph).colors)
+    for colors in colorings:
+        _check_analyze(write_graph(graph, colors), fmt, p, q)
+
+
+def test_an_empty_graph_goes_through_color_and_analyze():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        saved, cli.sys.stdin = cli.sys.stdin, io.StringIO("n 0\n")
+        try:
+            assert cli.main(["color", "--mode", "weak", "-"]) == 0
+        finally:
+            cli.sys.stdin = saved
+    colored = out.getvalue()
+    assert colored == "n 0\ncolors \n"
+    for fmt in ("text", "json"):
+        _check_analyze(colored, fmt, None, None)
+    code, report = _analyze(colored, ["--format", "json"])
+    assert json.loads(report)["agents"] == []
+    assert '\n  "agents": [],\n' in report
 
 
 # --- exit-code contract under fuzzing ---------------------------------------

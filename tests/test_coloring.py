@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from majority_illusion import (
     Color,
     ColoredGraph,
+    InternalInvariantError,
     PreconditionError,
     Winner,
     all_red,
@@ -25,6 +26,8 @@ from majority_illusion import (
     weak_majority_2_coloring,
     weak_majority_2_coloring_swaps,
 )
+from majority_illusion.coloring import WINNER_CODES, flipped
+from majority_illusion.graphs import circulant_graph
 
 from conftest import colored_graphs, graphs
 
@@ -298,3 +301,40 @@ def test_color_swap_preserves_edge_chromaticity(cg):
 @given(graphs(max_n=8))
 def test_illusion_coloring_deterministic(g):
     assert illusion_coloring(g).colors == illusion_coloring(g).colors
+
+
+def _reference_illusion_coloring(g, initial=None):
+    """The illusion coloring with its tied nodes and its disagreeing count
+    found one ``local_winner`` call at a time."""
+    colors = weak_majority_2_coloring(g, initial)
+    for _ in range(g.edge_count + 2):
+        cg = ColoredGraph(g, colors)
+        if cg.global_winner is not Winner.TIE:
+            break
+        tied = [i for i in range(g.n) if cg.local_winner(i) is Winner.TIE]
+        if 2 * (g.n - len(tied)) > g.n:
+            break
+        colors = weak_majority_2_coloring(g, flipped(colors, tied[0]))
+    result = ColoredGraph(g, colors)
+    under = sum(1 for i in range(g.n) if result.local_winner(i) is not result.global_winner)
+    if not 2 * under > g.n:
+        raise InternalInvariantError("reference left too few nodes in disagreement")
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graphs(max_n=10)
+    | st.integers(2, 40).map(lambda n: cycle_graph(2 * n))
+    | st.integers(3, 30).map(lambda n: circulant_graph(2 * n, [1, 2])),
+    st.integers(0, 2**32),
+)
+def test_illusion_coloring_matches_the_per_node_reference(g, seed):
+    """Same colors from every start, global ties (and so tie flips)
+    included; the winner codes decode to ``local_winner``."""
+    for initial in (None, tuple(random.Random(seed).choice((R, B)) for _ in range(g.n))):
+        cg = illusion_coloring(g, initial)
+        assert cg.colors == _reference_illusion_coloring(g, initial).colors
+        assert [WINNER_CODES[c] for c in cg.local_winner_codes.tolist()] == [
+            cg.local_winner(i) for i in range(g.n)
+        ]

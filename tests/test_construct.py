@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from majority_illusion import (
     Color,
+    ColoredGraph,
     InfeasibleError,
     InternalInvariantError,
     PreconditionError,
@@ -16,9 +17,15 @@ from majority_illusion import (
     construction_plan,
     fast_construct,
     fast_construct_report,
+    coloring_from_string,
     make_graph,
 )
-from majority_illusion.construct import _degrees, _norm, _realize_deficits
+from majority_illusion.construct import (
+    _degrees,
+    _norm,
+    _realize_deficits,
+    _validate_colored_regular,
+)
 from majority_illusion.graphs import MAX_NODES
 
 
@@ -275,3 +282,23 @@ def test_iterative_pairing_matches_recursive_reference(instance):
         else:
             outcomes.append((added, frozenset(e), tuple(d)))
     assert outcomes[0] == outcomes[1]
+
+
+_K5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+
+
+@pytest.mark.parametrize(
+    "colors, n, k, n_red, message",
+    [
+        ("RRBBB", 6, 4, 2, "expected 6 nodes, built 5"),
+        ("RRBBB", 5, 3, 2, r"nodes \[0, 1, 2, 3, 4\] missed the target degree 3"),
+        ("RRRBB", 5, 4, 2, "expected 2 red nodes, got 3"),
+        # red nodes 0 and 2 each see two blue neighbours of four; 0 is named
+        ("RBRRB", 5, 4, 3, "red node 0 has only 2 blue neighbors of 4"),
+        ("BBRBR", 5, 4, 2, "construction is not majority-majority"),
+    ],
+)
+def test_validation_names_the_first_fault(colors, n, k, n_red, message):
+    cg = ColoredGraph(_K5, coloring_from_string(colors))
+    with pytest.raises(InternalInvariantError, match=message):
+        _validate_colored_regular(cg, n, k, n_red)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from majority_illusion import (
     FormatError,
     coloring_from_string,
+    make_graph,
     parse_colored_graph,
     parse_graph,
     parse_graph_text,
@@ -87,7 +88,7 @@ def test_write_parse_identity_on_structure(g):
     assert parsed.edges == g.edges
 
 
-@given(colored_graphs())
+@given(colored_graphs(min_n=0))
 def test_canonical_writer_is_bit_exact(cg):
     text = write_colored_graph(cg)
     again = write_colored_graph(parse_colored_graph(text))
@@ -96,7 +97,9 @@ def test_canonical_writer_is_bit_exact(cg):
 
 def _reference_parse(text):
     """The line-by-line reader as it stood before the array path, on the
-    set-based builder: ``(n, adj, colors)``, or a FormatError."""
+    set-based builder: ``(n, adj, colors)``, or a FormatError.  A bare
+    ``colors`` line is the empty coloring of a 0-node graph, as the writer
+    emits it."""
     n = None
     colors = None
     edges = []
@@ -116,13 +119,14 @@ def _reference_parse(text):
                 raise FormatError(f"line {lineno}: 'colors' before 'n' header")
             if colors is not None:
                 raise FormatError(f"line {lineno}: duplicate 'colors' line")
-            if len(parts) != 2:
+            if len(parts) != 2 and not (len(parts) == 1 and n == 0):
                 raise FormatError(f"line {lineno}: expected 'colors <RB string>'")
-            if len(parts[1]) != n or any(ch not in "RB" for ch in parts[1]):
+            word = parts[1] if len(parts) == 2 else ""
+            if len(word) != n or any(ch not in "RB" for ch in word):
                 raise FormatError(
                     f"line {lineno}: colors must be {n} characters from {{R,B}}"
                 )
-            colors = coloring_from_string(parts[1])
+            colors = coloring_from_string(word)
         else:
             if n is None:
                 raise FormatError(f"line {lineno}: edge before 'n' header")
@@ -225,11 +229,25 @@ def test_array_path_matches_the_line_reader(text):
 
 @given(colored_graphs(max_n=12, min_n=0), st.booleans())
 def test_writer_output_takes_the_array_path(cg, with_colors):
-    # a 0-node coloring writes "colors ", which no reader accepts
-    with_colors = with_colors and cg.graph.n > 0
     text = write_graph(cg.graph, cg.colors if with_colors else None)
     parsed = _parse_canonical(text)
     assert parsed is not None
     n, colors, edges = parsed
     assert (n, colors) == (cg.graph.n, cg.colors if with_colors else None)
     assert edges.tolist() == [list(e) for e in cg.graph.edges]
+
+
+@pytest.mark.parametrize("prefix", ["", "# through the line reader\n"])
+def test_a_zero_node_coloring_round_trips(prefix):
+    """The writer's "colors " line for a 0-node graph reads back as the
+    empty coloring, on both readers; on more nodes it stays an error."""
+    g = make_graph(0, [])
+    text = write_graph(g, ())
+    assert text == "n 0\ncolors \n"
+    assert parse_graph_text(prefix + text) == (g, ())
+    assert parse_graph_text(prefix + "n 0\ncolors\n") == (g, ())
+    assert (_parse_canonical(prefix + text) is None) == bool(prefix)
+    with pytest.raises(FormatError, match="line 2: expected 'colors <RB string>'"):
+        parse_graph_text("n 2\ncolors \n")
+    with pytest.raises(FormatError, match="line 2: expected 'colors <RB string>'"):
+        parse_graph_text("n 2\ncolors\n0 1\n")
