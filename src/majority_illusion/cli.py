@@ -9,6 +9,7 @@ or any other unexpected exception (one line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -414,10 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -178,7 +178,8 @@ class ColoredGraph:
         return self.red_neighbor_counts[i]
 
     def local_winner(self, i: int) -> Winner:
-        return _winner(self.local_red_count(i), self.graph.degree(i))
+        self.graph.check_node(i)
+        return _winner(self.red_neighbor_counts[i], self.graph._degree_list[i])
 
     def with_flipped(self, i: int) -> "ColoredGraph":
         return ColoredGraph(self.graph, flipped(self.colors, i))

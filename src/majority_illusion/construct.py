@@ -4,19 +4,33 @@ majority-majority illusion.
 The pipeline colors ``n//2 + 1`` nodes red and the rest blue, wires every
 red node to just over ``k/2`` blue nodes (round-robin), tops the blue side
 up with a pairing pass, and finishes each color class with circulant
-subgraphs plus an exact pairing of the odd-parity leftovers.  The pairing
-is an iterative depth-first search with an explicit undo stack, so it runs
-at any size; no stage has a fallback path, because none is reachable on a
-feasible input (the proofs are in CHANGES.md).  Every stage validates its
-degree accounting and the final product is re-checked for simplicity,
-regularity, and the majority-majority flag; any violation raises
+subgraphs plus an exact pairing of the odd-parity leftovers.
+
+Every stage takes and returns the edge set as a sorted int64 array of keys
+``u * n + v`` with ``u < v``.  The round-robin edges have a closed form,
+the circulants are one broadcast table of (position, offset) partners, the
+complete bipartite core of :func:`fast_construct` is a ``repeat`` and a
+``tile``, and the bridge's candidates are one mask; new keys are
+deduplicated by sorting and merged into the array with ``searchsorted``,
+and each degree pass is one ``bincount``.  Two loops stay scalar because
+each choice depends on the last: the blue top-up (one pass over the blue
+nodes) and the pairing of the odd-parity leftovers (about ``n/4`` open
+ends), which tests adjacency by binary search in the keys plus a set of
+its own edges.  The pairing is an iterative depth-first search with an
+explicit undo stack, so it runs at any size; no stage has a fallback path,
+because none is reachable on a feasible input (the proofs are in
+CHANGES.md).  Every stage validates its degree accounting and the final
+product is re-checked for simplicity, regularity, and the
+majority-majority flag; any violation raises
 :class:`InternalInvariantError` rather than returning a wrong witness.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -24,21 +38,35 @@ from .analysis import COLOR_CODES, IllusionKind, classify_network, status_column
 from .coloring import WINNER_CODES, Color, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
-from .graphs import MAX_NODES, check_size, make_graph
+from .graphs import MAX_NODES, _sorted_unique, check_size, make_graph
 
-Edge = tuple[int, int]
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
+_NO_EDGES = np.empty(0, dtype=np.int64)
+_NO_EDGES.flags.writeable = False
 
 
-def _degrees(edges: set[Edge], count: int) -> list[int]:
-    deg = [0] * count
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The keys ``min * n + max`` of the pairs ``(u[i], v[i])``."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _degree_counts(keys: np.ndarray, n: int) -> np.ndarray:
+    """Every node's degree in the edge set ``keys``."""
+    u, v = np.divmod(keys, max(n, 1))
+    return np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+
+
+def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which of ``probe`` occur in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(probe), dtype=bool)
+    at = np.searchsorted(keys, probe)
+    return keys.take(at, mode="clip") == probe
+
+
+def _merge(keys: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The sorted union of ``keys`` and the sorted keys ``fresh``, which
+    none of ``keys`` repeats."""
+    return np.insert(keys, np.searchsorted(keys, fresh), fresh)
 
 
 def _blue_quota(k: int) -> int:
@@ -111,32 +139,39 @@ class ConstructionReport:
 
 
 def add_initial_edges(
-    edges: set[Edge], blue: list[int], red: list[int], k: int
-) -> set[Edge]:
+    keys: np.ndarray, n: int, blue: Sequence[int], red: Sequence[int], k: int
+) -> np.ndarray:
     """Give every red node its quota of blue neighbors, round-robin.
 
-    Red node ``i % |R|`` meets blue node ``(x + i) % |B|``; on a collision
-    the offset ``x`` becomes 1 (once, permanently).  A collision of the
-    shifted pick cannot happen on a feasible input and raises.
+    Pick ``i`` joins red node ``i % |R|`` to blue node ``(x + i) % |B|``,
+    where the offset ``x`` is 0 until the first repeated pair and 1 from
+    there on.  Distinct nodes repeat a pair first at ``i = lcm(|R|, |B|)``,
+    so ``x = [i >= lcm(|R|, |B|)]``.  A pick that repeats an earlier one
+    after the shift, or an edge already in ``keys``, cannot happen on a
+    feasible input and raises, naming the red node of the first such pick.
     """
-    x = 0
-    for i in range(len(red) * _blue_quota(k)):
-        node_red = red[i % len(red)]
-        e = _norm(node_red, blue[(x + i) % len(blue)])
-        if e in edges:
-            x = 1
-            e = _norm(node_red, blue[(x + i) % len(blue)])
-        if e in edges:
-            raise InternalInvariantError(
-                f"red node {node_red} collides again after the shift"
-            )
-        edges.add(e)
-    return edges
+    red = np.asarray(red, dtype=np.int64)
+    blue = np.asarray(blue, dtype=np.int64)
+    i = np.arange(len(red) * _blue_quota(k), dtype=np.int64)
+    if not len(i):
+        return keys
+    shift = i >= lcm(len(red), len(blue))
+    picks = _edge_keys(red[i % len(red)], blue[(i + shift) % len(blue)], n)
+    order = np.argsort(picks, kind="stable")
+    ordered = picks[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    taken = np.flatnonzero(_contains(keys, picks))
+    if len(repeats) or len(taken):
+        first = min(repeats.min(initial=len(i)), taken.min(initial=len(i)))
+        raise InternalInvariantError(
+            f"red node {int(red[first % len(red)])} collides again after the shift"
+        )
+    return _merge(keys, ordered)
 
 
 def add_extra_blue_edges(
-    edges: set[Edge], blue: list[int], k: int, k_blue: int
-) -> set[Edge]:
+    keys: np.ndarray, n: int, blue: Sequence[int], k: int, k_blue: int
+) -> np.ndarray:
     """Pair up blue nodes that still have more than ``k_blue`` open ends.
 
     Blue nodes are visited in ascending degree (most missing edges first);
@@ -144,88 +179,105 @@ def add_extra_blue_edges(
     ``k - k_blue`` and are not yet adjacent.  In the odd-leftover case one
     blue node stays one edge short for the caller to absorb.
     """
-    count = (max(blue) + 1) if blue else 0
-    deg = _degrees(edges, count)
-    order = sorted(blue, key=lambda b: (deg[b], b))
+    blue = np.asarray(blue, dtype=np.int64)
+    deg = _degree_counts(keys, n)
+    order = blue[np.lexsort((blue, deg[blue]))]
+    if len(order) < 2:
+        return keys
+    successor = np.roll(order, -1)
+    pairs = _edge_keys(order, successor, n)
+    adjacent = _contains(keys, pairs).tolist()
     limit = k - k_blue
-    for idx, node in enumerate(order):
-        nxt = order[(idx + 1) % len(order)]
-        if nxt == node:
-            continue
-        e = _norm(node, nxt)
-        if e not in edges and deg[node] < limit and deg[nxt] < limit:
-            edges.add(e)
+    deg = deg.tolist()
+    # A pair comes twice only for two blue nodes, as (a, b) then (b, a);
+    # the set keeps it once.
+    added: set[int] = set()
+    for node, nxt, key, known in zip(order.tolist(), successor.tolist(), pairs.tolist(), adjacent):
+        if not known and deg[node] < limit and deg[nxt] < limit:
+            added.add(key)
             deg[node] += 1
             deg[nxt] += 1
-    return edges
+    return _merge(keys, np.array(sorted(added), dtype=np.int64))
 
 
-def add_regular_subgraph(edges: set[Edge], nodes: list[int], k_sub: int) -> set[Edge]:
+def add_regular_subgraph(
+    keys: np.ndarray, n: int, nodes: Sequence[int], k_sub: int
+) -> np.ndarray:
     """Add a circulant ``k_sub``-regular graph on ``nodes`` (in list order).
 
     Each node connects around the position opposite its own: the antipodal
     node first when the count is even and ``k_sub`` odd, then offsets
     fanning out from the antipode.  When both the count and ``k_sub`` are
     odd every node is left one edge short (the caller pairs the remainder).
-    A collision with a pre-existing edge raises
-    :class:`InternalInvariantError`.
+    A collision with an edge already in ``keys`` raises
+    :class:`InternalInvariantError`, naming the first in that order.
     """
+    nodes = np.asarray(nodes, dtype=np.int64)
     m = len(nodes)
     if k_sub == 0:
-        return edges
+        return keys
     if k_sub < 0 or k_sub >= m:
         raise PreconditionError(f"subgraph degree {k_sub} invalid for {m} nodes")
-    fresh: set[Edge] = set()
-
-    def connect(a: int, b: int) -> None:
-        e = _norm(a, b)
-        if e in fresh:
-            return
-        if e in edges:
-            raise InternalInvariantError(
-                f"circulant edge {e} collides with an existing edge"
-            )
-        fresh.add(e)
-        edges.add(e)
-
-    for pos, node in enumerate(nodes):
-        start2 = 2 * pos + m  # doubled index of the opposite position
-        if m % 2 == 0 and k_sub % 2 == 1:
-            connect(node, nodes[(start2 // 2) % m])
-        for i in range(1, k_sub // 2 + 1):
-            minus = ((start2 - 2 * i + 1) // 2) % m
-            plus = ((start2 + 2 * i) // 2) % m
-            connect(node, nodes[minus])
-            connect(node, nodes[plus])
-    return edges
+    # Partners as doubled offsets from the doubled opposite position: the
+    # antipode (0), then -2i+1 and +2i for each i, halved after the sum.
+    i = np.arange(1, k_sub // 2 + 1, dtype=np.int64)
+    offsets = np.stack((1 - 2 * i, 2 * i), axis=1).ravel()
+    if m % 2 == 0 and k_sub % 2 == 1:
+        offsets = np.concatenate(([0], offsets))
+    opposite = 2 * np.arange(m, dtype=np.int64)[:, None] + m
+    partners = nodes[((opposite + offsets) // 2) % m]
+    table = _edge_keys(nodes[:, None], partners, n).ravel()
+    taken = _contains(keys, table)
+    if taken.any():
+        u, v = divmod(int(table[taken.argmax()]), n)
+        raise InternalInvariantError(
+            f"circulant edge {(u, v)} collides with an existing edge"
+        )
+    return _merge(keys, _sorted_unique(table))
 
 
 def _realize_deficits(
-    edges: set[Edge], members: list[int], k: int, deg: list[int], label: str
-) -> int:
+    keys: np.ndarray, n: int, members: Sequence[int], k: int, deg: list[int], label: str
+) -> np.ndarray:
     """Connect same-color nodes until every member reaches degree ``k``.
 
     Exact depth-first search over simple, non-duplicate pairings, run as a
-    loop with an explicit undo stack.  The open members are kept sorted by
-    ``(deg - k, id)``, so the most-deficient node (lowest id on ties) is
-    ``keys[0]``; it takes the first later key it is not adjacent to.  When
-    no partner is left, the last choice is undone and its scan resumes just
-    past the partner it had taken.  Raises when the open ends cannot be
-    realized at all; returns the number of edges added.
+    loop with an explicit undo stack.  The most-deficient open member
+    (lowest id on ties) takes the first node it is not adjacent to in the
+    order of ``(deg - k, id)``.  When no partner is left, the last choice
+    is undone and its scan resumes just past the partner it had taken.
+    Raises when the open ends cannot be realized at all; returns the edge
+    keys with the pairing's added and updates ``deg`` in place.
     """
     deficit = {u: k - deg[u] for u in members if deg[u] < k}
     if sum(deficit.values()) % 2 == 1:
         raise InternalInvariantError(
             f"{label} open ends sum to an odd number: {deficit}"
         )
-    keys = sorted((-d, u) for u, d in deficit.items())
-    chosen: list[Edge] = []  # (extended node, partner), in choice order
-    start = 1
-    while keys:
-        u = keys[0][1]
-        for i in range(start, len(keys)):
-            v = keys[i][1]
-            if _norm(u, v) not in edges:
+    own: set[int] = set()  # the keys of the chosen edges
+
+    def key(u: int, v: int) -> int:
+        return u * n + v if u < v else v * n + u
+
+    def adjacent(u: int, v: int) -> bool:
+        e = key(u, v)
+        if e in own:
+            return True
+        at = int(keys.searchsorted(e))
+        return at < len(keys) and int(keys[at]) == e
+
+    # The open members as (k - deg, -id), ascending: that order reversed,
+    # so the node to extend is last and the scan for its partner runs down
+    # from the one before it; a step takes both from near the end of the
+    # list instead of moving all of it.
+    open_ends = sorted((d, -u) for u, d in deficit.items())
+    chosen: list[tuple[int, int]] = []  # (extended node, partner), in choice order
+    start = len(open_ends) - 2
+    while open_ends:
+        u = -open_ends[-1][1]
+        for i in range(start, -1, -1):
+            v = -open_ends[i][1]
+            if not adjacent(u, v):
                 break
         else:
             if not chosen:
@@ -233,23 +285,23 @@ def _realize_deficits(
                     f"{label} open ends {deficit} cannot be paired without duplicates"
                 )
             u, v = chosen.pop()
-            edges.discard(_norm(u, v))
+            own.discard(key(u, v))
             for w in (u, v):
                 if deg[w] < k:
-                    del keys[bisect_left(keys, (deg[w] - k, w))]
+                    del open_ends[bisect_left(open_ends, (k - deg[w], -w))]
                 deg[w] -= 1
-                insort(keys, (deg[w] - k, w))
-            start = bisect_right(keys, (deg[v] - k, v))
+                insort(open_ends, (k - deg[w], -w))
+            start = bisect_left(open_ends, (k - deg[v], -v)) - 1
             continue
-        del keys[i], keys[0]
-        edges.add(_norm(u, v))
+        del open_ends[-1], open_ends[i]
+        own.add(key(u, v))
         chosen.append((u, v))
         for w in (u, v):
             deg[w] += 1
             if deg[w] < k:
-                insort(keys, (deg[w] - k, w))
-        start = 1
-    return len(chosen)
+                insort(open_ends, (k - deg[w], -w))
+        start = len(open_ends) - 2
+    return _merge(keys, np.array(sorted(own), dtype=np.int64))
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:
@@ -267,11 +319,44 @@ def _require_feasible(n: int, k: int) -> ConstructionPlan:
 
 
 def _add_circulant(
-    edges: set[Edge], nodes: list[int], degree: int, report: ConstructionReport, stage: str
-) -> None:
-    before = len(edges)
-    add_regular_subgraph(edges, nodes, degree)
-    report.record(stage, before, len(edges), degree=degree)
+    keys: np.ndarray,
+    n: int,
+    nodes: np.ndarray,
+    degree: int,
+    report: ConstructionReport,
+    stage: str,
+) -> np.ndarray:
+    out = add_regular_subgraph(keys, n, nodes, degree)
+    report.record(stage, len(keys), len(out), degree=degree)
+    return out
+
+
+def _check_top_up(blue_deg: np.ndarray, limit: int) -> None:
+    """After the top-up every blue node has degree ``limit``, but at most one
+    that stays below it."""
+    if np.count_nonzero(blue_deg < limit) > 1 or (blue_deg > limit).any():
+        raise InternalInvariantError(
+            f"blue top-up left degrees {np.sort(blue_deg).tolist()}"
+        )
+
+
+def _bridge(
+    keys: np.ndarray, n: int, red: np.ndarray, blue: np.ndarray, k: int, deg: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """Join the neediest blue node (lowest id on ties) to the first red node
+    that is open and not yet its neighbor; ``deg`` is updated in place.
+    Returns the keys and the bridged red and blue nodes."""
+    bridged_blue = int(blue[np.argmin(deg[blue])])
+    open_red = red[deg[red] < k]
+    candidates = open_red[~_contains(keys, _edge_keys(open_red, bridged_blue, n))]
+    if not len(candidates):
+        raise InternalInvariantError(
+            f"no red node left to bridge blue node {bridged_blue}"
+        )
+    bridged_red = int(candidates[0])
+    deg[[bridged_red, bridged_blue]] += 1
+    edge = _edge_keys(np.array([bridged_red]), bridged_blue, n)
+    return _merge(keys, edge), bridged_red, bridged_blue
 
 
 def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> None:
@@ -297,10 +382,11 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
 
 
 def _finish(
-    plan: ConstructionPlan, edges: set[Edge], report: ConstructionReport
+    plan: ConstructionPlan, keys: np.ndarray, report: ConstructionReport
 ) -> tuple[ColoredGraph, ConstructionReport]:
     """Color the first ``n_red`` nodes red, build the graph and validate it."""
-    colors = tuple(Color.RED if i < plan.n_red else Color.BLUE for i in range(plan.n))
+    colors = (Color.RED,) * plan.n_red + (Color.BLUE,) * plan.n_blue
+    edges = np.stack(np.divmod(keys, plan.n), axis=1)
     cg = ColoredGraph(make_graph(plan.n, edges), colors)
     _validate_colored_regular(cg, plan.n, plan.k, plan.n_red)
     report.validated = True
@@ -327,75 +413,57 @@ def construct_regular_illusion_report(
     """
     plan = _require_feasible(n, k)
     report = ConstructionReport(n=n, k=k, fast=False)
-    red, blue = plan.red_nodes, plan.blue_nodes
-    edges: set[Edge] = set()
+    red = np.arange(plan.n_red, dtype=np.int64)
+    blue = np.arange(plan.n_red, n, dtype=np.int64)
 
-    add_initial_edges(edges, blue, red, k)
-    report.record("initial-bipartite", 0, len(edges), per_red=plan.blue_target)
-    deg = _degrees(edges, n)
-    bad = [i for i in red if deg[i] != plan.blue_target]
+    keys = add_initial_edges(_NO_EDGES, n, blue, red, k)
+    report.record("initial-bipartite", 0, len(keys), per_red=plan.blue_target)
+    deg = _degree_counts(keys, n)
+    bad = red[deg[red] != plan.blue_target].tolist()
     if bad:
         raise InternalInvariantError(f"red nodes {bad} missed the bipartite quota")
-    if any(deg[b] > k for b in blue):
+    if (deg[blue] > k).any():
         raise InternalInvariantError("a blue node exceeded its total degree")
 
     # Top-up edges join blues consecutive in this order, so a circulant over
     # the same order only uses larger cyclic distances and cannot collide.
-    blue_order = sorted(blue, key=lambda b: (deg[b], b))
-    before = len(edges)
-    add_extra_blue_edges(edges, blue, k, plan.k_blue)
-    report.record("blue-top-up", before, len(edges))
-    deg = _degrees(edges, n)
-    short = [b for b in blue if deg[b] < k - plan.k_blue]
-    if len(short) > 1 or any(deg[b] > k - plan.k_blue for b in blue):
-        raise InternalInvariantError(
-            f"blue top-up left degrees {sorted(deg[b] for b in blue)}"
-        )
+    blue_order = blue[np.lexsort((blue, deg[blue]))]
+    before = len(keys)
+    keys = add_extra_blue_edges(keys, n, blue, k, plan.k_blue)
+    report.record("blue-top-up", before, len(keys))
+    _check_top_up(_degree_counts(keys, n)[blue], k - plan.k_blue)
 
     red_deferred = plan.k_red % 2 == 1 and plan.n_red % 2 == 1
     blue_deferred = plan.k_blue % 2 == 1 and plan.n_blue % 2 == 1
     if not red_deferred:
-        _add_circulant(edges, red, plan.k_red, report, "red-circulant")
+        keys = _add_circulant(keys, n, red, plan.k_red, report, "red-circulant")
     if not blue_deferred and plan.k_blue:
-        _add_circulant(edges, blue_order, plan.k_blue, report, "blue-circulant")
+        keys = _add_circulant(keys, n, blue_order, plan.k_blue, report, "blue-circulant")
 
     if red_deferred or blue_deferred:
         if red_deferred and plan.k_red > 1:
-            _add_circulant(edges, red, plan.k_red - 1, report, "red-circulant-short")
+            keys = _add_circulant(keys, n, red, plan.k_red - 1, report, "red-circulant-short")
         if blue_deferred and plan.k_blue > 1:
-            _add_circulant(edges, blue_order, plan.k_blue - 1, report, "blue-circulant-short")
-        deg = _degrees(edges, n)
+            keys = _add_circulant(
+                keys, n, blue_order, plan.k_blue - 1, report, "blue-circulant-short"
+            )
+        deg = _degree_counts(keys, n)
         bridged_blue = -1
         bridged_red = -1
         if red_deferred:
             # one red end must cross over; pick the neediest blue node
-            bridged_blue = min(blue, key=lambda b: (deg[b], b))
-            candidates = [
-                r for r in red if deg[r] < k and _norm(r, bridged_blue) not in edges
-            ]
-            if not candidates:
-                raise InternalInvariantError(
-                    f"no red node left to bridge blue node {bridged_blue}"
-                )
-            bridged_red = candidates[0]
-            edges.add(_norm(bridged_red, bridged_blue))
-            deg[bridged_red] += 1
-            deg[bridged_blue] += 1
-            report.record("bridge", len(edges) - 1, len(edges))
-        before = len(edges)
-        added = _realize_deficits(
-            edges, [b for b in blue if b != bridged_blue], k, deg, "blue"
-        )
-        if added:
-            report.record("blue-pairing", before, len(edges))
-        before = len(edges)
-        added = _realize_deficits(
-            edges, [r for r in red if r != bridged_red], k, deg, "red"
-        )
-        if added:
-            report.record("red-pairing", before, len(edges))
+            keys, bridged_red, bridged_blue = _bridge(keys, n, red, blue, k, deg)
+            report.record("bridge", len(keys) - 1, len(keys))
+        open_blue = blue[(deg[blue] < k) & (blue != bridged_blue)].tolist()
+        open_red = red[(deg[red] < k) & (red != bridged_red)].tolist()
+        deg = deg.tolist()
+        for label, members in (("blue", open_blue), ("red", open_red)):
+            before = len(keys)
+            keys = _realize_deficits(keys, n, members, k, deg, label)
+            if len(keys) > before:
+                report.record(f"{label}-pairing", before, len(keys))
 
-    return _finish(plan, edges, report)
+    return _finish(plan, keys, report)
 
 
 def fast_construct(n: int, k: int) -> ColoredGraph:
@@ -423,9 +491,10 @@ def fast_construct_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionRep
         )
     plan = _require_feasible(n, k)
     report = ConstructionReport(n=n, k=k, fast=True)
-    red, blue = plan.red_nodes, plan.blue_nodes
-    edges: set[Edge] = {_norm(r, b) for r in red for b in blue}
-    report.record("complete-bipartite", 0, len(edges))
-    _add_circulant(edges, red, k - plan.n_blue, report, "red-circulant")
-    _add_circulant(edges, blue, k - plan.n_red, report, "blue-circulant")
-    return _finish(plan, edges, report)
+    red = np.arange(plan.n_red, dtype=np.int64)
+    blue = np.arange(plan.n_red, n, dtype=np.int64)
+    keys = np.repeat(red, plan.n_blue) * n + np.tile(blue, plan.n_red)
+    report.record("complete-bipartite", 0, len(keys))
+    keys = _add_circulant(keys, n, red, k - plan.n_blue, report, "red-circulant")
+    keys = _add_circulant(keys, n, blue, k - plan.n_red, report, "blue-circulant")
+    return _finish(plan, keys, report)

@@ -26,6 +26,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .analysis import (
     IllusionKind,
     Threshold,
@@ -139,7 +141,7 @@ def complete_majority_weak_classification(cg: ColoredGraph) -> CompleteWeakClass
     illusion holds iff the color counts differ by exactly one, escalating
     to unanimity-weak-majority when they are equal."""
     g = cg.graph
-    if any(g.degree(i) != g.n - 1 for i in range(g.n)):
+    if (np.diff(g.indptr) != g.n - 1).any():
         raise PreconditionError("underlying graph must be complete")
     red, blue = cg.color_counts
     if red == blue:

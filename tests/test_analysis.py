@@ -11,6 +11,8 @@ from majority_illusion import (
     Chromaticity,
     Color,
     ColoredGraph,
+    CompleteWeakClass,
+    GraphError,
     IllusionKind,
     Level,
     NetworkIllusionReport,
@@ -21,6 +23,7 @@ from majority_illusion import (
     agent_statuses,
     classify_network,
     complete_graph,
+    complete_majority_weak_classification,
     coloring_from_string,
     cycle_graph,
     make_graph,
@@ -520,3 +523,20 @@ def test_classifiers_leave_the_adjacency_sets_unbuilt(call):
     cg = parse_colored_graph(text)
     call(cg)
     assert "adj" not in cg.graph.__dict__
+
+
+def test_complete_classification_leaves_the_adjacency_sets_unbuilt():
+    """The completeness check reads the degrees from the CSR offsets."""
+    cg = parse_colored_graph(
+        write_colored_graph(ColoredGraph(complete_graph(5), coloring_from_string("RRRBB")))
+    )
+    assert complete_majority_weak_classification(cg) is CompleteWeakClass.MAJORITY_WEAK_MAJORITY
+    assert "adj" not in cg.graph.__dict__
+
+
+@pytest.mark.parametrize("node", [-1, 7, 8])
+def test_local_winner_rejects_an_out_of_range_node_once(node):
+    cg = ColoredGraph(cycle_graph(7), coloring_from_string("RRBRBBR"))
+    with pytest.raises(GraphError) as exc:
+        cg.local_winner(node)
+    assert str(exc.value) == f"node id {node} out of range for graph on 7 nodes"

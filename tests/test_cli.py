@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 import majority_illusion.cli as cli
 from majority_illusion import (
     ColoredGraph,
+    __version__,
     InternalInvariantError,
     Objective,
     PreconditionError,
     agent_status,
     circulant_graph,
     classify_network,
+    coloring_from_string,
     cycle_graph,
     illusion_coloring,
     is_weak_majority_coloring,
@@ -834,3 +836,33 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation):
             finally:
                 cli.sys.stdin = saved
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+
+
+def test_one_parser_serves_successive_calls_like_fresh_ones(capsys, monkeypatch, tmp_path):
+    """main builds its parser once per process; a usage error, then
+    --formula and --preset checks, then --version give the output and exit
+    code of a parser built for each call."""
+    path = tmp_path / "c5.txt"
+    path.write_text(write_graph(cycle_graph(5), coloring_from_string("RRBBB")))
+    calls = [
+        ["mc", str(path), "--formula", "p", "--preset", "majority-majority", "--global"],
+        ["mc", str(path), "--formula", "p", "--node", "0", "--format", "json"],
+        ["mc", str(path), "--preset", "majority-majority", "--node", "2"],
+        ["analyze", "--p", "2"],
+        ["--version"],
+    ]
+
+    def outputs():
+        results = []
+        for argv in calls:
+            code = cli.main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert cli._parser() is cli._parser()
+    shared = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [2, 0, 1, 2, 0]
+    assert "not allowed with argument" in shared[0][2]
+    assert shared[-1][1] == f"{__version__}\n"
