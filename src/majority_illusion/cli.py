@@ -107,6 +107,32 @@ def _json_out(payload: dict) -> None:
     print(_json_text(payload))
 
 
+def _json_spliced(payload: dict, key: str, rendered: str) -> str:
+    """``_json_text(payload)`` with ``rendered`` standing for ``payload[key]``,
+    which is laid out apart (a large list, from templates)."""
+    mark = f"<{key}>"
+    return _json_text({**payload, key: mark}).replace(json.dumps(mark), rendered, 1)
+
+
+def _json_id_rows(n: int, *columns: np.ndarray) -> str:
+    """The rows of node ids ``zip(*columns)`` as ``json.dumps(indent=2)``
+    lays out a list one level deep in the payload: bare ids for one
+    column, ``[u, v]`` lists for two.  Each column's ids come from a
+    per-node table of names with their punctuation, as ``write_graph``
+    does."""
+    if not len(columns[0]):
+        return "[]"
+    width = len(columns)
+    opener, closer = ("[\n      ", "\n    ]") if width > 1 else ("", "")
+    rows = np.empty((len(columns[0]), width), dtype=object)
+    for j, column in enumerate(columns):
+        head = "    " + opener if j == 0 else ""
+        tail = ",\n      " if j < width - 1 else closer + ",\n"
+        names = np.array([f"{head}{i}{tail}" for i in range(n)], dtype=object)
+        rows[:, j] = names[column]
+    return "[\n" + "".join(rows.ravel().tolist())[:-2] + "\n  ]"
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "cycle":
         g = cycle_graph(args.n)
@@ -137,14 +163,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     else:
         out = illusion_coloring(graph, initial)
     if args.format == "json":
-        _json_out(
-            {
-                "n": graph.n,
-                "edges": [list(e) for e in graph.edges],
-                "colors": coloring_to_string(out.colors),
-                "mode": args.mode,
-            }
-        )
+        payload = {"n": graph.n, "colors": coloring_to_string(out.colors), "mode": args.mode}
+        print(_json_spliced(payload, "edges", _json_id_rows(graph.n, *graph.edge_arrays())))
     else:
         sys.stdout.write(write_graph(graph, out.colors))
     return 0
@@ -179,8 +199,6 @@ def _agent_text(s: AgentStatus) -> str:
 # Row templates render a status with this node id and then put "%d" in its
 # place: no node has it, and no other field of a row holds a digit or "%".
 _NODE_MARK = -1
-# Stands for the agents list in the dumped payload, then is replaced by it.
-_AGENTS_MARK = "<agents>"
 
 
 def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
@@ -215,13 +233,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "colors": coloring_to_string(cg.colors),
             "coloring_derived": derived,
             "network": report.to_json_dict(),
-            "agents": _AGENTS_MARK,
         }
         if pq is not None:
             payload["pq"] = pq.to_json_dict()
         rows = _agent_rows(columns, _agent_json_row)
         agents = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        print(_json_text(payload).replace(json.dumps(_AGENTS_MARK), agents, 1))
+        print(_json_spliced(payload, "agents", agents))
     else:
         if derived:
             print("# coloring derived by the illusion-coloring pipeline")
@@ -259,14 +276,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         cg, report = construct_regular_illusion_report(args.n, args.k)
     if args.format == "json":
-        _json_out(
-            {
-                "n": cg.graph.n,
-                "edges": [list(e) for e in cg.graph.edges],
-                "colors": coloring_to_string(cg.colors),
-                "report": report.to_json_dict(),
-            }
-        )
+        payload = {
+            "n": cg.graph.n,
+            "colors": coloring_to_string(cg.colors),
+            "report": report.to_json_dict(),
+        }
+        edges = _json_id_rows(cg.graph.n, *cg.graph.edge_arrays())
+        print(_json_spliced(payload, "edges", edges))
     else:
         sys.stdout.write(write_graph(cg.graph, cg.colors))
         print(json.dumps(report.to_json_dict(), sort_keys=True), file=sys.stderr)
@@ -319,13 +335,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     else:
         truth = len(sat) == graph.n and graph.n > 0
     if args.format == "json":
-        _json_out(
-            {
-                "truth": truth,
-                "nodes_satisfying": sorted(sat),
-                "scope": "global" if args.node is None else f"node {args.node}",
-            }
-        )
+        payload = {
+            "truth": truth,
+            "scope": "global" if args.node is None else f"node {args.node}",
+        }
+        nodes = _json_id_rows(graph.n, np.array(sorted(sat), dtype=np.int64))
+        print(_json_spliced(payload, "nodes_satisfying", nodes))
     else:
         print("true" if truth else "false")
     return 0 if truth else 1

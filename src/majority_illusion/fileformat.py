@@ -11,8 +11,11 @@ Layout::
 Writers emit a canonical form (header, optional colors line, edges sorted
 with ``u < v``), so write/read/write round-trips are byte-identical.  The
 reader takes a text in the canonical layout (one space inside each edge
-line, no comments or blank lines) as one int64 array; any other text goes
-through a line-by-line reader, which names the line of the first fault.
+line, no comments or blank lines, every id below ``n``) as one int64
+array: one ``translate`` checks the layout and one text-mode
+``np.fromstring`` reads the ids.  Any other text goes through a
+line-by-line reader, which names the line of the first fault.  Node
+counts are ASCII digits.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | Non
     ``None`` for any other text, valid or not."""
     header, _, body = text.partition("\n")
     count = header[2:]
-    if not (header.startswith("n ") and count.isdigit()):
+    if not (header.startswith("n ") and _is_count(count)):
         return None
     n = int(count)
     colors = None
@@ -56,21 +59,24 @@ def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | Non
             return None
         colors = coloring_from_string(word)
     # Without its ASCII digits the body reads " \n" once per line, and it
-    # ends at a line end: then two tokens a line leave no line short.
+    # ends at a line end: then two ids a line leave no line short.
     separators = body.translate(_DIGITS)
     lines = len(separators) // 2
-    tokens = body.split()
-    if (
-        separators != " \n" * lines
-        or body[-1:] not in ("", "\n")
-        or len(tokens) != 2 * lines
-    ):
+    if separators != " \n" * lines or body[-1:] not in ("", "\n"):
         return None
-    try:
-        edges = np.array(tokens, dtype=np.int64).reshape(lines, 2)
-    except (OverflowError, ValueError):  # ids beyond int64: the line reader names them
+    # Text-mode fromstring reads a digit run beyond int64 as its largest
+    # value and a body of separators alone as one 0: the length and range
+    # checks send both to the line reader, which names the line.
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(ids) != 2 * lines or lines and int(ids.max()) >= n:
         return None
-    return n, colors, edges
+    return n, colors, ids.reshape(lines, 2)
+
+
+def _is_count(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also takes digits ``int`` reads
+    (``٣``) and digits it rejects (``²``)."""
+    return text.isascii() and text.isdigit()
 
 
 def _parse_lines(text: str) -> tuple[int, Coloring | None, list[tuple[int, int]]]:
@@ -85,7 +91,7 @@ def _parse_lines(text: str) -> tuple[int, Coloring | None, list[tuple[int, int]]
         if parts[0] == "n":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate 'n' header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_count(parts[1]):
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
             n = int(parts[1])
         elif parts[0] == "colors":

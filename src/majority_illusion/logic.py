@@ -13,6 +13,14 @@ nodes) are the duals ``~W~`` and ``~GW~``; they are parsed and printed as
 first-class operators but evaluate through their expansion, so duality
 holds by construction.  Surface syntax: atoms are identifiers, prefix
 operators bind tightest, then ``&``, ``|``, ``->`` (right-associative).
+
+The model checker (:func:`extension`) evaluates each unique subformula
+once, children first, as one boolean column over the nodes.  It counts
+true neighbours itself, from the graph's CSR rows, and reads nothing of
+the classifier (``analysis``, red-neighbour counts, local winners), so
+that it stays an independent check of it.  The satisfiability search
+(:func:`formula_possible`) runs the same program on node bitsets, one
+per valuation.
 """
 
 from __future__ import annotations
@@ -386,35 +394,43 @@ class Model:
 
 def model_from_colored_graph(cg: ColoredGraph, atom: str = "p") -> Model:
     """Model in which ``atom`` holds exactly at the red nodes."""
-    valuation = tuple(
-        frozenset({atom}) if c is Color.RED else frozenset() for c in cg.colors
-    )
+    red, blue = frozenset({atom}), frozenset()
+    valuation = tuple(red if c is Color.RED else blue for c in cg.colors)
     return Model(cg.graph, valuation, atoms=frozenset({atom}))
 
 
-def _frozensets(
-    node: Formula, args: list[frozenset[int]], model: Model, all_nodes: frozenset[int]
-) -> frozenset[int]:
-    """Extension of ``node`` in ``model`` as a node set, given its
-    children's extensions ``args``."""
+def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
+    """Extension of ``node`` in ``model`` as a boolean node column, given
+    its children's columns ``args``.
+
+    A count never exceeds ``n``, so a neighbour bound is clipped to ``n``
+    before numpy compares it: counts are only compared with Python ints
+    they can hold.
+    """
     g = model.graph
     if isinstance(node, Atom):
-        return frozenset(i for i in all_nodes if node.name in model.valuation[i])
+        return np.fromiter((node.name in v for v in model.valuation), dtype=bool, count=g.n)
     if isinstance(node, Not):
-        return all_nodes - args[0]
+        return ~args[0]
     if isinstance(node, Or):
         return args[0] | args[1]
     if isinstance(node, NeighborCountOver):
-        return frozenset(i for i in all_nodes if len(g.adj[i] & args[0]) > node.bound)
+        return _true_neighbors(g, args[0]) > min(node.bound, g.n)
     if isinstance(node, WeakNeighborMajority):
-        return frozenset(
-            i for i in all_nodes if 2 * len(g.adj[i] & args[0]) >= g.degree(i)
-        )
+        return 2 * _true_neighbors(g, args[0]) >= np.diff(g.indptr)
     if isinstance(node, GlobalCountOver):
-        return all_nodes if len(args[0]) > node.bound else frozenset()
+        return np.full(g.n, int(np.count_nonzero(args[0])) > node.bound)
     if isinstance(node, WeakGlobalMajority):
-        return all_nodes if 2 * len(args[0]) >= g.n else frozenset()
+        return np.full(g.n, 2 * int(np.count_nonzero(args[0])) >= g.n)
     raise TypeError(f"evaluation reached unexpanded node {node!r}")
+
+
+def _true_neighbors(g: Graph, column: np.ndarray) -> np.ndarray:
+    """How many of each node's neighbours ``column`` holds at: one running
+    sum over the CSR rows, differenced at the row offsets."""
+    running = np.zeros(len(g.indices) + 1, dtype=np.int64)
+    np.cumsum(column[g.indices], out=running[1:])
+    return np.diff(running[g.indptr])
 
 
 def extension(model: Model, f: Formula) -> frozenset[int]:
@@ -433,8 +449,8 @@ def extension(model: Model, f: Formula) -> frozenset[int]:
                 UnknownAtomWarning,
                 stacklevel=2,
             )
-    all_nodes = frozenset(range(model.graph.n))
-    return _run(program, lambda node, args: _frozensets(node, args, model, all_nodes))
+    column = _run(program, lambda node, args: _columns(node, args, model))
+    return frozenset(np.flatnonzero(column).tolist())
 
 
 def model_check(model: Model, i: int, f: Formula) -> bool:

@@ -25,11 +25,15 @@ from majority_illusion import (
     circulant_graph,
     classify_network,
     coloring_from_string,
+    construct_regular_illusion,
     cycle_graph,
+    extension,
     illusion_coloring,
     is_weak_majority_coloring,
     make_graph,
+    model_from_colored_graph,
     parse_colored_graph,
+    parse_formula,
     parse_graph,
     parse_graph_text,
     pq_report,
@@ -866,3 +870,94 @@ def test_one_parser_serves_successive_calls_like_fresh_ones(capsys, monkeypatch,
     assert [code for code, _, _ in shared] == [2, 0, 1, 2, 0]
     assert "not allowed with argument" in shared[0][2]
     assert shared[-1][1] == f"{__version__}\n"
+
+
+
+# --- JSON lists from templates, header digits, the model checker's graph ----
+
+
+_JSON_GRAPHS = [
+    make_graph(0, []),
+    make_graph(5, []),
+    make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    random_graph(random.Random(7), 2000, 0.003),
+]
+
+
+def _assert_dumped(out):
+    """``out`` is byte for byte what ``json.dumps(indent=2, sort_keys=True)``
+    prints for the payload it holds; returns the payload."""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload
+
+
+@pytest.mark.parametrize("graph", _JSON_GRAPHS, ids=lambda g: f"n{g.n}-m{g.edge_count}")
+def test_color_and_mc_json_lists_are_laid_out_as_json_dumps(capsys, tmp_path, graph):
+    """Edge lists of ``color`` and node lists of ``mc``, empty, one item
+    and many, rendered from templates."""
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph(graph))
+    code, out, err = run(capsys, "color", str(path), "--mode", "weak", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = _assert_dumped(out)
+    assert payload["edges"] == [list(e) for e in graph.edges]
+    path.write_text(write_graph(graph, coloring_from_string(payload["colors"])))
+    model = model_from_colored_graph(parse_colored_graph(path.read_text()))
+    for formula in ("p", "p & ~p", "p | ~p", "M ~p"):
+        code, out, err = run(
+            capsys, "mc", str(path), "--formula", formula, "--global", "--format", "json"
+        )
+        assert code in (0, 1) and err == ""
+        nodes = _assert_dumped(out)["nodes_satisfying"]
+        assert nodes == sorted(extension(model, parse_formula(formula)))
+
+
+@pytest.mark.parametrize(
+    "n, k, fast", [(10, 6, True), (12, 6, False), (16, 8, False), (2000, 10, False)]
+)
+def test_construct_json_is_laid_out_as_json_dumps(capsys, n, k, fast):
+    extra = ["--fast"] if fast else []
+    code, out, err = run(capsys, "construct", str(n), str(k), "--format", "json", *extra)
+    assert (code, err) == (0, "")
+    payload = _assert_dumped(out)
+    code, text, _ = run(capsys, "construct", str(n), str(k), *extra)
+    graph, colors = parse_graph_text(text)
+    assert payload["edges"] == [list(e) for e in graph.edges]
+    assert (payload["n"], payload["colors"]) == (n, coloring_to_string(colors))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("n ²\n", 1), ("n ²\n0 1\n", 1), ("n ٣\n0 1\n", 1), ("# a comment\nn ٣\n", 2)],
+)
+def test_non_ascii_digits_in_the_header_are_a_format_error(capsys, tmp_path, text, line):
+    """Both readers take ASCII digits only: ``n ²`` used to fail in ``int``
+    (a raw message) and ``n ٣`` read as 3 nodes."""
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    message = f"error: line {line}: expected 'n <count>'\n"
+    for command in ("analyze", "color"):
+        assert run(capsys, command, str(path)) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "majority-majority", "--global"],
+    ["--preset", "weak-majority-illusion", "--node", "3", "--format", "json"],
+    ["--formula", "<>2 p | E_3 W ~p | M q", "--global", "--format", "json"],
+])
+def test_mc_leaves_the_adjacency_sets_unbuilt(capsys, monkeypatch, tmp_path, argv):
+    cg = construct_regular_illusion(60, 9)
+    path = tmp_path / "w.txt"
+    path.write_text(write_graph(cg.graph, cg.colors))
+    parsed = []
+
+    def parse(text):
+        parsed.append(parse_graph_text(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_graph_text", parse)
+    code, _, _ = run(capsys, "mc", str(path), *argv)
+    assert code in (0, 1)
+    [(graph, _)] = parsed
+    assert "adj" not in graph.__dict__

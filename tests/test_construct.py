@@ -507,3 +507,37 @@ def test_bridge_names_the_blue_node_no_red_node_can_reach():
 def test_construction_leaves_the_adjacency_sets_unbuilt(build, n, k):
     cg, _ = build(n, k)
     assert "adj" not in cg.graph.__dict__
+
+
+class _Bridged(Exception):
+    """Stops a construction right after its bridge."""
+
+
+def test_the_bridge_leaves_both_of_its_nodes_full(monkeypatch):
+    """On every bridging pair with n <= 160, the bridged red and blue nodes
+    are at degree k right after the bridge.  So the pairings' ``deg < k``
+    filter drops them already, and the builder's exclusions of the two
+    from the member lists change nothing on these pairs.  No proof covers
+    every n, so the builder keeps the exclusions."""
+    short = []
+    bridged = 0
+
+    def spy(keys, n, red, blue, k, deg):
+        nonlocal bridged
+        out = _bridge(keys, n, red, blue, k, deg)
+        bridged += 1
+        _, red_node, blue_node = out
+        if deg[red_node] != k or deg[blue_node] != k:
+            short.append((n, k, int(deg[red_node]), int(deg[blue_node])))
+        raise _Bridged
+
+    monkeypatch.setattr(construct, "_bridge", spy)
+    pairs = 0
+    for n, k in feasible_pairs(160):
+        plan = construction_plan(n, k)
+        if plan.k_red % 2 == 1 and plan.n_red % 2 == 1:
+            pairs += 1
+            with pytest.raises(_Bridged):
+                construct_regular_illusion_report(n, k)
+    assert (pairs, bridged) == (2260, 2260)
+    assert short == []

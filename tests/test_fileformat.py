@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,7 +101,8 @@ def _reference_parse(text):
     """The line-by-line reader as it stood before the array path, on the
     set-based builder: ``(n, adj, colors)``, or a FormatError.  A bare
     ``colors`` line is the empty coloring of a 0-node graph, as the writer
-    emits it."""
+    emits it, and a node count is ASCII digits (``n ٣`` was read as 3 and
+    ``n ²`` failed in ``int``)."""
     n = None
     colors = None
     edges = []
@@ -111,7 +114,7 @@ def _reference_parse(text):
         if parts[0] == "n":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate 'n' header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
             n = int(parts[1])
         elif parts[0] == "colors":
@@ -146,7 +149,11 @@ def _reference_parse(text):
     return n, adj, colors
 
 
-_TOKENS = ["+1", "1_0", "٣", "007", "00", str(2**63), str(2**63 + 1), "9" * 25, "-1", "x"]
+# Ids of 19 digits and more: in int64 (10**18, 2**63 - 1) and past it, where
+# text-mode np.fromstring saturates; leading zeros, long and short.
+_LONG_IDS = [str(10**18), str(2**63 - 1), str(2**63), "9" * 19, "9" * 20, "9" * 40,
+             "0" * 19 + "1", "0" * 25]
+_TOKENS = ["+1", "1_0", "٣", "²", "007", "00", str(2**63 + 1), "9" * 25, "-1", "x", *_LONG_IDS]
 
 
 @st.composite
@@ -158,8 +165,8 @@ def _graph_texts(draw):
     n = draw(st.integers(0, 9))
     ids = list(range(n))
     bad = not draw(st.integers(0, 3))
-    if bad:  # self-loops, the first id past the end and ids beyond int64
-        ids += [n, 2**63, 10**25]
+    if bad:  # self-loops, ids past the end, in int64 and beyond it
+        ids += [n, 10**18, 2**63 - 1, 2**63, 10**25]
     pairs = [(u, v) for u in ids for v in ids if bad or u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
     letters = draw(st.sampled_from(["RB", "RB", "RBX"]))
@@ -193,7 +200,9 @@ def _graph_texts(draw):
         elif edit == 9:
             lines.insert(at, draw(st.sampled_from(["n 3", "n 05", f"n {n}", "n", "n ٣"])))
         elif edit == 10 and lines:
-            lines[0] = draw(st.sampled_from(["n 0" + str(n), f"n  {n}", f"n {n} ", f"#x\nn {n}"]))
+            lines[0] = draw(st.sampled_from(
+                ["n 0" + str(n), f"n  {n}", f"n {n} ", f"#x\nn {n}", "n ٣", "n ²", "n " + "0" * 20 + "3"]
+            ))
         elif edit == 11:
             lines.insert(at, f"{2**63 + at} {token}")
     end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
@@ -214,8 +223,12 @@ def _token_soups(draw):
 @settings(max_examples=500)
 @given(_graph_texts() | _token_soups())
 def test_array_path_matches_the_line_reader(text):
+    _assert_read_as_the_line_reader_reads(text)
+
+
+def _assert_read_as_the_line_reader_reads(text):
     """Same graph and colors, or the same FormatError message, as the line
-    reader on the set-based builder, for every drawn text."""
+    reader on the set-based builder."""
     try:
         n, adj, colors = _reference_parse(text)
     except FormatError as exc:
@@ -225,6 +238,44 @@ def test_array_path_matches_the_line_reader(text):
         return
     graph, got_colors = parse_graph_text(text)
     assert (graph.n, graph.adj, got_colors) == (n, adj, colors)
+
+
+# Edge cases of the array path, each in the writer's layout unless noted,
+# with whether that path reads it (True) or hands it to the line reader.
+_EDGE_CASES = [
+    ("n 3\n", True),  # empty body
+    ("n 3\ncolors RBR\n", True),  # colors-only body
+    ("n 0\ncolors \n", True),
+    ("n 3\n0 1\n1 2", False),  # no final newline
+    ("n 3\n0 1\n1 2 \n", False),  # trailing space
+    ("n 3\n0 1 \n", False),
+    ("n 3\n 1\n", False),
+    ("n 3\n \n", False),  # separators alone read as one 0
+    ("n 3\n \n \n", False),
+    ("n 9\n007 0002\n", True),  # leading zeros, as int() reads them
+    ("n 3\n" + "0" * 30 + "1 2\n", True),
+    ("n 3\n0 3\n", False),  # ids >= n
+    ("n 0\n0 1\n", False),
+    (f"n 3\n0 {10**18}\n", False),  # 19 digits, in int64
+    (f"n 3\n0 {2**63 - 1}\n", False),
+    (f"n 3\n0 {2**63}\n", False),  # past int64: saturates in fromstring
+    ("n 3\n0 1\n" + "9" * 20 + " 1\n", False),
+    ("n 3\n1 " + "9" * 40 + "\n", False),
+    ("n 3\n" + "1" * 25 + " " + "1" * 25 + "\n", False),
+    ("n ٣\n0 1\n", False),  # non-ASCII digits in the count
+    ("n ²\n0 1\n", False),
+]
+
+
+@pytest.mark.parametrize("text, fast", _EDGE_CASES)
+def test_array_path_edge_cases_match_the_line_reader(text, fast):
+    """The path each edge case takes, and the line reader's graph or
+    FormatError, with every warning an error: text-mode fromstring warns
+    on none of them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_parse_canonical(text) is not None) == fast
+        _assert_read_as_the_line_reader_reads(text)
 
 
 @given(colored_graphs(max_n=12, min_n=0), st.booleans())

@@ -1,3 +1,5 @@
+import functools
+import random
 import warnings
 
 import numpy as np
@@ -9,13 +11,16 @@ from majority_illusion import (
     Color,
     ColoredGraph,
     FormulaSyntaxError,
+    Graph,
     IllusionKind,
     Model,
     PreconditionError,
     UnknownAtomWarning,
     coloring_from_string,
     complete_graph,
+    construct_regular_illusion,
     cycle_graph,
+    fast_construct,
     extension,
     format_formula,
     formula_possible,
@@ -24,6 +29,9 @@ from majority_illusion import (
     model_check,
     model_from_colored_graph,
     parse_formula,
+    parse_graph_text,
+    random_coloring,
+    write_graph,
 )
 from majority_illusion.logic import (
     AGENT_MAJORITY_ILLUSION,
@@ -31,6 +39,8 @@ from majority_illusion.logic import (
     AGENT_WEAK_MAJORITY_OPPOSITION,
     And,
     Atom,
+    FORMULA_KINDS,
+    Formula,
     GlobalCountOver,
     GlobalMajority,
     Implies,
@@ -42,7 +52,10 @@ from majority_illusion.logic import (
     WeakGlobalMajority,
     WeakNeighborMajority,
     _check_depth,
+    _columns,
     _compile,
+    _program,
+    _run,
     _tokenize,
     _too_deep,
     expand,
@@ -626,3 +639,143 @@ def test_unknown_atoms_warn_left_to_right_and_at_the_caller():
         "atom 'r' is not part of the model; treated as false",
     ]
     assert {w.filename for w in caught} == {__file__}
+
+
+# --- the frozenset table the boolean columns replaced, kept verbatim -------
+
+
+def _frozensets(
+    node: Formula, args: list[frozenset[int]], model: Model, all_nodes: frozenset[int]
+) -> frozenset[int]:
+    """Extension of ``node`` in ``model`` as a node set, given its
+    children's extensions ``args``."""
+    g = model.graph
+    if isinstance(node, Atom):
+        return frozenset(i for i in all_nodes if node.name in model.valuation[i])
+    if isinstance(node, Not):
+        return all_nodes - args[0]
+    if isinstance(node, Or):
+        return args[0] | args[1]
+    if isinstance(node, NeighborCountOver):
+        return frozenset(i for i in all_nodes if len(g.adj[i] & args[0]) > node.bound)
+    if isinstance(node, WeakNeighborMajority):
+        return frozenset(
+            i for i in all_nodes if 2 * len(g.adj[i] & args[0]) >= g.degree(i)
+        )
+    if isinstance(node, GlobalCountOver):
+        return all_nodes if len(args[0]) > node.bound else frozenset()
+    if isinstance(node, WeakGlobalMajority):
+        return all_nodes if 2 * len(args[0]) >= g.n else frozenset()
+    raise TypeError(f"evaluation reached unexpanded node {node!r}")
+
+
+def every_subformula(model, f):
+    """The node set of each of ``f``'s distinct subformulas, in program
+    order, from the boolean column table and from the frozenset table."""
+    all_nodes = frozenset(range(model.graph.n))
+    tables = (
+        lambda node, args: _columns(node, args, model),
+        lambda node, args: _frozensets(node, args, model, all_nodes),
+    )
+    program = _program(expand(f))
+
+    def walk(table):
+        values = []
+
+        def step(node, args):
+            values.append(table(node, args))
+            return values[-1]
+
+        _run(program, step)
+        return values
+
+    columns, sets = map(walk, tables)
+    return [frozenset(np.flatnonzero(c).tolist()) for c in columns], sets
+
+
+_atom_sets = st.sets(st.sampled_from("pqr")).map(frozenset)
+# bounds at 0, at every degree and node count, past uint8 and past int64
+_bounds_up_to = [
+    st.one_of(st.integers(0, n + 1), st.sampled_from([255, 2**63, 2**64, 10**30]))
+    for n in range(13)
+]
+# p, q and r may hold somewhere; s never does, and r is unknown unless the
+# model names its atoms
+_formulas_up_to = [formula_trees("pqrs", bounds) for bounds in _bounds_up_to]
+
+
+def every_operator(f, bound):
+    """``f`` under each operator, joined by ``|``: every operator meets
+    every drawn formula, whatever its shape."""
+    q = Atom("q")
+    return functools.reduce(Or, [
+        f, Not(f), And(f, q), Implies(f, q), NeighborCountOver(bound, f),
+        WeakNeighborMajority(f), NeighborMajority(f), GlobalCountOver(bound, f),
+        WeakGlobalMajority(f), GlobalMajority(f),
+    ])
+
+
+@st.composite
+def multi_atom_models_and_formulas(draw):
+    g = draw(graphs(max_n=12, min_n=0))
+    valuation = tuple(draw(_atom_sets) for _ in range(g.n))
+    atoms = draw(st.sampled_from([None, frozenset("pqr")]))
+    f = draw(_formulas_up_to[g.n])
+    return Model(g, valuation, atoms=atoms), every_operator(f, draw(_bounds_up_to[g.n]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(multi_atom_models_and_formulas())
+def test_columns_match_the_frozenset_table_and_the_recursive_evaluator(case):
+    """The boolean node columns give the node set of every subformula of
+    the frozenset table, and the extension and warnings of the recursive
+    evaluator, on graphs of 0-12 nodes (isolated nodes included),
+    valuations of several atoms, unknown atoms and every operator; they
+    build no adjacency sets."""
+    model, f = case
+    got = _warned(lambda: extension(model, f))
+    assert "adj" not in model.graph.__dict__
+    columns, sets = every_subformula(model, f)
+    assert columns == sets
+    assert got == _warned(lambda: ReferenceEvaluator(model).extension(expand(f)))
+
+
+def _witnesses():
+    """Construct witnesses on every construction path, with their coloring,
+    its swap, and one random coloring of the same graph; each on its own
+    copy of the graph, with no adjacency sets built."""
+    rng = random.Random(11)
+    for cg in (
+        construct_regular_illusion(16, 8),  # bridge and pairings
+        construct_regular_illusion(12, 6),  # circulants only
+        construct_regular_illusion(45, 6),
+        construct_regular_illusion(296, 11),  # both circulants short, bridge
+        fast_construct(10, 6),
+        fast_construct(30, 20),
+    ):
+        swapped = tuple(Color.BLUE if c is Color.RED else Color.RED for c in cg.colors)
+        for colors in (cg.colors, swapped, random_coloring(cg.graph.n, rng)):
+            g = cg.graph
+            yield ColoredGraph(Graph(g.n, g.indptr.copy(), g.indices.copy()), colors)
+
+
+@pytest.mark.parametrize("kind", FORMULA_KINDS)
+def test_columns_match_the_frozenset_table_on_construct_witnesses(kind):
+    f = illusion_formula(kind)
+    for cg in _witnesses():
+        model = model_from_colored_graph(cg)
+        got = extension(model, f)
+        assert "adj" not in cg.graph.__dict__
+        columns, sets = every_subformula(model, f)
+        assert columns == sets
+        assert got == sets[-1]
+
+
+def test_model_checking_a_parsed_graph_leaves_the_adjacency_sets_unbuilt():
+    cg = construct_regular_illusion(60, 9)
+    graph, colors = parse_graph_text(write_graph(cg.graph, cg.colors))
+    model = model_from_colored_graph(ColoredGraph(graph, colors))
+    for kind in FORMULA_KINDS:
+        extension(model, illusion_formula(kind))
+    assert model_check(model, 3, parse_formula("<>2 p | E_3 W ~p"))
+    assert "adj" not in graph.__dict__
