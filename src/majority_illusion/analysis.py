@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import WINNER_CODES, Color, ColoredGraph, Winner
+from .coloring import _BLUE, _RED, _TIE, WINNER_CODES, Color, ColoredGraph, Winner
 from .errors import InternalInvariantError, PreconditionError
 
 Threshold = Fraction
@@ -122,10 +122,9 @@ def agent_status(cg: ColoredGraph, i: int) -> AgentStatus:
 
 
 # What the int8 codes of the status columns stand for, by position, with
-# coloring.WINNER_CODES for the local winners.
+# coloring.WINNER_CODES for the local winners; _RED and _BLUE index both.
 COLOR_CODES = (Color.RED, Color.BLUE, None)
 LEVEL_CODES = (Level.NONE, Level.WEAK, Level.STRICT)
-_R, _B, _TIE = 0, 1, 2  # _R and _B index COLOR_CODES as well
 _NO_WITNESS = 2
 _NONE, _WEAK, _STRICT = 0, 1, 2
 
@@ -188,7 +187,7 @@ def status_columns(cg: ColoredGraph) -> StatusColumns:
     the degrees and red neighbour counts) and the global winner; the rules are
     :func:`agent_status`'s, and row ``i`` decodes to ``agent_status(cg, i)``."""
     glob = WINNER_CODES.index(cg.global_winner)
-    own = np.where(cg.red_mask, _R, _B).astype(np.int8)
+    own = np.where(cg.red_mask, _RED, _BLUE).astype(np.int8)
     local = cg.local_winner_codes
     opposition = np.select([local == _TIE, local == own], [_WEAK, _NONE], _STRICT)
     agrees = local == glob

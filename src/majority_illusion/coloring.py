@@ -58,6 +58,7 @@ Coloring = tuple[Color, ...]
 
 # What the int8 winner codes of the array forms stand for, by position.
 WINNER_CODES = (Winner.RED, Winner.BLUE, Winner.TIE)
+_RED, _BLUE, _TIE = range(len(WINNER_CODES))
 
 
 def all_red(n: int) -> Coloring:
@@ -148,9 +149,7 @@ class ColoredGraph:
         """Red neighbours of every node, tallied once per colored graph: a
         prefix sum of the neighbours' red flags, read at each row's end.
         A read-only int64 array."""
-        g = self.graph
-        red = np.cumsum(self.red_mask[g.indices], dtype=np.int64)
-        counts = np.diff(np.concatenate(([0], red))[g.indptr])
+        counts = self.graph.neighbor_sums(self.red_mask)
         counts.flags.writeable = False
         return counts
 
@@ -197,7 +196,7 @@ def monochromatic_count(cg: ColoredGraph) -> tuple[int, int]:
 def is_weak_majority_coloring(g: Graph, colors: Sequence[Color]) -> bool:
     """True when no node's own color wins a strict majority of its neighborhood."""
     cg = ColoredGraph(g, tuple(colors))
-    return all(cg.local_winner(i).color is not c for i, c in enumerate(cg.colors))
+    return not np.any(cg.local_winner_codes == np.where(cg.red_mask, _RED, _BLUE))
 
 
 def weak_majority_2_coloring(
@@ -242,14 +241,13 @@ def weak_majority_2_coloring_swaps(
     if sorted(order) != list(range(g.n)):
         raise PreconditionError("node_order must be a permutation of all node ids")
 
-    adj = g.adj
-    deg = [len(a) for a in adj]
-    pos = [0] * g.n
-    for p, i in enumerate(order):
-        pos[i] = p
-    mono_deg = [
-        sum(1 for j in adj[i] if colors[j] is colors[i]) for i in range(g.n)
-    ]
+    bounds = g.indptr.tolist()
+    flat = g.indices.tolist()
+    deg = g._degree_list
+    pos = np.argsort(order).tolist()  # the inverse permutation
+    start = ColoredGraph(g, tuple(colors))
+    red = start.red_neighbor_array
+    mono_deg = np.where(start.red_mask, red, np.diff(g.indptr) - red).tolist()
     total_mono = sum(mono_deg) // 2
     swaps = 0
     budget = total_mono  # each swap strictly decreases total_mono
@@ -269,7 +267,7 @@ def weak_majority_2_coloring_swaps(
         colors[target] = old.other
         total_mono -= 2 * mono - d
         mono_deg[target] = d - mono
-        for j in adj[target]:
+        for j in flat[bounds[target] : bounds[target + 1]]:
             if colors[j] is old:
                 mono_deg[j] -= 1
             else:
@@ -302,7 +300,7 @@ def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph
         cg = ColoredGraph(g, colors)
         if cg.global_winner is not Winner.TIE:
             break
-        tied = np.flatnonzero(cg.local_winner_codes == WINNER_CODES.index(Winner.TIE))
+        tied = np.flatnonzero(cg.local_winner_codes == _TIE)
         if 2 * (g.n - len(tied)) > g.n:
             break
         colors = weak_majority_2_coloring(g, flipped(colors, int(tied[0])))
@@ -322,6 +320,8 @@ def proper_2_coloring(g: Graph) -> Coloring | None:
     Deterministic: breadth-first from the lowest-id node of each component,
     roots colored red.  Returns ``None`` on any odd cycle.
     """
+    bounds = g.indptr.tolist()
+    flat = g.indices.tolist()
     colors: list[Color | None] = [None] * g.n
     for root in range(g.n):
         if colors[root] is not None:
@@ -331,7 +331,7 @@ def proper_2_coloring(g: Graph) -> Coloring | None:
         while queue:
             nxt: list[int] = []
             for u in queue:
-                for v in sorted(g.adj[u]):
+                for v in flat[bounds[u] : bounds[u + 1]]:
                     if colors[v] is None:
                         colors[v] = colors[u].other
                         nxt.append(v)
@@ -360,12 +360,8 @@ def strict_illusion_from_proper(g: Graph) -> ColoredGraph | None:
     if cg.global_winner is not Winner.TIE:
         _require_strict_count(cg, minimum=g.n // 2 + 1)
         return cg
-    pick = -1
-    for i in range(g.n):
-        if all(g.degree(j) > 2 for j in g.adj[i]):
-            pick = i
-            break
-    if pick < 0:
+    pick = _first_unflagged(g, np.diff(g.indptr) <= 2)
+    if pick is None:
         return None
     out = cg.with_flipped(pick)
     _require_strict_count(out, minimum=g.n // 2)
@@ -392,8 +388,8 @@ def odd_degree_swap_upgrade(cg: ColoredGraph) -> ColoredGraph | None:
     if cg.global_winner is not Winner.TIE:
         raise PreconditionError("global vote must be tied")
 
-    margin = [abs(2 * red - len(a)) for red, a in zip(cg.red_neighbor_counts, g.adj)]
-    pick = next((j for j in range(g.n) if all(margin[u] >= 2 for u in g.adj[j])), None)
+    margin = np.abs(2 * cg.red_neighbor_array - np.diff(g.indptr))
+    pick = _first_unflagged(g, margin < 2)
     if pick is None:
         return None
     out = cg.with_flipped(pick)
@@ -401,15 +397,15 @@ def odd_degree_swap_upgrade(cg: ColoredGraph) -> ColoredGraph | None:
     return out
 
 
+def _first_unflagged(g: Graph, flags: np.ndarray) -> int | None:
+    """The lowest node with no flagged neighbour, or ``None``."""
+    free = np.flatnonzero(g.neighbor_sums(flags) == 0)
+    return int(free[0]) if len(free) else None
+
+
 def _require_strict_count(cg: ColoredGraph, minimum: int) -> None:
-    gw = cg.global_winner
-    strict = sum(
-        1
-        for i in range(cg.graph.n)
-        if (lw := cg.local_winner(i)) is not Winner.TIE
-        and gw is not Winner.TIE
-        and lw is not gw
-    )
+    gw = WINNER_CODES.index(cg.global_winner)
+    strict = 0 if gw == _TIE else int(np.count_nonzero(cg.local_winner_codes == 1 - gw))
     if strict < minimum:
         raise InternalInvariantError(
             f"expected at least {minimum} nodes under strict illusion, found {strict}"

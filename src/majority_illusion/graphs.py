@@ -2,10 +2,10 @@
 
 A graph is stored as compressed sparse rows: ``indptr`` (``n + 1``
 offsets) and ``indices`` (every node's neighbours, ascending), both
-read-only int64 arrays, so each edge appears once from each end.  The
-adjacency sets that scalar code iterates are derived from them on first
-use.  :func:`make_graph` and the generators validate ids and
-irreflexivity (no self-loops), and symmetry holds by construction.
+read-only int64 arrays, so each edge appears once from each end.  Every
+walker in the package reads these rows, by :meth:`Graph.neighbor_sums` or
+by slices of their lists.  :func:`make_graph` and the generators validate
+ids and irreflexivity (no self-loops), and symmetry holds by construction.
 Instances are immutable after construction, so they are safe to share
 across threads.
 """
@@ -24,8 +24,8 @@ from .errors import GraphError
 # Largest node count any graph may declare, checked before anything is
 # allocated: a text header of a few bytes cannot ask for gigabytes.
 # make_graph(MAX_NODES, []) takes about 2 ms and 2 MB of resident memory
-# on a 2-vCPU VM; its adjacency sets, built on first use, take about
-# 0.26 s and 70 MB more.
+# on a 2-vCPU VM.  Nothing in the package builds per-node Python sets;
+# the optional ``adj`` view costs about 0.26 s and 70 MB more at this size.
 MAX_NODES = 1 << 18
 # Largest edge count a generator or construction may produce, checked
 # before the first edge is built.  gen complete 2000 (1 999 000 edges)
@@ -65,7 +65,8 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        """Every node's neighbours as a set, built on first use."""
+        """Every node's neighbours as a set, derived on first use: a view for
+        readers outside the package, which nothing in it reads."""
         flat = _node_ids(self.n)[self.indices].tolist()
         bounds = self.indptr.tolist()
         return tuple(map(frozenset, map(flat.__getitem__, map(slice, bounds, bounds[1:]))))
@@ -81,7 +82,13 @@ class Graph:
 
     def neighbors(self, i: int) -> frozenset[int]:
         self.check_node(i)
-        return self.adj[i]
+        return frozenset(self.indices[self.indptr[i] : self.indptr[i + 1]].tolist())
+
+    def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
+        """Every node's sum of ``values`` (one per node) over its neighbours,
+        e.g. its count of flagged neighbours: a prefix sum along the rows."""
+        total = np.cumsum(values[self.indices], dtype=np.int64)
+        return np.diff(np.concatenate(([0], total))[self.indptr])
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.diff(self.indptr).tolist())
@@ -103,11 +110,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_node(u)
-        self.check_node(v)
-        return v in self.adj[u]
 
     def is_regular(self, k: int | None = None) -> bool:
         degs = set(self.degrees())
@@ -193,15 +195,12 @@ def graph_from_neighbors(neighbors: Sequence[Sequence[int]]) -> Graph:
     """The graph in which node ``i`` has the neighbours ``neighbors[i]``.
 
     For callers that already hold symmetric, loop-free lists in ascending
-    order: nothing is checked, and the lists' sets become the graph's
-    ``adj`` at once.
+    order: nothing is checked.
     """
     n = len(neighbors)
     indptr = np.fromiter(accumulate(map(len, neighbors), initial=0), np.int64, n + 1)
     indices = np.fromiter(chain.from_iterable(neighbors), np.int64, int(indptr[-1]))
-    g = Graph(n, indptr, indices)
-    g.__dict__["adj"] = tuple(map(frozenset, neighbors))
-    return g
+    return Graph(n, indptr, indices)
 
 
 def check_size(n: int, edge_count: int) -> None:

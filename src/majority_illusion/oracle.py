@@ -61,13 +61,16 @@ def _check_cap(g: Graph, cap: int) -> None:
 
 
 def _neighbor_masks(g: Graph) -> np.ndarray:
-    masks = np.zeros(g.n, dtype=np.uint32)
-    for i in range(g.n):
+    """Neighbourhood bitsets, by a scalar walk: at n <= 32 it beats numpy."""
+    flat = g.indices.tolist()
+    bounds = g.indptr.tolist()
+    masks = []
+    for start, end in zip(bounds, bounds[1:]):
         m = 0
-        for j in g.adj[i]:
+        for j in flat[start:end]:
             m |= 1 << j
-        masks[i] = m
-    return masks
+        masks.append(m)
+    return np.array(masks, dtype=np.uint32)
 
 
 def _chunks(n: int, rows: int = 1, half: bool = False) -> Iterator[np.ndarray]:
@@ -98,7 +101,7 @@ def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray], np.ndarr
     """
     n = g.n
     nbr = _neighbor_masks(g)
-    deg = np.array([len(a) for a in g.adj], dtype=np.uint8)[:, None]
+    deg = np.bitwise_count(nbr)[:, None]
     no_red_lead, blue_lead_below = deg // 2, (deg + 1) // 2
 
     def count(masks: np.ndarray) -> np.ndarray:

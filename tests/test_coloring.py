@@ -338,3 +338,141 @@ def test_illusion_coloring_matches_the_per_node_reference(g, seed):
         assert [WINNER_CODES[c] for c in cg.local_winner_codes.tolist()] == [
             cg.local_winner(i) for i in range(g.n)
         ]
+
+
+# The set-based strict upgrades that the CSR picks replaced, kept verbatim
+# (with their helpers) as references.
+
+
+def _ref_is_weak_majority_coloring(g, colors):
+    cg = ColoredGraph(g, tuple(colors))
+    return all(cg.local_winner(i).color is not c for i, c in enumerate(cg.colors))
+
+
+def _ref_proper_2_coloring(g):
+    colors = [None] * g.n
+    for root in range(g.n):
+        if colors[root] is not None:
+            continue
+        colors[root] = Color.RED
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in sorted(g.adj[u]):
+                    if colors[v] is None:
+                        colors[v] = colors[u].other
+                        nxt.append(v)
+                    elif colors[v] is colors[u]:
+                        return None
+            queue = nxt
+    return tuple(colors)
+
+
+def _ref_strict_illusion_from_proper(g):
+    base = _ref_proper_2_coloring(g)
+    if base is None:
+        return None
+    cg = ColoredGraph(g, base)
+    if cg.global_winner is not Winner.TIE:
+        _ref_require_strict_count(cg, minimum=g.n // 2 + 1)
+        return cg
+    pick = -1
+    for i in range(g.n):
+        if all(g.degree(j) > 2 for j in g.adj[i]):
+            pick = i
+            break
+    if pick < 0:
+        return None
+    out = cg.with_flipped(pick)
+    _ref_require_strict_count(out, minimum=g.n // 2)
+    return out
+
+
+def _ref_odd_degree_swap_upgrade(cg):
+    g = cg.graph
+    if any(d % 2 == 0 for d in g.degrees()):
+        raise PreconditionError("all node degrees must be odd")
+    if not _ref_is_weak_majority_coloring(g, cg.colors):
+        raise PreconditionError("coloring is not a weak majority 2-coloring")
+    if cg.global_winner is not Winner.TIE:
+        raise PreconditionError("global vote must be tied")
+
+    margin = [abs(2 * red - len(a)) for red, a in zip(cg.red_neighbor_counts, g.adj)]
+    pick = next((j for j in range(g.n) if all(margin[u] >= 2 for u in g.adj[j])), None)
+    if pick is None:
+        return None
+    out = cg.with_flipped(pick)
+    _ref_require_strict_count(out, minimum=(g.n + 1) // 2)
+    return out
+
+
+def _ref_require_strict_count(cg, minimum):
+    gw = cg.global_winner
+    strict = sum(
+        1
+        for i in range(cg.graph.n)
+        if (lw := cg.local_winner(i)) is not Winner.TIE
+        and gw is not Winner.TIE
+        and lw is not gw
+    )
+    if strict < minimum:
+        raise InternalInvariantError(
+            f"expected at least {minimum} nodes under strict illusion, found {strict}"
+        )
+
+
+def _outcome(call, *args):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return call(*args)
+    except (PreconditionError, InternalInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _bipartite_graphs(draw):
+    """Bicliques, sparse or with a few edges dropped, plus up to three
+    isolated nodes, under a random relabelling, so that the sides and the
+    isolated nodes interleave."""
+    left, right = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    isolated = draw(st.sampled_from((0, 0, 0, 1, 2, 3)))
+    n = left + right + isolated
+    pairs = [(u, v) for u in range(left) for v in range(left, left + right)]
+    picked = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    chosen = sorted(picked if draw(st.booleans()) else set(pairs) - picked)
+    label = draw(st.permutations(range(n)))
+    return make_graph(n, [(label[u], label[v]) for u, v in chosen])
+
+
+@st.composite
+def _odd_degree_graphs(draw):
+    from conftest import odd_degree_graph
+
+    n = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+    layers = draw(st.sampled_from([d for d in (1, 3, 3, 5, 5, 7) if d < n]))
+    g = odd_degree_graph(random.Random(draw(st.integers(0, 2**32))), n, layers)
+    isolated = draw(st.sampled_from((0, 0, 0, 1)))
+    return make_graph(n + isolated, g.edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bipartite_graphs() | _odd_degree_graphs() | graphs(max_n=9, min_n=0), st.data())
+def test_strict_upgrades_match_the_set_based_references(g, data):
+    """Both strict upgrades give the set-based references' colored graph or
+    ``None``, or raise the same error, on bipartite graphs, odd-degree
+    graphs and graphs with isolated nodes; the upgrade is fed the illusion
+    coloring, the proper coloring and a drawn one."""
+    assert proper_2_coloring(g) == _ref_proper_2_coloring(g)
+    assert _outcome(strict_illusion_from_proper, g) == _outcome(_ref_strict_illusion_from_proper, g)
+    drawn = tuple(data.draw(st.lists(st.sampled_from((R, B)), min_size=g.n, max_size=g.n)))
+    starts = [
+        drawn,
+        proper_2_coloring(g),
+        weak_majority_2_coloring(g, drawn),
+        illusion_coloring(g).colors if g.n else None,
+    ]
+    for colors in (s for s in starts if s is not None):
+        cg = ColoredGraph(g, colors)
+        assert is_weak_majority_coloring(g, colors) == _ref_is_weak_majority_coloring(g, colors)
+        assert _outcome(odd_degree_swap_upgrade, cg) == _outcome(_ref_odd_degree_swap_upgrade, cg)

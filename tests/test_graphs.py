@@ -9,10 +9,21 @@ from majority_illusion import (
     Color,
     ColoredGraph,
     GraphError,
+    IllusionKind,
+    Objective,
+    best_coloring,
     circulant_graph,
+    coloring_from_string,
     complete_graph,
     cycle_graph,
+    enumerate_regular,
+    illusion_coloring,
+    illusion_possible,
     make_graph,
+    odd_degree_swap_upgrade,
+    proper_2_coloring,
+    strict_illusion_from_proper,
+    weak_majority_2_coloring,
 )
 from majority_illusion.graphs import MAX_EDGES, MAX_NODES
 
@@ -184,6 +195,7 @@ def test_array_builder_matches_the_set_builder(case, form):
     for i in range(n):
         row = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
         assert row == sorted(adj[i])
+        assert g.neighbors(i) == adj[i]
 
 
 @given(colored_graphs(max_n=12, min_n=0))
@@ -222,3 +234,37 @@ def test_graph_arrays_are_read_only():
         g.indices[0] = 3
     with pytest.raises(ValueError):
         g.indptr[1] = 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(weak_majority_2_coloring, id="weak_majority_2_coloring"),
+        pytest.param(illusion_coloring, id="illusion_coloring"),
+        pytest.param(proper_2_coloring, id="proper_2_coloring"),
+        pytest.param(strict_illusion_from_proper, id="strict_illusion_from_proper"),
+        pytest.param(
+            lambda g: odd_degree_swap_upgrade(ColoredGraph(g, coloring_from_string("RRRBBB"))),
+            id="odd_degree_swap_upgrade",
+        ),
+        *[
+            pytest.param(lambda g, o=o: best_coloring(g, o), id=f"best_coloring-{o.value}")
+            for o in Objective
+        ],
+        *[
+            pytest.param(lambda g, k=k: illusion_possible(g, k), id=f"illusion_possible-{k.value}")
+            for k in IllusionKind
+        ],
+        pytest.param(lambda g: g.neighbors(3), id="neighbors"),
+        pytest.param(lambda g: list(enumerate_regular(6, 3)), id="enumerate_regular-6-3"),
+    ],
+)
+def test_no_call_builds_the_adjacency_sets(call):
+    """Every walker reads the CSR rows: none of these calls builds the
+    per-node Python sets of ``Graph.adj``, on the graph it is given or on
+    the graphs it returns.  On the biclique K(3,3) both strict upgrades
+    take their tie-breaking pick."""
+    g = make_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    result = call(g)
+    for h in [g, *(result if isinstance(result, list) else [])]:
+        assert "adj" not in h.__dict__
