@@ -189,7 +189,9 @@ class ColoredGraph:
 
 def monochromatic_count(cg: ColoredGraph) -> tuple[int, int]:
     """``(monochromatic, dichromatic)`` edge counts; they sum to ``|E|``."""
-    mono = sum(1 for u, v in cg.graph.edges if cg.colors[u] is cg.colors[v])
+    u, v = cg.graph.edge_arrays()
+    red = cg.red_mask
+    mono = int(np.count_nonzero(red[u] == red[v]))
     return mono, cg.graph.edge_count - mono
 
 

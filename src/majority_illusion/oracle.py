@@ -2,11 +2,31 @@
 enumeration of small regular graphs.
 
 Colorings are integers whose bit ``b`` gives node ``b``'s color (set bit =
-red), so global and neighborhood tallies are vectorized popcounts.  One
-kernel serves every objective: per block of colorings it counts each
-node's red neighbours once, as a 2D uint8 block, and derives the illusion
-and monochromatic counts from that block without any per-node or per-edge
-loop.
+red).  Two kernels scan them for :func:`best_coloring`; each serves every
+objective, and per block of colorings counts each node's red neighbours
+once:
+
+- the byte kernel holds a block as uint32 masks and counts by vectorized
+  popcounts into a 2D uint8 block, one byte per (node, coloring), then
+  derives the illusion and monochromatic counts with no per-node or
+  per-edge loop;
+- the bit-sliced kernel holds one uint64 colour plane per node, 64
+  colorings to a word, counts with capped ripple counters over the
+  planes, and sums the illusion or dichromatic counts straight into
+  bit-sliced score counters.  The best score is narrowed from its top
+  plane down, and the smallest optimum string is found by one greedy pass
+  over the nodes that keeps each one blue where some optimum allows it.
+
+The byte scan's cost doubles with each node, the sliced scan's grows with
+the edges.  So graphs of 17 or more nodes whose mean degree is at most
+``10 (n - 16)`` scan bit-sliced (sparse graphs at 17 nodes, every graph
+from 18), and smaller or denser ones byte by byte: in a sweep of n 15-22
+over every mean degree, that is where the sliced scan was never slower.
+At n = 20-21 and mean degree 2-6 it takes 8-30% of the byte scan's time.
+:func:`illusion_possible` always scans byte by byte: it stops after the
+first block with a hit, and a byte block holds ``n`` times fewer
+colorings than a sliced one, so an early hit is found sooner (3-6 times
+at n = 18 for unanimity-weak-majority).
 
 Swapping every color negates each local and the global lead, so it keeps
 every agent's strict or weak illusion status and every edge's
@@ -138,6 +158,211 @@ def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or.reduce(bits << (np.uint32(n - 1) - shift), axis=0)
 
 
+def _byte_optima(
+    g: Graph, objective: Objective
+) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
+    """Per block: the best score and a call that lists its optima."""
+    if objective is Objective.MIN_MONOCHROMATIC:
+        gain = _dichromatic_counter(g)
+    else:
+        gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    for masks in _chunks(g.n, rows=g.n, half=True):
+        scores = gain(masks)
+        top = int(scores.max())
+        yield top, lambda masks=masks, scores=scores, top=top: masks[scores == top]
+
+
+_WORD_BITS = 6  # a colour plane word holds 2^6 colorings
+_ZERO = np.uint64(0)
+_ONES = ~_ZERO
+# Node i in 1..6 is red in coloring 64w + b when bit i - 1 of b is set.
+_WORD_PLANES = tuple(
+    np.uint64(sum(1 << b for b in range(64) if b >> k & 1)) for k in range(_WORD_BITS)
+)
+
+
+# Fixed from a sweep of n 15-22 and every mean degree (see CHANGES.md).
+_SLICED_MIN_NODES = 17
+_SLICED_MEAN_DEGREE_STEP = 10
+
+
+def _sliced_path(g: Graph) -> bool:
+    """Scan bit-sliced rather than a byte per (node, coloring)?  Yes when
+    the mean degree is at most ``_SLICED_MEAN_DEGREE_STEP`` times
+    ``n - _SLICED_MIN_NODES + 1``.  A plane needs one full word of
+    colorings, so never below 7 nodes."""
+    above = g.n - _SLICED_MIN_NODES + 1
+    return (
+        g.n > _WORD_BITS
+        and above > 0
+        and 2 * g.edge_count <= _SLICED_MEAN_DEGREE_STEP * above * g.n
+    )
+
+
+def _block_words(n: int) -> int:
+    return 1 << (min(n - 1, _CHUNK_BITS) - _WORD_BITS)
+
+
+def _plane_blocks(n: int) -> Iterator[list]:
+    """The colour planes of every node, per block of ``2^_CHUNK_BITS``
+    colorings with node 0 blue (all of them if fewer), in ascending order.
+
+    Half-space coloring ``j`` (mask ``j << 1``) is bit ``j % 64`` of word
+    ``j // 64``, so node 0's plane is 0, nodes 1..6 have constant word
+    patterns, and each higher node's words are all zeros or all ones, by
+    one bit of the word index.  Planes that are constant over the block are
+    numpy scalars.  Needs one full word: ``n >= 7``.
+    """
+    total = 1 << (n - 1 - _WORD_BITS)
+    words = _block_words(n)
+    inside = min(words.bit_length() - 1, n - 1 - _WORD_BITS)
+    index = np.arange(words, dtype=np.uint64)
+    varying = [
+        np.where(index >> np.uint64(k) & np.uint64(1), _ONES, _ZERO) for k in range(inside)
+    ]
+    for first in range(0, total, words):
+        fixed = [_ONES if first >> k & 1 else _ZERO for k in range(inside, n - 1 - _WORD_BITS)]
+        yield [_ZERO, *_WORD_PLANES, *varying, *fixed]
+
+
+class _SlicedCount:
+    """One count per coloring, bit-sliced: ``planes[j]`` holds bit ``j`` of
+    every count.  It keeps ``bound.bit_length()`` planes, where ``bound``
+    is the most it can hold, so a carry never leaves its top plane."""
+
+    __slots__ = ("planes", "bound")
+
+    def __init__(self) -> None:
+        self.planes: list = []
+        self.bound = 0
+
+    def add(self, plane) -> None:
+        if not isinstance(plane, np.ndarray) and not plane:
+            return
+        self.bound += 1
+        planes = self.planes
+        grows = len(planes) < self.bound.bit_length()
+        carry = plane
+        for j in range(len(planes) - 1 + grows):
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+        if grows:
+            planes.append(carry)
+        else:
+            planes[-1] = planes[-1] ^ carry
+
+
+def _at_most(planes: list, k: int):
+    """The plane of the colorings whose bit-sliced count is at most ``k``."""
+    if k < 0:
+        return _ZERO
+    if k + 1 >> len(planes):
+        return _ONES
+    top = len(planes) - 1
+    # counts above k's bits from j up, and counts equal to them
+    above, level = (_ZERO, planes[top]) if k >> top & 1 else (planes[top], ~planes[top])
+    for j in reversed(range(top)):
+        if k >> j & 1:
+            level = level & planes[j]
+        else:
+            over = level & planes[j]
+            above, level = above | over, level ^ over
+    return ~above
+
+
+def _mux(cases: list) -> list:
+    """Per coloring, the count of the one case whose selector plane holds."""
+    width = max(len(count.planes) for _, count in cases)
+    out = []
+    for j in range(width):
+        bit = _ZERO
+        for select, count in cases:
+            if j < len(count.planes):
+                bit = bit | (select & count.planes[j])
+        out.append(bit)
+    return out
+
+
+def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]]:
+    """Per block of :func:`_plane_blocks`: the objective's bit-sliced score
+    (dichromatic edges for fewest monochromatic) and the node planes.
+
+    Red-neighbour counts ripple through capped counters; ``A`` (no red
+    local lead, ``2c <= d``) and ``B`` (blue local lead, ``2c < d``) are
+    compares with a constant, summed as in :func:`_illusion_counter`:
+    strict ``B`` and ``n - A`` as the sum of ``~A``; weak ``A``, ``n - B``
+    as the sum of ``~B`` and, on even ``n``, ``n - A + B`` as the sum of
+    ``~A | B``.  The global lead selects among them."""
+    n = g.n
+    bounds = g.indptr.tolist()
+    flat = g.indices.tolist()
+    rows = [flat[start:end] for start, end in zip(bounds, bounds[1:])]
+    u, v = g.edge_arrays()
+    edges = list(zip(u.tolist(), v.tolist()))
+    strict = objective is Objective.MAX_STRICT_ILLUSION
+    for planes in _plane_blocks(n):
+        if objective is Objective.MIN_MONOCHROMATIC:
+            dichromatic = _SlicedCount()
+            for a, b in edges:
+                dichromatic.add(planes[a] ^ planes[b])
+            yield dichromatic.planes, planes
+            continue
+        red = _SlicedCount()
+        for plane in planes:
+            red.add(plane)
+        red_lead = ~_at_most(red.planes, n // 2)
+        blue_lead = _at_most(red.planes, (n + 1) // 2 - 1)
+        under_red, under_blue, under_tie = _SlicedCount(), _SlicedCount(), _SlicedCount()
+        # constant planes first, so counters stay scalars as long as they can
+        varies = [isinstance(plane, np.ndarray) for plane in planes]
+        for row in rows:
+            c = _SlicedCount()
+            for w in sorted(row, key=varies.__getitem__):
+                c.add(planes[w])
+            d = len(row)
+            a = _at_most(c.planes, d // 2)
+            b = a if d % 2 else _at_most(c.planes, d // 2 - 1)
+            if strict:
+                under_red.add(b)
+                under_blue.add(~a)
+            else:
+                under_red.add(a)
+                under_blue.add(~b)
+                if n % 2 == 0:
+                    under_tie.add(~a | b)
+        cases = [(red_lead, under_red), (blue_lead, under_blue)]
+        if under_tie.bound:
+            cases.append((~(red_lead | blue_lead), under_tie))
+        yield _mux(cases), planes
+
+
+def _sliced_optima(
+    g: Graph, objective: Objective
+) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
+    """Per block: the best score, narrowed from the top score plane down,
+    and a call that finds its smallest optimum string by one greedy pass
+    that keeps each node blue where some optimum allows it."""
+    for scores, planes in _sliced_scores(g, objective):
+        candidates = np.full(_block_words(g.n), _ONES)
+        top = 0
+        for j in reversed(range(len(scores))):
+            kept = candidates & scores[j]
+            if kept.any():
+                candidates, top = kept, top | 1 << j
+        yield top, lambda candidates=candidates, planes=planes: _smallest(candidates, planes)
+
+
+def _smallest(candidates: np.ndarray, planes: list) -> np.ndarray:
+    """The smallest string among the candidate colorings, as a mask."""
+    mask = 0
+    for v in range(1, len(planes)):
+        blue = candidates & ~planes[v]
+        if blue.any():
+            candidates = blue
+        else:
+            mask |= 1 << v
+    return np.array([mask], dtype=np.uint32)
+
+
 def best_coloring(
     g: Graph, objective: Objective, cap: int = DEFAULT_CAP
 ) -> tuple[Coloring, int]:
@@ -152,19 +377,14 @@ def best_coloring(
     _check_cap(g, cap)
     if g.n == 0:
         return (), 0
-    if objective is Objective.MIN_MONOCHROMATIC:
-        gain = _dichromatic_counter(g)
-    else:
-        gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    scan = _sliced_optima if _sliced_path(g) else _byte_optima
     best: int | None = None
     best_key: int | None = None
     best_mask = 0
-    for masks in _chunks(g.n, rows=g.n, half=True):
-        scores = gain(masks)
-        top = int(scores.max())
+    for top, optima in scan(g, objective):
         if best is not None and top < best:
             continue
-        candidates = masks[scores == top]
+        candidates = optima()
         keys = _string_keys(candidates, g.n)
         pos = int(keys.argmin())
         key = int(keys[pos])

@@ -50,6 +50,12 @@ def test_monochromatic_count_examples():
     assert monochromatic_count(ColoredGraph(c4, coloring_from_string("RBRB"))) == (0, 4)
 
 
+@given(colored_graphs(max_n=10, min_n=0))
+def test_monochromatic_count_matches_the_per_edge_definition(cg):
+    mono = sum(1 for u, v in cg.graph.edges if cg.colors[u] is cg.colors[v])
+    assert monochromatic_count(cg) == (mono, cg.graph.edge_count - mono)
+
+
 def test_swap_loop_on_monochromatic_triangle():
     triangle = make_graph(3, [(0, 1), (1, 2), (2, 0)])
     colors, swaps = weak_majority_2_coloring_swaps(triangle, all_red(3))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import majority_illusion.oracle as oracle_module
 from majority_illusion import (
@@ -12,6 +12,7 @@ from majority_illusion import (
     best_coloring,
     coloring_to_string,
     complete_graph,
+    circulant_graph,
     cycle_graph,
     enumerate_regular,
     illusion_possible,
@@ -136,6 +137,99 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
                 split += block_of[mask] != min(tied_blocks)
             _assert_matches_reference(g)
         assert split > 0
+
+
+def _choose_path(monkeypatch, sliced):
+    """Move the path selection's node floor so that every graph of 7 or
+    more nodes scans bit-sliced, or none does."""
+    monkeypatch.setattr(oracle_module, "_SLICED_MIN_NODES", 7 if sliced else 33)
+
+
+def test_path_choice_follows_node_count_and_mean_degree():
+    choose = oracle_module._sliced_path
+    assert not choose(cycle_graph(16))
+    assert not choose(make_graph(16, []))
+    assert choose(cycle_graph(17))
+    assert choose(circulant_graph(17, (1, 2, 3, 4, 5)))  # mean degree 10
+    assert not choose(circulant_graph(17, (1, 2, 3, 4, 5, 6)))  # mean degree 12
+    assert not choose(complete_graph(17))
+    assert choose(complete_graph(18))
+    assert choose(make_graph(20, []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12, min_n=7))
+@example(make_graph(7, []))
+@example(make_graph(12, []))
+@example(make_graph(8, [(1, 2), (2, 3), (3, 1)]))
+def test_sliced_scan_matches_the_full_scan(g):
+    """With the bit-sliced path chosen, ``best_coloring`` gives the
+    full-scan coloring and score for every objective, and the verdicts
+    still match, isolated nodes and edgeless graphs included."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _choose_path(monkeypatch, sliced=True)
+        assert oracle_module._sliced_path(g)
+        _assert_matches_reference(g)
+
+
+def test_sliced_blocks_combine_like_one_block(monkeypatch):
+    """Blocks of one and of two words give the full-scan answers, and the
+    corpus has optima whose smallest string lies outside the first block
+    holding an optimum, so the cross-block tie-break is exercised."""
+    corpus = [
+        cycle_graph(7),
+        cycle_graph(9),
+        complete_graph(8),
+        circulant_graph(10, (1, 3)),
+        make_graph(9, []),
+        make_graph(10, [(0, 9), (1, 8), (2, 7), (2, 3)]),
+    ]
+    _choose_path(monkeypatch, sliced=True)
+    for bits in (6, 7):
+        monkeypatch.setattr(oracle_module, "_CHUNK_BITS", bits)
+        split = 0
+        for g in corpus:
+            best, _ = _reference(g)
+            for mask, _, tied in best.values():
+                tied_blocks = [m >> 1 >> bits for m in tied if not m & 1]
+                split += mask >> 1 >> bits != min(tied_blocks)
+            _assert_matches_reference(g)
+        assert split > 0
+
+
+def _sparse_20():
+    rng = np.random.default_rng(20)
+    pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    return make_graph(20, [pairs[i] for i in rng.choice(len(pairs), 50, replace=False)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_sparse_20(), make_graph(20, []), complete_graph(20)],
+    ids=["gnm-20-50", "edgeless-20", "complete-20"],
+)
+def test_both_paths_agree_at_20_nodes(monkeypatch, g):
+    answers = []
+    for sliced in (False, True):
+        _choose_path(monkeypatch, sliced)
+        assert oracle_module._sliced_path(g) is sliced
+        answers.append([best_coloring(g, objective) for objective in Objective])
+    assert answers[0] == answers[1]
+
+
+def test_verdicts_stay_on_the_byte_kernel(monkeypatch):
+    """``illusion_possible`` scans byte by byte even where ``best_coloring``
+    would scan bit-sliced."""
+    g = cycle_graph(18)
+    assert oracle_module._sliced_path(g)
+
+    def refuse(*args):
+        raise AssertionError("a verdict reached the bit-sliced scan")
+
+    monkeypatch.setattr(oracle_module, "_sliced_scores", refuse)
+    _, verdicts = _reference(g)
+    for kind, verdict in verdicts.items():
+        assert illusion_possible(g, kind) == verdict, kind
 
 
 @settings(max_examples=150, deadline=None)
