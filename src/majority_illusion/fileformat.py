@@ -46,18 +46,25 @@ def parse_graph_text(text: str) -> tuple[Graph, Coloring | None]:
 def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | None:
     """Header, colors and edge pairs of a text in the writer's layout;
     ``None`` for any other text, valid or not."""
-    header, _, body = text.partition("\n")
-    count = header[2:]
-    if not (header.startswith("n ") and _is_count(count)):
+    # The header and colors lines are found by offset, so the body is
+    # copied out of the text once.
+    if not text.startswith("n "):
+        return None
+    end = _line_end(text, 0)
+    count = text[2:end]
+    if not _is_count(count):
         return None
     n = int(count)
+    start = end + 1
     colors = None
-    if body.startswith("colors "):
-        line, _, body = body.partition("\n")
-        word = line[7:]
+    if text.startswith("colors ", start):
+        end = _line_end(text, start)
+        word = text[start + 7 : end]
         if len(word) != n or word.strip("RB"):
             return None
         colors = coloring_from_string(word)
+        start = end + 1
+    body = text[start:]
     # Without its ASCII digits the body reads " \n" once per line, and it
     # ends at a line end: then two ids a line leave no line short.
     separators = body.translate(_DIGITS)
@@ -71,6 +78,12 @@ def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | Non
     if len(ids) != 2 * lines or lines and int(ids.max()) >= n:
         return None
     return n, colors, ids.reshape(lines, 2)
+
+
+def _line_end(text: str, start: int) -> int:
+    """Offset of the first line end from ``start`` on, or the text's end."""
+    end = text.find("\n", start)
+    return len(text) if end < 0 else end
 
 
 def _is_count(text: str) -> bool:

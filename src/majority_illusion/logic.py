@@ -526,13 +526,17 @@ def illusion_formula(kind: str | IllusionKind, atom: str = "p") -> Formula:
     return table[name]
 
 
-_Program = list[tuple[Formula, tuple[int, ...], tuple[int, ...]]]
+_Program = tuple[tuple[Formula, tuple[int, ...], tuple[int, ...]], ...]
 
 
+@lru_cache(maxsize=256)
 def _program(core: Formula) -> _Program:
     """The unique subformulas of ``core``, children first and left child
     first; ``core`` comes last.  Each comes with the positions of its
-    children in the list and of the children it is the last to read."""
+    children in the list and of the children it is the last to read.
+
+    Built once per expanded formula; a tuple, so a cached program cannot
+    be changed."""
     # A subformula is keyed by its class, bound and children's positions,
     # so no lookup hashes a whole subtree; ``at`` maps each node object
     # visited to its position.
@@ -556,10 +560,10 @@ def _program(core: Formula) -> _Program:
             program.append((node, args))
         at[id(node)] = index[key]
     last_reader = {k: j for j, (_, kids) in enumerate(program) for k in kids}
-    return [
+    return tuple(
         (node, kids, tuple({k for k in kids if last_reader[k] == j}))
         for j, (node, kids) in enumerate(program)
-    ]
+    )
 
 
 def _run(program: _Program, step: Callable[[Formula, list], object]):

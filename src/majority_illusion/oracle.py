@@ -9,7 +9,11 @@ once:
 - the byte kernel holds a block as uint32 masks and counts by vectorized
   popcounts into a 2D uint8 block, one byte per (node, coloring), then
   derives the illusion and monochromatic counts with no per-node or
-  per-edge loop;
+  per-edge loop.  Illusions are counted at each coloring's red-lead
+  representative, with one uint8 compare per (node, coloring), and strict
+  counts skip the globally tied colorings.  Where one block holds the
+  whole half space (``n <= 15``), its representatives come from a table
+  built once per node count, on first use;
 - the bit-sliced kernel holds one uint64 colour plane per node, 64
   colorings to a word, counts with capped ripple counters over the
   planes, and sums the illusion or dichromatic counts straight into
@@ -41,6 +45,7 @@ and the empty graph has no illusion, as in the classifier.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
 
@@ -110,29 +115,84 @@ def _red_neighbors(masks: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks[None, :] & nbr[:, None])
 
 
-def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-coloring count of agents under strict (or weak) illusion.
+def _representatives(masks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The colorings ``masks`` at their red-lead representatives: each
+    coloring itself, or its colour swap where blue leads globally.  The
+    ``free`` globally untied ones come first, the tied ones (even ``n``)
+    after them, in ascending order each.  Returns ``(reps, free)``."""
+    red = np.bitwise_count(masks)
+    reps = np.where(red < (n + 1) // 2, masks ^ np.uint32((1 << n) - 1), masks)
+    if n % 2:
+        return reps, len(reps)
+    tied = red == n // 2
+    free = reps[~tied]
+    return np.concatenate((free, reps[tied])), len(free)
 
-    With ``c`` red neighbours of ``d``, let ``A`` count the agents with
-    ``2c <= d`` (no red local lead) and ``B`` those with ``2c < d`` (blue
-    local lead).  Under a global red lead the weak and strict counts are
-    ``A`` and ``B``, under a blue lead ``n - B`` and ``n - A``, and under a
-    global tie ``n - (A - B)`` and 0.
+
+@lru_cache(maxsize=None)
+def _half_table(n: int) -> tuple[np.ndarray, int]:
+    """:func:`_representatives` of the whole half space, read-only: at most
+    ``2^14`` words, as it is only read where one block holds it."""
+    reps, free = _representatives(np.arange(1 << (n - 1), dtype=np.uint32) << 1, n)
+    reps.flags.writeable = False
+    return reps, free
+
+
+def _half_blocks(n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """The blocks of ``_chunks(n, rows=n, half=True)`` as
+    :func:`_representatives`; a block that is the whole half space comes
+    from a table built on first use (``n >= 1``)."""
+    if 1 << (n - 1) <= max(1, (1 << _CHUNK_BITS) // n):
+        yield _half_table(n)
+        return
+    for masks in _chunks(n, rows=n, half=True):
+        yield _representatives(masks, n)
+
+
+def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
+    """The half-space colorings (node 0 blue) that ``reps`` stand for."""
+    return np.where(reps & np.uint32(1), reps ^ np.uint32((1 << n) - 1), reps)
+
+
+def _illusion_counter(
+    g: Graph, strict: bool
+) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Per-coloring count of agents under strict (or weak) illusion, read
+    from a block ``(reps, free)`` of :func:`_half_blocks`.
+
+    Swapping every colour keeps every illusion status, so each coloring is
+    counted at its red-lead representative, where an agent with ``c`` red
+    neighbours of ``d`` is under strict illusion when ``c < (d + 1) // 2``
+    (a blue local lead; never on ``d = 0``) and under weak illusion when
+    ``c <= d // 2`` (no red local lead): one uint8 compare and one sum per
+    (node, coloring).  Under a global tie nobody is under strict illusion,
+    so strict counts skip the tied colorings, and the weak count is that of
+    the agents without a local tie, ``2c != d``.
     """
-    n = g.n
     nbr = _neighbor_masks(g)
-    deg = np.bitwise_count(nbr)[:, None]
-    no_red_lead, blue_lead_below = deg // 2, (deg + 1) // 2
+    deg = np.bitwise_count(nbr)[:, None]  # uint8 columns: compares stay uint8
+    sums = np.add.reduce  # without ``np.sum``'s wrapper, a per-call cost at small n
+    if strict:
+        below = (deg + 1) // 2
 
-    def count(masks: np.ndarray) -> np.ndarray:
-        c = _red_neighbors(masks, nbr)
-        a = (c <= no_red_lead).sum(axis=0, dtype=np.uint8)
-        b = (c < blue_lead_below).sum(axis=0, dtype=np.uint8)
-        red = np.bitwise_count(masks)
-        red_lead, blue_lead = red > n // 2, red < (n + 1) // 2
-        if strict:
-            return np.where(red_lead, b, np.where(blue_lead, n - a, 0))
-        return np.where(red_lead, a, np.where(blue_lead, n - b, n - a + b))
+        def count(reps: np.ndarray, free: int) -> np.ndarray:
+            scores = np.zeros(len(reps), dtype=np.uint8)
+            c = _red_neighbors(reps[:free], nbr)
+            sums(c < below, axis=0, dtype=np.uint8, out=scores[:free])
+            return scores
+
+        return count
+    at_most = deg // 2
+
+    def count(reps: np.ndarray, free: int) -> np.ndarray:
+        c = _red_neighbors(reps, nbr)
+        if free == len(reps):
+            return sums(c <= at_most, axis=0, dtype=np.uint8)
+        scores = np.empty(len(reps), dtype=np.uint8)
+        sums(c[:, :free] <= at_most, axis=0, dtype=np.uint8, out=scores[:free])
+        tied = c[:, free:]
+        sums(tied + tied != deg, axis=0, dtype=np.uint8, out=scores[free:])
+        return scores
 
     return count
 
@@ -162,14 +222,21 @@ def _byte_optima(
     g: Graph, objective: Objective
 ) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
     """Per block: the best score and a call that lists its optima."""
+    n = g.n
     if objective is Objective.MIN_MONOCHROMATIC:
         gain = _dichromatic_counter(g)
-    else:
-        gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
-    for masks in _chunks(g.n, rows=g.n, half=True):
-        scores = gain(masks)
+        for masks in _chunks(n, rows=n, half=True):
+            scores = gain(masks)
+            top = int(scores.max())
+            yield top, lambda masks=masks, scores=scores, top=top: masks[scores == top]
+        return
+    gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    for reps, free in _half_blocks(n):
+        scores = gain(reps, free)
         top = int(scores.max())
-        yield top, lambda masks=masks, scores=scores, top=top: masks[scores == top]
+        yield top, lambda reps=reps, scores=scores, top=top: _from_representatives(
+            reps[scores == top], n
+        )
 
 
 _WORD_BITS = 6  # a colour plane word holds 2^6 colorings
@@ -288,10 +355,11 @@ def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]
 
     Red-neighbour counts ripple through capped counters; ``A`` (no red
     local lead, ``2c <= d``) and ``B`` (blue local lead, ``2c < d``) are
-    compares with a constant, summed as in :func:`_illusion_counter`:
-    strict ``B`` and ``n - A`` as the sum of ``~A``; weak ``A``, ``n - B``
-    as the sum of ``~B`` and, on even ``n``, ``n - A + B`` as the sum of
-    ``~A | B``.  The global lead selects among them."""
+    compares with a constant.  Under a global red lead the strict and
+    weak counts are the sums of ``B`` and ``A``; under a blue lead they
+    are those of ``~A`` and ``~B``; under a tie (even ``n``) the strict
+    count is 0 and the weak one the sum of ``~A | B``, the agents without
+    a local tie.  The global lead selects among them."""
     n = g.n
     bounds = g.indptr.tolist()
     flat = g.indices.tolist()
@@ -420,8 +488,7 @@ def illusion_possible(
     count = _illusion_counter(g, strict)
     threshold = least(g.n)
     return any(
-        bool((count(masks) >= threshold).any())
-        for masks in _chunks(g.n, rows=g.n, half=True)
+        bool((count(reps, free) >= threshold).any()) for reps, free in _half_blocks(g.n)
     )
 
 

@@ -246,6 +246,12 @@ _EDGE_CASES = [
     ("n 3\n", True),  # empty body
     ("n 3\ncolors RBR\n", True),  # colors-only body
     ("n 0\ncolors \n", True),
+    ("n 3", True),  # a header with no line end
+    ("n 3\ncolors RBR", True),  # a colors line with no line end
+    ("n 3\ncolors RB\n", False),
+    ("n 3\ncolors RBX\n0 1\n", False),
+    ("n 2\ncolors RB\ncolors RB\n", False),
+    ("n 3\n\n", False),
     ("n 3\n0 1\n1 2", False),  # no final newline
     ("n 3\n0 1\n1 2 \n", False),  # trailing space
     ("n 3\n0 1 \n", False),

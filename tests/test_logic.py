@@ -630,15 +630,25 @@ def test_program_walk_matches_the_recursive_evaluator(case):
 
 
 def test_unknown_atoms_warn_left_to_right_and_at_the_caller():
+    """On every call, also once the formula's program is cached."""
     model = triangle_model()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        extension(model, parse_formula("q | r | ~r"))
-    assert [str(w.message) for w in caught] == [
-        "atom 'q' is not part of the model; treated as false",
-        "atom 'r' is not part of the model; treated as false",
-    ]
-    assert {w.filename for w in caught} == {__file__}
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            extension(model, parse_formula("q | r | ~r"))
+        assert [str(w.message) for w in caught] == [
+            "atom 'q' is not part of the model; treated as false",
+            "atom 'r' is not part of the model; treated as false",
+        ]
+        assert {w.filename for w in caught} == {__file__}
+
+
+def test_each_expanded_formula_builds_one_program_of_tuples():
+    core = expand(illusion_formula(IllusionKind.MAJORITY_WEAK_MAJORITY))
+    program = _program(core)
+    assert _program(expand(parse_formula(format_formula(core)))) is program
+    assert isinstance(program, tuple)
+    assert all(isinstance(step, tuple) for step in program)
 
 
 # --- the frozenset table the boolean columns replaced, kept verbatim -------

@@ -123,10 +123,29 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
     """Blocks of one to a few colorings give the full-scan answers on
     every graph with up to 5 nodes, and the corpus has optima whose
     smallest string lies outside the first block holding an optimum, so
-    the cross-block tie-break is exercised."""
+    the cross-block tie-break is exercised.  The byte-optimum scans and a
+    verdict with no hit read every block, so no table of the whole half
+    space stands in for the split."""
     corpus = list(atlas_graphs(5)) + [cycle_graph(6), complete_graph(6)]
+    half_blocks = oracle_module._half_blocks
+    scanned = []
+
+    def counted(n):
+        scanned.append(0)
+        for block in half_blocks(n):
+            scanned[-1] += 1
+            yield block
+
+    monkeypatch.setattr(oracle_module, "_half_blocks", counted)
     for bits in (0, 3, 4):
         monkeypatch.setattr(oracle_module, "_CHUNK_BITS", bits)
+        for g in (cycle_graph(6), complete_graph(6)):
+            blocks = len(list(oracle_module._chunks(g.n, rows=g.n, half=True)))
+            scanned.clear()
+            best_coloring(g, Objective.MAX_STRICT_ILLUSION)
+            best_coloring(g, Objective.MAX_WEAK_ILLUSION)
+            assert not illusion_possible(g, IllusionKind.UNANIMITY_MAJORITY)
+            assert scanned == [blocks] * 3 and blocks > 1
         split = 0
         for g in corpus:
             blocks = list(oracle_module._chunks(g.n, rows=g.n, half=True))
