@@ -146,9 +146,9 @@ class ColoredGraph:
 
     @cached_property
     def red_neighbor_array(self) -> np.ndarray:
-        """Red neighbours of every node, tallied once per colored graph: a
-        prefix sum of the neighbours' red flags, read at each row's end.
-        A read-only int64 array."""
+        """Red neighbours of every node, tallied once per colored graph: the
+        neighbours' red flags summed over each row by
+        :meth:`Graph.neighbor_sums`.  A read-only int64 array."""
         counts = self.graph.neighbor_sums(self.red_mask)
         counts.flags.writeable = False
         return counts

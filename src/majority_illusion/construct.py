@@ -10,12 +10,14 @@ Every stage takes and returns the edge set as a sorted int64 array of keys
 ``u * n + v`` with ``u < v``.  The round-robin edges have a closed form,
 the circulants are one broadcast table of (position, offset) partners, the
 complete bipartite core of :func:`fast_construct` is a ``repeat`` and a
-``tile``, and the bridge's candidates are one mask; new keys are
-deduplicated by sorting and merged into the array with ``searchsorted``,
-and each degree pass is one ``bincount``.  Two loops stay scalar because
-each choice depends on the last: the blue top-up (one pass over the blue
-nodes) and the pairing of the odd-parity leftovers (about ``n/4`` open
-ends), which tests adjacency by binary search in the keys plus a set of
+``tile``, and the bridge's candidates are one mask.  New keys are
+deduplicated by sorting, probed against the array in that sorted order,
+and merged into it by a stable sort of the two runs, which timsort merges
+in one pass; each degree pass is one search for the row starts plus one
+``bincount``.  Two loops stay scalar because each choice depends on the
+last: the blue top-up (one pass over the blue nodes) and the pairing of
+the odd-parity leftovers (about ``n/4`` open ends), which tests adjacency
+by bisecting a list of the keys, taken once per pairing, plus a set of
 its own edges.  The pairing is an iterative depth-first search with an
 explicit undo stack, so it runs at any size; no stage has a fallback path,
 because none is reachable on a feasible input (the proofs are in
@@ -34,11 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import COLOR_CODES, IllusionKind, classify_network, status_columns
+from .analysis import COLOR_CODES, IllusionKind, NetworkIllusionReport, status_columns
+from .analysis import classify_network  # noqa: F401  (perfbench traces it here)
 from .coloring import WINNER_CODES, Color, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
-from .graphs import MAX_NODES, _sorted_unique, check_size, make_graph
+from .graphs import MAX_NODES, _key_rows, _sorted_unique, check_size, make_graph
 
 _NO_EDGES = np.empty(0, dtype=np.int64)
 _NO_EDGES.flags.writeable = False
@@ -50,13 +53,16 @@ def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _degree_counts(keys: np.ndarray, n: int) -> np.ndarray:
-    """Every node's degree in the edge set ``keys``."""
-    u, v = np.divmod(keys, max(n, 1))
-    return np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    """Every node's degree in the sorted edge keys ``keys``: its run of
+    keys as the lower end, plus its count as the upper end."""
+    indptr, row_starts = _key_rows(keys, n)
+    return np.diff(indptr) + np.bincount(keys - row_starts, minlength=n)
 
 
 def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Which of ``probe`` occur in the sorted array ``keys``."""
+    """Which of ``probe`` occur in the sorted array ``keys``.  The binary
+    searches walk ``keys`` in order, and so stay in cache, when ``probe``
+    is sorted too."""
     if not len(keys):
         return np.zeros(len(probe), dtype=bool)
     at = np.searchsorted(keys, probe)
@@ -65,8 +71,11 @@ def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
 def _merge(keys: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """The sorted union of ``keys`` and the sorted keys ``fresh``, which
-    none of ``keys`` repeats."""
-    return np.insert(keys, np.searchsorted(keys, fresh), fresh)
+    none of ``keys`` repeats.  A stable sort of int64 is timsort, which
+    finds the two sorted runs and merges them in one pass."""
+    out = np.concatenate((keys, fresh))
+    out.sort(kind="stable")
+    return out
 
 
 def _blue_quota(k: int) -> int:
@@ -160,7 +169,7 @@ def add_initial_edges(
     order = np.argsort(picks, kind="stable")
     ordered = picks[order]
     repeats = order[1:][ordered[1:] == ordered[:-1]]
-    taken = np.flatnonzero(_contains(keys, picks))
+    taken = order[_contains(keys, ordered)]
     if len(repeats) or len(taken):
         first = min(repeats.min(initial=len(i)), taken.min(initial=len(i)))
         raise InternalInvariantError(
@@ -218,6 +227,22 @@ def add_regular_subgraph(
         return keys
     if k_sub < 0 or k_sub >= m:
         raise PreconditionError(f"subgraph degree {k_sub} invalid for {m} nodes")
+    # Each edge is in the table from both ends; the sorted distinct keys
+    # are both the probe and the keys to merge.
+    fresh = _sorted_unique(_circulant_table(n, nodes, k_sub))
+    if _contains(keys, fresh).any():
+        table = _circulant_table(n, nodes, k_sub)
+        u, v = divmod(int(table[_contains(keys, table).argmax()]), n)
+        raise InternalInvariantError(
+            f"circulant edge {(u, v)} collides with an existing edge"
+        )
+    return _merge(keys, fresh)
+
+
+def _circulant_table(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
+    """The keys of :func:`add_regular_subgraph`'s edges in its loop order:
+    by node position, then by partner."""
+    m = len(nodes)
     # Partners as doubled offsets from the doubled opposite position: the
     # antipode (0), then -2i+1 and +2i for each i, halved after the sum.
     i = np.arange(1, k_sub // 2 + 1, dtype=np.int64)
@@ -226,14 +251,7 @@ def add_regular_subgraph(
         offsets = np.concatenate(([0], offsets))
     opposite = 2 * np.arange(m, dtype=np.int64)[:, None] + m
     partners = nodes[((opposite + offsets) // 2) % m]
-    table = _edge_keys(nodes[:, None], partners, n).ravel()
-    taken = _contains(keys, table)
-    if taken.any():
-        u, v = divmod(int(table[taken.argmax()]), n)
-        raise InternalInvariantError(
-            f"circulant edge {(u, v)} collides with an existing edge"
-        )
-    return _merge(keys, _sorted_unique(table))
+    return _edge_keys(nodes[:, None], partners, n).ravel()
 
 
 def _realize_deficits(
@@ -255,6 +273,9 @@ def _realize_deficits(
             f"{label} open ends sum to an odd number: {deficit}"
         )
     own: set[int] = set()  # the keys of the chosen edges
+    # One list of the keys for the whole pairing: a bisect of a list costs
+    # a fraction of one scalar numpy searchsorted.
+    known = keys.tolist()
 
     def key(u: int, v: int) -> int:
         return u * n + v if u < v else v * n + u
@@ -263,8 +284,8 @@ def _realize_deficits(
         e = key(u, v)
         if e in own:
             return True
-        at = int(keys.searchsorted(e))
-        return at < len(keys) and int(keys[at]) == e
+        at = bisect_left(known, e)
+        return at < len(known) and known[at] == e
 
     # The open members as (k - deg, -id), ascending: that order reversed,
     # so the node to extend is last and the scan for its partner runs down
@@ -376,7 +397,7 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
         i = int(outvoted[0])
         blue_nb = k - int(cg.red_neighbor_array[i])
         raise InternalInvariantError(f"red node {i} has only {blue_nb} blue neighbors of {k}")
-    report = classify_network(cg)
+    report = NetworkIllusionReport.from_columns(cg, columns)
     if not report.flag(IllusionKind.MAJORITY_MAJORITY):
         raise InternalInvariantError("construction is not majority-majority")
 

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import IllusionKind
-from .coloring import Color, ColoredGraph
+from .coloring import ColoredGraph
 from .errors import FormulaSyntaxError, PreconditionError
 from .graphs import Graph
 from .oracle import DEFAULT_CAP, _chunks, _check_cap, _neighbor_masks
@@ -159,12 +159,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
                       GlobalCountOver, WeakGlobalMajority, GlobalMajority)):
         return (f.sub,)
     raise TypeError(f"unknown formula node {f!r}")
-
-
-def atom_names(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    return frozenset().union(*map(atom_names, _children(f)))
 
 
 def _too_deep() -> PreconditionError:
@@ -393,9 +387,11 @@ class Model:
 
 
 def model_from_colored_graph(cg: ColoredGraph, atom: str = "p") -> Model:
-    """Model in which ``atom`` holds exactly at the red nodes."""
-    red, blue = frozenset({atom}), frozenset()
-    valuation = tuple(red if c is Color.RED else blue for c in cg.colors)
+    """Model in which ``atom`` holds exactly at the red nodes: one take of
+    the two shared node valuations at the red mask."""
+    table = np.empty(2, dtype=object)
+    table[:] = frozenset(), frozenset({atom})
+    valuation = tuple(table.take(cg.red_mask.view(np.uint8)).tolist())
     return Model(cg.graph, valuation, atoms=frozenset({atom}))
 
 
@@ -426,11 +422,15 @@ def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
 
 
 def _true_neighbors(g: Graph, column: np.ndarray) -> np.ndarray:
-    """How many of each node's neighbours ``column`` holds at: one running
-    sum over the CSR rows, differenced at the row offsets."""
-    running = np.zeros(len(g.indices) + 1, dtype=np.int64)
-    np.cumsum(column[g.indices], out=running[1:])
-    return np.diff(running[g.indptr])
+    """How many of each node's neighbours ``column`` holds at: one
+    ``reduceat`` over the CSR rows of the column read at the neighbours.
+    A trailing ``False`` keeps every row start in bounds; an empty row,
+    where ``reduceat`` reads that one value, counts 0."""
+    counts = np.add.reduceat(
+        np.append(column[g.indices], False), g.indptr[:-1], dtype=np.int64
+    )
+    counts[g.indptr[:-1] == g.indptr[1:]] = 0
+    return counts
 
 
 def extension(model: Model, f: Formula) -> frozenset[int]:
@@ -439,13 +439,12 @@ def extension(model: Model, f: Formula) -> frozenset[int]:
     Warns once per atom the model does not know, in the order the atoms
     first appear in the expanded formula, before evaluating it.
     """
-    _check_depth(f)
-    program = _program(expand(f))
+    program, atoms = _prepared(f)
     known = model.known_atoms()
-    for node, _, _ in program:
-        if isinstance(node, Atom) and node.name not in known:
+    for name in atoms:
+        if name not in known:
             warnings.warn(
-                f"atom {node.name!r} is not part of the model; treated as false",
+                f"atom {name!r} is not part of the model; treated as false",
                 UnknownAtomWarning,
                 stacklevel=2,
             )
@@ -577,11 +576,26 @@ def _run(program: _Program, step: Callable[[Formula, list], object]):
     return values[-1]
 
 
-def _compile(g: Graph, core: Formula) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the expanded formula ``core`` into a function from valuation
-    masks (bit ``i`` set: the atom holds at node ``i``) to the node bitsets
-    of ``core``'s extension under each of them."""
-    program = _program(core)
+def _prepared(f: Formula) -> tuple[_Program, tuple[str, ...]]:
+    """The program of ``f``'s expansion and its atoms in program order.
+
+    The depth check runs on every call, before the cache hashes ``f``
+    (hashing recurses once per level), so a too-deep formula raises each
+    time; the expansion and the program are built once per formula."""
+    _check_depth(f)
+    return _expanded_program(f)
+
+
+@lru_cache(maxsize=256)
+def _expanded_program(f: Formula) -> tuple[_Program, tuple[str, ...]]:
+    program = _program(expand(f))
+    return program, tuple(node.name for node, _, _ in program if isinstance(node, Atom))
+
+
+def _compile(g: Graph, program: _Program) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile the program of an expanded formula into a function from
+    valuation masks (bit ``i`` set: the atom holds at node ``i``) to the
+    node bitsets of the formula's extension under each of them."""
     nbr = _neighbor_masks(g)
     degrees = g.degrees()
     full = np.uint32((1 << g.n) - 1)
@@ -648,11 +662,10 @@ def formula_possible(
     atoms are rejected.
     """
     _check_cap(g, cap)
-    _check_depth(f)
-    used = atom_names(f)
-    if not used <= {atom}:
+    program, used = _prepared(f)
+    if not set(used) <= {atom}:
         raise PreconditionError(
             f"satisfiability search is single-atom; formula uses {sorted(used)}"
         )
-    extensions = _compile(g, expand(f))
+    extensions = _compile(g, program)
     return any(extensions(masks).any() for masks in _chunks(g.n))

@@ -161,6 +161,36 @@ def test_circulant_collision_raises():
         add_regular_subgraph(keys_of({(0, 3)}, 6), 6, list(range(6)), 3)
 
 
+def test_circulant_collision_names_the_first_in_loop_order():
+    """The distinct keys are probed in sorted order, but the message names
+    the first collision of the loop's order, here not the smallest key."""
+    existing = keys_of({(0, 2), (3, 5)}, 6)
+    with pytest.raises(InternalInvariantError, match=r"circulant edge \(3, 5\) collides"):
+        add_regular_subgraph(existing, 6, [5, 4, 3, 2, 1, 0], 2)
+
+
+_key_values = st.one_of(st.integers(0, 40), st.integers(0, 2**62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_key_values), st.sets(_key_values), st.lists(st.one_of(_key_values, st.just(-1))))
+def test_merge_and_contains_match_python_sets(keys, fresh, probe):
+    """``_merge`` is the sorted union of two disjoint sorted runs and
+    ``_contains`` is membership, for probes in any order; neither changes
+    its arguments."""
+    fresh -= keys
+    known = np.array(sorted(keys), dtype=np.int64)
+    added = np.array(sorted(fresh), dtype=np.int64)
+    probes = np.array(probe, dtype=np.int64)
+    assert construct._merge(known, added).tolist() == sorted(keys | fresh)
+    assert construct._contains(known, probes).tolist() == [x in keys for x in probe]
+    assert construct._contains(known, np.sort(probes)).tolist() == [
+        x in keys for x in sorted(probe)
+    ]
+    assert known.tolist() == sorted(keys) and added.tolist() == sorted(fresh)
+    assert probes.tolist() == probe
+
+
 def test_circulant_rejects_oversized_degree():
     with pytest.raises(PreconditionError):
         add_regular_subgraph(NO_EDGES, 4, list(range(4)), 4)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majority_illusion import (
@@ -25,7 +25,8 @@ from majority_illusion import (
     strict_illusion_from_proper,
     weak_majority_2_coloring,
 )
-from majority_illusion.graphs import MAX_EDGES, MAX_NODES
+from majority_illusion.graphs import MAX_EDGES, MAX_NODES, Graph
+from majority_illusion.logic import _true_neighbors
 
 from conftest import colored_graphs, graphs, reference_make_graph
 
@@ -202,6 +203,61 @@ def test_array_builder_matches_the_set_builder(case, form):
 def test_red_neighbor_counts_match_set_intersections(cg):
     red = frozenset(i for i, c in enumerate(cg.colors) if c is Color.RED)
     assert cg.red_neighbor_counts == tuple(len(a & red) for a in cg.graph.adj)
+
+
+@st.composite
+def _graphs_and_values(draw):
+    """A graph on 0..10 nodes, often with isolated nodes (the last one
+    included), and one bool or int value per node."""
+    g = draw(graphs(max_n=10, min_n=0))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
+    else:
+        ints = st.integers(-(2**40), 2**40)
+        values = np.array(draw(st.lists(ints, min_size=g.n, max_size=g.n)), dtype=np.int64)
+    return g, values
+
+
+@settings(max_examples=300)
+@example((make_graph(0, []), np.zeros(0, dtype=bool)))
+@example((make_graph(1, []), np.array([7])))
+@example((make_graph(4, [(0, 1), (1, 2)]), np.array([True, True, True, True])))
+@example((make_graph(4, [(1, 2), (2, 3)]), np.array([5, 6, 7, 8])))
+@given(_graphs_and_values())
+@pytest.mark.parametrize(
+    "row_sums", [Graph.neighbor_sums, _true_neighbors], ids=["neighbor_sums", "true_neighbors"]
+)
+def test_row_sums_match_per_row_python_sums(row_sums, case):
+    """Both row sums (the graph's and the model checker's own) give every
+    node the Python sum of its neighbours' values, 0 on an isolated node."""
+    g, values = case
+    expected = [
+        sum(int(values[j]) for j in g.indices[g.indptr[i]:g.indptr[i + 1]].tolist())
+        for i in range(g.n)
+    ]
+    sums = row_sums(g, values)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
+def test_make_graph_at_the_key_width_boundary(n):
+    """Keys sort as uint32 below 2^16 nodes and as int64 from it on; both
+    give the edge set's rows, the largest ids included."""
+    rng = np.random.default_rng(n)
+    pairs = rng.integers(0, n, size=(3000, 2))
+    pairs = np.concatenate((pairs, [[n - 1, n - 2], [0, n - 1], [n - 1, 0], [n - 2, 1]]))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    g = make_graph(n, pairs)
+    edge_set = {(min(u, v), max(u, v)) for u, v in pairs.tolist()}
+    u, v = g.edge_arrays()
+    assert list(zip(u.tolist(), v.tolist())) == sorted(edge_set)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    degrees = np.bincount(np.array(sorted(edge_set)).ravel(), minlength=n)
+    assert np.array_equal(np.diff(g.indptr), degrees)
+    for i in (0, 1, n - 2, n - 1):
+        row = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+        assert row == sorted({b for a, b in edge_set if a == i} | {a for a, b in edge_set if b == i})
 
 
 @given(graphs(max_n=8, min_n=0), st.randoms(use_true_random=False))

@@ -265,7 +265,7 @@ def test_bitset_kernel_matches_frozenset_extension(case):
     g, f = case
     expected = extension_bitsets_reference(g, f)
     masks = np.arange(1 << g.n, dtype=np.uint32)
-    assert _compile(g, expand(f))(masks).tolist() == expected
+    assert _compile(g, _program(expand(f)))(masks).tolist() == expected
     assert formula_possible(g, f) == any(expected)
 
 
@@ -312,6 +312,22 @@ def test_depth_limit_is_exact_at_every_entry_point(wrap):
     ):
         with pytest.raises(PreconditionError, match="nested too deep"):
             call()
+
+
+def test_formula_errors_are_raised_on_every_call():
+    """Programs are cached per formula, but the checks are not: a formula
+    far too deep to hash is rejected before any cache sees it, each time,
+    and a second atom is rejected by every search."""
+    model = triangle_model("RRB")
+    very_deep = _nested(50 * MAX_FORMULA_DEPTH, Not)
+    two_atoms = parse_formula("p | q")
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="nested too deep"):
+            extension(model, very_deep)
+        with pytest.raises(PreconditionError, match="nested too deep"):
+            formula_possible(model.graph, very_deep)
+        with pytest.raises(PreconditionError, match=r"formula uses \['p', 'q'\]"):
+            formula_possible(model.graph, two_atoms)
 
 
 def test_unknown_atom_warns_and_is_false():
