@@ -90,7 +90,7 @@ def agent_status(cg: ColoredGraph, i: int) -> AgentStatus:
     cg.graph.check_node(i)
     local = cg.local_winner(i)
     glob = cg.global_winner
-    own = cg.colors[i]
+    own = Color.RED if cg.red[i] else Color.BLUE
 
     if local is Winner.TIE:
         opposition = Level.WEAK
@@ -187,7 +187,7 @@ def status_columns(cg: ColoredGraph) -> StatusColumns:
     the degrees and red neighbour counts) and the global winner; the rules are
     :func:`agent_status`'s, and row ``i`` decodes to ``agent_status(cg, i)``."""
     glob = WINNER_CODES.index(cg.global_winner)
-    own = np.where(cg.red_mask, _RED, _BLUE).astype(np.int8)
+    own = np.where(cg.red, _RED, _BLUE).astype(np.int8)
     local = cg.local_winner_codes
     opposition = np.select([local == _TIE, local == own], [_WEAK, _NONE], _STRICT)
     agrees = local == glob

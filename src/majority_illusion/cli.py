@@ -33,7 +33,6 @@ from .analysis import (
 from .analysis import agent_statuses, classify_network  # noqa: F401  (perfbench traces them here)
 from .coloring import (
     ColoredGraph,
-    all_red,
     coloring_to_string,
     random_coloring,
     weak_majority_2_coloring,
@@ -150,29 +149,29 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_color(args: argparse.Namespace) -> int:
     graph, colors = parse_graph_text(_read_input(args.file))
     if args.initial == "random":
-        rng = random.Random(args.seed)
-        initial = random_coloring(graph.n, rng)
+        initial = random_coloring(graph.n, random.Random(args.seed))
     elif args.initial == "as-is":
         if colors is None:
             raise PreconditionError("--initial as-is needs a colored input")
         initial = colors
     else:
-        initial = all_red(graph.n)
+        initial = None  # all red
     if args.mode == "weak":
         out = ColoredGraph(graph, weak_majority_2_coloring(graph, initial))
     else:
         out = illusion_coloring(graph, initial)
     if args.format == "json":
-        payload = {"n": graph.n, "colors": coloring_to_string(out.colors), "mode": args.mode}
+        payload = {"n": graph.n, "colors": coloring_to_string(out.red), "mode": args.mode}
         print(_json_spliced(payload, "edges", _json_id_rows(graph.n, *graph.edge_arrays())))
     else:
-        sys.stdout.write(write_graph(graph, out.colors))
+        sys.stdout.write(write_graph(graph, out.red))
     return 0
 
 
 def _agent_json_row(s: AgentStatus) -> str:
     """An agent's row as ``json.dumps(indent=2)`` lays it out two levels
-    deep, inside the payload's ``agents`` list."""
+    deep, inside the payload's ``agents`` list, with the comma and line end
+    that follow it there."""
     row = {
         "node": s.node,
         "color": s.own_color.value,
@@ -183,7 +182,7 @@ def _agent_json_row(s: AgentStatus) -> str:
         "illusion_color": s.illusion_color.value if s.illusion_color else None,
         "isolated": s.isolated,
     }
-    return "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+    return "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ") + ",\n"
 
 
 def _agent_text(s: AgentStatus) -> str:
@@ -196,21 +195,22 @@ def _agent_text(s: AgentStatus) -> str:
     )
 
 
-# Row templates render a status with this node id and then put "%d" in its
-# place: no node has it, and no other field of a row holds a digit or "%".
+# Row templates render a status with this node id and are split at it: no
+# node has it, and no other field of a row holds a digit.
 _NODE_MARK = -1
 
 
-def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
-    """``render(status)`` for every agent: each distinct combination of
-    status columns is rendered once, as a template for its nodes' ids."""
+def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> str:
+    """``render(status)`` for every agent, joined: each distinct combination
+    of status columns is rendered once and split at the node id into a
+    prefix and a suffix, and the rows are laid out as (prefix, id, suffix)
+    pieces joined once, as ``write_graph`` joins its body."""
     first, inverse = columns.combinations()
-    templates = [
-        render(replace(columns.status(i), node=_NODE_MARK)).replace(str(_NODE_MARK), "%d", 1)
-        for i in first.tolist()
-    ]
-    per_node = np.array(templates, dtype=object)[inverse].tolist()
-    return list(map(str.__mod__, per_node, range(len(per_node))))
+    templates = [render(replace(columns.status(i), node=_NODE_MARK)) for i in first.tolist()]
+    table = np.array([t.partition(str(_NODE_MARK)) for t in templates], dtype=object)
+    rows = table.reshape(-1, 3)[inverse]
+    rows[:, 1] = [str(i) for i in range(len(inverse))]
+    return "".join(rows.ravel().tolist())
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -230,21 +230,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         pq = pq_report(cg, p, q)
     if args.format == "json":
         payload = {
-            "colors": coloring_to_string(cg.colors),
+            "colors": coloring_to_string(cg.red),
             "coloring_derived": derived,
             "network": report.to_json_dict(),
         }
         if pq is not None:
             payload["pq"] = pq.to_json_dict()
         rows = _agent_rows(columns, _agent_json_row)
-        agents = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        agents = "[\n" + rows[:-2] + "\n  ]" if rows else "[]"
         print(_json_spliced(payload, "agents", agents))
     else:
         if derived:
             print("# coloring derived by the illusion-coloring pipeline")
-            print(f"colors {coloring_to_string(cg.colors)}")
+            print(f"colors {coloring_to_string(cg.red)}")
         print("node color local global opposition illusion witness")
-        sys.stdout.write("".join(_agent_rows(columns, _agent_text)))
+        sys.stdout.write(_agent_rows(columns, _agent_text))
         print(
             f"counts strict={report.strict_count} "
             f"weak_only={report.weak_only_count} none={report.none_count}"
@@ -278,13 +278,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "n": cg.graph.n,
-            "colors": coloring_to_string(cg.colors),
+            "colors": coloring_to_string(cg.red),
             "report": report.to_json_dict(),
         }
         edges = _json_id_rows(cg.graph.n, *cg.graph.edge_arrays())
         print(_json_spliced(payload, "edges", edges))
     else:
-        sys.stdout.write(write_graph(cg.graph, cg.colors))
+        sys.stdout.write(write_graph(cg.graph, cg.red))
         print(json.dumps(report.to_json_dict(), sort_keys=True), file=sys.stderr)
     return 0
 

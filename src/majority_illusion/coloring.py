@@ -1,5 +1,8 @@
 """Two-colorings of graphs and the constructive coloring algorithms.
 
+A coloring is one read-only bool column, ``True`` at the red nodes.
+Functions here take it as such a column or as a :data:`Coloring`, and
+those that make one for a pipeline return the column.
 All half-threshold comparisons use exact integer arithmetic (``2 * count``
 against a set size) so ties are detected exactly.
 """
@@ -55,6 +58,7 @@ class Winner(enum.Enum):
 
 
 Coloring = tuple[Color, ...]
+AnyColoring = np.ndarray | Sequence[Color]
 
 # What the int8 winner codes of the array forms stand for, by position.
 WINNER_CODES = (Winner.RED, Winner.BLUE, Winner.TIE)
@@ -65,39 +69,50 @@ def all_red(n: int) -> Coloring:
     return (Color.RED,) * n
 
 
-# Letter to color and back, as dicts: an enum lookup by value costs
-# several times more per node.
-_BY_LETTER = {c.value: c for c in Color}
-_LETTER = {c: c.value for c in Color}
+# Letters and colors by red flag: one table entry per node.
+_LETTERS = np.frombuffer(b"BR", dtype=np.uint8)
+_COLORS = np.array([Color.BLUE, Color.RED], dtype=object)
+
+
+def red_column(colors: AnyColoring) -> np.ndarray:
+    """``colors`` as a read-only bool column: a bool array as it is or, if
+    writable, copied; anything else as a sequence of :class:`Color`."""
+    if isinstance(colors, np.ndarray) and colors.dtype == bool:
+        red = colors.copy() if colors.flags.writeable else colors
+    else:
+        red = np.fromiter(map(is_, colors, repeat(Color.RED)), bool)
+    red.flags.writeable = False
+    return red
 
 
 def coloring_from_string(text: str) -> Coloring:
-    try:
-        return tuple(map(_BY_LETTER.__getitem__, text.strip()))
-    except KeyError:
-        raise PreconditionError(
-            f"coloring string may only contain 'R' and 'B': {text!r}"
-        ) from None
+    word = text.strip()
+    if word.strip("RB"):
+        raise PreconditionError(f"coloring string may only contain 'R' and 'B': {text!r}")
+    red = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R")
+    return tuple(_COLORS.take(red.view(np.uint8)))
 
 
-def coloring_to_string(colors: Sequence[Color]) -> str:
-    return "".join(map(_LETTER.__getitem__, colors))
+def coloring_to_string(colors: AnyColoring) -> str:
+    """One letter per node, ``R`` or ``B``: one byte-table ``take``."""
+    return _LETTERS.take(red_column(colors).view(np.uint8)).tobytes().decode("ascii")
 
 
-def flipped(colors: Sequence[Color], i: int) -> Coloring:
-    """Copy of ``colors`` with node ``i``'s color swapped."""
-    out = list(colors)
-    out[i] = out[i].other
-    return tuple(out)
-
-
-def inverted(colors: Sequence[Color]) -> Coloring:
-    """Copy of ``colors`` with every node's color swapped."""
-    return tuple(c.other for c in colors)
-
-
-def random_coloring(n: int, rng: random.Random) -> Coloring:
-    return tuple(rng.choice((Color.RED, Color.BLUE)) for _ in range(n))
+def random_coloring(n: int, rng: random.Random) -> np.ndarray:
+    """``n`` colors as ``rng.choice((RED, BLUE))`` draws them node by node,
+    and ``rng`` left where those draws leave it.  Each such ``choice`` takes
+    32-bit words until one has its top bit clear and reads its bit 30 (0 is
+    red), so the words come in bulk and ``rng`` then moves on by those used."""
+    start = None if isinstance(rng, random.SystemRandom) else rng.getstate()
+    words, m = np.empty(0, dtype="<u4"), 2 * n + 64
+    while np.count_nonzero(words < 1 << 31) < n:
+        drawn = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words = np.append(words, np.frombuffer(drawn, dtype="<u4"))
+    kept = np.flatnonzero(words < 1 << 31)[:n]
+    if start is not None:  # a SystemRandom has no stream to keep
+        rng.setstate(start)
+        rng.getrandbits(32 * (int(kept[-1]) + 1) if n else 0)
+    return red_column(words[kept] < 1 << 30)
 
 
 def _winner(red: int, total: int) -> Winner:
@@ -118,38 +133,48 @@ def majority_winner(colors: Iterable[Color]) -> Winner:
     return _winner(colors.count(Color.RED), len(colors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoredGraph:
-    """A graph together with a total Red/Blue assignment."""
+    """A graph together with a total Red/Blue assignment, held as the
+    read-only bool column :attr:`red` (``True`` at red nodes).  The
+    constructor takes a coloring in either form (see :func:`red_column`)."""
 
     graph: Graph
-    colors: Coloring
+    red: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.colors) != self.graph.n:
+        red = red_column(self.red)
+        if red.shape != (self.graph.n,):
             raise PreconditionError(
-                f"coloring covers {len(self.colors)} nodes, graph has {self.graph.n}"
+                f"coloring covers {len(red)} nodes, graph has {self.graph.n}"
             )
+        object.__setattr__(self, "red", red)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColoredGraph):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.red, other.red)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.red.tobytes()))
+
+    @cached_property
+    def colors(self) -> Coloring:
+        """Every node's :class:`Color`, for readers outside the package."""
+        return tuple(_COLORS.take(self.red.view(np.uint8)).tolist())
 
     @cached_property
     def color_counts(self) -> tuple[int, int]:
         """``(red, blue)`` node counts."""
-        red = self.colors.count(Color.RED)
+        red = int(np.count_nonzero(self.red))
         return red, self.graph.n - red
-
-    @cached_property
-    def red_mask(self) -> np.ndarray:
-        """Which nodes are red, as a read-only bool array."""
-        mask = np.fromiter(map(is_, self.colors, repeat(Color.RED)), bool, self.graph.n)
-        mask.flags.writeable = False
-        return mask
 
     @cached_property
     def red_neighbor_array(self) -> np.ndarray:
         """Red neighbours of every node, tallied once per colored graph: the
         neighbours' red flags summed over each row by
         :meth:`Graph.neighbor_sums`.  A read-only int64 array."""
-        counts = self.graph.neighbor_sums(self.red_mask)
+        counts = self.graph.neighbor_sums(self.red)
         counts.flags.writeable = False
         return counts
 
@@ -181,33 +206,34 @@ class ColoredGraph:
         return _winner(self.red_neighbor_counts[i], self.graph._degree_list[i])
 
     def with_flipped(self, i: int) -> "ColoredGraph":
-        return ColoredGraph(self.graph, flipped(self.colors, i))
+        red = self.red.copy()
+        red[i] = not red[i]
+        return ColoredGraph(self.graph, red)
 
     def with_inverted(self) -> "ColoredGraph":
-        return ColoredGraph(self.graph, inverted(self.colors))
+        return ColoredGraph(self.graph, ~self.red)
 
 
 def monochromatic_count(cg: ColoredGraph) -> tuple[int, int]:
     """``(monochromatic, dichromatic)`` edge counts; they sum to ``|E|``."""
     u, v = cg.graph.edge_arrays()
-    red = cg.red_mask
-    mono = int(np.count_nonzero(red[u] == red[v]))
+    mono = int(np.count_nonzero(cg.red[u] == cg.red[v]))
     return mono, cg.graph.edge_count - mono
 
 
-def is_weak_majority_coloring(g: Graph, colors: Sequence[Color]) -> bool:
+def is_weak_majority_coloring(g: Graph, colors: AnyColoring) -> bool:
     """True when no node's own color wins a strict majority of its neighborhood."""
-    cg = ColoredGraph(g, tuple(colors))
-    return not np.any(cg.local_winner_codes == np.where(cg.red_mask, _RED, _BLUE))
+    cg = ColoredGraph(g, colors)
+    return not np.any(cg.local_winner_codes == np.where(cg.red, _RED, _BLUE))
 
 
 def weak_majority_2_coloring(
     g: Graph,
-    initial: Coloring | None = None,
+    initial: AnyColoring | None = None,
     node_order: Sequence[int] | None = None,
-) -> Coloring:
+) -> np.ndarray:
     """Local-search coloring in which every node has at least as many
-    dichromatic as monochromatic edges.
+    dichromatic as monochromatic edges, as a read-only bool column.
 
     Repeatedly swaps the first node (in ``node_order``, ascending ids by
     default) with strictly more monochromatic than dichromatic edges.  Each
@@ -223,10 +249,10 @@ def weak_majority_2_coloring(
 
 def weak_majority_2_coloring_swaps(
     g: Graph,
-    initial: Coloring | None = None,
+    initial: AnyColoring | None = None,
     node_order: Sequence[int] | None = None,
     on_swap: Callable[[int, int], None] | None = None,
-) -> tuple[Coloring, int]:
+) -> tuple[np.ndarray, int]:
     """Like :func:`weak_majority_2_coloring` but also returns the number of
     swaps performed; ``on_swap(node, mono_after)`` is invoked per swap.
 
@@ -235,9 +261,10 @@ def weak_majority_2_coloring_swaps(
     node (plus stale entries, dropped when popped), and a swap can create
     violations only among the swapped node's neighbors, which are pushed as
     they cross the threshold.  Cost ``O((n + swaps * maxdeg) * log n)``.
+    The loop flips Python bools in a list: ``is`` compares two colors.
     """
-    colors = list(initial) if initial is not None else [Color.RED] * g.n
-    if len(colors) != g.n:
+    start = red_column(initial if initial is not None else np.ones(g.n, dtype=bool))
+    if start.shape != (g.n,):
         raise PreconditionError("initial coloring must cover every node")
     order = list(node_order) if node_order is not None else list(range(g.n))
     if sorted(order) != list(range(g.n)):
@@ -246,15 +273,18 @@ def weak_majority_2_coloring_swaps(
     bounds = g.indptr.tolist()
     flat = g.indices.tolist()
     deg = g._degree_list
-    pos = np.argsort(order).tolist()  # the inverse permutation
-    start = ColoredGraph(g, tuple(colors))
-    red = start.red_neighbor_array
-    mono_deg = np.where(start.red_mask, red, np.diff(g.indptr) - red).tolist()
+    order_ids = np.array(order, dtype=np.intp)
+    pos = np.argsort(order_ids).tolist()  # the inverse permutation
+    red = g.neighbor_sums(start)
+    degrees = np.diff(g.indptr)
+    counts = np.where(start, red, degrees - red)
+    # Ascending positions of the violators: already a valid heap.
+    heap = np.flatnonzero((2 * counts > degrees)[order_ids]).tolist()
+    mono_deg = counts.tolist()
+    colors = start.tolist()
     total_mono = sum(mono_deg) // 2
     swaps = 0
     budget = total_mono  # each swap strictly decreases total_mono
-    # Ascending positions: already a valid heap.
-    heap = [p for p, i in enumerate(order) if 2 * mono_deg[i] > deg[i]]
     while heap:
         target = order[heappop(heap)]
         d = deg[target]
@@ -266,7 +296,7 @@ def weak_majority_2_coloring_swaps(
                 "swap loop exceeded its monochromatic-edge budget"
             )
         old = colors[target]
-        colors[target] = old.other
+        colors[target] = not old
         total_mono -= 2 * mono - d
         mono_deg[target] = d - mono
         for j in flat[bounds[target] : bounds[target + 1]]:
@@ -280,10 +310,10 @@ def weak_majority_2_coloring_swaps(
         swaps += 1
         if on_swap is not None:
             on_swap(target, total_mono)
-    return tuple(colors), swaps
+    return red_column(np.array(colors, dtype=bool)), swaps
 
 
-def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph:
+def illusion_coloring(g: Graph, initial: AnyColoring | None = None) -> ColoredGraph:
     """Color ``g`` so that strictly more than half the nodes disagree locally
     with the global majority winner (a majority-weak-majority illusion).
 
@@ -297,16 +327,15 @@ def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph
     """
     if g.n < 1:
         raise PreconditionError("illusion coloring needs at least one node")
-    colors = weak_majority_2_coloring(g, initial)
+    result = ColoredGraph(g, weak_majority_2_coloring(g, initial))
     for _ in range(g.edge_count + 2):
-        cg = ColoredGraph(g, colors)
-        if cg.global_winner is not Winner.TIE:
+        if result.global_winner is not Winner.TIE:
             break
-        tied = np.flatnonzero(cg.local_winner_codes == _TIE)
+        tied = np.flatnonzero(result.local_winner_codes == _TIE)
         if 2 * (g.n - len(tied)) > g.n:
             break
-        colors = weak_majority_2_coloring(g, flipped(colors, int(tied[0])))
-    result = ColoredGraph(g, colors)
+        flip = result.with_flipped(int(tied[0])).red
+        result = ColoredGraph(g, weak_majority_2_coloring(g, flip))
     glob = WINNER_CODES.index(result.global_winner)
     under = int(np.count_nonzero(result.local_winner_codes != glob))
     if not 2 * under > g.n:
@@ -316,31 +345,32 @@ def illusion_coloring(g: Graph, initial: Coloring | None = None) -> ColoredGraph
     return result
 
 
-def proper_2_coloring(g: Graph) -> Coloring | None:
-    """Proper 2-coloring (zero monochromatic edges) if ``g`` is bipartite.
+def proper_2_coloring(g: Graph) -> np.ndarray | None:
+    """Proper 2-coloring (zero monochromatic edges) if ``g`` is bipartite, as
+    a read-only bool column.
 
     Deterministic: breadth-first from the lowest-id node of each component,
     roots colored red.  Returns ``None`` on any odd cycle.
     """
     bounds = g.indptr.tolist()
     flat = g.indices.tolist()
-    colors: list[Color | None] = [None] * g.n
+    colors: list[bool | None] = [None] * g.n
     for root in range(g.n):
         if colors[root] is not None:
             continue
-        colors[root] = Color.RED
+        colors[root] = True
         queue = [root]
         while queue:
             nxt: list[int] = []
             for u in queue:
                 for v in flat[bounds[u] : bounds[u + 1]]:
                     if colors[v] is None:
-                        colors[v] = colors[u].other
+                        colors[v] = not colors[u]
                         nxt.append(v)
                     elif colors[v] is colors[u]:
                         return None
             queue = nxt
-    return tuple(colors)  # type: ignore[arg-type]
+    return red_column(np.array(colors, dtype=bool))
 
 
 def strict_illusion_from_proper(g: Graph) -> ColoredGraph | None:
@@ -385,7 +415,7 @@ def odd_degree_swap_upgrade(cg: ColoredGraph) -> ColoredGraph | None:
     g = cg.graph
     if any(d % 2 == 0 for d in g.degrees()):
         raise PreconditionError("all node degrees must be odd")
-    if not is_weak_majority_coloring(g, cg.colors):
+    if not is_weak_majority_coloring(g, cg.red):
         raise PreconditionError("coloring is not a weak majority 2-coloring")
     if cg.global_winner is not Winner.TIE:
         raise PreconditionError("global vote must be tied")

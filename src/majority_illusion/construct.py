@@ -36,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import COLOR_CODES, IllusionKind, NetworkIllusionReport, status_columns
+from .analysis import IllusionKind, NetworkIllusionReport, status_columns
 from .analysis import classify_network  # noqa: F401  (perfbench traces it here)
-from .coloring import WINNER_CODES, Color, ColoredGraph, Winner
+from .coloring import WINNER_CODES, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
 from .graphs import MAX_NODES, _key_rows, _sorted_unique, check_size, make_graph
@@ -387,12 +387,10 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
     bad = np.flatnonzero(np.diff(g.indptr) != k).tolist()
     if bad:
         raise InternalInvariantError(f"nodes {bad} missed the target degree {k}")
+    if cg.color_counts[0] != n_red:
+        raise InternalInvariantError(f"expected {n_red} red nodes, got {cg.color_counts[0]}")
     columns = status_columns(cg)
-    red = columns.own == COLOR_CODES.index(Color.RED)
-    reds = int(np.count_nonzero(red))
-    if reds != n_red:
-        raise InternalInvariantError(f"expected {n_red} red nodes, got {reds}")
-    outvoted = np.flatnonzero(red & (columns.local != WINNER_CODES.index(Winner.BLUE)))
+    outvoted = np.flatnonzero(cg.red & (columns.local != WINNER_CODES.index(Winner.BLUE)))
     if len(outvoted):
         i = int(outvoted[0])
         blue_nb = k - int(cg.red_neighbor_array[i])
@@ -406,9 +404,9 @@ def _finish(
     plan: ConstructionPlan, keys: np.ndarray, report: ConstructionReport
 ) -> tuple[ColoredGraph, ConstructionReport]:
     """Color the first ``n_red`` nodes red, build the graph and validate it."""
-    colors = (Color.RED,) * plan.n_red + (Color.BLUE,) * plan.n_blue
+    red = np.arange(plan.n) < plan.n_red
     edges = np.stack(np.divmod(keys, plan.n), axis=1)
-    cg = ColoredGraph(make_graph(plan.n, edges), colors)
+    cg = ColoredGraph(make_graph(plan.n, edges), red)
     _validate_colored_regular(cg, plan.n, plan.k, plan.n_red)
     report.validated = True
     return cg, report

@@ -10,9 +10,10 @@ Layout::
 
 Writers emit a canonical form (header, optional colors line, edges sorted
 with ``u < v``), so write/read/write round-trips are byte-identical.  The
-reader takes a text in the canonical layout (one space inside each edge
-line, no comments or blank lines, every id below ``n``) as one int64
-array: one ``translate`` checks the layout and one text-mode
+colors line is read into a bool column (:attr:`ColoredGraph.red`) by one
+byte compare.  The reader takes a text in the canonical layout (one space
+inside each edge line, no comments or blank lines, every id below ``n``) as
+one int64 array: one ``translate`` checks the layout and one text-mode
 ``np.fromstring`` reads the ids.  Any other text goes through a
 line-by-line reader, which names the line of the first fault.  Node
 counts are ASCII digits.
@@ -22,15 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coloring import ColoredGraph, Coloring, coloring_from_string, coloring_to_string
+from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_column
 from .errors import FormatError
 from .graphs import Graph, make_graph
 
 _DIGITS = str.maketrans("", "", "0123456789")
 
 
-def parse_graph_text(text: str) -> tuple[Graph, Coloring | None]:
-    """Parse the text format, returning the graph and its colors if present."""
+def parse_graph_text(text: str) -> tuple[Graph, np.ndarray | None]:
+    """Parse the text format, returning the graph and, if present, its
+    colors as a read-only bool column (``True`` at the red nodes)."""
     parsed = _parse_canonical(text)
     if parsed is None:
         n, colors, edges = _parse_lines(text)
@@ -43,7 +45,7 @@ def parse_graph_text(text: str) -> tuple[Graph, Coloring | None]:
     return graph, colors
 
 
-def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | None:
+def _parse_canonical(text: str) -> tuple[int, np.ndarray | None, np.ndarray] | None:
     """Header, colors and edge pairs of a text in the writer's layout;
     ``None`` for any other text, valid or not."""
     # The header and colors lines are found by offset, so the body is
@@ -62,7 +64,7 @@ def _parse_canonical(text: str) -> tuple[int, Coloring | None, np.ndarray] | Non
         word = text[start + 7 : end]
         if len(word) != n or word.strip("RB"):
             return None
-        colors = coloring_from_string(word)
+        colors = red_column(np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R"))
         start = end + 1
     body = text[start:]
     # Without its ASCII digits the body reads " \n" once per line, and it
@@ -92,9 +94,9 @@ def _is_count(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _parse_lines(text: str) -> tuple[int, Coloring | None, list[tuple[int, int]]]:
+def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int]]]:
     n: int | None = None
-    colors: Coloring | None = None
+    colors: np.ndarray | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -120,7 +122,7 @@ def _parse_lines(text: str) -> tuple[int, Coloring | None, list[tuple[int, int]]
                 raise FormatError(
                     f"line {lineno}: colors must be {n} characters from {{R,B}}"
                 )
-            colors = coloring_from_string(word)
+            colors = red_column(np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R"))
         else:
             if n is None:
                 raise FormatError(f"line {lineno}: edge before 'n' header")
@@ -175,7 +177,7 @@ def parse_valuation_text(
     return tuple(v or frozenset() for v in valuation), frozenset(atoms)
 
 
-def write_graph(graph: Graph, colors: Coloring | None = None) -> str:
+def write_graph(graph: Graph, colors: AnyColoring | None = None) -> str:
     head = f"n {graph.n}\n"
     if colors is not None:
         head += f"colors {coloring_to_string(colors)}\n"
@@ -190,4 +192,4 @@ def write_graph(graph: Graph, colors: Coloring | None = None) -> str:
 
 
 def write_colored_graph(cg: ColoredGraph) -> str:
-    return write_graph(cg.graph, cg.colors)
+    return write_graph(cg.graph, cg.red)

@@ -388,10 +388,10 @@ class Model:
 
 def model_from_colored_graph(cg: ColoredGraph, atom: str = "p") -> Model:
     """Model in which ``atom`` holds exactly at the red nodes: one take of
-    the two shared node valuations at the red mask."""
+    the two shared node valuations at the red column."""
     table = np.empty(2, dtype=object)
     table[:] = frozenset(), frozenset({atom})
-    valuation = tuple(table.take(cg.red_mask.view(np.uint8)).tolist())
+    valuation = tuple(table.take(cg.red.view(np.uint8)).tolist())
     return Model(cg.graph, valuation, atoms=frozenset({atom}))
 
 

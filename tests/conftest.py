@@ -27,6 +27,14 @@ def reference_make_graph(n: int, edges) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(s) for s in adj)
 
 
+def as_coloring(red) -> tuple[Color, ...] | None:
+    """A bool column (``True`` at red nodes) as a tuple of colors, read one
+    flag at a time; ``None`` stays ``None``."""
+    if red is None:
+        return None
+    return tuple(Color.RED if flag else Color.BLUE for flag in red)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -33,8 +33,16 @@ from majority_illusion import (
     weak_q_illusion,
     write_colored_graph,
 )
-from majority_illusion.coloring import is_weak_majority_coloring, majority_winner
+from majority_illusion.coloring import (
+    coloring_to_string,
+    illusion_coloring,
+    is_weak_majority_coloring,
+    majority_winner,
+    monochromatic_count,
+    strict_illusion_from_proper,
+)
 from majority_illusion.fileformat import parse_colored_graph
+from majority_illusion.logic import model_from_colored_graph
 
 from conftest import colored_graphs
 
@@ -523,6 +531,37 @@ def test_classifiers_leave_the_adjacency_sets_unbuilt(call):
     cg = parse_colored_graph(text)
     call(cg)
     assert "adj" not in cg.graph.__dict__
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cg: agent_status(cg, 1),
+        lambda cg: agent_statuses(cg),
+        lambda cg: status_columns(cg),
+        lambda cg: classify_network(cg),
+        lambda cg: pq_report(cg, HALF, Fraction(2, 3)),
+        lambda cg: q_illusion(cg, 1, Fraction(1, 3)),
+        lambda cg: is_weak_majority_coloring(cg.graph, cg.red),
+        lambda cg: monochromatic_count(cg),
+        lambda cg: model_from_colored_graph(cg),
+        lambda cg: write_colored_graph(cg),
+        lambda cg: coloring_to_string(cg.red),
+        lambda cg: cg.with_flipped(2),
+        lambda cg: cg.with_inverted(),
+        lambda cg: illusion_coloring(cg.graph, cg.red),
+        lambda cg: strict_illusion_from_proper(cycle_graph(8)),
+    ],
+)
+def test_walkers_leave_the_color_tuple_unbuilt(call):
+    """Every walker reads the red column: none of these calls builds the
+    ``colors`` tuple view of the colored graph it is given or returns."""
+    cg = parse_colored_graph(
+        write_colored_graph(ColoredGraph(cycle_graph(7), coloring_from_string("RRBRBBR")))
+    )
+    result = call(cg)
+    for h in [cg, *([result] if isinstance(result, ColoredGraph) else [])]:
+        assert "colors" not in h.__dict__
 
 
 def test_complete_classification_leaves_the_adjacency_sets_unbuilt():

@@ -961,3 +961,33 @@ def test_mc_leaves_the_adjacency_sets_unbuilt(capsys, monkeypatch, tmp_path, arg
     assert code in (0, 1)
     [(graph, _)] = parsed
     assert "adj" not in graph.__dict__
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_color_and_analyze_leave_the_color_tuple_unbuilt(capsys, monkeypatch, tmp_path, fmt):
+    """``color | analyze``, with ``--p/--q``, reads and writes the red
+    column only: no colored graph the CLI makes, from a colors line or by
+    the illusion coloring, builds its ``colors`` tuple view."""
+    made = []
+
+    def recorded(make):
+        def wrapper(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "ColoredGraph", recorded(ColoredGraph))
+    monkeypatch.setattr(cli, "illusion_coloring", recorded(illusion_coloring))
+    plain, colored = tmp_path / "g.txt", tmp_path / "c.txt"
+    plain.write_text(write_graph(circulant_graph(60, [1, 3, 7])))
+    for argv in (["--initial", "random", "--seed", "7"], ["--mode", "weak"]):
+        code, out, _ = run(capsys, "color", str(plain), *argv)
+        assert code == 0
+        colored.write_text(out)
+        for path in (colored, plain):
+            code, _, _ = run(capsys, "analyze", str(path), "--format", fmt, "--p", "1/4", "--q", "3/4")
+            assert code == 0
+        assert run(capsys, "color", str(plain), *argv, "--format", fmt)[0] == 0
+    assert len(made) == 8
+    assert all("colors" not in cg.__dict__ for cg in made)

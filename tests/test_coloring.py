@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,16 +23,32 @@ from majority_illusion import (
     make_graph,
     monochromatic_count,
     proper_2_coloring,
+    random_coloring,
     strict_illusion_from_proper,
     weak_majority_2_coloring,
     weak_majority_2_coloring_swaps,
 )
-from majority_illusion.coloring import WINNER_CODES, flipped
+from majority_illusion.coloring import WINNER_CODES
 from majority_illusion.graphs import circulant_graph
 
-from conftest import colored_graphs, graphs
+from conftest import as_coloring, colored_graphs, graphs
 
 R, B = Color.RED, Color.BLUE
+
+
+def flipped(colors, i):
+    """Copy of the Color tuple ``colors`` with node ``i``'s color swapped:
+    the tuple function that ``ColoredGraph.with_flipped`` replaced, kept as
+    its reference."""
+    out = list(colors)
+    out[i] = out[i].other
+    return tuple(out)
+
+
+def inverted(colors):
+    """Copy of the Color tuple ``colors`` with every color swapped: the
+    tuple function that ``ColoredGraph.with_inverted`` replaced."""
+    return tuple(c.other for c in colors)
 
 
 def test_majority_winner_basic():
@@ -60,7 +77,7 @@ def test_swap_loop_on_monochromatic_triangle():
     triangle = make_graph(3, [(0, 1), (1, 2), (2, 0)])
     colors, swaps = weak_majority_2_coloring_swaps(triangle, all_red(3))
     assert swaps == 1
-    assert colors == (B, R, R)  # lowest-id violator flips first
+    assert as_coloring(colors) == (B, R, R)  # lowest-id violator flips first
     assert is_weak_majority_coloring(triangle, colors)
 
 
@@ -69,13 +86,13 @@ def test_swap_loop_keeps_already_balanced_coloring():
     initial = coloring_from_string("RBRB")
     colors, swaps = weak_majority_2_coloring_swaps(c4, initial)
     assert swaps == 0
-    assert colors == initial
+    assert as_coloring(colors) == initial
 
 
 def test_swap_loop_ignores_edgeless_graph():
     g = make_graph(3, [])
     initial = (R, B, R)
-    assert weak_majority_2_coloring(g, initial) == initial
+    assert as_coloring(weak_majority_2_coloring(g, initial)) == initial
 
 
 def test_swap_loop_rejects_partial_initial():
@@ -89,7 +106,7 @@ def test_swap_loop_honors_node_order():
         triangle, all_red(3), node_order=[2, 1, 0]
     )
     assert swaps == 1
-    assert colors == (R, R, B)
+    assert as_coloring(colors) == (R, R, B)
 
 
 def test_swap_loop_rejects_bad_node_order():
@@ -150,7 +167,7 @@ def test_swap_loop_matches_rescan_reference(g, data):
     expected = _rescan_swap_loop(
         g, initial, order, lambda node, mono: expected_seen.append((node, mono))
     )
-    assert got == expected
+    assert (as_coloring(got[0]), got[1]) == expected
     assert seen == expected_seen
 
 
@@ -199,8 +216,8 @@ def test_illusion_coloring_beats_half_everywhere(g):
 
 
 def test_proper_coloring_even_cycle():
-    assert proper_2_coloring(cycle_graph(4)) == coloring_from_string("RBRB")
-    assert proper_2_coloring(cycle_graph(6)) == coloring_from_string("RBRBRB")
+    assert as_coloring(proper_2_coloring(cycle_graph(4))) == coloring_from_string("RBRB")
+    assert as_coloring(proper_2_coloring(cycle_graph(6))) == coloring_from_string("RBRBRB")
 
 
 def test_proper_coloring_odd_cycle_fails():
@@ -209,7 +226,7 @@ def test_proper_coloring_odd_cycle_fails():
 
 def test_proper_coloring_roots_each_component_red():
     g = make_graph(4, [(0, 1), (2, 3)])
-    assert proper_2_coloring(g) == (R, B, R, B)
+    assert as_coloring(proper_2_coloring(g)) == (R, B, R, B)
 
 
 def test_strict_from_proper_on_odd_path():
@@ -312,7 +329,7 @@ def test_illusion_coloring_deterministic(g):
 def _reference_illusion_coloring(g, initial=None):
     """The illusion coloring with its tied nodes and its disagreeing count
     found one ``local_winner`` call at a time."""
-    colors = weak_majority_2_coloring(g, initial)
+    colors = as_coloring(weak_majority_2_coloring(g, initial))
     for _ in range(g.edge_count + 2):
         cg = ColoredGraph(g, colors)
         if cg.global_winner is not Winner.TIE:
@@ -320,7 +337,7 @@ def _reference_illusion_coloring(g, initial=None):
         tied = [i for i in range(g.n) if cg.local_winner(i) is Winner.TIE]
         if 2 * (g.n - len(tied)) > g.n:
             break
-        colors = weak_majority_2_coloring(g, flipped(colors, tied[0]))
+        colors = as_coloring(weak_majority_2_coloring(g, flipped(colors, tied[0])))
     result = ColoredGraph(g, colors)
     under = sum(1 for i in range(g.n) if result.local_winner(i) is not result.global_winner)
     if not 2 * under > g.n:
@@ -469,16 +486,94 @@ def test_strict_upgrades_match_the_set_based_references(g, data):
     ``None``, or raise the same error, on bipartite graphs, odd-degree
     graphs and graphs with isolated nodes; the upgrade is fed the illusion
     coloring, the proper coloring and a drawn one."""
-    assert proper_2_coloring(g) == _ref_proper_2_coloring(g)
+    assert as_coloring(proper_2_coloring(g)) == _ref_proper_2_coloring(g)
     assert _outcome(strict_illusion_from_proper, g) == _outcome(_ref_strict_illusion_from_proper, g)
     drawn = tuple(data.draw(st.lists(st.sampled_from((R, B)), min_size=g.n, max_size=g.n)))
     starts = [
         drawn,
-        proper_2_coloring(g),
-        weak_majority_2_coloring(g, drawn),
+        as_coloring(proper_2_coloring(g)),
+        as_coloring(weak_majority_2_coloring(g, drawn)),
         illusion_coloring(g).colors if g.n else None,
     ]
     for colors in (s for s in starts if s is not None):
         cg = ColoredGraph(g, colors)
         assert is_weak_majority_coloring(g, colors) == _ref_is_weak_majority_coloring(g, colors)
         assert _outcome(odd_degree_swap_upgrade, cg) == _outcome(_ref_odd_degree_swap_upgrade, cg)
+
+
+def _reference_random_coloring(n, rng):
+    """The per-node draw that ``random_coloring`` replaced, as the
+    reference for its colors and for the generator state it leaves."""
+    return tuple(rng.choice((R, B)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 100, 3500])
+def test_random_coloring_keeps_the_per_node_stream(n):
+    """Seeds 0-199: the bulk draw gives the per-node loop's colors, as a
+    read-only column, and leaves the generator where the loop leaves it, so
+    the next draw agrees too.  A change to how ``Random.choice`` draws would
+    show here."""
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        red = random_coloring(n, rng)
+        assert not red.flags.writeable
+        assert as_coloring(red) == _reference_random_coloring(n, ref)
+        assert rng.random() == ref.random()
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` calls; ``choice``
+    still draws through ``getrandbits``, so the stream is unchanged."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_random_coloring_draws_again_when_a_bulk_draw_runs_short():
+    """At 50 000 nodes the first bulk draw holds too few accepted words
+    about two times in five: those seeds take a second draw and still give
+    the per-node loop's colors and generator state."""
+    rounds = []
+    for seed in range(10):
+        rng, ref = _CountingRandom(seed), random.Random(seed)
+        red = random_coloring(50_000, rng)
+        rounds.append(rng.calls - 1)  # the last call moves the stream on
+        assert as_coloring(red) == _reference_random_coloring(50_000, ref)
+        assert rng.random() == ref.random()
+    assert 1 in rounds and max(rounds) > 1
+
+
+def test_random_coloring_takes_a_system_random():
+    """A ``SystemRandom`` has no state to rewind: its colors are drawn all
+    the same, as the per-node loop drew them."""
+    red = random_coloring(1000, random.SystemRandom())
+    assert red.shape == (1000,) and 0 < np.count_nonzero(red) < 1000
+
+
+@given(graphs(max_n=12, min_n=0), st.data())
+def test_the_red_column_holds_the_coloring(g, data):
+    """A coloring given as a Color tuple reads back from the ``colors``
+    view; ``red`` is read-only, a writable column is copied, and the flips
+    match the tuple references."""
+    coloring = tuple(data.draw(st.lists(st.sampled_from((R, B)), min_size=g.n, max_size=g.n)))
+    cg = ColoredGraph(g, coloring)
+    assert cg.colors == coloring
+    assert not cg.red.flags.writeable
+    assert cg.red.tolist() == [c is R for c in coloring]
+    column = np.array(cg.red)
+    same = ColoredGraph(g, column)
+    column[:] = ~column
+    assert same == cg and hash(same) == hash(cg) and same.colors == coloring
+    assert ColoredGraph(g, cg.red).red is cg.red
+    assert cg.with_inverted().colors == inverted(coloring)
+    if g.n:
+        i = data.draw(st.integers(-g.n, g.n - 1))
+        assert cg.with_flipped(i).colors == flipped(coloring, i)
+    with pytest.raises(IndexError):
+        cg.with_flipped(g.n)
+    with pytest.raises(IndexError):
+        flipped(coloring, g.n)
+    assert cg.colors == coloring
