@@ -16,7 +16,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import is_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -227,66 +227,54 @@ def is_weak_majority_coloring(g: Graph, colors: AnyColoring) -> bool:
     return not np.any(cg.local_winner_codes == np.where(cg.red, _RED, _BLUE))
 
 
-def weak_majority_2_coloring(
-    g: Graph,
-    initial: AnyColoring | None = None,
-    node_order: Sequence[int] | None = None,
-) -> np.ndarray:
+def weak_majority_2_coloring(g: Graph, initial: AnyColoring | None = None) -> np.ndarray:
     """Local-search coloring in which every node has at least as many
     dichromatic as monochromatic edges, as a read-only bool column.
 
-    Repeatedly swaps the first node (in ``node_order``, ascending ids by
-    default) with strictly more monochromatic than dichromatic edges.  Each
-    swap strictly decreases the total monochromatic count, so the loop
-    terminates after at most ``|E|`` swaps.  The default initial coloring is
-    all-red; pass a seeded :func:`random_coloring` for randomized starts.
-    The first violating node is found through a heap of positions in
-    ``node_order``, so a run costs ``O((n + swaps * maxdeg) * log n)``.
+    Repeatedly swaps the lowest-id node with strictly more monochromatic
+    than dichromatic edges.  Each swap strictly decreases the total
+    monochromatic count, so the loop terminates after at most ``|E|`` swaps.
+    The default initial coloring is all-red; pass a seeded
+    :func:`random_coloring` for randomized starts.  The lowest violating
+    node is found through a heap of node ids, so a run costs
+    ``O((n + swaps * maxdeg) * log n)``.
     """
-    colors, _ = weak_majority_2_coloring_swaps(g, initial, node_order)
+    colors, _ = weak_majority_2_coloring_swaps(g, initial)
     return colors
 
 
 def weak_majority_2_coloring_swaps(
-    g: Graph,
-    initial: AnyColoring | None = None,
-    node_order: Sequence[int] | None = None,
-    on_swap: Callable[[int, int], None] | None = None,
+    g: Graph, initial: AnyColoring | None = None
 ) -> tuple[np.ndarray, int]:
     """Like :func:`weak_majority_2_coloring` but also returns the number of
-    swaps performed; ``on_swap(node, mono_after)`` is invoked per swap.
+    swaps performed.
 
-    The swap sequence is that of rescanning ``node_order`` from the start
-    after every swap: a lazy min-heap holds the position of every violating
-    node (plus stale entries, dropped when popped), and a swap can create
-    violations only among the swapped node's neighbors, which are pushed as
-    they cross the threshold.  Cost ``O((n + swaps * maxdeg) * log n)``.
-    The loop flips Python bools in a list: ``is`` compares two colors.
+    The swap sequence is that of rescanning the nodes in ascending id from
+    the start after every swap: a lazy min-heap holds the id of every
+    violating node (plus stale entries, dropped when popped), and a swap can
+    create violations only among the swapped node's neighbors, which are
+    pushed as they cross the threshold.  Cost ``O((n + swaps * maxdeg) *
+    log n)``.  The loop flips Python bools in a list: ``is`` compares two
+    colors.
     """
     start = red_column(initial if initial is not None else np.ones(g.n, dtype=bool))
     if start.shape != (g.n,):
         raise PreconditionError("initial coloring must cover every node")
-    order = list(node_order) if node_order is not None else list(range(g.n))
-    if sorted(order) != list(range(g.n)):
-        raise PreconditionError("node_order must be a permutation of all node ids")
 
     bounds = g.indptr.tolist()
     flat = g.indices.tolist()
     deg = g._degree_list
-    order_ids = np.array(order, dtype=np.intp)
-    pos = np.argsort(order_ids).tolist()  # the inverse permutation
     red = g.neighbor_sums(start)
     degrees = np.diff(g.indptr)
     counts = np.where(start, red, degrees - red)
-    # Ascending positions of the violators: already a valid heap.
-    heap = np.flatnonzero((2 * counts > degrees)[order_ids]).tolist()
+    # Ascending ids of the violators: already a valid heap.
+    heap = np.flatnonzero(2 * counts > degrees).tolist()
     mono_deg = counts.tolist()
     colors = start.tolist()
-    total_mono = sum(mono_deg) // 2
+    budget = int(counts.sum()) // 2  # each swap strictly lowers the mono total
     swaps = 0
-    budget = total_mono  # each swap strictly decreases total_mono
     while heap:
-        target = order[heappop(heap)]
+        target = heappop(heap)
         d = deg[target]
         mono = mono_deg[target]
         if 2 * mono <= d:
@@ -297,7 +285,6 @@ def weak_majority_2_coloring_swaps(
             )
         old = colors[target]
         colors[target] = not old
-        total_mono -= 2 * mono - d
         mono_deg[target] = d - mono
         for j in flat[bounds[target] : bounds[target + 1]]:
             if colors[j] is old:
@@ -306,10 +293,8 @@ def weak_majority_2_coloring_swaps(
                 m = mono_deg[j] + 1
                 mono_deg[j] = m
                 if 2 * m > deg[j] >= 2 * m - 2:
-                    heappush(heap, pos[j])  # just crossed the threshold
+                    heappush(heap, j)  # just crossed the threshold
         swaps += 1
-        if on_swap is not None:
-            on_swap(target, total_mono)
     return red_column(np.array(colors, dtype=bool)), swaps
 
 

@@ -363,10 +363,10 @@ def _check_top_up(blue_deg: np.ndarray, limit: int) -> None:
 
 def _bridge(
     keys: np.ndarray, n: int, red: np.ndarray, blue: np.ndarray, k: int, deg: np.ndarray
-) -> tuple[np.ndarray, int, int]:
+) -> np.ndarray:
     """Join the neediest blue node (lowest id on ties) to the first red node
     that is open and not yet its neighbor; ``deg`` is updated in place.
-    Returns the keys and the bridged red and blue nodes."""
+    Both end at degree ``k`` (the parity proof is in CHANGES.md)."""
     bridged_blue = int(blue[np.argmin(deg[blue])])
     open_red = red[deg[red] < k]
     candidates = open_red[~_contains(keys, _edge_keys(open_red, bridged_blue, n))]
@@ -377,7 +377,7 @@ def _bridge(
     bridged_red = int(candidates[0])
     deg[[bridged_red, bridged_blue]] += 1
     edge = _edge_keys(np.array([bridged_red]), bridged_blue, n)
-    return _merge(keys, edge), bridged_red, bridged_blue
+    return _merge(keys, edge)
 
 
 def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> None:
@@ -467,14 +467,12 @@ def construct_regular_illusion_report(
                 keys, n, blue_order, plan.k_blue - 1, report, "blue-circulant-short"
             )
         deg = _degree_counts(keys, n)
-        bridged_blue = -1
-        bridged_red = -1
         if red_deferred:
             # one red end must cross over; pick the neediest blue node
-            keys, bridged_red, bridged_blue = _bridge(keys, n, red, blue, k, deg)
+            keys = _bridge(keys, n, red, blue, k, deg)
             report.record("bridge", len(keys) - 1, len(keys))
-        open_blue = blue[(deg[blue] < k) & (blue != bridged_blue)].tolist()
-        open_red = red[(deg[red] < k) & (red != bridged_red)].tolist()
+        open_blue = blue[deg[blue] < k].tolist()
+        open_red = red[deg[red] < k].tolist()
         deg = deg.tolist()
         for label, members in (("blue", open_blue), ("red", open_red)):
             before = len(keys)

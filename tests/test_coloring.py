@@ -100,39 +100,22 @@ def test_swap_loop_rejects_partial_initial():
         weak_majority_2_coloring(cycle_graph(4), (R, B))
 
 
-def test_swap_loop_honors_node_order():
-    triangle = make_graph(3, [(0, 1), (1, 2), (2, 0)])
-    colors, swaps = weak_majority_2_coloring_swaps(
-        triangle, all_red(3), node_order=[2, 1, 0]
-    )
-    assert swaps == 1
-    assert as_coloring(colors) == (R, R, B)
-
-
-def test_swap_loop_rejects_bad_node_order():
-    with pytest.raises(PreconditionError, match="permutation"):
-        weak_majority_2_coloring(cycle_graph(4), node_order=[0, 0, 1, 2])
-
-
 @given(graphs(max_n=9), st.randoms(use_true_random=False))
 def test_swap_loop_postcondition_any_start(g, rng):
     initial = tuple(rng.choice((R, B)) for _ in range(g.n))
     mono_start = sum(
         1 for u, v in g.edges if initial[u] is initial[v]
     )
-    seen = []
-    colors, swaps = weak_majority_2_coloring_swaps(
-        g, initial, on_swap=lambda node, mono: seen.append(mono)
-    )
+    colors, swaps = weak_majority_2_coloring_swaps(g, initial)
     assert is_weak_majority_coloring(g, colors)
     assert swaps <= mono_start <= g.edge_count
-    # monotone progress: the monochromatic total strictly decreases
-    assert all(b < a for a, b in zip([mono_start] + seen, seen))
+    assert (as_coloring(colors), swaps) == _rescan_swap_loop(g, initial)
 
 
-def _rescan_swap_loop(g, initial, order, on_swap):
-    """Reference oracle: the original loop, rescanning ``order`` from the
-    start after every swap."""
+def _rescan_swap_loop(g, initial):
+    """Reference oracle: the original loop, rescanning the nodes in
+    ascending id from the start after every swap, and checking that every
+    swap strictly lowers the monochromatic total."""
     colors = list(initial)
     mono_deg = [
         sum(1 for j in g.adj[i] if colors[j] is colors[i]) for i in range(g.n)
@@ -140,17 +123,18 @@ def _rescan_swap_loop(g, initial, order, on_swap):
     total_mono = sum(mono_deg) // 2
     swaps = 0
     while True:
-        target = next((i for i in order if 2 * mono_deg[i] > g.degree(i)), -1)
+        target = next((i for i in range(g.n) if 2 * mono_deg[i] > g.degree(i)), -1)
         if target < 0:
             return tuple(colors), swaps
         old = colors[target]
         colors[target] = old.other
+        before = total_mono
         total_mono -= 2 * mono_deg[target] - g.degree(target)
+        assert total_mono < before
         mono_deg[target] = g.degree(target) - mono_deg[target]
         for j in g.adj[target]:
             mono_deg[j] += -1 if colors[j] is old else 1
         swaps += 1
-        on_swap(target, total_mono)
 
 
 @settings(max_examples=200)
@@ -159,16 +143,9 @@ def test_swap_loop_matches_rescan_reference(g, data):
     initial = tuple(
         data.draw(st.lists(st.sampled_from((R, B)), min_size=g.n, max_size=g.n))
     )
-    order = data.draw(st.permutations(range(g.n)))
-    seen, expected_seen = [], []
-    got = weak_majority_2_coloring_swaps(
-        g, initial, order, on_swap=lambda node, mono: seen.append((node, mono))
-    )
-    expected = _rescan_swap_loop(
-        g, initial, order, lambda node, mono: expected_seen.append((node, mono))
-    )
-    assert (as_coloring(got[0]), got[1]) == expected
-    assert seen == expected_seen
+    for start in (initial, all_red(g.n)):
+        colors, swaps = weak_majority_2_coloring_swaps(g, start)
+        assert (as_coloring(colors), swaps) == _rescan_swap_loop(g, start)
 
 
 def test_swap_loop_scales_to_long_cycles():

@@ -510,8 +510,7 @@ def test_bridge_takes_the_neediest_blue_and_the_first_open_red():
     deg = np.array([1, 1, 3, 2, 0, 0])
     # blue nodes 4 and 5 tie as the neediest: 4, the lower id, is bridged,
     # to red node 0, the first open one; red node 2 is full
-    out, bridged_red, bridged_blue = _bridge(keys, n, red, blue, k, deg)
-    assert (bridged_red, bridged_blue) == (0, 4)
+    out = _bridge(keys, n, red, blue, k, deg)
     assert edges_of(out, n) == {(0, 3), (1, 3), (0, 4)}
     assert deg.tolist() == [2, 1, 3, 2, 1, 0]
 
@@ -545,10 +544,10 @@ class _Bridged(Exception):
 
 def test_the_bridge_leaves_both_of_its_nodes_full(monkeypatch):
     """On every bridging pair with n <= 160, the bridged red and blue nodes
-    are at degree k right after the bridge.  So the pairings' ``deg < k``
-    filter drops them already, and the builder's exclusions of the two
-    from the member lists change nothing on these pairs.  No proof covers
-    every n, so the builder keeps the exclusions."""
+    are at degree k right after the bridge, so the pairings' ``deg < k``
+    filter drops them.  A parity proof covers every n: each red is at
+    k - 1 before the bridge, and the degree total being even leaves the
+    neediest blue at k - 1 too."""
     short = []
     bridged = 0
 
@@ -556,7 +555,8 @@ def test_the_bridge_leaves_both_of_its_nodes_full(monkeypatch):
         nonlocal bridged
         out = _bridge(keys, n, red, blue, k, deg)
         bridged += 1
-        _, red_node, blue_node = out
+        (edge,) = np.setdiff1d(out, keys).tolist()
+        red_node, blue_node = divmod(edge, n)
         if deg[red_node] != k or deg[blue_node] != k:
             short.append((n, k, int(deg[red_node]), int(deg[blue_node])))
         raise _Bridged
