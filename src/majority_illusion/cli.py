@@ -310,14 +310,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     graph, colors = parse_graph_text(_read_input(args.file))
+    if args.node is not None:
+        graph.check_node(args.node)
     if args.preset is not None:
         formula = illusion_formula(args.preset, atom=args.atom)
     else:
         formula = parse_formula(args.formula)
     if args.valuation is not None:
         with open(args.valuation, "r", encoding="utf-8") as fh:
-            valuation, atoms = parse_valuation_text(fh.read(), graph.n)
-        model = Model(graph, valuation, atoms=atoms)
+            model = Model(graph, parse_valuation_text(fh.read(), graph.n))
     elif colors is not None:
         model = model_from_colored_graph(ColoredGraph(graph, colors), atom=args.atom)
     else:
@@ -330,7 +331,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.node is not None:
-        graph.check_node(args.node)
         truth = args.node in sat
     else:
         truth = len(sat) == graph.n and graph.n > 0

@@ -179,11 +179,6 @@ class ColoredGraph:
         return counts
 
     @cached_property
-    def red_neighbor_counts(self) -> tuple[int, ...]:
-        """:attr:`red_neighbor_array` as a tuple of ints."""
-        return tuple(self.red_neighbor_array.tolist())
-
-    @cached_property
     def local_winner_codes(self) -> np.ndarray:
         """Every node's :meth:`local_winner` as an index into
         :data:`WINNER_CODES`, a read-only int8 array."""
@@ -199,11 +194,11 @@ class ColoredGraph:
 
     def local_red_count(self, i: int) -> int:
         self.graph.check_node(i)
-        return self.red_neighbor_counts[i]
+        return int(self.red_neighbor_array[i])
 
     def local_winner(self, i: int) -> Winner:
         self.graph.check_node(i)
-        return _winner(self.red_neighbor_counts[i], self.graph._degree_list[i])
+        return WINNER_CODES[self.local_winner_codes[i]]
 
     def with_flipped(self, i: int) -> "ColoredGraph":
         red = self.red.copy()
@@ -263,9 +258,9 @@ def weak_majority_2_coloring_swaps(
 
     bounds = g.indptr.tolist()
     flat = g.indices.tolist()
-    deg = g._degree_list
     red = g.neighbor_sums(start)
     degrees = np.diff(g.indptr)
+    deg = degrees.tolist()
     counts = np.where(start, red, degrees - red)
     # Ascending ids of the violators: already a valid heap.
     heap = np.flatnonzero(2 * counts > degrees).tolist()

@@ -17,8 +17,7 @@ in one pass; each degree pass is one search for the row starts plus one
 ``bincount``.  Two loops stay scalar because each choice depends on the
 last: the blue top-up (one pass over the blue nodes) and the pairing of
 the odd-parity leftovers (about ``n/4`` open ends), which tests adjacency
-by bisecting a list of the keys, taken once per pairing, plus a set of
-its own edges.  The pairing is an iterative depth-first search with an
+in one set of the edges between its open ends.  The pairing is an iterative depth-first search with an
 explicit undo stack, so it runs at any size; no stage has a fallback path,
 because none is reachable on a feasible input (the proofs are in
 CHANGES.md).  Every stage validates its degree accounting and the final
@@ -272,20 +271,15 @@ def _realize_deficits(
         raise InternalInvariantError(
             f"{label} open ends sum to an odd number: {deficit}"
         )
-    own: set[int] = set()  # the keys of the chosen edges
-    # One list of the keys for the whole pairing: a bisect of a list costs
-    # a fraction of one scalar numpy searchsorted.
-    known = keys.tolist()
+    # Every pair probed joins two open members, so only the edges between
+    # members are kept to probe, with the chosen edges added as they come.
+    member = np.zeros(n, dtype=bool)
+    member[list(deficit)] = True
+    low, high = np.divmod(keys, n)
+    edges = set(keys[member[low] & member[high]].tolist())
 
     def key(u: int, v: int) -> int:
         return u * n + v if u < v else v * n + u
-
-    def adjacent(u: int, v: int) -> bool:
-        e = key(u, v)
-        if e in own:
-            return True
-        at = bisect_left(known, e)
-        return at < len(known) and known[at] == e
 
     # The open members as (k - deg, -id), ascending: that order reversed,
     # so the node to extend is last and the scan for its partner runs down
@@ -298,7 +292,7 @@ def _realize_deficits(
         u = -open_ends[-1][1]
         for i in range(start, -1, -1):
             v = -open_ends[i][1]
-            if not adjacent(u, v):
+            if key(u, v) not in edges:
                 break
         else:
             if not chosen:
@@ -306,7 +300,7 @@ def _realize_deficits(
                     f"{label} open ends {deficit} cannot be paired without duplicates"
                 )
             u, v = chosen.pop()
-            own.discard(key(u, v))
+            edges.discard(key(u, v))
             for w in (u, v):
                 if deg[w] < k:
                     del open_ends[bisect_left(open_ends, (k - deg[w], -w))]
@@ -315,14 +309,14 @@ def _realize_deficits(
             start = bisect_left(open_ends, (k - deg[v], -v)) - 1
             continue
         del open_ends[-1], open_ends[i]
-        own.add(key(u, v))
+        edges.add(key(u, v))
         chosen.append((u, v))
         for w in (u, v):
             deg[w] += 1
             if deg[w] < k:
                 insort(open_ends, (k - deg[w], -w))
         start = len(open_ends) - 2
-    return _merge(keys, np.array(sorted(own), dtype=np.int64))
+    return _merge(keys, np.array(sorted(key(u, v) for u, v in chosen), dtype=np.int64))
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:

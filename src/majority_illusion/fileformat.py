@@ -150,14 +150,13 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     return ColoredGraph(graph, colors)
 
 
-def parse_valuation_text(
-    text: str, n: int
-) -> tuple[tuple[frozenset[str], ...], frozenset[str]]:
+def parse_valuation_text(text: str, n: int) -> dict[str, np.ndarray]:
     """Parse ``node atom...`` lines (comments and blank lines as in the
-    graph format) into a valuation of ``n`` nodes and the atoms it names.
-    Nodes without a line hold no atom; a node may have one line only."""
-    valuation: list[frozenset[str] | None] = [None] * n
-    atoms: set[str] = set()
+    graph format) into one bool column of ``n`` nodes per atom they name,
+    ``True`` at the nodes whose line names it.  Nodes without a line hold
+    no atom; a node may have one line only."""
+    seen = np.zeros(n, dtype=bool)
+    columns: dict[str, np.ndarray] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -170,11 +169,14 @@ def parse_valuation_text(
             raise FormatError(
                 f"line {lineno}: node id {node} out of range for graph on {n} nodes"
             )
-        if valuation[node] is not None:
+        if seen[node]:
             raise FormatError(f"line {lineno}: duplicate node {node}")
-        valuation[node] = frozenset(parts[1:])
-        atoms.update(parts[1:])
-    return tuple(v or frozenset() for v in valuation), frozenset(atoms)
+        seen[node] = True
+        for atom in parts[1:]:
+            if atom not in columns:
+                columns[atom] = np.zeros(n, dtype=bool)
+            columns[atom][node] = True
+    return columns
 
 
 def write_graph(graph: Graph, colors: AnyColoring | None = None) -> str:

@@ -74,14 +74,9 @@ class Graph:
         bounds = self.indptr.tolist()
         return tuple(map(frozenset, map(flat.__getitem__, map(slice, bounds, bounds[1:]))))
 
-    @cached_property
-    def _degree_list(self) -> list[int]:
-        """Every node's degree as a Python int, for scalar callers."""
-        return np.diff(self.indptr).tolist()
-
     def degree(self, i: int) -> int:
         self.check_node(i)
-        return self._degree_list[i]
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def neighbors(self, i: int) -> frozenset[int]:
         self.check_node(i)

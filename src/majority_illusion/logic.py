@@ -29,12 +29,13 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .analysis import IllusionKind
-from .coloring import ColoredGraph
+from .coloring import ColoredGraph, red_column
 from .errors import FormulaSyntaxError, PreconditionError
 from .graphs import Graph
 from .oracle import DEFAULT_CAP, _chunks, _check_cap, _neighbor_masks
@@ -362,37 +363,32 @@ class UnknownAtomWarning(UserWarning):
     """An atom absent from the model was evaluated (treated as false)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
-    """A graph plus a valuation assigning each node its true atoms."""
+    """A graph plus a valuation: a read-only mapping from each atom the
+    model knows to its bool node column, ``True`` where the atom holds,
+    kept read-only as :func:`red_column` keeps a coloring."""
 
     graph: Graph
-    valuation: tuple[frozenset[str], ...]
-    atoms: frozenset[str] | None = None
+    valuation: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if len(self.valuation) != self.graph.n:
-            raise PreconditionError(
-                f"valuation covers {len(self.valuation)} nodes, "
-                f"graph has {self.graph.n}"
-            )
-
-    def known_atoms(self) -> frozenset[str]:
-        if self.atoms is not None:
-            return self.atoms
-        out: set[str] = set()
-        for v in self.valuation:
-            out |= v
-        return frozenset(out)
+        columns = {}
+        for atom, column in self.valuation.items():
+            column = red_column(np.asarray(column, dtype=bool))
+            if column.shape != (self.graph.n,):
+                raise PreconditionError(
+                    f"valuation of atom {atom!r} has shape {column.shape}, "
+                    f"graph has {self.graph.n} nodes"
+                )
+            columns[atom] = column
+        object.__setattr__(self, "valuation", MappingProxyType(columns))
 
 
 def model_from_colored_graph(cg: ColoredGraph, atom: str = "p") -> Model:
-    """Model in which ``atom`` holds exactly at the red nodes: one take of
-    the two shared node valuations at the red column."""
-    table = np.empty(2, dtype=object)
-    table[:] = frozenset(), frozenset({atom})
-    valuation = tuple(table.take(cg.red.view(np.uint8)).tolist())
-    return Model(cg.graph, valuation, atoms=frozenset({atom}))
+    """Model in which ``atom`` holds exactly at the red nodes: its column
+    is the colored graph's own :attr:`ColoredGraph.red`."""
+    return Model(cg.graph, {atom: cg.red})
 
 
 def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
@@ -405,7 +401,8 @@ def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
     """
     g = model.graph
     if isinstance(node, Atom):
-        return np.fromiter((node.name in v for v in model.valuation), dtype=bool, count=g.n)
+        column = model.valuation.get(node.name)
+        return np.zeros(g.n, dtype=bool) if column is None else column
     if isinstance(node, Not):
         return ~args[0]
     if isinstance(node, Or):
@@ -440,9 +437,8 @@ def extension(model: Model, f: Formula) -> frozenset[int]:
     first appear in the expanded formula, before evaluating it.
     """
     program, atoms = _prepared(f)
-    known = model.known_atoms()
     for name in atoms:
-        if name not in known:
+        if name not in model.valuation:
             warnings.warn(
                 f"atom {name!r} is not part of the model; treated as false",
                 UnknownAtomWarning,

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import strategies as st
 
-from majority_illusion import Color, ColoredGraph, Graph, GraphError, make_graph
+from majority_illusion import Color, ColoredGraph, Graph, GraphError, Model, make_graph
 
 
 def reference_make_graph(n: int, edges) -> tuple[frozenset[int], ...]:
@@ -33,6 +34,22 @@ def as_coloring(red) -> tuple[Color, ...] | None:
     if red is None:
         return None
     return tuple(Color.RED if flag else Color.BLUE for flag in red)
+
+
+def model_from_sets(g: Graph, valuation, extra_atoms=()) -> Model:
+    """The model on ``g`` in which node ``i`` holds the atoms in the set
+    ``valuation[i]``: one bool column per atom named, and an all-false
+    column for each of ``extra_atoms`` (known to the model, true nowhere)."""
+    atoms = sorted(set(extra_atoms).union(*valuation))
+    return Model(g, {a: np.array([a in v for v in valuation], dtype=bool) for a in atoms})
+
+
+def node_atoms(model: Model) -> tuple[frozenset[str], ...]:
+    """Every node's true atoms as a set, read from the model's columns."""
+    return tuple(
+        frozenset(a for a, column in model.valuation.items() if column[i])
+        for i in range(model.graph.n)
+    )
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

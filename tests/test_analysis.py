@@ -438,7 +438,7 @@ def test_one_tally_matches_the_per_node_definitions(cg, p, q):
     """Every classifier-layer output read from the cached red-neighbour
     tally equals the per-node definitions above, field by field."""
     g, n = cg.graph, cg.graph.n
-    assert cg.red_neighbor_counts == tuple(_ref_local_red_count(cg, i) for i in range(n))
+    assert cg.red_neighbor_array.tolist() == [_ref_local_red_count(cg, i) for i in range(n)]
     assert cg.global_winner is _ref_global_winner(cg)
     assert majority_winner(cg.colors) is _ref_majority_winner(cg.colors)
     for i in range(n):

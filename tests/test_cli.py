@@ -275,6 +275,20 @@ def test_mc_valuation_faults_name_the_line(capsys, tmp_path, valuation, message)
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("valuation", ["0 p\n", "x p\n"])
+def test_mc_checks_the_node_before_the_valuation_and_the_formula(capsys, tmp_path, valuation):
+    """An out-of-range ``--node`` is the one error: no valuation fault and
+    no unknown-atom warning comes before it."""
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("n 3\n0 1\n1 2\n")
+    vpath = tmp_path / "v.txt"
+    vpath.write_text(valuation)
+    code, out, err = run(
+        capsys, "mc", str(gpath), "--formula", "p | s", "--node", "99", "--valuation", str(vpath)
+    )
+    assert (code, out, err) == (2, "", "error: node id 99 out of range for graph on 3 nodes\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_pipe_is_an_io_error(tmp_path, fmt):
     """A reader that has gone (``millusion analyze ... | head -1``) makes a

@@ -398,7 +398,7 @@ def _ref_odd_degree_swap_upgrade(cg):
     if cg.global_winner is not Winner.TIE:
         raise PreconditionError("global vote must be tied")
 
-    margin = [abs(2 * red - len(a)) for red, a in zip(cg.red_neighbor_counts, g.adj)]
+    margin = [abs(2 * red - len(a)) for red, a in zip(cg.red_neighbor_array.tolist(), g.adj)]
     pick = next((j for j in range(g.n) if all(margin[u] >= 2 for u in g.adj[j])), None)
     if pick is None:
         return None

@@ -1,7 +1,7 @@
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majority_illusion import (
@@ -15,7 +15,7 @@ from majority_illusion import (
     write_graph,
 )
 
-from majority_illusion.fileformat import _parse_canonical
+from majority_illusion.fileformat import _parse_canonical, parse_valuation_text
 
 from conftest import as_coloring, colored_graphs, graphs, reference_make_graph
 
@@ -308,3 +308,41 @@ def test_a_zero_node_coloring_round_trips(prefix):
         parse_graph_text("n 2\ncolors \n")
     with pytest.raises(FormatError, match="line 2: expected 'colors <RB string>'"):
         parse_graph_text("n 2\ncolors\n0 1\n")
+
+
+@st.composite
+def _valuation_texts(draw):
+    """A node count of 0..8 and the lines of a valuation file: a line for
+    some of the nodes, in any order, naming atoms from p, q and r, repeats
+    allowed and none at all too, between blank and comment lines and with
+    or without a trailing comment."""
+    n = draw(st.integers(0, 8))
+    nodes = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    lines = []
+    for node in nodes:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# comment 0 p"]), max_size=2))
+        atoms = draw(st.lists(st.sampled_from("pqr"), max_size=5))
+        tail = draw(st.sampled_from(["", "  # two", "#q"]))
+        lines.append(" ".join([str(node), *atoms]) + tail)
+    return n, lines
+
+
+def _reference_valuation(n, lines):
+    """Each node's atoms as the set its line names, then each atom named
+    anywhere as the list of its truth values at the nodes."""
+    sets = [frozenset()] * n
+    for line in lines:
+        words = line.split("#")[0].split()
+        if words:
+            sets[int(words[0])] = frozenset(words[1:])
+    return {a: [a in s for s in sets] for a in frozenset().union(*sets)}
+
+
+@settings(max_examples=300)
+@given(_valuation_texts())
+@example((3, ["# atoms", "2 q p q", "", "0"]))
+def test_valuation_columns_match_the_per_line_sets(case):
+    n, lines = case
+    columns = parse_valuation_text("\n".join(lines), n)
+    assert all(c.dtype == bool and c.shape == (n,) for c in columns.values())
+    assert {a: c.tolist() for a, c in columns.items()} == _reference_valuation(n, lines)

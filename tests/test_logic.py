@@ -61,7 +61,7 @@ from majority_illusion.logic import (
     expand,
 )
 
-from conftest import colored_graphs, graphs
+from conftest import colored_graphs, graphs, model_from_sets, node_atoms
 
 
 def triangle_model(colors="RRR"):
@@ -236,12 +236,12 @@ def test_satisfiability_rejects_graphs_wider_than_the_masks():
 
 def extension_bitsets_reference(g, f):
     """Node bitset of ``f``'s extension under each valuation of ``p``, one
-    frozenset model at a time."""
+    frozenset valuation at a time."""
     only, none = frozenset({"p"}), frozenset()
     out = []
     for mask in range(1 << g.n):
         valuation = tuple(only if mask >> i & 1 else none for i in range(g.n))
-        sat = extension(Model(g, valuation, atoms=frozenset({"p"})), f)
+        sat = extension(model_from_sets(g, valuation, extra_atoms="p"), f)
         out.append(sum(1 << i for i in sat))
     return out
 
@@ -337,8 +337,24 @@ def test_unknown_atom_warns_and_is_false():
 
 
 def test_model_requires_total_valuation():
-    with pytest.raises(PreconditionError):
-        Model(cycle_graph(4), (frozenset(),) * 3)
+    with pytest.raises(PreconditionError, match="valuation of atom 'q' has shape"):
+        Model(cycle_graph(4), {"p": np.zeros(4, dtype=bool), "q": np.zeros(3, dtype=bool)})
+
+
+def test_model_columns_are_read_only_and_shared_with_a_colored_graph():
+    cg = ColoredGraph(cycle_graph(4), coloring_from_string("RRBB"))
+    assert model_from_colored_graph(cg).valuation["p"] is cg.red
+    writable = np.array([True, False, True, False])
+    model = Model(cg.graph, {"q": writable, "r": [0, 2, 0, 1]})
+    column = model.valuation["q"]
+    assert column is not writable and not column.flags.writeable
+    writable[1] = True
+    assert column.tolist() == [True, False, True, False]
+    assert model.valuation["r"].tolist() == [False, True, False, True]
+    with pytest.raises(ValueError):
+        column[0] = False
+    with pytest.raises(TypeError):
+        model.valuation["q"] = cg.red
 
 
 def test_weak_opposition_formula_on_balanced_neighborhood():
@@ -358,7 +374,8 @@ class ReferenceEvaluator:
     def __init__(self, model):
         self.model = model
         self.all_nodes = frozenset(range(model.graph.n))
-        self.known = model.known_atoms()
+        self.known = set(model.valuation)
+        self.sets = node_atoms(model)
         self.memo = {}
         self.warned = set()
 
@@ -381,7 +398,7 @@ class ReferenceEvaluator:
                     stacklevel=4,
                 )
             return frozenset(
-                i for i in self.all_nodes if f.name in self.model.valuation[i]
+                i for i in self.all_nodes if f.name in self.sets[i]
             )
         if isinstance(f, Not):
             return self.all_nodes - self.extension(f.sub)
@@ -631,9 +648,9 @@ _formulas_over_pqrs = [formula_trees("pqrs", st.integers(0, n + 1)) for n in ran
 def models_and_formulas(draw):
     g = draw(graphs(max_n=8, min_n=0))
     valuation = tuple(draw(_valuations) for _ in range(g.n))
-    atoms = draw(st.sampled_from([None, frozenset("pq")]))
+    extra = draw(st.sampled_from(["", "pq"]))
     f = draw(_formulas_over_pqrs[g.n])
-    return Model(g, valuation, atoms=atoms), f
+    return model_from_sets(g, valuation, extra), f
 
 
 @settings(max_examples=500, deadline=None)
@@ -677,7 +694,8 @@ def _frozensets(
     children's extensions ``args``."""
     g = model.graph
     if isinstance(node, Atom):
-        return frozenset(i for i in all_nodes if node.name in model.valuation[i])
+        sets = node_atoms(model)
+        return frozenset(i for i in all_nodes if node.name in sets[i])
     if isinstance(node, Not):
         return all_nodes - args[0]
     if isinstance(node, Or):
@@ -725,8 +743,8 @@ _bounds_up_to = [
     st.one_of(st.integers(0, n + 1), st.sampled_from([255, 2**63, 2**64, 10**30]))
     for n in range(13)
 ]
-# p, q and r may hold somewhere; s never does, and r is unknown unless the
-# model names its atoms
+# p, q and r may hold somewhere; s never does.  An atom that holds nowhere
+# is unknown unless the model has it as an extra, all-false column
 _formulas_up_to = [formula_trees("pqrs", bounds) for bounds in _bounds_up_to]
 
 
@@ -745,9 +763,9 @@ def every_operator(f, bound):
 def multi_atom_models_and_formulas(draw):
     g = draw(graphs(max_n=12, min_n=0))
     valuation = tuple(draw(_atom_sets) for _ in range(g.n))
-    atoms = draw(st.sampled_from([None, frozenset("pqr")]))
+    extra = draw(st.sampled_from(["", "pqr"]))
     f = draw(_formulas_up_to[g.n])
-    return Model(g, valuation, atoms=atoms), every_operator(f, draw(_bounds_up_to[g.n]))
+    return model_from_sets(g, valuation, extra), every_operator(f, draw(_bounds_up_to[g.n]))
 
 
 @settings(max_examples=400, deadline=None)
