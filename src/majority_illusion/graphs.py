@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -73,6 +73,26 @@ class Graph:
         flat = _node_ids(self.n)[self.indices].tolist()
         bounds = self.indptr.tolist()
         return tuple(map(frozenset, map(flat.__getitem__, map(slice, bounds, bounds[1:]))))
+
+    @cached_property
+    def neighbor_masks(self) -> np.ndarray:
+        """Every node's neighbours as a read-only uint32 bitset (bit ``j``
+        set: ``j`` is a neighbour), derived on first use by a scalar walk
+        of the rows, which at 32 nodes or fewer beats numpy.  Raises
+        :class:`GraphError` above 32 nodes."""
+        if self.n > 32:
+            raise GraphError(f"graph has {self.n} nodes, above 32-bit neighbour masks")
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        masks = []
+        for start, end in zip(bounds, bounds[1:]):
+            m = 0
+            for j in flat[start:end]:
+                m |= 1 << j
+            masks.append(m)
+        out = np.array(masks, dtype=np.uint32)
+        out.flags.writeable = False
+        return out
 
     def degree(self, i: int) -> int:
         self.check_node(i)
@@ -212,18 +232,6 @@ def _check_pair(u: int, v: int, n: int) -> None:
         raise GraphError(f"edge ({u}, {v}) uses a node id outside 0..{n - 1}")
     if u == v:
         raise GraphError(f"edge ({u}, {v}) is a self-loop")
-
-
-def graph_from_neighbors(neighbors: Sequence[Sequence[int]]) -> Graph:
-    """The graph in which node ``i`` has the neighbours ``neighbors[i]``.
-
-    For callers that already hold symmetric, loop-free lists in ascending
-    order: nothing is checked.
-    """
-    n = len(neighbors)
-    indptr = np.fromiter(accumulate(map(len, neighbors), initial=0), np.int64, n + 1)
-    indices = np.fromiter(chain.from_iterable(neighbors), np.int64, int(indptr[-1]))
-    return Graph(n, indptr, indices)
 
 
 def check_size(n: int, edge_count: int) -> None:

@@ -38,7 +38,7 @@ from .analysis import IllusionKind
 from .coloring import ColoredGraph, red_column
 from .errors import FormulaSyntaxError, PreconditionError
 from .graphs import Graph
-from .oracle import DEFAULT_CAP, _chunks, _check_cap, _neighbor_masks
+from .oracle import DEFAULT_CAP, _chunks, _check_cap
 
 # At 100 levels the deepest parse (nested parentheses) uses about 605 of
 # Python's default 1000 frames, and expansion and printing about 100.
@@ -592,7 +592,7 @@ def _compile(g: Graph, program: _Program) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the program of an expanded formula into a function from
     valuation masks (bit ``i`` set: the atom holds at node ``i``) to the
     node bitsets of the formula's extension under each of them."""
-    nbr = _neighbor_masks(g)
+    nbr = g.neighbor_masks
     degrees = g.degrees()
     full = np.uint32((1 << g.n) - 1)
 

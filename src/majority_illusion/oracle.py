@@ -54,7 +54,7 @@ import numpy as np
 from .analysis import IllusionKind
 from .coloring import Color, Coloring
 from .errors import PreconditionError
-from .graphs import Graph, graph_from_neighbors
+from .graphs import Graph
 
 DEFAULT_CAP = 22
 _CHUNK_BITS = 18  # a scan's largest temporary holds 2^18 uint32 words
@@ -83,19 +83,6 @@ def _check_cap(g: Graph, cap: int) -> None:
         raise PreconditionError(
             f"graph has {g.n} nodes, above the {_MASK_BITS}-bit coloring masks"
         )
-
-
-def _neighbor_masks(g: Graph) -> np.ndarray:
-    """Neighbourhood bitsets, by a scalar walk: at n <= 32 it beats numpy."""
-    flat = g.indices.tolist()
-    bounds = g.indptr.tolist()
-    masks = []
-    for start, end in zip(bounds, bounds[1:]):
-        m = 0
-        for j in flat[start:end]:
-            m |= 1 << j
-        masks.append(m)
-    return np.array(masks, dtype=np.uint32)
 
 
 def _chunks(n: int, rows: int = 1, half: bool = False) -> Iterator[np.ndarray]:
@@ -169,7 +156,7 @@ def _illusion_counter(
     so strict counts skip the tied colorings, and the weak count is that of
     the agents without a local tie, ``2c != d``.
     """
-    nbr = _neighbor_masks(g)
+    nbr = g.neighbor_masks
     deg = np.bitwise_count(nbr)[:, None]  # uint8 columns: compares stay uint8
     sums = np.add.reduce  # without ``np.sum``'s wrapper, a per-call cost at small n
     if strict:
@@ -200,7 +187,7 @@ def _illusion_counter(
 def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     """Per-coloring count of edges with ends of both colors: each is
     counted once, as a red neighbour of its blue end."""
-    nbr = _neighbor_masks(g)
+    nbr = g.neighbor_masks
     bit = np.uint32(1) << np.arange(g.n, dtype=np.uint32)[:, None]
 
     def count(masks: np.ndarray) -> np.ndarray:
@@ -487,18 +474,24 @@ def illusion_possible(
     strict, least = _ILLUSION_TESTS[kind]
     count = _illusion_counter(g, strict)
     threshold = least(g.n)
-    return any(
-        bool((count(reps, free) >= threshold).any()) for reps, free in _half_blocks(g.n)
-    )
+    for reps, free in _half_blocks(g.n):
+        if int(count(reps, free).max()) >= threshold:
+            return True
+    return False
+
+
+_BLOCK_STATES = 1024  # enumeration states expanded, and graphs yielded, per block
 
 
 def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
     """Yield every k-regular simple graph on labeled nodes ``0..n-1``
     exactly once (no isomorphism reduction).
 
-    Backtracks over the lowest unsaturated node's full neighborhood choice;
-    since that node is never touched again, each labeled graph arises from
-    exactly one choice sequence.  Empty when ``k*n`` is odd or ``k >= n``.
+    The graphs come from :func:`_regular_mask_blocks`, in its order, and
+    share one read-only ``indptr``; each one's ``indices`` is a row view of
+    its block's neighbour columns, and its :attr:`Graph.neighbor_masks` is
+    its block row.  Empty when ``k*n`` is odd or ``0 < n <= k``; on
+    ``n = 0``, the one empty graph.
     """
     if n > 10:
         raise PreconditionError(f"regular enumeration capped at 10 nodes, got {n}")
@@ -508,34 +501,73 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
         return
     if (n * k) % 2 == 1:
         return
+    indptr = np.arange(n + 1, dtype=np.int64) * k
+    indptr.flags.writeable = False
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    for block in _regular_mask_blocks(n, k):
+        block.flags.writeable = False
+        # row-major: graph, node, then neighbour ascending
+        columns = np.flatnonzero(block[:, :, None] & bits)
+        columns %= n
+        for masks, indices in zip(block, columns.reshape(len(block), n * k)):
+            g = Graph(n, indptr, indices)
+            object.__setattr__(g, "neighbor_masks", masks)
+            yield g
 
-    residual = [k] * n
-    # Lower neighbours join a list in ascending order before the node's own
-    # choice of higher ones, so every list stays sorted.
-    neighbors: list[list[int]] = [[] for _ in range(n)]
 
-    def rec(lowest: int) -> Iterator[Graph]:
-        u = lowest
-        while u < n and residual[u] == 0:
-            u += 1
-        if u == n:
-            yield graph_from_neighbors(neighbors)
-            return
-        need = residual[u]
-        cands = [v for v in range(u + 1, n) if residual[v] > 0]
-        if len(cands) < need:
-            return
-        for combo in combinations(cands, need):
-            for v in combo:
-                residual[v] -= 1
-                neighbors[v].append(u)
-            neighbors[u].extend(combo)
-            residual[u] = 0
-            yield from rec(u + 1)
-            residual[u] = need
-            del neighbors[u][-need:]
-            for v in combo:
-                residual[v] += 1
-                neighbors[v].pop()
+def _regular_mask_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """The neighbour bitsets of every labeled k-regular graph on ``n``
+    nodes, each exactly once, as ``(G, n)`` uint32 blocks of at most
+    ``_BLOCK_STATES`` graphs (``0 <= k < n`` or ``n = 0``; ``n * k`` even).
 
-    yield from rec(0)
+    A backtracker that gives each node in turn its full set of higher
+    neighbours, run one level (node) at a time over blocks of states, a
+    state being a row of residual degrees and a row of bitsets.  At node
+    ``u`` every state takes each subset of its open higher nodes (residual
+    above 0) that has exactly ``residual[u]`` members, in the order of
+    ``itertools.combinations``: the empty one where that residual is 0,
+    none where too few nodes are open.  Subtrees are expanded depth-first,
+    at most ``_BLOCK_STATES`` states at a time; the root's children go in
+    chunks of 1, 4, 16, ..., so a caller that stops at an early graph
+    pays for a small subtree.
+    """
+    masks = np.zeros((1, n), dtype=np.uint32)
+    return _descend(0, np.full((1, n), k, dtype=np.int16), masks, 1)
+
+
+@lru_cache(maxsize=None)
+def _higher_subsets(u: int, n: int) -> tuple[np.ndarray, ...]:
+    """The subsets of nodes ``u + 1..n - 1``, by size, then in the order of
+    ``itertools.combinations``: each one's bitset, size, ``(n,)`` int16
+    membership row, and that row's uint32 bit ``u`` (a link back to ``u``)."""
+    higher = range(u + 1, n)
+    subsets = [c for r in range(len(higher) + 1) for c in combinations(higher, r)]
+    table = np.array([sum(1 << v for v in c) for c in subsets], dtype=np.uint32)
+    sizes = np.array(list(map(len, subsets)), dtype=np.int16)
+    members = table[:, None] >> np.arange(n, dtype=np.uint32) & np.uint32(1)
+    return table, sizes, members.astype(np.int16), members << np.uint32(u)
+
+
+def _descend(
+    u: int, residual: np.ndarray, masks: np.ndarray, chunk: int = _BLOCK_STATES
+) -> Iterator[np.ndarray]:
+    """The leaves below the states ``(residual, masks)`` at node ``u``, by
+    blocks; children are expanded in chunks that start at ``chunk`` states
+    and grow fourfold up to ``_BLOCK_STATES``."""
+    n = masks.shape[1]
+    if u == n:
+        yield masks
+        return
+    table, sizes, members, links = _higher_subsets(u, n)
+    saturated = np.where(residual == 0, np.uint32(1) << np.arange(n, dtype=np.uint32), 0)
+    closed = np.bitwise_or.reduce(saturated, axis=1, dtype=np.uint32)
+    valid = (sizes == residual[:, u, None]) & (table & closed[:, None] == 0)
+    parents, picks = np.nonzero(valid)  # state by state, subsets in table order
+    start = 0
+    while start < len(parents):
+        rows, cols = parents[start : start + chunk], picks[start : start + chunk]
+        child = masks[rows] | links[cols]
+        child[:, u] |= table[cols]
+        yield from _descend(u + 1, residual[rows] - members[cols], child)
+        start += chunk
+        chunk = min(4 * chunk, _BLOCK_STATES)

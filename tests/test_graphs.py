@@ -292,6 +292,22 @@ def test_graph_arrays_are_read_only():
         g.indptr[1] = 0
 
 
+@given(graphs(max_n=32, min_n=0))
+def test_neighbour_bitsets_are_the_rows_read_only(g):
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    assert g.neighbor_masks.dtype == np.uint32
+    assert not g.neighbor_masks.flags.writeable
+    assert g.neighbor_masks.tolist() == masks
+
+
+def test_neighbour_bitsets_refused_above_32_nodes():
+    with pytest.raises(GraphError, match="33 nodes"):
+        make_graph(33, [(0, 32)]).neighbor_masks
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,9 +22,10 @@ from majority_illusion import (
     make_graph,
     monochromatic_count,
 )
-from majority_illusion.oracle import _neighbor_masks, coloring_from_mask
+from majority_illusion.oracle import coloring_from_mask
 
 from conftest import atlas_graphs, graphs
+from reference_enumerate import reference_regular_neighbors
 
 
 def _full_scan_counts(g, masks):
@@ -30,7 +33,7 @@ def _full_scan_counts(g, masks):
     strict and weak illusion counts per node, then monochromatic edges per
     edge, over every coloring in ``masks``."""
     n = g.n
-    nbr = _neighbor_masks(g)
+    nbr = g.neighbor_masks
     global_red = np.bitwise_count(masks).astype(np.int16)
     global_side = np.sign(2 * global_red - n).astype(np.int8)
     strict = np.zeros(len(masks), dtype=np.uint8)
@@ -283,14 +286,69 @@ def test_weak_illusions_reachable_on_small_graphs():
 
 def test_labeled_enumeration_counts():
     assert sum(1 for _ in enumerate_regular(6, 4)) == 15
-    assert sum(1 for _ in enumerate_regular(4, 1)) == 3
     assert list(enumerate_regular(5, 3)) == []
-    # 2-regular on 6 labeled nodes: 60 hexagons + 10 triangle pairs
-    assert sum(1 for _ in enumerate_regular(6, 2)) == 70
     # complement duality: counts match the (n-1-k)-regular class
     assert sum(1 for _ in enumerate_regular(6, 3)) == sum(
         1 for _ in enumerate_regular(6, 2)
     )
+
+
+@pytest.mark.parametrize(
+    "n, k, count",
+    [
+        # 2-regular, OEIS A001205
+        *[(n, 2, c) for n, c in zip(range(4, 10), (3, 12, 70, 465, 3507, 30016))],
+        # cubic, OEIS A002829
+        (6, 3, 70),
+        (8, 3, 19355),
+        # 1-regular: perfect matchings, (n - 1)!!
+        (4, 1, 3),
+        (6, 1, 15),
+        (8, 1, 105),
+    ],
+)
+def test_labeled_enumeration_counts_match_oeis(n, k, count):
+    """Labeled counts from OEIS, independent of both backtrackers."""
+    assert sum(len(block) for block in oracle_module._regular_mask_blocks(n, k)) == count
+    assert sum(1 for _ in enumerate_regular(n, k)) == count
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(9) for k in range(n + 1)] + [(9, 2)]
+)
+def test_enumeration_matches_the_reference_backtracker(n, k):
+    """The level-wise enumerator yields the recursive backtracker's graphs,
+    graph for graph and in its order (``k = n`` yields none past ``n = 0``)."""
+    got = [
+        (tuple(np.diff(g.indptr).tolist()), tuple(g.indices.tolist()))
+        for g in enumerate_regular(n, k)
+    ]
+    want = [
+        (tuple(map(len, rows)), tuple(chain.from_iterable(rows)))
+        for rows in reference_regular_neighbors(n, k)
+    ]
+    assert got == want
+
+
+def test_enumeration_blocks_stay_bounded_and_lazy(monkeypatch):
+    """Every block holds at most 1024 graphs, and the first of the
+    11 180 820 labeled cubic graphs on 10 nodes comes after one block:
+    by then each level has expanded one chunk of states."""
+    blocks = list(oracle_module._regular_mask_blocks(9, 2))
+    assert max(map(len, blocks)) <= 1024
+    assert sum(map(len, blocks)) == 30016
+    expanded = []
+    descend = oracle_module._descend
+
+    def counted(u, residual, masks, *chunk):
+        expanded.append(len(masks))
+        return descend(u, residual, masks, *chunk)
+
+    monkeypatch.setattr(oracle_module, "_descend", counted)
+    first = next(enumerate_regular(10, 3))
+    assert first.is_regular(3)
+    assert len(expanded) == 11  # the root, one chunk per node, the leaf block
+    assert max(expanded) <= 1024
 
 
 def test_enumeration_yields_distinct_regular_graphs():
@@ -304,12 +362,22 @@ def test_enumeration_yields_distinct_regular_graphs():
 
 @pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (7, 4), (8, 2)])
 def test_enumerated_graphs_equal_the_builders_graphs(n, k):
-    """A graph built from the enumerator's neighbour lists has the arrays
-    (rows sorted) and the adjacency sets that make_graph gives its edges."""
+    """An enumerated graph has the arrays (rows sorted), the hash and the
+    adjacency sets that make_graph gives its edges, and carries its
+    neighbour bitsets as read-only uint32."""
     for g in enumerate_regular(n, k):
         built = make_graph(n, g.edges)
         assert g == built
+        assert hash(g) == hash(built)
         assert g.adj == built.adj
+        masks = [0] * n
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        assert "neighbor_masks" in g.__dict__
+        assert g.neighbor_masks.dtype == np.uint32
+        assert not g.neighbor_masks.flags.writeable
+        assert g.neighbor_masks.tolist() == masks == built.neighbor_masks.tolist()
 
 
 def test_enumeration_cap():

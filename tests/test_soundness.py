@@ -1,5 +1,7 @@
 """Cross-module agreement checks at exhaustive desk scale."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from majority_illusion import (
     regular_exists,
 )
 from majority_illusion.coloring import ColoredGraph
-from majority_illusion.oracle import _neighbor_masks
+from majority_illusion.oracle import _regular_mask_blocks
 
 from conftest import atlas_connected, atlas_graphs, odd_degree_graph
 
@@ -45,15 +47,14 @@ def test_logic_and_oracle_agree_on_every_graph_up_to_6_nodes():
             ), (g.n, g.edges, kind)
 
 
-def _max_strict_count(graphs, n, k):
-    """Largest strict-illusion agent count over all graphs and colorings."""
+def _strict_counts(n, k):
+    """Per block of labeled k-regular graphs on ``n`` nodes, taken straight
+    from the enumerator's neighbour bitsets: each graph's largest
+    strict-illusion agent count over all colorings."""
     masks = np.arange(1 << n, dtype=np.uint32)
     global_red = np.bitwise_count(masks).astype(np.int16)
     global_side = np.sign(2 * global_red - n).astype(np.int8)
-    best = 0
-    for batch_start in range(0, len(graphs), 512):
-        batch = graphs[batch_start : batch_start + 512]
-        nbr = np.stack([_neighbor_masks(g) for g in batch])  # (G, n)
+    for nbr in _regular_mask_blocks(n, k):  # (G, n)
         local_red = np.bitwise_count(nbr[:, :, None] & masks[None, None, :])
         local_side = np.sign(2 * local_red.astype(np.int16) - k).astype(np.int8)
         strict = (
@@ -61,8 +62,7 @@ def _max_strict_count(graphs, n, k):
             & (local_side != 0)
             & (global_side[None, None, :] != 0)
         ).sum(axis=1)
-        best = max(best, int(strict.max()))
-    return best
+        yield strict.max(axis=1)
 
 
 # Labeled enumeration ends at nine nodes: n = 10 (k = 2, 4) has too many
@@ -77,16 +77,18 @@ def test_negative_verdicts_are_sound_up_to_9_nodes(n):
             continue
         if regular_exists(n, k).possible:
             continue
-        graphs = list(enumerate_regular(n, k))
+        graphs, best = 0, 0
+        for tops in _strict_counts(n, k):
+            graphs, best = graphs + len(tops), max(best, int(tops.max()))
         assert graphs, f"no {k}-regular graphs on {n} nodes to check"
-        best = _max_strict_count(graphs, n, k)
         assert 2 * best <= n, (n, k, best)
 
 
 def test_positive_verdict_within_enumeration_range_has_witness():
     """Every pair ``regular_exists`` accepts with n <= 9 has a labeled
     k-regular graph with a majority-majority illusion (n = 10 is out of
-    scope, as above)."""
+    scope, as above).  Up to the first block with one, the oracle's verdict
+    on each graph agrees with the count."""
     feasible = [
         (n, k)
         for n in range(1, 10)
@@ -95,10 +97,18 @@ def test_positive_verdict_within_enumeration_range_has_witness():
     ]
     assert feasible == [(7, 4), (8, 5), (9, 4), (9, 6)]
     for n, k in feasible:
-        assert any(
-            illusion_possible(g, IllusionKind.MAJORITY_MAJORITY)
-            for g in enumerate_regular(n, k)
-        ), (n, k)
+        graphs = enumerate_regular(n, k)
+        for tops in _strict_counts(n, k):
+            hits = (2 * tops > n).tolist()
+            verdicts = [
+                illusion_possible(g, IllusionKind.MAJORITY_MAJORITY)
+                for g in islice(graphs, len(hits))
+            ]
+            assert verdicts == hits, (n, k)
+            if any(hits):
+                break
+        else:
+            pytest.fail(f"no {k}-regular graph on {n} nodes has the illusion")
 
 
 def test_proper_colorings_split_into_the_two_network_classes():
