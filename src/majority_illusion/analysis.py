@@ -6,24 +6,26 @@ global winner.  Generalized thresholds are exact rationals
 (:class:`fractions.Fraction`) and every comparison is cross-multiplied
 integer arithmetic, so divisibility-sensitive boundaries are exact.
 
-:func:`agent_status` is the definition, one agent at a time.  The network
-report, the CLI and the construction's validation read
-:func:`status_columns` instead: every agent's status as int8 columns,
-computed in one array pass from the degrees, the red-neighbour counts and
-the global winner, with row ``i`` equal to ``agent_status(cg, i)``.  An
-agent's q-illusion witness depends on it only through its red count and
-degree, so :func:`pq_report` decides it once per distinct pair.
+:func:`agent_status` is the definition, one agent at a time, and the only
+statement of the opposition, illusion and witness rules.  An agent's own
+colour, local winner and isolation fix the rest of its status, so the
+agents fall into at most eight classes: :func:`status_columns` keys every
+agent's class in one array pass and calls ``agent_status`` once per class
+present, at its first node; the network report, the CLI and
+:func:`agent_statuses` read those classes.  An agent's q-illusion witness
+depends on it only through its red count and degree, so :func:`pq_report`
+decides it once per distinct pair.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .coloring import _BLUE, _RED, _TIE, WINNER_CODES, Color, ColoredGraph, Winner
+from .coloring import Color, ColoredGraph, Winner
 from .errors import InternalInvariantError, PreconditionError
 
 Threshold = Fraction
@@ -121,93 +123,33 @@ def agent_status(cg: ColoredGraph, i: int) -> AgentStatus:
     )
 
 
-# What the int8 codes of the status columns stand for, by position, with
-# coloring.WINNER_CODES for the local winners; _RED and _BLUE index both.
-COLOR_CODES = (Color.RED, Color.BLUE, None)
-LEVEL_CODES = (Level.NONE, Level.WEAK, Level.STRICT)
-_NO_WITNESS = 2
-_NONE, _WEAK, _STRICT = 0, 1, 2
-
-
 @dataclass(frozen=True, eq=False)
 class StatusColumns:
-    """Every agent's :class:`AgentStatus` as int8 columns indexed by node.
+    """Every agent's :class:`AgentStatus` as a class per node.
 
-    ``own`` and ``witness`` index :data:`COLOR_CODES` (a witness of 2 is
-    none), ``local`` indexes :data:`WINNER_CODES`, ``opposition`` and
-    ``illusion`` index :data:`LEVEL_CODES`, and ``isolated`` is 0 or 1.
+    Own colour, local winner and isolation fix the rest of a status, so the
+    nodes fall into at most eight classes: ``codes[i]`` is node ``i``'s
+    class, and ``statuses[c]`` is :func:`agent_status` at class ``c``'s
+    first node.
     """
 
-    global_winner: Winner
-    own: np.ndarray
-    local: np.ndarray
-    opposition: np.ndarray
-    illusion: np.ndarray
-    witness: np.ndarray
-    isolated: np.ndarray
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The six columns, in field order."""
-        return (self.own, self.local, self.opposition, self.illusion, self.witness, self.isolated)
-
-    def status(self, i: int) -> AgentStatus:
-        """Row ``i``, decoded."""
-        return self._decode(i, *(int(column[i]) for column in self.columns()))
-
-    def statuses(self) -> list[AgentStatus]:
-        """Every row, decoded: ``agent_statuses`` of the colored graph."""
-        columns = (column.tolist() for column in self.columns())
-        return list(map(self._decode, range(len(self.own)), *columns))
-
-    def _decode(
-        self, i: int, own: int, local: int, opposition: int, illusion: int, witness: int, isolated: int
-    ) -> AgentStatus:
-        return AgentStatus(
-            node=i,
-            own_color=COLOR_CODES[own],
-            local_winner=WINNER_CODES[local],
-            global_winner=self.global_winner,
-            opposition=LEVEL_CODES[opposition],
-            illusion=LEVEL_CODES[illusion],
-            illusion_color=COLOR_CODES[witness],
-            isolated=bool(isolated),
-        )
-
-    def combinations(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, inverse)``: the first node holding each distinct
-        combination of column values, and each node's index into
-        ``first``."""
-        code = np.ravel_multi_index(self.columns(), (2, 3, 3, 3, 3, 2))
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return first, inverse
+    codes: np.ndarray
+    statuses: tuple[AgentStatus, ...]
 
 
 def status_columns(cg: ColoredGraph) -> StatusColumns:
-    """Every agent's status in one array pass over the local winners (from
-    the degrees and red neighbour counts) and the global winner; the rules are
-    :func:`agent_status`'s, and row ``i`` decodes to ``agent_status(cg, i)``."""
-    glob = WINNER_CODES.index(cg.global_winner)
-    own = np.where(cg.red, _RED, _BLUE).astype(np.int8)
-    local = cg.local_winner_codes
-    opposition = np.select([local == _TIE, local == own], [_WEAK, _NONE], _STRICT)
-    agrees = local == glob
-    illusion = np.select([agrees, (local != _TIE) & (glob != _TIE)], [_NONE, _STRICT], _WEAK)
-    # A tied neighbourhood under a global winner witnesses the other color.
-    witness = np.select([agrees, local != _TIE], [_NO_WITNESS, local], 1 - glob)
-    return StatusColumns(
-        global_winner=cg.global_winner,
-        own=own,
-        local=local,
-        opposition=opposition.astype(np.int8),
-        illusion=illusion.astype(np.int8),
-        witness=witness.astype(np.int8),
-        isolated=(np.diff(cg.graph.indptr) == 0).astype(np.int8),
-    )
+    """Every agent's class, from its own colour, local winner and isolation,
+    and :func:`agent_status` once per class present."""
+    isolated = np.diff(cg.graph.indptr) == 0
+    key = cg.red + 2 * cg.local_winner_codes + 6 * isolated
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    return StatusColumns(codes, tuple(agent_status(cg, i) for i in first.tolist()))
 
 
 def agent_statuses(cg: ColoredGraph) -> list[AgentStatus]:
-    """``[agent_status(cg, i) for i in range(n)]``, from the status columns."""
-    return status_columns(cg).statuses()
+    """``[agent_status(cg, i) for i in range(n)]``, from the classes."""
+    columns = status_columns(cg)
+    return [replace(columns.statuses[c], node=i) for i, c in enumerate(columns.codes.tolist())]
 
 
 @dataclass(frozen=True)
@@ -243,16 +185,16 @@ class NetworkIllusionReport:
         unanimity flags need ``count == n`` (on nonempty graphs).
         """
         n = cg.graph.n
-        illusion = columns.illusion
-        strict = int(np.count_nonzero(illusion == _STRICT))
-        weak_only = int(np.count_nonzero(illusion == _WEAK))
-        under = strict + weak_only
-        witnesses = {COLOR_CODES[w] for w in np.unique(columns.witness[illusion != _NONE]).tolist()}
+        sizes = np.bincount(columns.codes, minlength=len(columns.statuses)).tolist()
+        classes = list(zip(columns.statuses, sizes))
+        strict = sum(size for s, size in classes if s.illusion is Level.STRICT)
+        under = sum(size for s, size in classes if s.illusion is not Level.NONE)
+        witnesses = {s.illusion_color for s in columns.statuses if s.illusion is not Level.NONE}
         flags = _p_flags(strict, under, n, _HALF)
         return cls(
             n=n,
             strict_count=strict,
-            weak_only_count=weak_only,
+            weak_only_count=under - strict,
             none_count=n - under,
             majority_majority=flags["pq"],
             weak_majority_majority=flags["weak_pq"],

@@ -97,6 +97,16 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _offsets(text: str) -> list[int]:
+    """``--offsets``: comma-separated integers; the empty text gives none."""
+    try:
+        return [int(part) for part in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+
+
 def _json_text(payload: dict) -> str:
     payload = {"format_version": SCHEMA_VERSION, **payload}
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -140,8 +150,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         if not args.offsets:
             raise PreconditionError("circulant generation needs --offsets")
-        offsets = [int(part) for part in args.offsets.split(",")]
-        g = circulant_graph(args.n, offsets)
+        g = circulant_graph(args.n, args.offsets)
     sys.stdout.write(write_graph(g))
     return 0
 
@@ -201,15 +210,14 @@ _NODE_MARK = -1
 
 
 def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> str:
-    """``render(status)`` for every agent, joined: each distinct combination
-    of status columns is rendered once and split at the node id into a
-    prefix and a suffix, and the rows are laid out as (prefix, id, suffix)
-    pieces joined once, as ``write_graph`` joins its body."""
-    first, inverse = columns.combinations()
-    templates = [render(replace(columns.status(i), node=_NODE_MARK)) for i in first.tolist()]
+    """``render(status)`` for every agent, joined: each class's status is
+    rendered once and split at the node id into a prefix and a suffix, and
+    the rows are laid out as (prefix, id, suffix) pieces joined once, as
+    ``write_graph`` joins its body."""
+    templates = [render(replace(s, node=_NODE_MARK)) for s in columns.statuses]
     table = np.array([t.partition(str(_NODE_MARK)) for t in templates], dtype=object)
-    rows = table.reshape(-1, 3)[inverse]
-    rows[:, 1] = [str(i) for i in range(len(inverse))]
+    rows = table.reshape(-1, 3)[columns.codes]
+    rows[:, 1] = [str(i) for i in range(len(columns.codes))]
     return "".join(rows.ravel().tolist())
 
 
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a structured graph")
     p.add_argument("family", choices=("cycle", "complete", "circulant"))
     p.add_argument("n", type=int)
-    p.add_argument("--offsets", help="comma-separated circulant offsets")
+    p.add_argument("--offsets", type=_offsets, help="comma-separated circulant offsets")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("color", help="compute a weak-majority or illusion coloring")

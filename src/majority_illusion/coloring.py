@@ -85,12 +85,19 @@ def red_column(colors: AnyColoring) -> np.ndarray:
     return red
 
 
+def red_from_word(word: str) -> np.ndarray:
+    """The read-only red column of a word of ``R`` and ``B`` letters, which
+    the caller has checked: one byte compare."""
+    red = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R")
+    red.flags.writeable = False
+    return red
+
+
 def coloring_from_string(text: str) -> Coloring:
     word = text.strip()
     if word.strip("RB"):
         raise PreconditionError(f"coloring string may only contain 'R' and 'B': {text!r}")
-    red = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R")
-    return tuple(_COLORS.take(red.view(np.uint8)))
+    return tuple(_COLORS.take(red_from_word(word).view(np.uint8)))
 
 
 def coloring_to_string(colors: AnyColoring) -> str:

@@ -35,8 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import IllusionKind, NetworkIllusionReport, status_columns
-from .analysis import classify_network  # noqa: F401  (perfbench traces it here)
+from .analysis import IllusionKind, classify_network
 from .coloring import WINNER_CODES, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
@@ -383,14 +382,12 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
         raise InternalInvariantError(f"nodes {bad} missed the target degree {k}")
     if cg.color_counts[0] != n_red:
         raise InternalInvariantError(f"expected {n_red} red nodes, got {cg.color_counts[0]}")
-    columns = status_columns(cg)
-    outvoted = np.flatnonzero(cg.red & (columns.local != WINNER_CODES.index(Winner.BLUE)))
+    outvoted = np.flatnonzero(cg.red & (cg.local_winner_codes != WINNER_CODES.index(Winner.BLUE)))
     if len(outvoted):
         i = int(outvoted[0])
         blue_nb = k - int(cg.red_neighbor_array[i])
         raise InternalInvariantError(f"red node {i} has only {blue_nb} blue neighbors of {k}")
-    report = NetworkIllusionReport.from_columns(cg, columns)
-    if not report.flag(IllusionKind.MAJORITY_MAJORITY):
+    if not classify_network(cg).flag(IllusionKind.MAJORITY_MAJORITY):
         raise InternalInvariantError("construction is not majority-majority")
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_column
+from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_from_word
 from .errors import FormatError
 from .graphs import Graph, make_graph
 
@@ -64,7 +64,7 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray | None, np.ndarray] | N
         word = text[start + 7 : end]
         if len(word) != n or word.strip("RB"):
             return None
-        colors = red_column(np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R"))
+        colors = red_from_word(word)
         start = end + 1
     body = text[start:]
     # Without its ASCII digits the body reads " \n" once per line, and it
@@ -122,7 +122,7 @@ def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int
                 raise FormatError(
                     f"line {lineno}: colors must be {n} characters from {{R,B}}"
                 )
-            colors = red_column(np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord("R"))
+            colors = red_from_word(word)
         else:
             if n is None:
                 raise FormatError(f"line {lineno}: edge before 'n' header")

@@ -1,7 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -493,21 +492,28 @@ def _status_cases(draw):
 @example(ColoredGraph(make_graph(4, [(0, 1), (0, 2)]), (B, R, B, B)))
 # a global tie: each node's one neighbour wins locally
 @example(ColoredGraph(make_graph(2, [(0, 1)]), (R, B)))
+# a global tie, local ties at node 0, and an isolated red node 6 beside an
+# isolated blue node 7
+@example(
+    ColoredGraph(
+        make_graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        coloring_from_string("RBRBRBRB"),
+    )
+)
 def test_status_columns_match_the_definition(cg):
-    """Every row of the status columns decodes to ``agent_status``, and the
-    combinations group exactly the nodes whose rows agree but for the id."""
+    """Every row read from the classes equals ``agent_status``; there are at
+    most eight classes, each decided at its first node, and the nodes of
+    one class differ only in ``node``."""
     n = cg.graph.n
     expected = [agent_status(cg, i) for i in range(n)]
     columns = status_columns(cg)
-    assert [columns.status(i) for i in range(n)] == expected
-    assert columns.statuses() == expected
+    codes = columns.codes.tolist()
+    assert [replace(columns.statuses[c], node=i) for i, c in enumerate(codes)] == expected
     assert agent_statuses(cg) == expected
-    for column in columns.columns():
-        assert column.dtype == np.int8 and column.shape == (n,)
-    first, inverse = columns.combinations()
-    assert len(first) == len({replace(s, node=0) for s in expected})
-    for i, j in enumerate(inverse.tolist()):
-        assert replace(expected[i], node=0) == replace(expected[first[j]], node=0)
+    assert len(columns.statuses) <= 8
+    firsts = [codes.index(c) for c in range(len(columns.statuses))]
+    assert [s.node for s in columns.statuses] == firsts
+    assert len(columns.statuses) == len({replace(s, node=0) for s in expected})
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,12 @@ def test_gen_circulant_requires_offsets(capsys):
     assert "offsets" in err
 
 
+def test_gen_circulant_names_a_malformed_offsets_list(capsys):
+    code, _, err = run(capsys, "gen", "circulant", "5", "--offsets", "1,,2")
+    assert code == 2
+    assert "argument --offsets: not a comma-separated list of integers: '1,,2'" in err
+
+
 def test_gen_circulant(capsys):
     code, out, _ = run(capsys, "gen", "circulant", "6", "--offsets", "1,3")
     assert code == 0
