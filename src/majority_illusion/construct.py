@@ -29,7 +29,7 @@ majority-majority flag; any violation raises
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import lcm
 from typing import Sequence
 
@@ -136,13 +136,7 @@ class ConstructionReport:
         self.stages.append(entry)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "fast": self.fast,
-            "stages": self.stages,
-            "validated": self.validated,
-        }
+        return asdict(self)
 
 
 def add_initial_edges(

@@ -23,7 +23,7 @@ Reason codes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,12 +56,7 @@ class RegularVerdict:
         return self.possible
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "possible": self.possible,
-            "failed": list(self.failed),
-        }
+        return {**asdict(self), "failed": list(self.failed)}
 
 
 @dataclass(frozen=True)

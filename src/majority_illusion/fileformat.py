@@ -16,7 +16,10 @@ inside each edge line, no comments or blank lines, every id below ``n``) as
 one int64 array: one ``translate`` checks the layout and one text-mode
 ``np.fromstring`` reads the ids.  Any other text goes through a
 line-by-line reader, which names the line of the first fault.  Node
-counts are ASCII digits.
+counts are ASCII digits.  Both readers refuse a text of more than
+:data:`~majority_illusion.graphs.MAX_EDGES` edge lines before they build
+its edge array: the canonical one from its line count, the line reader at
+the line past the cap.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_from_word
-from .errors import FormatError
-from .graphs import Graph, make_graph
+from .errors import FormatError, GraphError
+from .graphs import MAX_EDGES, Graph, make_graph
 
 _DIGITS = str.maketrans("", "", "0123456789")
 
@@ -40,7 +43,7 @@ def parse_graph_text(text: str) -> tuple[Graph, np.ndarray | None]:
         n, colors, edges = parsed
     try:
         graph = make_graph(n, edges)
-    except Exception as exc:
+    except GraphError as exc:
         raise FormatError(str(exc)) from exc
     return graph, colors
 
@@ -73,6 +76,8 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray | None, np.ndarray] | N
     lines = len(separators) // 2
     if separators != " \n" * lines or body[-1:] not in ("", "\n"):
         return None
+    if lines > MAX_EDGES:
+        raise FormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
     # Text-mode fromstring reads a digit run beyond int64 as its largest
     # value and a body of separators alone as one 0: the length and range
     # checks send both to the line reader, which names the line.
@@ -132,6 +137,10 @@ def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer node id") from None
+            if len(edges) == MAX_EDGES:
+                raise FormatError(
+                    f"line {lineno}: edge lines exceed the limit of {MAX_EDGES}"
+                )
             edges.append((u, v))
     if n is None:
         raise FormatError("missing 'n <count>' header")

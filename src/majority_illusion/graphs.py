@@ -77,20 +77,12 @@ class Graph:
     @cached_property
     def neighbor_masks(self) -> np.ndarray:
         """Every node's neighbours as a read-only uint32 bitset (bit ``j``
-        set: ``j`` is a neighbour), derived on first use by a scalar walk
-        of the rows, which at 32 nodes or fewer beats numpy.  Raises
-        :class:`GraphError` above 32 nodes."""
+        set: ``j`` is a neighbour), derived on first use as the row sums of
+        the node bits ``1 << j``: a row's bits are distinct, so their sum is
+        their union.  Raises :class:`GraphError` above 32 nodes."""
         if self.n > 32:
             raise GraphError(f"graph has {self.n} nodes, above 32-bit neighbour masks")
-        flat = self.indices.tolist()
-        bounds = self.indptr.tolist()
-        masks = []
-        for start, end in zip(bounds, bounds[1:]):
-            m = 0
-            for j in flat[start:end]:
-                m |= 1 << j
-            masks.append(m)
-        out = np.array(masks, dtype=np.uint32)
+        out = self.neighbor_sums(np.int64(1) << np.arange(self.n)).astype(np.uint32)
         out.flags.writeable = False
         return out
 

@@ -16,11 +16,11 @@ operators bind tightest, then ``&``, ``|``, ``->`` (right-associative).
 
 The model checker (:func:`extension`) evaluates each unique subformula
 once, children first, as one boolean column over the nodes.  It counts
-true neighbours itself, from the graph's CSR rows, and reads nothing of
-the classifier (``analysis``, red-neighbour counts, local winners), so
-that it stays an independent check of it.  The satisfiability search
-(:func:`formula_possible`) runs the same program on node bitsets, one
-per valuation.
+true neighbours with the graph's own row sum, :meth:`Graph.neighbor_sums`,
+and reads nothing of the classifier (``analysis``, red-neighbour counts,
+local winners), so that it stays an independent check of it.  The
+satisfiability search (:func:`formula_possible`) runs the same program on
+node bitsets, one per valuation.
 """
 
 from __future__ import annotations
@@ -408,26 +408,14 @@ def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
     if isinstance(node, Or):
         return args[0] | args[1]
     if isinstance(node, NeighborCountOver):
-        return _true_neighbors(g, args[0]) > min(node.bound, g.n)
+        return g.neighbor_sums(args[0]) > min(node.bound, g.n)
     if isinstance(node, WeakNeighborMajority):
-        return 2 * _true_neighbors(g, args[0]) >= np.diff(g.indptr)
+        return 2 * g.neighbor_sums(args[0]) >= np.diff(g.indptr)
     if isinstance(node, GlobalCountOver):
         return np.full(g.n, int(np.count_nonzero(args[0])) > node.bound)
     if isinstance(node, WeakGlobalMajority):
         return np.full(g.n, 2 * int(np.count_nonzero(args[0])) >= g.n)
     raise TypeError(f"evaluation reached unexpanded node {node!r}")
-
-
-def _true_neighbors(g: Graph, column: np.ndarray) -> np.ndarray:
-    """How many of each node's neighbours ``column`` holds at: one
-    ``reduceat`` over the CSR rows of the column read at the neighbours.
-    A trailing ``False`` keeps every row start in bounds; an empty row,
-    where ``reduceat`` reads that one value, counts 0."""
-    counts = np.add.reduceat(
-        np.append(column[g.indices], False), g.indptr[:-1], dtype=np.int64
-    )
-    counts[g.indptr[:-1] == g.indptr[1:]] = 0
-    return counts
 
 
 def extension(model: Model, f: Formula) -> frozenset[int]:

@@ -85,16 +85,15 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
-def _chunks(n: int, rows: int = 1, half: bool = False) -> Iterator[np.ndarray]:
+def _chunks(n: int, rows: int = 1) -> Iterator[np.ndarray]:
     """The colorings of ``n`` nodes in ascending blocks small enough that
-    ``rows`` uint32 words per coloring fit in ``2^_CHUNK_BITS`` words; with
-    ``half``, only those with node 0 blue (``n >= 1``).  The block size is
-    looked up at each call."""
-    total = 1 << (n - 1 if half else n)
+    ``rows`` uint32 words per coloring fit in ``2^_CHUNK_BITS`` words.  The
+    half space of ``n`` nodes (node 0 blue) is that of ``n - 1`` nodes, each
+    block shifted up one bit.  The block size is looked up at each call."""
+    total = 1 << n
     step = max(1, (1 << _CHUNK_BITS) // rows)
     for start in range(0, total, step):
-        block = np.arange(start, min(start + step, total), dtype=np.uint32)
-        yield block << np.uint32(1) if half else block
+        yield np.arange(start, min(start + step, total), dtype=np.uint32)
 
 
 def _red_neighbors(masks: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -126,14 +125,14 @@ def _half_table(n: int) -> tuple[np.ndarray, int]:
 
 
 def _half_blocks(n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """The blocks of ``_chunks(n, rows=n, half=True)`` as
+    """The half-space blocks of ``_chunks(n - 1, rows=n)`` as
     :func:`_representatives`; a block that is the whole half space comes
     from a table built on first use (``n >= 1``)."""
     if 1 << (n - 1) <= max(1, (1 << _CHUNK_BITS) // n):
         yield _half_table(n)
         return
-    for masks in _chunks(n, rows=n, half=True):
-        yield _representatives(masks, n)
+    for masks in _chunks(n - 1, rows=n):
+        yield _representatives(masks << np.uint32(1), n)
 
 
 def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
@@ -212,7 +211,8 @@ def _byte_optima(
     n = g.n
     if objective is Objective.MIN_MONOCHROMATIC:
         gain = _dichromatic_counter(g)
-        for masks in _chunks(n, rows=n, half=True):
+        for masks in _chunks(n - 1, rows=n):
+            masks <<= np.uint32(1)
             scores = gain(masks)
             top = int(scores.max())
             yield top, lambda masks=masks, scores=scores, top=top: masks[scores == top]

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import majority_illusion.cli as cli
+import majority_illusion.fileformat as fileformat
 from majority_illusion import (
     ColoredGraph,
     __version__,
@@ -159,6 +160,20 @@ def test_color_as_is_needs_a_colored_input(capsys, tmp_path):
     assert err == "error: --initial as-is needs a colored input\n"
 
 
+def test_color_as_is_starts_the_swap_loop_from_the_input_colors(capsys, tmp_path):
+    """``--initial as-is`` feeds the file's colors to the swap loop; here
+    they lead to another coloring than the default all-red start."""
+    text = "n 6\ncolors RRBBRR\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
+    path = tmp_path / "c6.txt"
+    path.write_text(text)
+    graph, colors = parse_graph_text(text)
+    code, out, err = run(capsys, "color", str(path), "--initial", "as-is")
+    assert (code, err) == (0, "")
+    assert out == write_graph(graph, illusion_coloring(graph, colors).red)
+    _, default, _ = run(capsys, "color", str(path))
+    assert out != default
+
+
 def test_feasible_negative_verdict_cites_reason(capsys):
     code, out, _ = run(capsys, "feasible", "6", "4")
     assert code == 1
@@ -216,6 +231,19 @@ def test_oracle_min_monochromatic(capsys, tmp_path):
     assert "score 1" in out
 
 
+@pytest.mark.parametrize("objective", [o.value for o in Objective])
+def test_oracle_json_reports_what_the_text_form_does(capsys, tmp_path, objective):
+    path = tmp_path / "c7.txt"
+    path.write_text(write_graph(circulant_graph(7, (1, 2))))
+    code, text, _ = run(capsys, "oracle", str(path), "--objective", objective)
+    assert code == 0
+    code, out, _ = run(capsys, "oracle", str(path), "--objective", objective, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("format_version") == cli.SCHEMA_VERSION
+    assert text == "objective {objective}\nscore {score}\ncolors {colors}\n".format(**payload)
+
+
 def test_oracle_cap_usage_error(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text("n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
@@ -233,6 +261,14 @@ def test_mc_preset_on_witness(capsys, tmp_path):
     )
     assert code == 0
     assert out.strip() == "true"
+
+
+def test_mc_needs_colors_or_a_valuation(capsys, tmp_path):
+    path = tmp_path / "p3.txt"
+    path.write_text("n 3\n0 1\n1 2\n")
+    code, out, err = run(capsys, "mc", str(path), "--formula", "p", "--global")
+    assert (code, out) == (2, "")
+    assert err == "error: model checking needs a colored graph or --valuation file\n"
 
 
 def test_mc_formula_false_exits_one(capsys, tmp_path):
@@ -468,6 +504,57 @@ def test_unexpected_exception_maps_to_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "12", "6")
     assert code == 3
     assert err == "internal error: RuntimeError: synthetic crash\n"
+
+
+def test_a_defect_under_the_reader_maps_to_exit_three(capsys, monkeypatch, tmp_path):
+    """The reader turns only the graph's own input faults into format
+    errors: any other exception from ``make_graph`` is a bug, exit 3."""
+    def boom(n, edges):
+        raise IndexError("synthetic index fault")
+
+    monkeypatch.setattr(fileformat, "make_graph", boom)
+    path = tmp_path / "p2.txt"
+    path.write_text("n 2\n0 1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: IndexError: synthetic index fault\n"
+
+
+def test_canonical_text_past_the_edge_cap_is_refused_before_it_is_read(
+    capsys, monkeypatch, tmp_path
+):
+    """A text in the writer's layout with ``MAX_EDGES + 1`` edge lines exits 2,
+    naming the cap, and ``np.fromstring`` is never called on it."""
+    calls = []
+    fromstring = fileformat.np.fromstring
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(fileformat.np, "fromstring", spy)
+    path = tmp_path / "wide.txt"
+    path.write_text("n 2\n" + "0 1\n" * (MAX_EDGES + 1))
+    code, out, err = run(capsys, "color", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {MAX_EDGES + 1} edge lines exceed the limit of {MAX_EDGES}\n"
+    assert calls == []
+    path.write_text("n 2\n" + "0 1\n" * 3)
+    assert run(capsys, "color", str(path))[0] == 0
+    assert calls == [12]
+
+
+def test_line_reader_stops_at_the_line_past_the_edge_cap(capsys, monkeypatch, tmp_path):
+    """The line reader counts edge lines as it appends them and names the
+    first one past the cap; a text of exactly the cap is read."""
+    monkeypatch.setattr(fileformat, "MAX_EDGES", 3)
+    path = tmp_path / "wide.txt"
+    path.write_text("# four edges\nn 3\n0 1\n1 2\n\n0 2\n1 0\n")
+    code, out, err = run(capsys, "color", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 7: edge lines exceed the limit of 3\n"
+    path.write_text("# three edges\nn 3\n0 1\n1 2\n\n0 2\n")
+    assert run(capsys, "color", str(path))[0] == 0
 
 
 def test_oracle_rejects_graphs_wider_than_the_masks(capsys, tmp_path):

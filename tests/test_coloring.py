@@ -95,6 +95,16 @@ def test_swap_loop_ignores_edgeless_graph():
     assert as_coloring(weak_majority_2_coloring(g, initial)) == initial
 
 
+def test_colored_graph_rejects_a_coloring_of_the_wrong_length():
+    with pytest.raises(PreconditionError, match="coloring covers 3 nodes, graph has 4"):
+        ColoredGraph(cycle_graph(4), coloring_from_string("RBR"))
+
+
+def test_coloring_strings_hold_only_r_and_b():
+    with pytest.raises(PreconditionError, match="only contain 'R' and 'B': 'RGB'"):
+        coloring_from_string("RGB")
+
+
 def test_swap_loop_rejects_partial_initial():
     with pytest.raises(PreconditionError):
         weak_majority_2_coloring(cycle_graph(4), (R, B))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,14 @@ def test_fast_construction_10_6():
 def test_fast_construction_rejects_misaligned_n():
     with pytest.raises(PreconditionError, match="n % 4"):
         fast_construct(12, 6)
+
+
+@pytest.mark.parametrize(
+    "n, k, message", [(10, 7, "even k, got 7"), (14, 6, "n <= 2k - 2, got n=14, k=6")]
+)
+def test_fast_construction_rejects_odd_k_and_wide_n(n, k, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        fast_construct(n, k)
 
 
 def test_fast_construction_rejects_infeasible():

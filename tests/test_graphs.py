@@ -25,8 +25,7 @@ from majority_illusion import (
     strict_illusion_from_proper,
     weak_majority_2_coloring,
 )
-from majority_illusion.graphs import MAX_EDGES, MAX_NODES, Graph
-from majority_illusion.logic import _true_neighbors
+from majority_illusion.graphs import MAX_EDGES, MAX_NODES
 
 from conftest import colored_graphs, graphs, reference_make_graph
 
@@ -35,6 +34,15 @@ def test_triangle_degrees():
     g = make_graph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.degrees() == (2, 2, 2)
     assert g.edge_count == 3
+
+
+def test_is_regular_reads_one_degree():
+    path = make_graph(3, [(0, 1), (1, 2)])
+    assert not path.is_regular()
+    assert not path.is_regular(1)
+    assert cycle_graph(5).is_regular()
+    assert cycle_graph(5).is_regular(2)
+    assert not cycle_graph(5).is_regular(3)
 
 
 def test_self_loop_rejected():
@@ -224,18 +232,16 @@ def _graphs_and_values(draw):
 @example((make_graph(4, [(0, 1), (1, 2)]), np.array([True, True, True, True])))
 @example((make_graph(4, [(1, 2), (2, 3)]), np.array([5, 6, 7, 8])))
 @given(_graphs_and_values())
-@pytest.mark.parametrize(
-    "row_sums", [Graph.neighbor_sums, _true_neighbors], ids=["neighbor_sums", "true_neighbors"]
-)
-def test_row_sums_match_per_row_python_sums(row_sums, case):
-    """Both row sums (the graph's and the model checker's own) give every
-    node the Python sum of its neighbours' values, 0 on an isolated node."""
+def test_row_sums_match_per_row_python_sums(case):
+    """The graph's one row sum, which the classifier, the swap loop, the
+    model checker and the neighbour bitsets all read, gives every node the
+    Python sum of its neighbours' values, 0 on an isolated node."""
     g, values = case
     expected = [
         sum(int(values[j]) for j in g.indices[g.indptr[i]:g.indptr[i + 1]].tolist())
         for i in range(g.n)
     ]
-    sums = row_sums(g, values)
+    sums = g.neighbor_sums(values)
     assert sums.dtype == np.int64
     assert sums.tolist() == expected
 

@@ -143,7 +143,7 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
     for bits in (0, 3, 4):
         monkeypatch.setattr(oracle_module, "_CHUNK_BITS", bits)
         for g in (cycle_graph(6), complete_graph(6)):
-            blocks = len(list(oracle_module._chunks(g.n, rows=g.n, half=True)))
+            blocks = len(list(oracle_module._chunks(g.n - 1, rows=g.n)))
             scanned.clear()
             best_coloring(g, Objective.MAX_STRICT_ILLUSION)
             best_coloring(g, Objective.MAX_WEAK_ILLUSION)
@@ -151,8 +151,8 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
             assert scanned == [blocks] * 3 and blocks > 1
         split = 0
         for g in corpus:
-            blocks = list(oracle_module._chunks(g.n, rows=g.n, half=True))
-            block_of = {int(m): b for b, block in enumerate(blocks) for m in block}
+            blocks = list(oracle_module._chunks(g.n - 1, rows=g.n))
+            block_of = {int(m) << 1: b for b, block in enumerate(blocks) for m in block}
             best, _ = _reference(g)
             for mask, _, tied in best.values():
                 tied_blocks = [block_of[m] for m in tied if m in block_of]
