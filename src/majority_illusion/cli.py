@@ -65,10 +65,22 @@ SCHEMA_VERSION = 1
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return _read_text(None if path == "-" else path)
+
+
+def _read_text(path: str | None) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin for ``None``.
+    A path with a NUL byte and a text that does not decode are input
+    faults: they raise the package's own errors, with Python's messages."""
+    if path is not None and "\0" in path:
+        raise PreconditionError("embedded null byte")
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(str(exc)) from None
 
 
 # Fraction expands a decimal exponent into an exact integer, so both the
@@ -325,8 +337,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     else:
         formula = parse_formula(args.formula)
     if args.valuation is not None:
-        with open(args.valuation, "r", encoding="utf-8") as fh:
-            model = Model(graph, parse_valuation_text(fh.read(), graph.n))
+        model = Model(graph, parse_valuation_text(_read_text(args.valuation), graph.n))
     elif colors is not None:
         model = model_from_colored_graph(ColoredGraph(graph, colors), atom=args.atom)
     else:
@@ -471,7 +482,6 @@ def main(argv: list[str] | None = None) -> int:
         IsADirectoryError,
         NotADirectoryError,
         PermissionError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,18 +6,20 @@ red node to just over ``k/2`` blue nodes (round-robin), tops the blue side
 up with a pairing pass, and finishes each color class with circulant
 subgraphs plus an exact pairing of the odd-parity leftovers.
 
-Every stage takes and returns the edge set as a sorted int64 array of keys
-``u * n + v`` with ``u < v``.  The round-robin edges have a closed form,
-the circulants are one broadcast table of (position, offset) partners, the
-complete bipartite core of :func:`fast_construct` is a ``repeat`` and a
-``tile``, and the bridge's candidates are one mask.  New keys are
-deduplicated by sorting, probed against the array in that sorted order,
-and merged into it by a stable sort of the two runs, which timsort merges
-in one pass; each degree pass is one search for the row starts plus one
-``bincount``.  Two loops stay scalar because each choice depends on the
-last: the blue top-up (one pass over the blue nodes) and the pairing of
-the odd-parity leftovers (about ``n/4`` open ends), which tests adjacency
-in one set of the edges between its open ends.  The pairing is an iterative depth-first search with an
+The edge set is a sorted int64 array of keys ``u * n + v`` with ``u < v``.
+Every stage reads it and returns only the sorted keys it adds, and one
+call, :meth:`ConstructionReport.add`, merges and records them.  The
+round-robin edges have a closed form, the circulants are one broadcast
+table of (position, offset) partners, the complete bipartite core of
+:func:`fast_construct` is a ``repeat`` and a ``tile``, and the bridge's
+candidates are one mask.  New keys are deduplicated by sorting, probed
+against the array in that sorted order, and merged into it by a stable
+sort of the two runs, which timsort merges in one pass; each degree pass
+is one search for the row starts plus one ``bincount``.  Two loops stay
+scalar because each choice depends on the last: the blue top-up (one pass
+over the blue nodes) and the pairing of the odd-parity leftovers (about
+``n/4`` open ends), which tests adjacency in one set of the edges between
+its open ends.  The pairing is an iterative depth-first search with an
 explicit undo stack, so it runs at any size; no stage has a fallback path,
 because none is reachable on a feasible input (the proofs are in
 CHANGES.md).  Every stage validates its degree accounting and the final
@@ -71,6 +73,8 @@ def _merge(keys: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """The sorted union of ``keys`` and the sorted keys ``fresh``, which
     none of ``keys`` repeats.  A stable sort of int64 is timsort, which
     finds the two sorted runs and merges them in one pass."""
+    if not (len(keys) and len(fresh)):
+        return keys if len(keys) else fresh
     out = np.concatenate((keys, fresh))
     out.sort(kind="stable")
     return out
@@ -130,50 +134,44 @@ class ConstructionReport:
     stages: list[dict] = field(default_factory=list)
     validated: bool = False
 
-    def record(self, stage: str, edges_before: int, edges_after: int, **extra) -> None:
-        entry = {"stage": stage, "edges_added": edges_after - edges_before}
-        entry.update(extra)
-        self.stages.append(entry)
+    def add(self, keys: np.ndarray, stage: str, fresh: np.ndarray, **extra) -> np.ndarray:
+        """Record ``stage`` as adding the sorted keys ``fresh``; merge them into ``keys``."""
+        self.stages.append({"stage": stage, "edges_added": len(fresh), **extra})
+        return _merge(keys, fresh)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
-def add_initial_edges(
-    keys: np.ndarray, n: int, blue: Sequence[int], red: Sequence[int], k: int
-) -> np.ndarray:
-    """Give every red node its quota of blue neighbors, round-robin.
+def add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -> np.ndarray:
+    """The sorted keys that give every red node its blue quota, round-robin.
 
     Pick ``i`` joins red node ``i % |R|`` to blue node ``(x + i) % |B|``,
     where the offset ``x`` is 0 until the first repeated pair and 1 from
     there on.  Distinct nodes repeat a pair first at ``i = lcm(|R|, |B|)``,
     so ``x = [i >= lcm(|R|, |B|)]``.  A pick that repeats an earlier one
-    after the shift, or an edge already in ``keys``, cannot happen on a
-    feasible input and raises, naming the red node of the first such pick.
+    after the shift cannot happen on a feasible input and raises, naming
+    the red node of the first such pick.
     """
     red = np.asarray(red, dtype=np.int64)
     blue = np.asarray(blue, dtype=np.int64)
     i = np.arange(len(red) * _blue_quota(k), dtype=np.int64)
-    if not len(i):
-        return keys
     shift = i >= lcm(len(red), len(blue))
     picks = _edge_keys(red[i % len(red)], blue[(i + shift) % len(blue)], n)
     order = np.argsort(picks, kind="stable")
     ordered = picks[order]
     repeats = order[1:][ordered[1:] == ordered[:-1]]
-    taken = order[_contains(keys, ordered)]
-    if len(repeats) or len(taken):
-        first = min(repeats.min(initial=len(i)), taken.min(initial=len(i)))
+    if len(repeats):
         raise InternalInvariantError(
-            f"red node {int(red[first % len(red)])} collides again after the shift"
+            f"red node {int(red[repeats.min() % len(red)])} collides again after the shift"
         )
-    return _merge(keys, ordered)
+    return ordered
 
 
 def add_extra_blue_edges(
     keys: np.ndarray, n: int, blue: Sequence[int], k: int, k_blue: int
 ) -> np.ndarray:
-    """Pair up blue nodes that still have more than ``k_blue`` open ends.
+    """The sorted keys pairing up blue nodes with more than ``k_blue`` open ends.
 
     Blue nodes are visited in ascending degree (most missing edges first);
     each is joined to its cyclic successor when both sit below
@@ -184,7 +182,7 @@ def add_extra_blue_edges(
     deg = _degree_counts(keys, n)
     order = blue[np.lexsort((blue, deg[blue]))]
     if len(order) < 2:
-        return keys
+        return _NO_EDGES
     successor = np.roll(order, -1)
     pairs = _edge_keys(order, successor, n)
     adjacent = _contains(keys, pairs).tolist()
@@ -198,13 +196,13 @@ def add_extra_blue_edges(
             added.add(key)
             deg[node] += 1
             deg[nxt] += 1
-    return _merge(keys, np.array(sorted(added), dtype=np.int64))
+    return np.array(sorted(added), dtype=np.int64)
 
 
 def add_regular_subgraph(
     keys: np.ndarray, n: int, nodes: Sequence[int], k_sub: int
 ) -> np.ndarray:
-    """Add a circulant ``k_sub``-regular graph on ``nodes`` (in list order).
+    """The sorted keys of a circulant ``k_sub``-regular graph on ``nodes`` (in list order).
 
     Each node connects around the position opposite its own: the antipodal
     node first when the count is even and ``k_sub`` odd, then offsets
@@ -216,19 +214,17 @@ def add_regular_subgraph(
     nodes = np.asarray(nodes, dtype=np.int64)
     m = len(nodes)
     if k_sub == 0:
-        return keys
+        return _NO_EDGES
     if k_sub < 0 or k_sub >= m:
         raise PreconditionError(f"subgraph degree {k_sub} invalid for {m} nodes")
     # Each edge is in the table from both ends; the sorted distinct keys
-    # are both the probe and the keys to merge.
+    # are both the probe and the keys returned.
     fresh = _sorted_unique(_circulant_table(n, nodes, k_sub))
     if _contains(keys, fresh).any():
         table = _circulant_table(n, nodes, k_sub)
         u, v = divmod(int(table[_contains(keys, table).argmax()]), n)
-        raise InternalInvariantError(
-            f"circulant edge {(u, v)} collides with an existing edge"
-        )
-    return _merge(keys, fresh)
+        raise InternalInvariantError(f"circulant edge {(u, v)} collides with an existing edge")
+    return fresh
 
 
 def _circulant_table(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
@@ -256,14 +252,12 @@ def _realize_deficits(
     (lowest id on ties) takes the first node it is not adjacent to in the
     order of ``(deg - k, id)``.  When no partner is left, the last choice
     is undone and its scan resumes just past the partner it had taken.
-    Raises when the open ends cannot be realized at all; returns the edge
-    keys with the pairing's added and updates ``deg`` in place.
+    Raises when the open ends cannot be realized at all; returns the
+    pairing's keys, sorted, and updates ``deg`` in place.
     """
     deficit = {u: k - deg[u] for u in members if deg[u] < k}
     if sum(deficit.values()) % 2 == 1:
-        raise InternalInvariantError(
-            f"{label} open ends sum to an odd number: {deficit}"
-        )
+        raise InternalInvariantError(f"{label} open ends sum to an odd number: {deficit}")
     # Every pair probed joins two open members, so only the edges between
     # members are kept to probe, with the chosen edges added as they come.
     member = np.zeros(n, dtype=bool)
@@ -309,7 +303,7 @@ def _realize_deficits(
             if deg[w] < k:
                 insort(open_ends, (k - deg[w], -w))
         start = len(open_ends) - 2
-    return _merge(keys, np.array(sorted(key(u, v) for u, v in chosen), dtype=np.int64))
+    return np.array(sorted(key(u, v) for u, v in chosen), dtype=np.int64)
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:
@@ -326,17 +320,13 @@ def _require_feasible(n: int, k: int) -> ConstructionPlan:
     return construction_plan(n, k)
 
 
-def _add_circulant(
-    keys: np.ndarray,
-    n: int,
-    nodes: np.ndarray,
-    degree: int,
-    report: ConstructionReport,
-    stage: str,
-) -> np.ndarray:
-    out = add_regular_subgraph(keys, n, nodes, degree)
-    report.record(stage, len(keys), len(out), degree=degree)
-    return out
+def _add_circulants(report: ConstructionReport, keys: np.ndarray, n: int, rows) -> np.ndarray:
+    """Add the circulant of each taken row ``(stage, nodes, degree, taken)``."""
+    for stage, nodes, degree, taken in rows:
+        if taken:
+            fresh = add_regular_subgraph(keys, n, nodes, degree)
+            keys = report.add(keys, stage, fresh, degree=degree)
+    return keys
 
 
 def _check_top_up(blue_deg: np.ndarray, limit: int) -> None:
@@ -351,20 +341,17 @@ def _check_top_up(blue_deg: np.ndarray, limit: int) -> None:
 def _bridge(
     keys: np.ndarray, n: int, red: np.ndarray, blue: np.ndarray, k: int, deg: np.ndarray
 ) -> np.ndarray:
-    """Join the neediest blue node (lowest id on ties) to the first red node
-    that is open and not yet its neighbor; ``deg`` is updated in place.
-    Both end at degree ``k`` (the parity proof is in CHANGES.md)."""
+    """The key joining the neediest blue node (lowest id on ties) to the
+    first red node that is open and not yet its neighbor; ``deg`` is updated
+    in place.  Both end at degree ``k`` (the parity proof is in CHANGES.md)."""
     bridged_blue = int(blue[np.argmin(deg[blue])])
     open_red = red[deg[red] < k]
     candidates = open_red[~_contains(keys, _edge_keys(open_red, bridged_blue, n))]
     if not len(candidates):
-        raise InternalInvariantError(
-            f"no red node left to bridge blue node {bridged_blue}"
-        )
+        raise InternalInvariantError(f"no red node left to bridge blue node {bridged_blue}")
     bridged_red = int(candidates[0])
     deg[[bridged_red, bridged_blue]] += 1
-    edge = _edge_keys(np.array([bridged_red]), bridged_blue, n)
-    return _merge(keys, edge)
+    return _edge_keys(np.array([bridged_red]), bridged_blue, n)
 
 
 def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> None:
@@ -402,9 +389,7 @@ def construct_regular_illusion(n: int, k: int) -> ColoredGraph:
     return cg
 
 
-def construct_regular_illusion_report(
-    n: int, k: int
-) -> tuple[ColoredGraph, ConstructionReport]:
+def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionReport]:
     """Build a k-regular graph on n nodes whose coloring is a validated
     majority-majority illusion; raises :class:`InfeasibleError` when the
     feasibility verdict is negative.
@@ -420,8 +405,8 @@ def construct_regular_illusion_report(
     red = np.arange(plan.n_red, dtype=np.int64)
     blue = np.arange(plan.n_red, n, dtype=np.int64)
 
-    keys = add_initial_edges(_NO_EDGES, n, blue, red, k)
-    report.record("initial-bipartite", 0, len(keys), per_red=plan.blue_target)
+    initial = add_initial_edges(n, blue, red, k)
+    keys = report.add(_NO_EDGES, "initial-bipartite", initial, per_red=plan.blue_target)
     deg = _degree_counts(keys, n)
     bad = red[deg[red] != plan.blue_target].tolist()
     if bad:
@@ -432,38 +417,31 @@ def construct_regular_illusion_report(
     # Top-up edges join blues consecutive in this order, so a circulant over
     # the same order only uses larger cyclic distances and cannot collide.
     blue_order = blue[np.lexsort((blue, deg[blue]))]
-    before = len(keys)
-    keys = add_extra_blue_edges(keys, n, blue, k, plan.k_blue)
-    report.record("blue-top-up", before, len(keys))
+    keys = report.add(keys, "blue-top-up", add_extra_blue_edges(keys, n, blue, k, plan.k_blue))
     _check_top_up(_degree_counts(keys, n)[blue], k - plan.k_blue)
 
     red_deferred = plan.k_red % 2 == 1 and plan.n_red % 2 == 1
     blue_deferred = plan.k_blue % 2 == 1 and plan.n_blue % 2 == 1
-    if not red_deferred:
-        keys = _add_circulant(keys, n, red, plan.k_red, report, "red-circulant")
-    if not blue_deferred and plan.k_blue:
-        keys = _add_circulant(keys, n, blue_order, plan.k_blue, report, "blue-circulant")
+    # A red circulant of degree 0 is recorded, a blue one is not.
+    keys = _add_circulants(report, keys, n, (
+        ("red-circulant", red, plan.k_red, not red_deferred),
+        ("blue-circulant", blue_order, plan.k_blue, not blue_deferred and plan.k_blue > 0),
+        ("red-circulant-short", red, plan.k_red - 1, red_deferred and plan.k_red > 1),
+        ("blue-circulant-short", blue_order, plan.k_blue - 1, blue_deferred and plan.k_blue > 1),
+    ))
 
     if red_deferred or blue_deferred:
-        if red_deferred and plan.k_red > 1:
-            keys = _add_circulant(keys, n, red, plan.k_red - 1, report, "red-circulant-short")
-        if blue_deferred and plan.k_blue > 1:
-            keys = _add_circulant(
-                keys, n, blue_order, plan.k_blue - 1, report, "blue-circulant-short"
-            )
         deg = _degree_counts(keys, n)
         if red_deferred:
             # one red end must cross over; pick the neediest blue node
-            keys = _bridge(keys, n, red, blue, k, deg)
-            report.record("bridge", len(keys) - 1, len(keys))
+            keys = report.add(keys, "bridge", _bridge(keys, n, red, blue, k, deg))
         open_blue = blue[deg[blue] < k].tolist()
         open_red = red[deg[red] < k].tolist()
         deg = deg.tolist()
         for label, members in (("blue", open_blue), ("red", open_red)):
-            before = len(keys)
-            keys = _realize_deficits(keys, n, members, k, deg, label)
-            if len(keys) > before:
-                report.record(f"{label}-pairing", before, len(keys))
+            fresh = _realize_deficits(keys, n, members, k, deg, label)
+            if len(fresh):
+                keys = report.add(keys, f"{label}-pairing", fresh)
 
     return _finish(plan, keys, report)
 
@@ -495,8 +473,10 @@ def fast_construct_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionRep
     report = ConstructionReport(n=n, k=k, fast=True)
     red = np.arange(plan.n_red, dtype=np.int64)
     blue = np.arange(plan.n_red, n, dtype=np.int64)
-    keys = np.repeat(red, plan.n_blue) * n + np.tile(blue, plan.n_red)
-    report.record("complete-bipartite", 0, len(keys))
-    keys = _add_circulant(keys, n, red, k - plan.n_blue, report, "red-circulant")
-    keys = _add_circulant(keys, n, blue, k - plan.n_red, report, "blue-circulant")
+    core = np.repeat(red, plan.n_blue) * n + np.tile(blue, plan.n_red)
+    keys = report.add(_NO_EDGES, "complete-bipartite", core)
+    keys = _add_circulants(report, keys, n, (
+        ("red-circulant", red, k - plan.n_blue, True),
+        ("blue-circulant", blue, k - plan.n_red, True),
+    ))
     return _finish(plan, keys, report)

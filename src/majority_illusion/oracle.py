@@ -8,12 +8,12 @@ once:
 
 - the byte kernel holds a block as uint32 masks and counts by vectorized
   popcounts into a 2D uint8 block, one byte per (node, coloring), then
-  derives the illusion and monochromatic counts with no per-node or
-  per-edge loop.  Illusions are counted at each coloring's red-lead
-  representative, with one uint8 compare per (node, coloring), and strict
-  counts skip the globally tied colorings.  Where one block holds the
-  whole half space (``n <= 15``), its representatives come from a table
-  built once per node count, on first use;
+  derives the illusion and dichromatic counts with no per-node or
+  per-edge loop.  Every objective is counted at each coloring's red-lead
+  representative: illusions with one uint8 compare per (node, coloring),
+  with strict counts skipping the globally tied colorings.  Where one
+  block holds the whole half space (``n <= 15``), its representatives come
+  from a table built once per node count, on first use;
 - the bit-sliced kernel holds one uint64 colour plane per node, 64
   colorings to a word, counts with capped ripple counters over the
   planes, and sums the illusion or dichromatic counts straight into
@@ -183,15 +183,18 @@ def _illusion_counter(
     return count
 
 
-def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-coloring count of edges with ends of both colors: each is
-    counted once, as a red neighbour of its blue end."""
+def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Per-coloring count of edges with ends of both colors, read from a
+    block ``(reps, free)`` of :func:`_half_blocks`: each is counted once,
+    as a red neighbour of its blue end.  A colour swap keeps every edge's
+    count, so a representative's count is its coloring's, and the tie
+    split plays no part."""
     nbr = g.neighbor_masks
     bit = np.uint32(1) << np.arange(g.n, dtype=np.uint32)[:, None]
 
-    def count(masks: np.ndarray) -> np.ndarray:
-        blue = (masks[None, :] & bit) == 0
-        return (_red_neighbors(masks, nbr) * blue).sum(axis=0, dtype=np.uint16)
+    def count(reps: np.ndarray, free: int) -> np.ndarray:
+        blue = (reps[None, :] & bit) == 0
+        return (_red_neighbors(reps, nbr) * blue).sum(axis=0, dtype=np.uint16)
 
     return count
 
@@ -207,17 +210,13 @@ def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
 def _byte_optima(
     g: Graph, objective: Objective
 ) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
-    """Per block: the best score and a call that lists its optima."""
+    """Per block of :func:`_half_blocks`: the best score and a call that
+    lists its optima."""
     n = g.n
     if objective is Objective.MIN_MONOCHROMATIC:
         gain = _dichromatic_counter(g)
-        for masks in _chunks(n - 1, rows=n):
-            masks <<= np.uint32(1)
-            scores = gain(masks)
-            top = int(scores.max())
-            yield top, lambda masks=masks, scores=scores, top=top: masks[scores == top]
-        return
-    gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    else:
+        gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
     for reps, free in _half_blocks(n):
         scores = gain(reps, free)
         top = int(scores.max())

@@ -175,12 +175,17 @@ def _realize_deficits(
     return len(chosen)
 
 
+def _record(report: ConstructionReport, stage: str, before: int, after: int, **extra) -> None:
+    """Append the stage's entry to ``report``, by the edge set's growth."""
+    report.stages.append({"stage": stage, "edges_added": after - before, **extra})
+
+
 def _add_circulant(
     edges: set[Edge], nodes: list[int], degree: int, report: ConstructionReport, stage: str
 ) -> None:
     before = len(edges)
     add_regular_subgraph(edges, nodes, degree)
-    report.record(stage, before, len(edges), degree=degree)
+    _record(report, stage, before, len(edges), degree=degree)
 
 
 def _finish(
@@ -213,7 +218,7 @@ def construct_regular_illusion_report(
     edges: set[Edge] = set()
 
     add_initial_edges(edges, blue, red, k)
-    report.record("initial-bipartite", 0, len(edges), per_red=plan.blue_target)
+    _record(report, "initial-bipartite", 0, len(edges), per_red=plan.blue_target)
     deg = _degrees(edges, n)
     bad = [i for i in red if deg[i] != plan.blue_target]
     if bad:
@@ -226,7 +231,7 @@ def construct_regular_illusion_report(
     blue_order = sorted(blue, key=lambda b: (deg[b], b))
     before = len(edges)
     add_extra_blue_edges(edges, blue, k, plan.k_blue)
-    report.record("blue-top-up", before, len(edges))
+    _record(report, "blue-top-up", before, len(edges))
     deg = _degrees(edges, n)
     short = [b for b in blue if deg[b] < k - plan.k_blue]
     if len(short) > 1 or any(deg[b] > k - plan.k_blue for b in blue):
@@ -263,19 +268,19 @@ def construct_regular_illusion_report(
             edges.add(_norm(bridged_red, bridged_blue))
             deg[bridged_red] += 1
             deg[bridged_blue] += 1
-            report.record("bridge", len(edges) - 1, len(edges))
+            _record(report, "bridge", len(edges) - 1, len(edges))
         before = len(edges)
         added = _realize_deficits(
             edges, [b for b in blue if b != bridged_blue], k, deg, "blue"
         )
         if added:
-            report.record("blue-pairing", before, len(edges))
+            _record(report, "blue-pairing", before, len(edges))
         before = len(edges)
         added = _realize_deficits(
             edges, [r for r in red if r != bridged_red], k, deg, "red"
         )
         if added:
-            report.record("red-pairing", before, len(edges))
+            _record(report, "red-pairing", before, len(edges))
 
     return _finish(plan, edges, report)
 
@@ -302,7 +307,7 @@ def fast_construct_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionRep
     report = ConstructionReport(n=n, k=k, fast=True)
     red, blue = plan.red_nodes, plan.blue_nodes
     edges: set[Edge] = {_norm(r, b) for r in red for b in blue}
-    report.record("complete-bipartite", 0, len(edges))
+    _record(report, "complete-bipartite", 0, len(edges))
     _add_circulant(edges, red, k - plan.n_blue, report, "red-circulant")
     _add_circulant(edges, blue, k - plan.n_red, report, "blue-circulant")
     return _finish(plan, edges, report)

@@ -520,6 +520,45 @@ def test_a_defect_under_the_reader_maps_to_exit_three(capsys, monkeypatch, tmp_p
     assert err == "internal error: IndexError: synthetic index fault\n"
 
 
+def test_a_bare_value_error_is_a_defect(capsys, monkeypatch, tmp_path):
+    """Only the package's own input errors exit 2: a plain ``ValueError``,
+    which numpy raises on a shape bug, is a defect, exit 3."""
+    def boom(cg):
+        raise ValueError("synthetic")
+
+    monkeypatch.setattr(cli, "status_columns", boom)
+    path = tmp_path / "p2.txt"
+    path.write_text("n 2\ncolors RB\n0 1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: synthetic\n"
+
+
+@pytest.mark.parametrize("where", ["graph", "valuation"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, where):
+    good = tmp_path / "g.txt"
+    good.write_text("n 2\ncolors RB\n0 1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"n 2\n0 1\n\xff\n")
+    graph, valuation = (bad, good) if where == "graph" else (good, bad)
+    code, out, err = run(
+        capsys, "mc", str(graph), "--formula", "p", "--global", "--valuation", str(valuation)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+
+
+@pytest.mark.parametrize("where", ["graph", "valuation"])
+def test_a_path_with_a_nul_byte_is_a_usage_error(capsys, tmp_path, where):
+    good = tmp_path / "g.txt"
+    good.write_text("n 2\ncolors RB\n0 1\n")
+    graph, valuation = (f"{tmp_path}/g\0.txt", good) if where == "graph" else (good, "v\0.txt")
+    code, out, err = run(
+        capsys, "mc", str(graph), "--formula", "p", "--global", "--valuation", str(valuation)
+    )
+    assert (code, out, err) == (2, "", "error: embedded null byte\n")
+
+
 def test_canonical_text_past_the_edge_cap_is_refused_before_it_is_read(
     capsys, monkeypatch, tmp_path
 ):
@@ -917,8 +956,9 @@ def _invocations(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_invocations())
 def test_every_invocation_keeps_the_exit_code_contract(invocation):
-    """``main`` returns 0, 1, 2 or 3 and never raises, whatever the
-    subcommand, graph text, formula text and argument values.  Node counts
+    """``main`` returns 0, 1 or 2 and never raises, whatever the
+    subcommand, graph text, formula text and argument values: no input is
+    a defect, which would exit 3.  Node counts
     (graph headers, ``gen``/``construct``/``feasible`` sizes) are at most 64
     or above ``MAX_NODES``, which is rejected before anything is allocated;
     counts in between would only make the run slow.  ``--p``/``--q`` texts
@@ -946,7 +986,7 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation):
                 code = cli.main(argv)
             finally:
                 cli.sys.stdin = saved
-    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
 
 
 def test_one_parser_serves_successive_calls_like_fresh_ones(capsys, monkeypatch, tmp_path):

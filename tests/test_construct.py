@@ -110,7 +110,7 @@ def test_plan_odd_n():
 
 def test_initial_edges_round_robin_spread():
     red, blue = list(range(7)), list(range(7, 12))
-    keys = add_initial_edges(NO_EDGES, 12, blue, red, 6)
+    keys = add_initial_edges(12, blue, red, 6)
     assert keys.dtype == np.int64 and len(keys) == 28
     deg = degrees_of(keys, 12)
     assert all(deg[r] == 4 for r in red)
@@ -119,7 +119,7 @@ def test_initial_edges_round_robin_spread():
 
 def test_initial_edges_odd_degree_quota():
     red, blue = list(range(6)), list(range(6, 10))
-    keys = add_initial_edges(NO_EDGES, 10, blue, red, 3)
+    keys = add_initial_edges(10, blue, red, 3)
     assert len(keys) == 12
     deg = degrees_of(keys, 10)
     assert all(deg[r] == 2 for r in red)
@@ -128,18 +128,17 @@ def test_initial_edges_odd_degree_quota():
 
 def test_blue_top_up_adds_single_pair():
     red, blue = list(range(7)), list(range(7, 12))
-    keys = add_initial_edges(NO_EDGES, 12, blue, red, 6)
-    keys = add_extra_blue_edges(keys, 12, blue, 6, 0)
-    blue_blue = [e for e in edges_of(keys, 12) if e[0] >= 7]
-    assert len(blue_blue) == 1
-    deg = degrees_of(keys, 12)
+    keys = add_initial_edges(12, blue, red, 6)
+    fresh = add_extra_blue_edges(keys, 12, blue, 6, 0)
+    assert len(edges_of(fresh, 12)) == 1 and fresh.min() >= 7 * 12
+    deg = degrees_of(construct._merge(keys, fresh), 12)
     assert all(deg[b] == 6 for b in blue)
 
 
 def test_blue_top_up_no_op_when_saturated():
     red, blue = list(range(8)), list(range(8, 14))
-    keys = add_initial_edges(NO_EDGES, 14, blue, red, 4)  # blues land exactly on 4
-    assert np.array_equal(add_extra_blue_edges(keys, 14, blue, 4, 0), keys)
+    keys = add_initial_edges(14, blue, red, 4)  # blues land exactly on 4
+    assert len(add_extra_blue_edges(keys, 14, blue, 4, 0)) == 0
 
 
 def test_circulant_degree_two_is_a_cycle():
@@ -265,7 +264,7 @@ def test_stage_accounting_for_even_parameters():
     # blue open ends after the bipartite stage: (n/2-1)(k-2)/2 - (k+2)
     for n, k in ((12, 6), (16, 6), (14, 10), (22, 12)):
         plan = construction_plan(n, k)
-        keys = add_initial_edges(NO_EDGES, n, plan.blue_nodes, plan.red_nodes, k)
+        keys = add_initial_edges(n, plan.blue_nodes, plan.red_nodes, k)
         deg = degrees_of(keys, n)
         open_ends = sum(k - deg[b] for b in plan.blue_nodes)
         assert open_ends == (n // 2 - 1) * (k - 2) // 2 - (k + 2)
@@ -332,7 +331,7 @@ def test_iterative_pairing_matches_recursive_reference(instance):
         d = list(deg)
         try:
             if realize is _realize_deficits:
-                out = edges_of(realize(keys_of(edges, n), n, members, k, d, "test"), n)
+                out = edges | edges_of(realize(keys_of(edges, n), n, members, k, d, "test"), n)
             else:
                 out = set(edges)
                 realize(out, members, k, d, "test")
@@ -352,7 +351,7 @@ def test_pairing_matches_the_set_based_pairing(instance):
     n = len(deg)
     d_new, d_old = list(deg), list(deg)
     try:
-        out = _realize_deficits(keys_of(edges, n), n, members, k, d_new, "blue")
+        fresh = _realize_deficits(keys_of(edges, n), n, members, k, d_new, "blue")
     except InternalInvariantError as exc:
         with pytest.raises(InternalInvariantError) as old:
             ref._realize_deficits(set(edges), members, k, d_old, "blue")
@@ -360,8 +359,8 @@ def test_pairing_matches_the_set_based_pairing(instance):
     else:
         old_edges = set(edges)
         added = ref._realize_deficits(old_edges, members, k, d_old, "blue")
-        assert edges_of(out, n) == old_edges
-        assert len(out) - len(edges) == added
+        assert edges_of(fresh, n) == old_edges - edges
+        assert len(fresh) == added
         assert d_new == d_old
 
 
@@ -394,6 +393,17 @@ def feasible_pairs(max_n: int) -> list[tuple[int, int]]:
     ]
 
 
+def fast_pairs(max_n: int) -> list[tuple[int, int]]:
+    """Every feasible pair the shortcut takes (n % 4 == 2, even k,
+    n <= 2k - 2) up to ``max_n``."""
+    return [
+        (n, k)
+        for n in range(2, max_n + 1, 4)
+        for k in range(n // 2 + 1, n, 2)
+        if regular_exists(n, k).possible
+    ]
+
+
 def assert_same_witness(built, reference):
     (cg, report), (cg_ref, report_ref) = built, reference
     assert cg.graph == cg_ref.graph
@@ -413,16 +423,47 @@ def test_construction_matches_the_set_based_builder():
 
 
 def test_fast_construction_matches_the_set_based_builder():
-    """Every feasible pair the shortcut takes (n % 4 == 2, even k,
-    n <= 2k - 2) up to n = 102."""
-    built = 0
-    for n in range(2, 103, 4):
-        for k in range(n // 2 + 1, n, 2):
-            if not regular_exists(n, k).possible:
-                continue
-            assert_same_witness(fast_construct_report(n, k), ref.fast_construct_report(n, k))
-            built += 1
-    assert built == 300
+    """Every pair the shortcut takes up to n = 102."""
+    pairs = fast_pairs(102)
+    assert len(pairs) == 300
+    for n, k in pairs:
+        assert_same_witness(fast_construct_report(n, k), ref.fast_construct_report(n, k))
+
+
+def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypatch):
+    """Checked on the stage functions themselves, not against the
+    set-based builder: on every pair the builder comparisons walk, each
+    stage returns sorted, distinct int64 keys that are not in the edge set
+    it was given, and the stages' ``edges_added`` sum to the ``n * k / 2``
+    edges of the witness."""
+    faults, called = [], set()
+
+    def checked(name, stage):
+        def wrapper(*args):
+            fresh = stage(*args)
+            called.add(name)
+            given = NO_EDGES if name == "add_initial_edges" else args[0]
+            sorted_distinct = bool(np.all(fresh[1:] > fresh[:-1]))
+            if fresh.dtype != np.int64 or not sorted_distinct or np.isin(fresh, given).any():
+                faults.append((name, fresh.tolist(), given.tolist()))
+            return fresh
+
+        return wrapper
+
+    stages = {"add_initial_edges", "add_extra_blue_edges", "add_regular_subgraph", "_bridge",
+              "_realize_deficits"}
+    for name in stages:
+        monkeypatch.setattr(construct, name, checked(name, getattr(construct, name)))
+    builds = [(construct.construct_regular_illusion_report, n, k) for n, k in feasible_pairs(60)]
+    builds += [(construct.fast_construct_report, n, k) for n, k in fast_pairs(102)]
+    miscounted = []
+    for build, n, k in builds:
+        _, report = build(n, k)
+        if sum(stage["edges_added"] for stage in report.stages) != n * k // 2:
+            miscounted.append((build.__name__, n, k))
+    assert called == stages
+    assert faults == []
+    assert miscounted == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -437,10 +478,10 @@ def test_initial_edges_match_the_set_based_round_robin(r, b, k, data):
         expected = ref.add_initial_edges(set(), blue, red, k)
     except InternalInvariantError as exc:
         with pytest.raises(InternalInvariantError) as new:
-            add_initial_edges(NO_EDGES, n, blue, red, k)
+            add_initial_edges(n, blue, red, k)
         assert str(new.value) == str(exc)
     else:
-        assert edges_of(add_initial_edges(NO_EDGES, n, blue, red, k), n) == expected
+        assert edges_of(add_initial_edges(n, blue, red, k), n) == expected
 
 
 @pytest.mark.parametrize(
@@ -453,15 +494,10 @@ def test_initial_edges_match_the_set_based_round_robin(r, b, k, data):
 def test_initial_collision_names_the_red_node_of_the_first_repeat(red, blue, k, node):
     n = len(red) + len(blue)
     with pytest.raises(InternalInvariantError) as exc:
-        add_initial_edges(NO_EDGES, n, blue, red, k)
+        add_initial_edges(n, blue, red, k)
     assert str(exc.value) == f"red node {node} collides again after the shift"
     with pytest.raises(InternalInvariantError, match=str(exc.value)):
         ref.add_initial_edges(set(), blue, red, k)
-
-
-def test_initial_edges_reject_an_edge_already_present():
-    with pytest.raises(InternalInvariantError, match="red node 1 collides"):
-        add_initial_edges(keys_of({(1, 4)}, 5), 5, [3, 4], [0, 1, 2], 2)
 
 
 @st.composite
@@ -487,7 +523,8 @@ def test_circulant_matches_the_set_based_circulant(m, spare, data):
             add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
         assert str(new.value) == str(exc)
     else:
-        assert edges_of(add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub), n) == expected
+        fresh = add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
+        assert edges_of(fresh, n) == expected - existing
 
 
 @settings(max_examples=300, deadline=None)
@@ -497,14 +534,15 @@ def test_blue_top_up_matches_the_set_based_top_up(b, r, k, k_blue, data):
     blue = data.draw(st.permutations(range(r, n)))
     existing = data.draw(edge_sets(n))
     expected = ref.add_extra_blue_edges(set(existing), blue, k, k_blue)
-    assert edges_of(add_extra_blue_edges(keys_of(existing, n), n, blue, k, k_blue), n) == expected
+    fresh = add_extra_blue_edges(keys_of(existing, n), n, blue, k, k_blue)
+    assert edges_of(fresh, n) == expected - existing
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (16, 8), (15, 6), (40, 13)])
 def test_top_up_check_names_the_same_degrees(monkeypatch, n, k):
     """With the top-up left out, both builders stop at its check and list
     the same blue degrees."""
-    monkeypatch.setattr(construct, "add_extra_blue_edges", lambda keys, *args: keys)
+    monkeypatch.setattr(construct, "add_extra_blue_edges", lambda *args: NO_EDGES)
     monkeypatch.setattr(ref, "add_extra_blue_edges", lambda edges, *args: edges)
     with pytest.raises(InternalInvariantError, match="blue top-up left degrees") as exc:
         construct.construct_regular_illusion_report(n, k)
@@ -520,8 +558,7 @@ def test_bridge_takes_the_neediest_blue_and_the_first_open_red():
     deg = np.array([1, 1, 3, 2, 0, 0])
     # blue nodes 4 and 5 tie as the neediest: 4, the lower id, is bridged,
     # to red node 0, the first open one; red node 2 is full
-    out = _bridge(keys, n, red, blue, k, deg)
-    assert edges_of(out, n) == {(0, 3), (1, 3), (0, 4)}
+    assert _bridge(keys, n, red, blue, k, deg).tolist() == [0 * n + 4]
     assert deg.tolist() == [2, 1, 3, 2, 1, 0]
 
 
@@ -563,9 +600,8 @@ def test_the_bridge_leaves_both_of_its_nodes_full(monkeypatch):
 
     def spy(keys, n, red, blue, k, deg):
         nonlocal bridged
-        out = _bridge(keys, n, red, blue, k, deg)
+        (edge,) = _bridge(keys, n, red, blue, k, deg).tolist()
         bridged += 1
-        (edge,) = np.setdiff1d(out, keys).tolist()
         red_node, blue_node = divmod(edge, n)
         if deg[red_node] != k or deg[blue_node] != k:
             short.append((n, k, int(deg[red_node]), int(deg[blue_node])))
