@@ -13,7 +13,15 @@ once:
   representative: illusions with one uint8 compare per (node, coloring),
   with strict counts skipping the globally tied colorings.  Where one
   block holds the whole half space (``n <= 15``), its representatives come
-  from a table built once per node count, on first use;
+  from a table built once per node count, on first use.  Up to 8 nodes
+  the illusion counts need no popcount either: a flag table per node
+  count and kind, built on first use, holds for each neighbour bitset
+  ``x`` and each representative whether a node with neighbourhood ``x``
+  is under illusion, so a count is one gather of the graph's bitset rows
+  and one sum.  A table holds ``2^(2n - 1)`` bytes (32 KB at 8 nodes,
+  about 87 KB for every table up to 8).  The fewest-monochromatic count
+  needs no representatives, so past the one-block table (above 15 nodes)
+  it reads the colorings themselves;
 - the bit-sliced kernel holds one uint64 colour plane per node, 64
   colorings to a word, counts with capped ripple counters over the
   planes, and sums the illusion or dichromatic counts straight into
@@ -59,6 +67,7 @@ from .graphs import Graph
 DEFAULT_CAP = 22
 _CHUNK_BITS = 18  # a scan's largest temporary holds 2^18 uint32 words
 _MASK_BITS = 32  # colorings and neighborhoods are uint32 masks
+_TABLE_NODES = 8  # illusion flag tables up to here; fixed from a sweep (see CHANGES.md)
 
 
 class Objective(enum.Enum):
@@ -124,15 +133,50 @@ def _half_table(n: int) -> tuple[np.ndarray, int]:
     return reps, free
 
 
+def _one_block(n: int) -> bool:
+    """Does one block of ``_chunks(n - 1, rows=n)`` hold the whole half
+    space, ``n`` words per coloring?  The block size is looked up at each
+    call (``n >= 1``; one coloring is always a block)."""
+    return n << (n - 1) <= 1 << _CHUNK_BITS
+
+
 def _half_blocks(n: int) -> Iterator[tuple[np.ndarray, int]]:
     """The half-space blocks of ``_chunks(n - 1, rows=n)`` as
     :func:`_representatives`; a block that is the whole half space comes
     from a table built on first use (``n >= 1``)."""
-    if 1 << (n - 1) <= max(1, (1 << _CHUNK_BITS) // n):
+    if _one_block(n):
         yield _half_table(n)
         return
+    for masks in _half_masks(n):
+        yield _representatives(masks, n)
+
+
+def _half_masks(n: int) -> Iterator[np.ndarray]:
+    """The half-space colorings (node 0 blue) in the blocks of
+    ``_chunks(n - 1, rows=n)``, each block shifted up one bit."""
     for masks in _chunks(n - 1, rows=n):
-        yield _representatives(masks << np.uint32(1), n)
+        yield masks << np.uint32(1)
+
+
+@lru_cache(maxsize=None)
+def _flag_table(n: int, strict: bool) -> np.ndarray:
+    """Entry ``[x, j]``, read-only: 1 where a node whose neighbour bitset
+    is ``x`` is under strict (or weak) illusion at representative ``j`` of
+    :func:`_half_table`, by :func:`_illusion_counter`'s rules.  A table
+    holds ``2^(2n - 1)`` bytes: 32 KB at ``_TABLE_NODES``."""
+    reps, free = _half_table(n)
+    hoods = np.arange(1 << n, dtype=np.uint32)
+    c = _red_neighbors(reps, hoods)
+    deg = np.bitwise_count(hoods)[:, None]
+    if strict:
+        flags = c < (deg + 1) // 2
+        flags[:, free:] = False
+    else:
+        flags = c <= deg // 2
+        flags[:, free:] = c[:, free:] + c[:, free:] != deg
+    flags = flags.view(np.uint8)
+    flags.flags.writeable = False
+    return flags
 
 
 def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
@@ -154,10 +198,17 @@ def _illusion_counter(
     (node, coloring).  Under a global tie nobody is under strict illusion,
     so strict counts skip the tied colorings, and the weak count is that of
     the agents without a local tie, ``2c != d``.
+
+    Up to ``_TABLE_NODES`` nodes, where one block is :func:`_half_table`,
+    the count is one gather of the graph's neighbour bitsets' rows of
+    :func:`_flag_table` and one sum; the block passed is then not read.
     """
     nbr = g.neighbor_masks
-    deg = np.bitwise_count(nbr)[:, None]  # uint8 columns: compares stay uint8
     sums = np.add.reduce  # without ``np.sum``'s wrapper, a per-call cost at small n
+    if g.n <= _TABLE_NODES and _one_block(g.n):
+        flags = _flag_table(g.n, strict)
+        return lambda reps, free: sums(flags.take(nbr, axis=0), axis=0, dtype=np.uint8)
+    deg = np.bitwise_count(nbr)[:, None]  # uint8 columns: compares stay uint8
     if strict:
         below = (deg + 1) // 2
 
@@ -185,10 +236,10 @@ def _illusion_counter(
 
 def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray, int], np.ndarray]:
     """Per-coloring count of edges with ends of both colors, read from a
-    block ``(reps, free)`` of :func:`_half_blocks`: each is counted once,
-    as a red neighbour of its blue end.  A colour swap keeps every edge's
-    count, so a representative's count is its coloring's, and the tie
-    split plays no part."""
+    block ``(reps, free)`` of :func:`_half_blocks` or of plain colorings:
+    each is counted once, as a red neighbour of its blue end.  A colour
+    swap keeps every edge's count, so a representative's count is its
+    coloring's, and the tie split plays no part."""
     nbr = g.neighbor_masks
     bit = np.uint32(1) << np.arange(g.n, dtype=np.uint32)[:, None]
 
@@ -210,14 +261,19 @@ def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
 def _byte_optima(
     g: Graph, objective: Objective
 ) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
-    """Per block of :func:`_half_blocks`: the best score and a call that
-    lists its optima."""
+    """Per block of :func:`_half_blocks` (of :func:`_half_masks` for the
+    fewest monochromatic edges, past one block): the best score and a call
+    that lists its optima."""
     n = g.n
     if objective is Objective.MIN_MONOCHROMATIC:
         gain = _dichromatic_counter(g)
+        # needs no representatives: past the table, the colorings themselves,
+        # which _from_representatives maps to themselves (node 0 blue)
+        blocks = _half_blocks(n) if _one_block(n) else ((m, 0) for m in _half_masks(n))
     else:
         gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
-    for reps, free in _half_blocks(n):
+        blocks = _half_blocks(n)
+    for reps, free in blocks:
         scores = gain(reps, free)
         top = int(scores.max())
         yield top, lambda reps=reps, scores=scores, top=top: _from_representatives(
@@ -474,7 +530,7 @@ def illusion_possible(
     count = _illusion_counter(g, strict)
     threshold = least(g.n)
     for reps, free in _half_blocks(g.n):
-        if int(count(reps, free).max()) >= threshold:
+        if np.maximum.reduce(count(reps, free)) >= threshold:  # without ``max``'s wrapper
             return True
     return False
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -242,6 +243,54 @@ def test_oracle_json_reports_what_the_text_form_does(capsys, tmp_path, objective
     payload = json.loads(out)
     assert payload.pop("format_version") == cli.SCHEMA_VERSION
     assert text == "objective {objective}\nscore {score}\ncolors {colors}\n".format(**payload)
+
+
+STRICT, WEAK, MONO = (o.value for o in Objective)
+
+# The oracle pins of the CI workflow: (gen arguments, objective, score and
+# colors, or the sha256 of the JSON report).
+ORACLE_PINS = [
+    # the byte scan's illusion counts
+    ("circulant 16 --offsets 1,3", STRICT, "8 BBBRBRBRBBBRBRBR"),
+    ("circulant 16 --offsets 1,3", WEAK, "16 BBBRBRBRBRBRBRRR"),
+    ("circulant 14 --offsets 1,2,5", STRICT, "6 BBBRBBRRBRRBBR"),
+    ("circulant 14 --offsets 1,2,5", WEAK, "14 BRBRBRBRBRBRBR"),
+    ("complete 10", STRICT, "0 BBBBBBBBBB"),
+    ("complete 10", WEAK, "10 BBBBBRRRRR"),
+    # the byte scan's fewest monochromatic edges: two blocks, the table at even and odd n
+    ("circulant 16 --offsets 1,2,5", MONO, "12 BBRBBRBBRBBRRBRR"),
+    ("circulant 14 --offsets 1,2,5", MONO, "10 BBRBBRRBBRBBRR"),
+    ("circulant 13 --offsets 1,3", MONO, "4 BBRBRBRBRBRBR"),
+    # the bit-sliced scan at 21 nodes
+    ("circulant 21 --offsets 1,4", STRICT, "10 BBBBBBBRBRBRRRRRRBRBR"),
+    ("circulant 21 --offsets 1,4", WEAK, "19 BBBBBBRRRRRBBBBBRRRRR"),
+    ("circulant 21 --offsets 1,4", MONO, "6 BBRBRBBRBRRBRBBRBRRBR"),
+    # the flag tables at 8 nodes or fewer, odd and even n
+    ("cycle 7", STRICT, "2 BBRBRBR"),
+    ("cycle 7", WEAK, "6 BBRBBRR"),
+    ("circulant 8 --offsets 1,3", STRICT, "4 BBBRBRBR"),
+    ("circulant 8 --offsets 1,3", WEAK, "8 BBBRBRRR"),
+    ("cycle 8", STRICT, "2 BBBRBRBR"),
+    ("cycle 8", WEAK, "8 BRBRBRBR"),
+    # the JSON report on the bitsets of a complete graph
+    ("complete 8", MONO, "c7dcb21a848ea4f919f867fbbdd8cc2be55f883dc33cb4299959b795f24fad55"),
+]
+
+
+@pytest.mark.parametrize("graph, objective, answer", ORACLE_PINS)
+def test_oracle_replays_the_ci_pins(capsys, tmp_path, graph, objective, answer):
+    """``gen ... | oracle --objective ...`` in process, byte for byte."""
+    _, text, _ = run(capsys, "gen", *graph.split())
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    argv = ["oracle", str(path), "--objective", objective]
+    if " " in answer:
+        score, colors = answer.split()
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, f"objective {objective}\nscore {score}\ncolors {colors}\n")
+    else:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, answer)
 
 
 def test_oracle_cap_usage_error(capsys, tmp_path):

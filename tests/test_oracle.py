@@ -161,6 +161,75 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
         assert split > 0
 
 
+def _side(red, total):
+    """1 where red leads, -1 where blue leads, 0 on a tie."""
+    return (2 * red > total) - (2 * red < total)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "weak"])
+def test_flag_tables_match_a_popcount_recount(strict):
+    """Each flag says whether a node with neighbour bitset ``x`` is under
+    illusion at a representative: its local and global sides differ, and
+    for strict illusion neither is a tie.  Even ``n`` has tied columns."""
+    for n in range(1, oracle_module._TABLE_NODES + 1):
+        reps, _ = oracle_module._half_table(n)
+        table = oracle_module._flag_table(n, strict)
+        for x in range(1 << n):
+            want = []
+            for rep in reps.tolist():
+                local = _side((x & rep).bit_count(), x.bit_count())
+                side = _side(rep.bit_count(), n)
+                want.append(int(local != side and not (strict and local * side == 0)))
+            assert table[x].tolist() == want, (n, x)
+
+
+def test_flag_tables_are_small_and_read_only():
+    total = 0
+    for n in range(1, oracle_module._TABLE_NODES + 1):
+        for strict in (True, False):
+            table = oracle_module._flag_table(n, strict)
+            assert table.shape == (1 << n, 1 << (n - 1))
+            assert table.dtype == np.uint8
+            assert not table.flags.writeable
+            total += table.nbytes
+    assert total < 100_000
+
+
+def test_verdicts_and_illusion_optima_read_the_flag_tables_up_to_8_nodes(monkeypatch):
+    """With the popcount kernel refused, every verdict on the labeled
+    2-regular graphs of 8 nodes and the strict and weak optima of 8-node
+    graphs come from the tables, and equal the computed counts; a 9-node
+    graph reaches the kernel."""
+    enumerated = list(enumerate_regular(8, 2))
+    corpus = [
+        cycle_graph(8),
+        circulant_graph(8, (1, 3)),
+        complete_graph(8),
+        make_graph(8, [(0, 1)]),
+    ]
+    kinds = list(IllusionKind)
+    illusions = [Objective.MAX_STRICT_ILLUSION, Objective.MAX_WEAK_ILLUSION]
+    with monkeypatch.context() as computed:
+        computed.setattr(oracle_module, "_TABLE_NODES", 0)
+        verdicts = [any(illusion_possible(h, kind) for h in enumerated) for kind in kinds]
+        optima = [best_coloring(g, objective) for g in corpus for objective in illusions]
+    for strict in (True, False):
+        oracle_module._flag_table(8, strict)  # built on first use, by the kernel
+
+    def refuse(*args):
+        raise AssertionError("the popcount kernel was reached")
+
+    monkeypatch.setattr(oracle_module, "_red_neighbors", refuse)
+    assert [any(illusion_possible(h, kind) for h in enumerated) for kind in kinds] == verdicts
+    assert verdicts == [False, False, True, True, False, True]
+    assert [best_coloring(g, objective) for g in corpus for objective in illusions] == optima
+    for objective in illusions:
+        with pytest.raises(AssertionError, match="kernel"):
+            best_coloring(cycle_graph(9), objective)
+    with pytest.raises(AssertionError, match="kernel"):
+        illusion_possible(cycle_graph(9), IllusionKind.MAJORITY_MAJORITY)
+
+
 def _choose_path(monkeypatch, sliced):
     """Move the path selection's node floor so that every graph of 7 or
     more nodes scans bit-sliced, or none does."""
