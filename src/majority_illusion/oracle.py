@@ -11,17 +11,18 @@ once:
   derives the illusion and dichromatic counts with no per-node or
   per-edge loop.  Every objective is counted at each coloring's red-lead
   representative: illusions with one uint8 compare per (node, coloring),
-  with strict counts skipping the globally tied colorings.  Where one
-  block holds the whole half space (``n <= 15``), its representatives come
-  from a table built once per node count, on first use.  Up to 8 nodes
-  the illusion counts need no popcount either: a flag table per node
-  count and kind, built on first use, holds for each neighbour bitset
-  ``x`` and each representative whether a node with neighbourhood ``x``
-  is under illusion, so a count is one gather of the graph's bitset rows
-  and one sum.  A table holds ``2^(2n - 1)`` bytes (32 KB at 8 nodes,
-  about 87 KB for every table up to 8).  The fewest-monochromatic count
-  needs no representatives, so past the one-block table (above 15 nodes)
-  it reads the colorings themselves;
+  stated once, in :func:`_illusion_flags`.  Strict flags cover only the
+  globally untied colorings: a tied one scores 0, as does the all-blue
+  one, untied and the smallest string, so no tied one is reported.  Where
+  one block holds the whole half space (``n <= 15``), its representatives
+  come from a table built once per node count, on first use.  Up to 8
+  nodes the illusion counts need no popcount either: a flag table per
+  node count and kind, built on first use from the same rules, holds the
+  flags of every neighbour bitset, so a count is one gather of the
+  graph's bitset rows and one sum.  The tables up to 8 nodes take
+  77 728 bytes.  The fewest-monochromatic count needs no representatives,
+  so past the one-block table (above 15 nodes) it reads the colorings
+  themselves;
 - the bit-sliced kernel holds one uint64 colour plane per node, 64
   colorings to a word, counts with capped ripple counters over the
   planes, and sums the illusion or dichromatic counts straight into
@@ -158,22 +159,35 @@ def _half_masks(n: int) -> Iterator[np.ndarray]:
         yield masks << np.uint32(1)
 
 
+def _illusion_flags(hoods: np.ndarray, reps: np.ndarray, free: int, strict: bool) -> np.ndarray:
+    """Entry ``[i, j]``: is a node with neighbour bitset ``hoods[i]`` under
+    strict (or weak) illusion at representative ``reps[j]`` of a block
+    ``(reps, free)``?  The one statement of the byte kernel's rules.
+
+    Swapping every colour keeps every illusion status, so a coloring is
+    judged at its red-lead representative: with ``c`` red neighbours of
+    ``d``, strict illusion is ``c < (d + 1) // 2`` (a blue local lead;
+    never on ``d = 0``), weak illusion ``c <= d // 2`` (no red local lead).
+    Under a global tie nobody is under strict illusion, so strict flags
+    cover ``reps[:free]`` only, and weak ones flag the agents without a
+    local tie, ``2c != d``."""
+    deg = np.bitwise_count(hoods)[:, None]  # uint8 columns: compares stay uint8
+    if strict:
+        return _red_neighbors(reps[:free], hoods) < (deg + 1) // 2
+    c = _red_neighbors(reps, hoods)
+    flags = c <= deg // 2
+    tied = c[:, free:]
+    flags[:, free:] = tied + tied != deg
+    return flags
+
+
 @lru_cache(maxsize=None)
 def _flag_table(n: int, strict: bool) -> np.ndarray:
-    """Entry ``[x, j]``, read-only: 1 where a node whose neighbour bitset
-    is ``x`` is under strict (or weak) illusion at representative ``j`` of
-    :func:`_half_table`, by :func:`_illusion_counter`'s rules.  A table
-    holds ``2^(2n - 1)`` bytes: 32 KB at ``_TABLE_NODES``."""
-    reps, free = _half_table(n)
-    hoods = np.arange(1 << n, dtype=np.uint32)
-    c = _red_neighbors(reps, hoods)
-    deg = np.bitwise_count(hoods)[:, None]
-    if strict:
-        flags = c < (deg + 1) // 2
-        flags[:, free:] = False
-    else:
-        flags = c <= deg // 2
-        flags[:, free:] = c[:, free:] + c[:, free:] != deg
+    """:func:`_illusion_flags` of every neighbour bitset ``x < 2^n`` at the
+    representatives of :func:`_half_table`, as read-only uint8.  A weak
+    table holds ``2^(2n - 1)`` bytes (32 KB at ``_TABLE_NODES``); a strict
+    one at even ``n`` lacks the tied columns."""
+    flags = _illusion_flags(np.arange(1 << n, dtype=np.uint32), *_half_table(n), strict)
     flags = flags.view(np.uint8)
     flags.flags.writeable = False
     return flags
@@ -184,54 +198,18 @@ def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
     return np.where(reps & np.uint32(1), reps ^ np.uint32((1 << n) - 1), reps)
 
 
-def _illusion_counter(
-    g: Graph, strict: bool
-) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Per-coloring count of agents under strict (or weak) illusion, read
-    from a block ``(reps, free)`` of :func:`_half_blocks`.
-
-    Swapping every colour keeps every illusion status, so each coloring is
-    counted at its red-lead representative, where an agent with ``c`` red
-    neighbours of ``d`` is under strict illusion when ``c < (d + 1) // 2``
-    (a blue local lead; never on ``d = 0``) and under weak illusion when
-    ``c <= d // 2`` (no red local lead): one uint8 compare and one sum per
-    (node, coloring).  Under a global tie nobody is under strict illusion,
-    so strict counts skip the tied colorings, and the weak count is that of
-    the agents without a local tie, ``2c != d``.
-
-    Up to ``_TABLE_NODES`` nodes, where one block is :func:`_half_table`,
-    the count is one gather of the graph's neighbour bitsets' rows of
-    :func:`_flag_table` and one sum; the block passed is then not read.
-    """
+def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Per-representative count of agents under strict (or weak) illusion
+    in a block ``(reps, free)`` of :func:`_half_blocks`: the column sums of
+    :func:`_illusion_flags`.  Up to ``_TABLE_NODES`` nodes, where one block
+    is :func:`_half_table`, the flags are one gather of the graph's
+    neighbour bitsets' rows of :func:`_flag_table`."""
     nbr = g.neighbor_masks
     sums = np.add.reduce  # without ``np.sum``'s wrapper, a per-call cost at small n
     if g.n <= _TABLE_NODES and _one_block(g.n):
-        flags = _flag_table(g.n, strict)
-        return lambda reps, free: sums(flags.take(nbr, axis=0), axis=0, dtype=np.uint8)
-    deg = np.bitwise_count(nbr)[:, None]  # uint8 columns: compares stay uint8
-    if strict:
-        below = (deg + 1) // 2
-
-        def count(reps: np.ndarray, free: int) -> np.ndarray:
-            scores = np.zeros(len(reps), dtype=np.uint8)
-            c = _red_neighbors(reps[:free], nbr)
-            sums(c < below, axis=0, dtype=np.uint8, out=scores[:free])
-            return scores
-
-        return count
-    at_most = deg // 2
-
-    def count(reps: np.ndarray, free: int) -> np.ndarray:
-        c = _red_neighbors(reps, nbr)
-        if free == len(reps):
-            return sums(c <= at_most, axis=0, dtype=np.uint8)
-        scores = np.empty(len(reps), dtype=np.uint8)
-        sums(c[:, :free] <= at_most, axis=0, dtype=np.uint8, out=scores[:free])
-        tied = c[:, free:]
-        sums(tied + tied != deg, axis=0, dtype=np.uint8, out=scores[free:])
-        return scores
-
-    return count
+        table = _flag_table(g.n, strict)
+        return lambda reps, free: sums(table.take(nbr, axis=0), axis=0, dtype=np.uint8)
+    return lambda reps, free: sums(_illusion_flags(nbr, reps, free, strict), axis=0, dtype=np.uint8)
 
 
 def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray, int], np.ndarray]:
@@ -263,7 +241,10 @@ def _byte_optima(
 ) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
     """Per block of :func:`_half_blocks` (of :func:`_half_masks` for the
     fewest monochromatic edges, past one block): the best score and a call
-    that lists its optima."""
+    that lists its optima.  Strict scores skip the tied representatives,
+    and a block of tied ones alone is skipped: a tied coloring scores 0, as
+    does the all-blue one, untied and the smallest string of all, so no
+    tied coloring is the smallest optimum."""
     n = g.n
     if objective is Objective.MIN_MONOCHROMATIC:
         gain = _dichromatic_counter(g)
@@ -275,7 +256,10 @@ def _byte_optima(
         blocks = _half_blocks(n)
     for reps, free in blocks:
         scores = gain(reps, free)
+        if not len(scores):
+            continue
         top = int(scores.max())
+        reps = reps[: len(scores)]
         yield top, lambda reps=reps, scores=scores, top=top: _from_representatives(
             reps[scores == top], n
         )
@@ -530,7 +514,7 @@ def illusion_possible(
     count = _illusion_counter(g, strict)
     threshold = least(g.n)
     for reps, free in _half_blocks(g.n):
-        if np.maximum.reduce(count(reps, free)) >= threshold:  # without ``max``'s wrapper
+        if np.maximum.reduce(count(reps, free), initial=0) >= threshold:  # no ``max`` wrapper
             return True
     return False
 

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -272,6 +274,11 @@ ORACLE_PINS = [
     ("circulant 8 --offsets 1,3", WEAK, "8 BBBRBRRR"),
     ("cycle 8", STRICT, "2 BBBRBRBR"),
     ("cycle 8", WEAK, "8 BRBRBRBR"),
+    # strict optima beside a global tie: the table, then two computed blocks
+    ("complete 8", STRICT, "0 BBBBBBBB"),
+    ("circulant 8 --offsets 4", STRICT, "3 BBBBBRRR"),
+    ("complete 16", STRICT, "0 BBBBBBBBBBBBBBBB"),
+    ("circulant 16 --offsets 8", STRICT, "7 BBBBBBBBBRRRRRRR"),
     # the JSON report on the bitsets of a complete graph
     ("complete 8", MONO, "c7dcb21a848ea4f919f867fbbdd8cc2be55f883dc33cb4299959b795f24fad55"),
 ]
@@ -291,6 +298,108 @@ def test_oracle_replays_the_ci_pins(capsys, tmp_path, graph, objective, answer):
     else:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, answer)
+
+
+TIED = "n 8\ncolors RBRBRBRB\n0 1\n0 2\n1 2\n2 3\n3 4\n4 5\n"
+VALUATION = "# atoms per node\n0 p q\n1 p\n3 q r  # two\n\n5 p r\n8 q\n11 p q r\n7\n"
+SEEDED = "gen circulant 3500 --offsets 1,3,7 | color --initial random --seed 7"
+ALL_RED = "gen circulant 4000 --offsets 1,3,7 | color"
+
+# The other byte pins of the CI workflow: (``millusion`` stages joined by
+# ``|``, the first stage's stdin, the last stage's exit code, and the sha256
+# of its stdout, its stderr, or both in one buffer followed by ``exit N``,
+# as ``2>&1; echo "exit $?"`` gives).  The stages run beside ``g.txt``, the
+# 12-node circulant below, and ``v.txt``, the valuation above.
+DIGEST_PINS = [
+    # the construction witnesses and their stage reports
+    ("construct 2379 96", "", 0, {
+        "out": "42c3a9cd03e09a16ad7c716e79dc4235f39ec1fab0e8ea20382f162716d7ccef",
+        "err": "fd157f7793cfb2079b5a73869f3147dd9cfcf62fd48e10ba2b4cda957e0d149e",
+    }),
+    ("construct 100000 8", "", 0, {
+        "out": "261419947e89562e80b5c46e5eaa21d86313d4cf441283bbb83d5890b3a06a39",
+        "err": "28be616b20838e94493d2db444f3cbcf3f5ea7691c7110050afcbfb943e7cc7f",
+    }),
+    ("construct 302 152 --fast", "", 0, {
+        "out": "54d5373115dac8b45b3a878e4b2a937c096b67cf028d0a90b6b3803599c3f917",
+        "err": "cf943db39570441c186887e59e2815370ccc418f5583231e310c4f51e4c6cadd",
+    }),
+    # the seeded colour pipeline, the all-red swap loop and the status columns
+    (SEEDED, "", 0, {
+        "out": "5d9a7f2d02f5ca929372f19748924d9422b7cddafabbbbff86f9f0156194ae8d",
+    }),
+    (f"{SEEDED} | analyze --format json --p 1/4 --q 3/4", "", 0, {
+        "out": "2cd48d4abffdbf3d30d5a6d4a3b0d8ea8a231fa95d2f639817dd6d642ae7e701",
+    }),
+    (f"{SEEDED} | analyze", "", 0, {
+        "out": "e0c78321039f2243771b8dd3c59bc9dff64be9883e383cce6ea769b0a0b97b24",
+    }),
+    (ALL_RED, "", 0, {
+        "out": "c03ab8b73d0e31c314a42b07673ccb62534387df114a1edc2d1df94cd067f4d7",
+    }),
+    (f"{ALL_RED} | analyze --format json --p 1/4 --q 3/4", "", 0, {
+        "out": "10a77d075d3b195ab47c191f3cb364b618449ceea3fe8d2824845861dc039623",
+    }),
+    ("gen cycle 9999 | color", "", 0, {
+        "out": "c5df7bc7606bb5a3a2fdfed00d63d1847c91ef5e467f7b268599e97fcf59ff7d",
+    }),
+    # the agent classes on a global tie with isolated red and blue nodes
+    ("analyze", TIED, 0, {
+        "out": "4a7822c15246e202b7116f1570edf1d746a687007a36105a79404be9c8e34894",
+    }),
+    ("analyze --format json --p 1/2 --q 1/3", TIED, 0, {
+        "out": "a20cb29cf5cb1d1df9d754a9a1bfe13f56d62e56b8d4976a9499b540142d9c4a",
+    }),
+    # the model checker on a valuation file, and on the 500 000-edge witness
+    ("mc g.txt --formula '<>1 (q | r) & ~W p' --global --valuation v.txt --format json",
+     "", 1, {
+        "both": "8714210c9de07dfe8bdb25c7e48b11a9665d3d5b5064c519de0cc0c727f4fd5c",
+    }),
+    ("mc g.txt --formula 'p | s' --node 5 --valuation v.txt --format json", "", 0, {
+        "both": "28f700d9ff3df4e206ae17d8a911ae5ab43dab60dcf9b193d5fb4d5ea583ad1e",
+    }),
+    ("construct 20000 50 | mc - --formula '<>25 p | W p' --global --format json", "", 1, {
+        "both": "efad6b1f0b6fff58795fed37c4d75b00bddb4b0bfebf0a768ef0770ed7abaeb0",
+    }),
+]
+
+
+def _pipe(monkeypatch, stages, stdin, merged=False):
+    """Run ``millusion`` stages in process, each reading the one before's
+    stdout; every stage but the last must exit 0.  Returns the last one's
+    exit code, stdout and stderr (its stderr in its stdout where ``merged``)."""
+    for argv in stages:
+        last = argv is stages[-1]
+        out = io.StringIO()
+        err = out if merged and last else io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert last or code == 0, argv
+        stdin = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "pipeline, stdin, exit_code, digests",
+    DIGEST_PINS,
+    ids=[f"{row[0]}{' < tied' if row[1] else ''}" for row in DIGEST_PINS],
+)
+def test_every_ci_digest_replays_in_process(
+    monkeypatch, tmp_path, pipeline, stdin, exit_code, digests
+):
+    """The CI workflow's byte pins, each pipeline in process, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    _, graph, _ = _pipe(monkeypatch, [["gen", "circulant", "12", "--offsets", "1,3"]], "")
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "v.txt").write_text(VALUATION)
+    words = shlex.split(pipeline)
+    stages = [list(g) for bar, g in itertools.groupby(words, "|".__eq__) if not bar]
+    merged = "both" in digests
+    code, out, err = _pipe(monkeypatch, stages, stdin, merged)
+    streams = {"both": f"{out}exit {code}\n"} if merged else {"out": out, "err": err}
+    got = {k: hashlib.sha256(streams[k].encode()).hexdigest() for k in digests}
+    assert (code, got) == (exit_code, digests)
 
 
 def test_oracle_cap_usage_error(capsys, tmp_path):
