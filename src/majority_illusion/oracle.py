@@ -11,7 +11,7 @@ once:
   derives the illusion and dichromatic counts with no per-node or
   per-edge loop.  Every objective is counted at each coloring's red-lead
   representative: illusions with one uint8 compare per (node, coloring),
-  stated once, in :func:`_illusion_flags`.  Strict flags cover only the
+  stated once, in :func:`_illusion_rule`.  Strict flags cover only the
   globally untied colorings: a tied one scores 0, as does the all-blue
   one, untied and the smallest string, so no tied one is reported.  Where
   one block holds the whole half space (``n <= 15``), its representatives
@@ -23,19 +23,26 @@ once:
   77 728 bytes.  The fewest-monochromatic count needs no representatives,
   so past the one-block table (above 15 nodes) it reads the colorings
   themselves;
-- the bit-sliced kernel holds one uint64 colour plane per node, 64
-  colorings to a word, counts with capped ripple counters over the
-  planes, and sums the illusion or dichromatic counts straight into
-  bit-sliced score counters.  The best score is narrowed from its top
-  plane down, and the smallest optimum string is found by one greedy pass
-  over the nodes that keeps each one blue where some optimum allows it.
+- the bit-sliced kernel holds 64 colorings to a uint64 word: nodes 1-6
+  by the bit in the word, the nodes above by the word's index.  For the
+  illusion counts, a table of flag words built once per call from the
+  same rules holds each node's flags at the 64 colorings of a word, by its
+  red neighbours and the red nodes among those above 6, the global lead
+  folded in.  A block's flags are one gather from it, and one tree adder
+  over the nodes sums them into bit-sliced scores.  The dichromatic count
+  ripples each edge's plane, the XOR of its ends' colour planes, through
+  a bit-sliced counter.  The best score is narrowed from its top plane
+  down, and the smallest optimum string is found by one greedy pass over
+  the nodes that keeps each one blue where some optimum allows it.
 
-The byte scan's cost doubles with each node, the sliced scan's grows with
-the edges.  So graphs of 17 or more nodes whose mean degree is at most
-``10 (n - 16)`` scan bit-sliced (sparse graphs at 17 nodes, every graph
-from 18), and smaller or denser ones byte by byte: in a sweep of n 15-22
-over every mean degree, that is where the sliced scan was never slower.
-At n = 20-21 and mean degree 2-6 it takes 8-30% of the byte scan's time.
+The byte scan's cost doubles with each node; the sliced scan's grows
+more slowly, and its dichromatic count grows with the edges.  So graphs
+of 17 or more nodes whose mean degree is at most ``10 (n - 16)`` scan
+bit-sliced (sparse graphs at 17 nodes, every graph from 18), and smaller
+or denser ones byte by byte: in a sweep of n 15-22 over every mean
+degree, that is where the sliced scan was never slower.  At n = 20-21 and
+mean degree 2-6 its illusion counts take 6-16% of the byte scan's time,
+and its fewest-monochromatic count 6-21%.
 :func:`illusion_possible` always scans byte by byte: it stops after the
 first block with a hit, and a byte block holds ``n`` times fewer
 colorings than a sliced one, so an early hit is found sooner (3-6 times
@@ -159,25 +166,34 @@ def _half_masks(n: int) -> Iterator[np.ndarray]:
         yield masks << np.uint32(1)
 
 
+def _illusion_rule(c, deg, strict: bool, tied: bool = False):
+    """Is an agent with ``c`` red of ``deg`` neighbours under strict (or
+    weak) illusion at a red-lead representative, or, where ``tied``, under
+    a global tie?  The one statement of the illusion rules, which both
+    kernels read.
+
+    Swapping every colour keeps every illusion status, so a coloring is
+    judged at its red-lead representative: strict illusion is
+    ``c < (deg + 1) // 2`` (a blue local lead; never on ``deg = 0``), weak
+    illusion ``c <= deg // 2`` (no red local lead).  Under a global tie
+    nobody is under strict illusion, and weak illusion is no local tie,
+    ``2c != deg``."""
+    if tied:
+        return (c + c != deg) & (not strict)
+    return c < (deg + 1) // 2 if strict else c <= deg // 2
+
+
 def _illusion_flags(hoods: np.ndarray, reps: np.ndarray, free: int, strict: bool) -> np.ndarray:
     """Entry ``[i, j]``: is a node with neighbour bitset ``hoods[i]`` under
     strict (or weak) illusion at representative ``reps[j]`` of a block
-    ``(reps, free)``?  The one statement of the byte kernel's rules.
-
-    Swapping every colour keeps every illusion status, so a coloring is
-    judged at its red-lead representative: with ``c`` red neighbours of
-    ``d``, strict illusion is ``c < (d + 1) // 2`` (a blue local lead;
-    never on ``d = 0``), weak illusion ``c <= d // 2`` (no red local lead).
-    Under a global tie nobody is under strict illusion, so strict flags
-    cover ``reps[:free]`` only, and weak ones flag the agents without a
-    local tie, ``2c != d``."""
+    ``(reps, free)``, by :func:`_illusion_rule`?  Strict flags cover
+    ``reps[:free]`` only, the globally untied ones."""
     deg = np.bitwise_count(hoods)[:, None]  # uint8 columns: compares stay uint8
     if strict:
-        return _red_neighbors(reps[:free], hoods) < (deg + 1) // 2
+        return _illusion_rule(_red_neighbors(reps[:free], hoods), deg, strict)
     c = _red_neighbors(reps, hoods)
-    flags = c <= deg // 2
-    tied = c[:, free:]
-    flags[:, free:] = tied + tied != deg
+    flags = _illusion_rule(c, deg, strict)
+    flags[:, free:] = _illusion_rule(c[:, free:], deg, strict, tied=True)
     return flags
 
 
@@ -310,9 +326,7 @@ def _plane_blocks(n: int) -> Iterator[list]:
     words = _block_words(n)
     inside = min(words.bit_length() - 1, n - 1 - _WORD_BITS)
     index = np.arange(words, dtype=np.uint64)
-    varying = [
-        np.where(index >> np.uint64(k) & np.uint64(1), _ONES, _ZERO) for k in range(inside)
-    ]
+    varying = [-(index >> np.uint64(k) & np.uint64(1)) for k in range(inside)]
     for first in range(0, total, words):
         fixed = [_ONES if first >> k & 1 else _ZERO for k in range(inside, n - 1 - _WORD_BITS)]
         yield [_ZERO, *_WORD_PLANES, *varying, *fixed]
@@ -344,89 +358,138 @@ class _SlicedCount:
             planes[-1] = planes[-1] ^ carry
 
 
-def _at_most(planes: list, k: int):
-    """The plane of the colorings whose bit-sliced count is at most ``k``."""
-    if k < 0:
-        return _ZERO
-    if k + 1 >> len(planes):
-        return _ONES
-    top = len(planes) - 1
-    # counts above k's bits from j up, and counts equal to them
-    above, level = (_ZERO, planes[top]) if k >> top & 1 else (planes[top], ~planes[top])
-    for j in reversed(range(top)):
-        if k >> j & 1:
-            level = level & planes[j]
-        else:
-            over = level & planes[j]
-            above, level = above | over, level ^ over
-    return ~above
+def _words(flags: np.ndarray) -> np.ndarray:
+    """The flags along the last axis, 64 long, as uint64 words: bit ``b``
+    is flag ``b``."""
+    return np.packbits(flags, axis=-1, bitorder="little").view("<u8")[..., 0]
 
 
-def _mux(cases: list) -> list:
-    """Per coloring, the count of the one case whose selector plane holds."""
-    width = max(len(count.planes) for _, count in cases)
-    out = []
-    for j in range(width):
-        bit = _ZERO
-        for select, count in cases:
-            if j < len(count.planes):
-                bit = bit | (select & count.planes[j])
-        out.append(bit)
-    return out
+def _flag_words(g: Graph, strict: bool) -> np.ndarray:
+    """Entry ``[i, h, q]``: the uint64 word whose bit ``b`` flags node ``i``
+    under strict (or weak) illusion, by :func:`_illusion_rule`, at every
+    coloring where nodes 1-6 are red by the bits of ``b``, ``h`` of node
+    ``i``'s neighbours above node 6 are red and ``q`` of all nodes above 6.
+    The global lead is folded in: ``q`` and the bits of ``b`` give the red
+    count, and per ``q`` one word of each lead picks the bits of node
+    ``i``'s flags under that lead.  Entries with ``h`` above node ``i``'s
+    count of neighbours above node 6 stand for no coloring."""
+    n = g.n
+    nbr = g.neighbor_masks
+    b = np.arange(1 << _WORD_BITS, dtype=np.uint32)
+    above = np.bitwise_count(nbr >> np.uint32(_WORD_BITS + 1))
+    h = np.arange(int(above.max()) + 1, dtype=np.int16)[:, None]
+    c = np.bitwise_count(nbr[:, None] >> np.uint32(1) & b)[:, None, :] + h
+    deg = np.bitwise_count(nbr).astype(np.int16)[:, None, None]
+    q = np.arange(n - _WORD_BITS, dtype=np.int16)[:, None]
+    lead = np.sign(2 * (np.bitwise_count(b) + q) - n)
+    return (
+        _words(_illusion_rule(c, deg, strict))[:, :, None] & _words(lead > 0)
+        | _words(_illusion_rule(deg - c, deg, strict))[:, :, None] & _words(lead < 0)
+        | _words(_illusion_rule(c, deg, strict, tied=True))[:, :, None] & _words(lead == 0)
+    )
+
+
+def _tree_sum(rows: np.ndarray, spare: np.ndarray) -> list:
+    """The column sums of the flag bits of ``rows`` (a 2D uint64 array),
+    bit-sliced: plane ``j`` holds bit ``j`` of every sum, and there are
+    ``len(rows).bit_length()`` planes.
+
+    A tree adder: each level adds the counts of the bottom half of its rows
+    to those of the top half, all pairs at once, one full adder per plane,
+    and an odd last row is added into the first sum.  After level ``l``
+    every sum but the first counts ``2^(l + 1)`` rows and the first counts
+    the rest, fewer than ``2^(l + 2)``, so each fits its ``l + 2`` planes.
+    The levels work in place: ``rows`` and ``spare`` (at least half as many
+    rows) are overwritten, and the planes are views of them, so no
+    temporary larger than a row is allocated."""
+    planes = [rows]
+    while len(planes[0]) > 1:
+        half, odd = divmod(len(planes[0]), 2)
+        a = [p[:half] for p in planes]
+        b = [p[half : 2 * half] for p in planes]
+        carry = np.bitwise_and(a[0], b[0], out=spare[:half])
+        a[0] ^= b[0]
+        if len(a) == 1:
+            spare = b[0]  # read no more: the spare while the carry is a plane
+        for j in range(1, len(a)):
+            # a free block of rows, not the carry's
+            both = np.bitwise_and(a[j], b[j], out=b[0] if j == 1 else spare[:half])
+            a[j] ^= b[j]
+            np.bitwise_and(a[j], carry, out=b[j])
+            a[j] ^= carry
+            carry = np.bitwise_or(both, b[j], out=b[j])
+        if odd:
+            _add_row([p[0] for p in a + [carry]], [p[-1] for p in planes])
+        planes = a + [carry]
+    return [p[0] for p in planes]
+
+
+def _add_row(total: list, extra: list) -> None:
+    """Add the bit-sliced count ``extra`` into ``total``, one plane wider,
+    in place, by a ripple of full adders; the sums fit ``total``."""
+    carry = total[0] & extra[0]
+    total[0] ^= extra[0]
+    for j in range(1, len(extra)):
+        odd = total[j] ^ extra[j]
+        both = total[j] & extra[j]
+        np.bitwise_xor(odd, carry, out=total[j])
+        carry = both | odd & carry
+    total[len(extra)] ^= carry
 
 
 def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]]:
     """Per block of :func:`_plane_blocks`: the objective's bit-sliced score
     (dichromatic edges for fewest monochromatic) and the node planes.
 
-    Red-neighbour counts ripple through capped counters; ``A`` (no red
-    local lead, ``2c <= d``) and ``B`` (blue local lead, ``2c < d``) are
-    compares with a constant.  Under a global red lead the strict and
-    weak counts are the sums of ``B`` and ``A``; under a blue lead they
-    are those of ``~A`` and ``~B``; under a tie (even ``n``) the strict
-    count is 0 and the weak one the sum of ``~A | B``, the agents without
-    a local tie.  The global lead selects among them."""
+    Block coloring ``(w, b)``, bit ``b`` of the block's word ``w``, has
+    nodes 1-6 red by the bits of ``b`` and the nodes above by those of the
+    word's index.  So node ``i``'s flags there are a row of
+    :func:`_flag_words`, at its red neighbours and the red nodes above node
+    6, and a block's flags are one gather.  The gather's index is the sum
+    of two parts built once per call, for the low and the high bits of
+    ``w``, plus the block's offset for the nodes fixed over it.  The
+    illusion counts are the flags' column sums, by :func:`_tree_sum`, whose
+    planes are views of buffers that the next block overwrites.
+    Dichromatic edges ripple through a :class:`_SlicedCount`."""
     n = g.n
-    bounds = g.indptr.tolist()
-    flat = g.indices.tolist()
-    rows = [flat[start:end] for start, end in zip(bounds, bounds[1:])]
-    u, v = g.edge_arrays()
-    edges = list(zip(u.tolist(), v.tolist()))
-    strict = objective is Objective.MAX_STRICT_ILLUSION
-    for planes in _plane_blocks(n):
-        if objective is Objective.MIN_MONOCHROMATIC:
+    if objective is Objective.MIN_MONOCHROMATIC:
+        u, v = g.edge_arrays()
+        edges = list(zip(u.tolist(), v.tolist()))
+        for planes in _plane_blocks(n):
             dichromatic = _SlicedCount()
             for a, b in edges:
                 dichromatic.add(planes[a] ^ planes[b])
             yield dichromatic.planes, planes
-            continue
-        red = _SlicedCount()
-        for plane in planes:
-            red.add(plane)
-        red_lead = ~_at_most(red.planes, n // 2)
-        blue_lead = _at_most(red.planes, (n + 1) // 2 - 1)
-        under_red, under_blue, under_tie = _SlicedCount(), _SlicedCount(), _SlicedCount()
-        # constant planes first, so counters stay scalars as long as they can
-        varies = [isinstance(plane, np.ndarray) for plane in planes]
-        for row in rows:
-            c = _SlicedCount()
-            for w in sorted(row, key=varies.__getitem__):
-                c.add(planes[w])
-            d = len(row)
-            a = _at_most(c.planes, d // 2)
-            b = a if d % 2 else _at_most(c.planes, d // 2 - 1)
-            if strict:
-                under_red.add(b)
-                under_blue.add(~a)
-            else:
-                under_red.add(a)
-                under_blue.add(~b)
-                if n % 2 == 0:
-                    under_tie.add(~a | b)
-        cases = [(red_lead, under_red), (blue_lead, under_blue)]
-        if under_tie.bound:
-            cases.append((~(red_lead | blue_lead), under_tie))
-        yield _mux(cases), planes
+        return
+    words = _flag_words(g, objective is Objective.MAX_STRICT_ILLUSION)
+    _, hs, qs = words.shape
+    words = words.ravel()
+    high = g.neighbor_masks >> np.uint32(_WORD_BITS + 1)
+    block = _block_words(n)
+    low_bits = block.bit_length() // 2
+
+    def part(w: np.ndarray, shift: int) -> np.ndarray:
+        """Per node and word index bits ``w`` from bit ``shift`` up: the
+        flat index step of the red neighbours and red nodes they give."""
+        red = np.bitwise_count(high[:, None] >> np.uint32(shift) & w).astype(np.intp)
+        return red * qs + np.bitwise_count(w)
+
+    low = part(np.arange(1 << low_bits, dtype=np.uint32), 0)
+    high_words = np.arange(block >> low_bits, dtype=np.uint32)
+    high_part = part(high_words, low_bits) + np.arange(0, n * hs * qs, hs * qs)[:, None]
+    # half the nodes at a time, so that the index, read, is the adder's spare
+    half = (n + 1) // 2
+    index = np.empty((half, len(high_words), len(low[0])), dtype=np.intp)
+    rows = np.empty((n, block), dtype=np.uint64)
+    for k, planes in enumerate(_plane_blocks(n)):
+        steps = high_part + part(np.array([k * block], dtype=np.uint32), 0)
+        for start in (0, half):
+            nodes = slice(start, min(start + half, n))
+            chunk = index[: nodes.stop - start]
+            np.add(steps[nodes, :, None], low[nodes, None, :], out=chunk)
+            # in range by construction; the default mode would copy ``out``
+            words.take(chunk.reshape(-1, block), out=rows[nodes], mode="clip")
+        yield _tree_sum(rows, index.reshape(half, block).view(np.uint64)), planes
 
 
 def _sliced_optima(

@@ -267,6 +267,13 @@ ORACLE_PINS = [
     ("circulant 21 --offsets 1,4", STRICT, "10 BBBBBBBRBRBRRRRRRBRBR"),
     ("circulant 21 --offsets 1,4", WEAK, "19 BBBBBBRRRRRBBBBBRRRRR"),
     ("circulant 21 --offsets 1,4", MONO, "6 BBRBRBBRBRRBRBBRBRRBR"),
+    # the bit-sliced scan at even n: a strict optimum beside a global tie, and at the cap
+    ("circulant 20 --offsets 10", STRICT, "9 BBBBBBBBBBBRRRRRRRRR"),
+    ("circulant 20 --offsets 10", WEAK, "20 BBBBBBBBBBRRRRRRRRRR"),
+    ("circulant 20 --offsets 10", MONO, "0 BBBBBBBBBBRRRRRRRRRR"),
+    ("circulant 22 --offsets 1,2,5", STRICT, "10 BBBBBBBBBBRBRRRRRRRRBR"),
+    ("circulant 22 --offsets 1,2,5", WEAK, "22 BBBBBBBBBRBRRRRRRRRRBR"),
+    ("circulant 22 --offsets 1,2,5", MONO, "18 BBRBBRBBRBBRBBRBBRRBRR"),
     # the flag tables at 8 nodes or fewer, odd and even n
     ("cycle 7", STRICT, "2 BBRBRBR"),
     ("cycle 7", WEAK, "6 BBRBBRR"),
@@ -342,6 +349,16 @@ DIGEST_PINS = [
     }),
     ("gen cycle 9999 | color", "", 0, {
         "out": "c5df7bc7606bb5a3a2fdfed00d63d1847c91ef5e467f7b268599e97fcf59ff7d",
+    }),
+    # the JSON edge lists of color and construct
+    (f"{SEEDED} --format json", "", 0, {
+        "out": "c99f78d71075bb73bc1e5f05312920b531a9479322a3a6d0d9f41e9dfeabe8a8",
+    }),
+    ("color g.txt --mode weak --format json", "", 0, {
+        "out": "c04a40b9237fb20f3982ba6c32c12e74f72f4d3879240dcfae8043c875049e03",
+    }),
+    ("construct 12 6 --format json", "", 0, {
+        "out": "bf1693873f5ac9406862c366745cec6ca0c55d03fd59c74075ea90b3d1243590",
     }),
     # the agent classes on a global tie with isolated red and blue nodes
     ("analyze", TIED, 0, {

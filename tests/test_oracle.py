@@ -296,18 +296,92 @@ def test_sliced_blocks_combine_like_one_block(monkeypatch):
         assert split > 0
 
 
-def _sparse_20():
-    rng = np.random.default_rng(20)
-    pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
-    return make_graph(20, [pairs[i] for i in rng.choice(len(pairs), 50, replace=False)])
+@pytest.mark.parametrize("count", range(1, 41))
+def test_tree_adder_sums_columns_like_a_popcount_recount(count):
+    """Every bit-sliced column sum of ``count`` rows of random words equals
+    the number of rows with that bit set, in as many planes as the bit
+    length of ``count``; odd counts add a row into a sum at some level."""
+    rows = np.random.default_rng(count).integers(0, 1 << 63, (count, 3), dtype=np.uint64)
+    rows[:, 1] |= np.uint64(1 << 63)  # top bits too
+    spare = np.empty((count // 2, 3), dtype=np.uint64)
+    planes = oracle_module._tree_sum(rows.copy(), spare)
+    assert len(planes) == count.bit_length()
+    bits = np.arange(64, dtype=np.uint64)
+    want = (rows[:, :, None] >> bits & np.uint64(1)).sum(axis=0)
+    got = sum((plane[:, None] >> bits & np.uint64(1)) << np.uint64(j) for j, plane in enumerate(planes))
+    assert (got == want).all()
+
+
+def _word_colorings(n, hood, h, q):
+    """A coloring mask (node 0 blue) per in-word coloring ``b``, with nodes
+    1-6 red by the bits of ``b``, ``h`` of the neighbours ``hood`` above
+    node 6 red and ``q`` nodes above 6 red in all; None where there is none."""
+    above = range(oracle_module._WORD_BITS + 1, n)
+    near = [v for v in above if hood >> v & 1]
+    far = [v for v in above if not hood >> v & 1]
+    if h > len(near) or not 0 <= q - h <= len(far):
+        return None
+    high = sum(1 << v for v in near[:h] + far[: q - h])
+    return [b << 1 | high for b in range(64)]
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "weak"])
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_graph(7, []),
+        cycle_graph(9),
+        complete_graph(10),
+        circulant_graph(12, (1, 3, 6)),
+        circulant_graph(16, (8,)),
+        make_graph(13, [(0, 12), (1, 11), (2, 10), (7, 8)]),
+    ],
+    ids=["edgeless-7", "cycle-9", "complete-10", "circulant-12", "circulant-16-8", "sparse-13"],
+)
+def test_flag_words_match_the_rules_recounted_at_each_coloring(g, strict):
+    """Each bit of a flag word is a coloring: the word's node is under
+    illusion there when its local and global sides differ, and for strict
+    illusion neither is a tie.  Every word that stands for colorings is
+    checked at all 64, by popcounts of the coloring itself; even ``n``
+    has global ties."""
+    n = g.n
+    words = oracle_module._flag_words(g, strict)
+    checked = 0
+    for i, hood in enumerate(g.neighbor_masks.tolist()):
+        for h, q in np.ndindex(words.shape[1:]):
+            masks = _word_colorings(n, hood, h, q)
+            if masks is None:
+                continue
+            want = 0
+            for b, mask in enumerate(masks):
+                local = _side((mask & hood).bit_count(), hood.bit_count())
+                side = _side(mask.bit_count(), n)
+                want |= int(local != side and not (strict and local * side == 0)) << b
+            assert int(words[i, h, q]) == want, (i, h, q)
+            checked += 1
+    assert checked >= n * (n - oracle_module._WORD_BITS)
+
+
+def _sparse(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(n, [pairs[i] for i in rng.choice(len(pairs), m, replace=False)])
 
 
 @pytest.mark.parametrize(
     "g",
-    [_sparse_20(), make_graph(20, []), complete_graph(20)],
-    ids=["gnm-20-50", "edgeless-20", "complete-20"],
+    [
+        _sparse(20, 50, 20),
+        make_graph(20, []),
+        complete_graph(20),
+        circulant_graph(20, [10]),
+        _sparse(22, 55, 22),
+    ],
+    ids=["gnm-20-50", "edgeless-20", "complete-20", "circulant-20-10", "gnm-22-55"],
 )
 def test_both_paths_agree_at_20_nodes(monkeypatch, g):
+    """20 nodes scan in two sliced blocks and 22 nodes in eight; the
+    circulant has its strict optimum beside a global tie."""
     answers = []
     for sliced in (False, True):
         _choose_path(monkeypatch, sliced)
