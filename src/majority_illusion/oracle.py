@@ -2,51 +2,48 @@
 enumeration of small regular graphs.
 
 Colorings are integers whose bit ``b`` gives node ``b``'s color (set bit =
-red).  Two kernels scan them for :func:`best_coloring`; each serves every
-objective, and per block of colorings counts each node's red neighbours
-once:
+red).  Two kernels count illusions for :func:`best_coloring`, and per
+block of colorings count each node's red neighbours once:
 
 - the byte kernel holds a block as uint32 masks and counts by vectorized
   popcounts into a 2D uint8 block, one byte per (node, coloring), then
-  derives the illusion and dichromatic counts with no per-node or
-  per-edge loop.  Every objective is counted at each coloring's red-lead
-  representative: illusions with one uint8 compare per (node, coloring),
-  stated once, in :func:`_illusion_rule`.  Strict flags cover only the
-  globally untied colorings: a tied one scores 0, as does the all-blue
-  one, untied and the smallest string, so no tied one is reported.  Where
-  one block holds the whole half space (``n <= 15``), its representatives
-  come from a table built once per node count, on first use.  Up to 8
-  nodes the illusion counts need no popcount either: a flag table per
-  node count and kind, built on first use from the same rules, holds the
-  flags of every neighbour bitset, so a count is one gather of the
-  graph's bitset rows and one sum.  The tables up to 8 nodes take
-  77 728 bytes.  The fewest-monochromatic count needs no representatives,
-  so past the one-block table (above 15 nodes) it reads the colorings
-  themselves;
+  derives the illusion counts with no per-node loop.  They are counted at
+  each coloring's red-lead representative, with one uint8 compare per
+  (node, coloring), stated once, in :func:`_illusion_rule`.  Strict flags
+  cover only the globally untied colorings: a tied one scores 0, as does
+  the all-blue one, untied and the smallest string, so no tied one is
+  reported.  Where one block holds the whole half space (``n <= 15``),
+  its representatives come from a table built once per node count, on
+  first use.  Up to 8 nodes the illusion counts need no popcount either:
+  a flag table per node count and kind, built on first use from the same
+  rules, holds the flags of every neighbour bitset, so a count is one
+  gather of the graph's bitset rows and one sum.  The tables up to 8
+  nodes take 77 728 bytes;
 - the bit-sliced kernel holds 64 colorings to a uint64 word: nodes 1-6
-  by the bit in the word, the nodes above by the word's index.  For the
-  illusion counts, a table of flag words built once per call from the
-  same rules holds each node's flags at the 64 colorings of a word, by its
-  red neighbours and the red nodes among those above 6, the global lead
-  folded in.  A block's flags are one gather from it, and one tree adder
-  over the nodes sums them into bit-sliced scores.  The dichromatic count
-  ripples each edge's plane, the XOR of its ends' colour planes, through
-  a bit-sliced counter.  The best score is narrowed from its top plane
-  down, and the smallest optimum string is found by one greedy pass over
-  the nodes that keeps each one blue where some optimum allows it.
+  by the bit in the word, the nodes above by the word's index.  A table
+  of flag words built once per call from the same rules holds each
+  node's flags at the 64 colorings of a word, by its red neighbours and
+  the red nodes among those above 6, the global lead folded in.  A
+  block's flags are one gather from it, and one tree adder over the nodes
+  sums them into bit-sliced scores.  The best score is narrowed from its
+  top plane down, and the smallest optimum string is found by one greedy
+  pass over the nodes that keeps each one blue where some optimum allows
+  it.
 
 The byte scan's cost doubles with each node; the sliced scan's grows
-more slowly, and its dichromatic count grows with the edges.  So graphs
-of 17 or more nodes whose mean degree is at most ``10 (n - 16)`` scan
-bit-sliced (sparse graphs at 17 nodes, every graph from 18), and smaller
-or denser ones byte by byte: in a sweep of n 15-22 over every mean
-degree, that is where the sliced scan was never slower.  At n = 20-21 and
-mean degree 2-6 its illusion counts take 6-16% of the byte scan's time,
-and its fewest-monochromatic count 6-21%.
+more slowly.  So graphs of 16 or more nodes scan bit-sliced and smaller
+ones byte by byte, whatever the mean degree: in a sweep of n 14-18 over
+every mean degree, the sliced scan took 0.22-0.66 of the byte scan's time
+at its worst cell for each n from 16, and 1.45-2.71 times it below.
 :func:`illusion_possible` always scans byte by byte: it stops after the
 first block with a hit, and a byte block holds ``n`` times fewer
 colorings than a sliced one, so an early hit is found sooner (3-6 times
 at n = 18 for unanimity-weak-majority).
+
+The fewest monochromatic edges are the most dichromatic ones, a maximum
+cut, which is a quadratic form in the colour bits.  :func:`_cut_optima`
+splits the nodes above 0 into two halves, so that a block of counts is
+one small float32 matrix product, exact in integers, at every ``n``.
 
 Swapping every color negates each local and the global lead, so it keeps
 every agent's strict or weak illusion status and every edge's
@@ -149,21 +146,14 @@ def _one_block(n: int) -> bool:
 
 
 def _half_blocks(n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """The half-space blocks of ``_chunks(n - 1, rows=n)`` as
-    :func:`_representatives`; a block that is the whole half space comes
-    from a table built on first use (``n >= 1``)."""
+    """The half-space blocks of ``_chunks(n - 1, rows=n)``, each shifted up
+    one bit (node 0 blue), as :func:`_representatives`; a block that is the
+    whole half space comes from a table built on first use (``n >= 1``)."""
     if _one_block(n):
         yield _half_table(n)
         return
-    for masks in _half_masks(n):
-        yield _representatives(masks, n)
-
-
-def _half_masks(n: int) -> Iterator[np.ndarray]:
-    """The half-space colorings (node 0 blue) in the blocks of
-    ``_chunks(n - 1, rows=n)``, each block shifted up one bit."""
     for masks in _chunks(n - 1, rows=n):
-        yield masks << np.uint32(1)
+        yield _representatives(masks << np.uint32(1), n)
 
 
 def _illusion_rule(c, deg, strict: bool, tied: bool = False):
@@ -228,22 +218,6 @@ def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray, int], np.
     return lambda reps, free: sums(_illusion_flags(nbr, reps, free, strict), axis=0, dtype=np.uint8)
 
 
-def _dichromatic_counter(g: Graph) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Per-coloring count of edges with ends of both colors, read from a
-    block ``(reps, free)`` of :func:`_half_blocks` or of plain colorings:
-    each is counted once, as a red neighbour of its blue end.  A colour
-    swap keeps every edge's count, so a representative's count is its
-    coloring's, and the tie split plays no part."""
-    nbr = g.neighbor_masks
-    bit = np.uint32(1) << np.arange(g.n, dtype=np.uint32)[:, None]
-
-    def count(reps: np.ndarray, free: int) -> np.ndarray:
-        blue = (reps[None, :] & bit) == 0
-        return (_red_neighbors(reps, nbr) * blue).sum(axis=0, dtype=np.uint16)
-
-    return count
-
-
 def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
     """Bit-reversed masks: ordering by key equals ordering the R/B strings
     lexicographically (node 0 first, 'B' < 'R')."""
@@ -255,30 +229,68 @@ def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
 def _byte_optima(
     g: Graph, objective: Objective
 ) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
-    """Per block of :func:`_half_blocks` (of :func:`_half_masks` for the
-    fewest monochromatic edges, past one block): the best score and a call
-    that lists its optima.  Strict scores skip the tied representatives,
-    and a block of tied ones alone is skipped: a tied coloring scores 0, as
-    does the all-blue one, untied and the smallest string of all, so no
-    tied coloring is the smallest optimum."""
-    n = g.n
-    if objective is Objective.MIN_MONOCHROMATIC:
-        gain = _dichromatic_counter(g)
-        # needs no representatives: past the table, the colorings themselves,
-        # which _from_representatives maps to themselves (node 0 blue)
-        blocks = _half_blocks(n) if _one_block(n) else ((m, 0) for m in _half_masks(n))
-    else:
-        gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
-        blocks = _half_blocks(n)
-    for reps, free in blocks:
+    """Per block of :func:`_half_blocks`: the best illusion count and a
+    call that lists its optima.  Strict scores skip the tied
+    representatives, and a block of tied ones alone is skipped: a tied
+    coloring scores 0, as does the all-blue one, untied and the smallest
+    string of all, so no tied coloring is the smallest optimum."""
+    gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    for reps, free in _half_blocks(g.n):
         scores = gain(reps, free)
         if not len(scores):
             continue
         top = int(scores.max())
         reps = reps[: len(scores)]
         yield top, lambda reps=reps, scores=scores, top=top: _from_representatives(
-            reps[scores == top], n
+            reps[scores == top], g.n
         )
+
+
+def _cut_optima(g: Graph) -> tuple[int, int]:
+    """The most dichromatic edges of a coloring with node 0 blue, and the
+    smallest coloring string that has them, as a mask: a maximum cut.
+
+    With ``s`` the red bits, a coloring has ``s·deg - sᵀAs`` dichromatic
+    edges, a quadratic form.  Nodes ``1..a`` (``a = (n - 1) // 2``) give
+    the rows ``x`` and the nodes above the columns ``y``, each in string
+    order (its first node the highest bit), so C order is string order.
+    A row block's counts are one float32 product of ``[x·(-2C) | gx | 1]``
+    by ``[yᵀ; 1; gy]``: ``C`` is the cross adjacency, and ``gx``, ``gy``
+    each half's form on its own nodes.  Every term is an integer below
+    ``2^24``, so the product is exact.  A block's first ``argmax`` is its
+    best count at its smallest optimum string, and the blocks come in
+    string order (the split of R. Williams, "A new algorithm for optimal
+    2-constraint satisfaction and its implications", TCS 2005, without
+    the fast multiplication)."""
+    n = g.n
+    a = (n - 1) // 2
+    b = n - 1 - a
+    nodes = np.arange(1, n, dtype=np.uint32)
+    adj = (g.neighbor_masks[1:, None] >> nodes & np.uint32(1)).astype(np.float32)
+    deg = np.bitwise_count(g.neighbor_masks[1:]).astype(np.float32)
+
+    def half(lo: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The 0/1 rows of the ``2^k`` colorings of nodes ``lo + 1..lo + k``
+        in string order, and each one's form on those nodes."""
+        bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+        bits = bits.astype(np.float32)
+        inner = adj[lo : lo + k, lo : lo + k]
+        return bits, bits @ deg[lo : lo + k] - ((bits @ inner) * bits).sum(axis=1)
+
+    x, gx = half(0, a)
+    y, gy = half(a, b)
+    left = np.column_stack((x @ (-2 * adj[:a, a:]), gx, np.ones_like(gx)))
+    right = np.vstack((y.T, np.ones_like(gy), gy))
+    rows = max(1, (1 << _CHUNK_BITS) >> b)  # at least one row a block
+    out = np.empty((min(rows, len(x)), len(y)), dtype=np.float32)
+    best, key = -1, 0
+    for start in range(0, len(x), rows):
+        block = np.matmul(left[start : start + rows], right, out=out[: min(rows, len(x) - start)])
+        pos = int(block.argmax())
+        if block.flat[pos] > best:
+            best, key = int(block.flat[pos]), (start << b) + pos
+    # the key's bits are nodes 1..n-1, node 1 highest: reversed, a mask
+    return best, int(f"{key:0{n - 1}b}"[::-1], 2) << 1
 
 
 _WORD_BITS = 6  # a colour plane word holds 2^6 colorings
@@ -290,22 +302,14 @@ _WORD_PLANES = tuple(
 )
 
 
-# Fixed from a sweep of n 15-22 and every mean degree (see CHANGES.md).
-_SLICED_MIN_NODES = 17
-_SLICED_MEAN_DEGREE_STEP = 10
+# Fixed from a sweep of n 14-18 and every mean degree (see CHANGES.md).
+_SLICED_MIN_NODES = 16
 
 
 def _sliced_path(g: Graph) -> bool:
-    """Scan bit-sliced rather than a byte per (node, coloring)?  Yes when
-    the mean degree is at most ``_SLICED_MEAN_DEGREE_STEP`` times
-    ``n - _SLICED_MIN_NODES + 1``.  A plane needs one full word of
-    colorings, so never below 7 nodes."""
-    above = g.n - _SLICED_MIN_NODES + 1
-    return (
-        g.n > _WORD_BITS
-        and above > 0
-        and 2 * g.edge_count <= _SLICED_MEAN_DEGREE_STEP * above * g.n
-    )
+    """Count illusions bit-sliced rather than a byte per (node, coloring)?
+    A plane needs one full word of colorings, so the floor is at least 7."""
+    return g.n >= _SLICED_MIN_NODES
 
 
 def _block_words(n: int) -> int:
@@ -330,32 +334,6 @@ def _plane_blocks(n: int) -> Iterator[list]:
     for first in range(0, total, words):
         fixed = [_ONES if first >> k & 1 else _ZERO for k in range(inside, n - 1 - _WORD_BITS)]
         yield [_ZERO, *_WORD_PLANES, *varying, *fixed]
-
-
-class _SlicedCount:
-    """One count per coloring, bit-sliced: ``planes[j]`` holds bit ``j`` of
-    every count.  It keeps ``bound.bit_length()`` planes, where ``bound``
-    is the most it can hold, so a carry never leaves its top plane."""
-
-    __slots__ = ("planes", "bound")
-
-    def __init__(self) -> None:
-        self.planes: list = []
-        self.bound = 0
-
-    def add(self, plane) -> None:
-        if not isinstance(plane, np.ndarray) and not plane:
-            return
-        self.bound += 1
-        planes = self.planes
-        grows = len(planes) < self.bound.bit_length()
-        carry = plane
-        for j in range(len(planes) - 1 + grows):
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-        if grows:
-            planes.append(carry)
-        else:
-            planes[-1] = planes[-1] ^ carry
 
 
 def _words(flags: np.ndarray) -> np.ndarray:
@@ -438,8 +416,8 @@ def _add_row(total: list, extra: list) -> None:
 
 
 def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]]:
-    """Per block of :func:`_plane_blocks`: the objective's bit-sliced score
-    (dichromatic edges for fewest monochromatic) and the node planes.
+    """Per block of :func:`_plane_blocks`: the bit-sliced illusion count
+    and the node planes.
 
     Block coloring ``(w, b)``, bit ``b`` of the block's word ``w``, has
     nodes 1-6 red by the bits of ``b`` and the nodes above by those of the
@@ -449,18 +427,8 @@ def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]
     of two parts built once per call, for the low and the high bits of
     ``w``, plus the block's offset for the nodes fixed over it.  The
     illusion counts are the flags' column sums, by :func:`_tree_sum`, whose
-    planes are views of buffers that the next block overwrites.
-    Dichromatic edges ripple through a :class:`_SlicedCount`."""
+    planes are views of buffers that the next block overwrites."""
     n = g.n
-    if objective is Objective.MIN_MONOCHROMATIC:
-        u, v = g.edge_arrays()
-        edges = list(zip(u.tolist(), v.tolist()))
-        for planes in _plane_blocks(n):
-            dichromatic = _SlicedCount()
-            for a, b in edges:
-                dichromatic.add(planes[a] ^ planes[b])
-            yield dichromatic.planes, planes
-        return
     words = _flag_words(g, objective is Objective.MAX_STRICT_ILLUSION)
     _, hs, qs = words.shape
     words = words.ravel()
@@ -529,11 +497,14 @@ def best_coloring(
     Every objective is invariant under swapping all colors, and of each
     swapped pair the string with node 0 blue is the smaller, so only the
     colorings with node 0 blue are scanned.  Fewest monochromatic edges
-    is found as most dichromatic ones.
+    is found as most dichromatic ones, by :func:`_cut_optima`.
     """
     _check_cap(g, cap)
     if g.n == 0:
         return (), 0
+    if objective is Objective.MIN_MONOCHROMATIC:
+        cut, mask = _cut_optima(g)
+        return coloring_from_mask(mask, g.n), g.edge_count - cut
     scan = _sliced_optima if _sliced_path(g) else _byte_optima
     best: int | None = None
     best_key: int | None = None
@@ -547,8 +518,6 @@ def best_coloring(
         key = int(keys[pos])
         if best is None or top > best or key < best_key:
             best, best_key, best_mask = top, key, int(candidates[pos])
-    if objective is Objective.MIN_MONOCHROMATIC:
-        best = g.edge_count - best
     return coloring_from_mask(best_mask, g.n), best
 
 

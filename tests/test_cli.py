@@ -249,31 +249,34 @@ def test_oracle_json_reports_what_the_text_form_does(capsys, tmp_path, objective
 
 STRICT, WEAK, MONO = (o.value for o in Objective)
 
-# The oracle pins of the CI workflow: (gen arguments, objective, score and
-# colors, or the sha256 of the JSON report).
+# The oracle pins of the CI workflow: (gen arguments, the objective and any
+# further oracle options, score and colors, or the sha256 of the JSON report).
 ORACLE_PINS = [
-    # the byte scan's illusion counts
-    ("circulant 16 --offsets 1,3", STRICT, "8 BBBRBRBRBBBRBRBR"),
-    ("circulant 16 --offsets 1,3", WEAK, "16 BBBRBRBRBRBRBRRR"),
+    # the byte scan's illusion counts, one block
     ("circulant 14 --offsets 1,2,5", STRICT, "6 BBBRBBRRBRRBBR"),
     ("circulant 14 --offsets 1,2,5", WEAK, "14 BRBRBRBRBRBRBR"),
     ("complete 10", STRICT, "0 BBBBBBBBBB"),
     ("complete 10", WEAK, "10 BBBBBRRRRR"),
-    # the byte scan's fewest monochromatic edges: two blocks, the table at even and odd n
+    # the bit-sliced illusion counts at the 16-node floor
+    ("circulant 16 --offsets 1,3", STRICT, "8 BBBRBRBRBBBRBRBR"),
+    ("circulant 16 --offsets 1,3", WEAK, "16 BBBRBRBRBRBRBRRR"),
+    # the cut scan's fewest monochromatic edges at even and odd n
     ("circulant 16 --offsets 1,2,5", MONO, "12 BBRBBRBBRBBRRBRR"),
     ("circulant 14 --offsets 1,2,5", MONO, "10 BBRBBRRBBRBBRR"),
     ("circulant 13 --offsets 1,3", MONO, "4 BBRBRBRBRBRBR"),
-    # the bit-sliced scan at 21 nodes
+    # the bit-sliced illusion counts and the cut scan at 21 nodes
     ("circulant 21 --offsets 1,4", STRICT, "10 BBBBBBBRBRBRRRRRRBRBR"),
     ("circulant 21 --offsets 1,4", WEAK, "19 BBBBBBRRRRRBBBBBRRRRR"),
     ("circulant 21 --offsets 1,4", MONO, "6 BBRBRBBRBRRBRBBRBRRBR"),
-    # the bit-sliced scan at even n: a strict optimum beside a global tie, and at the cap
+    # the same at even n: a strict optimum beside a global tie, and at the cap
     ("circulant 20 --offsets 10", STRICT, "9 BBBBBBBBBBBRRRRRRRRR"),
     ("circulant 20 --offsets 10", WEAK, "20 BBBBBBBBBBRRRRRRRRRR"),
     ("circulant 20 --offsets 10", MONO, "0 BBBBBBBBBBRRRRRRRRRR"),
     ("circulant 22 --offsets 1,2,5", STRICT, "10 BBBBBBBBBBRBRRRRRRRRBR"),
     ("circulant 22 --offsets 1,2,5", WEAK, "22 BBBBBBBBBRBRRRRRRRRRBR"),
     ("circulant 22 --offsets 1,2,5", MONO, "18 BBRBBRBBRBBRBBRBBRRBRR"),
+    # the cut scan above 24 bits of mask, past the default cap
+    ("cycle 26", f"{MONO} --cap 26", "0 " + "BR" * 13),
     # the flag tables at 8 nodes or fewer, odd and even n
     ("cycle 7", STRICT, "2 BBRBRBR"),
     ("cycle 7", WEAK, "6 BBRBBRR"),
@@ -281,9 +284,11 @@ ORACLE_PINS = [
     ("circulant 8 --offsets 1,3", WEAK, "8 BBBRBRRR"),
     ("cycle 8", STRICT, "2 BBBRBRBR"),
     ("cycle 8", WEAK, "8 BRBRBRBR"),
-    # strict optima beside a global tie: the table, then two computed blocks
+    # strict optima beside a global tie: the flag table, a computed byte
+    # block with an 8-6 split, then the bit-sliced scan
     ("complete 8", STRICT, "0 BBBBBBBB"),
     ("circulant 8 --offsets 4", STRICT, "3 BBBBBRRR"),
+    ("circulant 14 --offsets 7", STRICT, "6 BBBBBBBBRRRRRR"),
     ("complete 16", STRICT, "0 BBBBBBBBBBBBBBBB"),
     ("circulant 16 --offsets 8", STRICT, "7 BBBBBBBBBRRRRRRR"),
     # the JSON report on the bitsets of a complete graph
@@ -291,13 +296,14 @@ ORACLE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("graph, objective, answer", ORACLE_PINS)
-def test_oracle_replays_the_ci_pins(capsys, tmp_path, graph, objective, answer):
+@pytest.mark.parametrize("graph, options, answer", ORACLE_PINS)
+def test_oracle_replays_the_ci_pins(capsys, tmp_path, graph, options, answer):
     """``gen ... | oracle --objective ...`` in process, byte for byte."""
     _, text, _ = run(capsys, "gen", *graph.split())
     path = tmp_path / "g.txt"
     path.write_text(text)
-    argv = ["oracle", str(path), "--objective", objective]
+    objective = options.split()[0]
+    argv = ["oracle", str(path), "--objective", *options.split()]
     if " " in answer:
         score, colors = answer.split()
         code, out, _ = run(capsys, *argv)
@@ -1208,9 +1214,15 @@ _JSON_GRAPHS = [
 
 def _assert_dumped(out):
     """``out`` is byte for byte what ``json.dumps(indent=2, sort_keys=True)``
-    prints for the payload it holds; returns the payload."""
+    prints for the payload it holds; returns the payload.  A mismatch names
+    its first differing line: pytest's diff of two reports of about 100 KB
+    runs for minutes."""
     payload = json.loads(out)
-    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    dumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if out != dumped:
+        lines = itertools.zip_longest(out.split("\n"), dumped.split("\n"))
+        number, (got, want) = next((i, p) for i, p in enumerate(lines, 1) if p[0] != p[1])
+        pytest.fail(f"line {number} reads {got!r}, json.dumps prints {want!r}")
     return payload
 
 
