@@ -51,8 +51,14 @@ class Graph:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        self.indptr.flags.writeable = False
-        self.indices.flags.writeable = False
+        """Freeze both arrays.  A flag is written only where it is still
+        set: a read-only array, such as the rows that
+        :func:`~majority_illusion.oracle.enumerate_regular` shares, pays
+        one read, several times cheaper than a write."""
+        if self.indptr.flags.writeable:
+            self.indptr.flags.writeable = False
+        if self.indices.flags.writeable:
+            self.indices.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -18,7 +18,11 @@ block of colorings count each node's red neighbours once:
   a flag table per node count and kind, built on first use from the same
   rules, holds the flags of every neighbour bitset, so a count is one
   gather of the graph's bitset rows and one sum.  The tables up to 8
-  nodes take 77 728 bytes;
+  nodes take 77 728 bytes.  A verdict there needs no array at all: each
+  table row packed into a Python int, a byte lane per representative (93
+  bytes strict and 128 weak at 8 nodes), is summed over the graph's
+  ``n`` bitsets, and one add and one mask test every lane against the
+  threshold.  The packed rows up to 8 nodes take about 106 KB as ints;
 - the bit-sliced kernel holds 64 colorings to a uint64 word: nodes 1-6
   by the bit in the word, the nodes above by the word's index.  A table
   of flag words built once per call from the same rules holds each
@@ -72,7 +76,9 @@ from .graphs import Graph
 DEFAULT_CAP = 22
 _CHUNK_BITS = 18  # a scan's largest temporary holds 2^18 uint32 words
 _MASK_BITS = 32  # colorings and neighborhoods are uint32 masks
-_TABLE_NODES = 8  # illusion flag tables up to here; fixed from a sweep (see CHANGES.md)
+# Illusion flag tables, and verdicts as sums of n byte-lane ints, up to
+# here; fixed from a sweep (see CHANGES.md).
+_TABLE_NODES = 8
 
 
 class Objective(enum.Enum):
@@ -197,6 +203,17 @@ def _flag_table(n: int, strict: bool) -> np.ndarray:
     flags = flags.view(np.uint8)
     flags.flags.writeable = False
     return flags
+
+
+@lru_cache(maxsize=None)
+def _flag_rows(n: int, strict: bool) -> tuple[tuple[int, ...], int]:
+    """The rows of :func:`_flag_table` as Python ints, byte ``j`` of each
+    the row's flag at representative ``j``, and the int with a 1 in every
+    such byte lane.  A row is as many bytes as the table has columns: 93
+    strict and 128 weak at ``_TABLE_NODES``."""
+    table = _flag_table(n, strict)
+    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in table)
+    return rows, int.from_bytes(b"\x01" * table.shape[1], "little")
 
 
 def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
@@ -538,13 +555,24 @@ def illusion_possible(
     """Does some coloring place ``g`` in the given network illusion?
     Exact, by exhaustive enumeration of the colorings with node 0 blue
     (see :func:`best_coloring`).  False on the empty graph, which has no
-    agents to deceive."""
+    agents to deceive.
+
+    Up to ``_TABLE_NODES`` nodes, where one block holds the half space,
+    the counts are one sum of the graph's :func:`_flag_rows`, a count in
+    each byte lane."""
     _check_cap(g, cap)
     if g.n == 0:
         return False
     strict, least = _ILLUSION_TESTS[kind]
-    count = _illusion_counter(g, strict)
     threshold = least(g.n)
+    if g.n <= _TABLE_NODES and _one_block(g.n):
+        rows, lanes = _flag_rows(g.n, strict)
+        counts = sum(map(rows.__getitem__, g.neighbor_masks.tolist()))
+        # A lane counts at most n <= 8 agents and 1 <= threshold, so adding
+        # 128 - threshold keeps it below 256, with no carry into the next
+        # lane, and sets its bit 7 exactly where the count reaches threshold.
+        return bool((counts + (128 - threshold) * lanes) & lanes << 7)
+    count = _illusion_counter(g, strict)
     for reps, free in _half_blocks(g.n):
         if np.maximum.reduce(count(reps, free), initial=0) >= threshold:  # no ``max`` wrapper
             return True
@@ -561,8 +589,11 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
     The graphs come from :func:`_regular_mask_blocks`, in its order, and
     share one read-only ``indptr``; each one's ``indices`` is a row view of
     its block's neighbour columns, and its :attr:`Graph.neighbor_masks` is
-    its block row.  Empty when ``k*n`` is odd or ``0 < n <= k``; on
-    ``n = 0``, the one empty graph.
+    its block row.  Both blocks are made read-only once, so no graph writes
+    a flag of its own.  Up to ``_TABLE_NODES`` nodes a verdict on a graph
+    is a sum of ``n`` byte-lane ints (see :func:`illusion_possible`), so a
+    graph and its verdict cost a few microseconds.  Empty when ``k*n`` is
+    odd or ``0 < n <= k``; on ``n = 0``, the one empty graph.
     """
     if n > 10:
         raise PreconditionError(f"regular enumeration capped at 10 nodes, got {n}")
@@ -578,8 +609,9 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
     for block in _regular_mask_blocks(n, k):
         block.flags.writeable = False
         # row-major: graph, node, then neighbour ascending
-        columns = np.flatnonzero(block[:, :, None] & bits)
-        columns %= n
+        # a new array, not a view of a writable one, so its frozen rows stay frozen
+        columns = np.flatnonzero(block[:, :, None] & bits) % n
+        columns.flags.writeable = False
         for masks, indices in zip(block, columns.reshape(len(block), n * k)):
             g = Graph(n, indptr, indices)
             object.__setattr__(g, "neighbor_masks", masks)

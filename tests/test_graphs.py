@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from majority_illusion import (
     Color,
     ColoredGraph,
+    Graph,
     GraphError,
     IllusionKind,
     Objective,
@@ -296,6 +297,19 @@ def test_graph_arrays_are_read_only():
         g.indices[0] = 3
     with pytest.raises(ValueError):
         g.indptr[1] = 0
+
+
+def test_graph_freezes_writable_arrays():
+    """A graph built from writable arrays makes both read-only, and leaves
+    the caller's read-only arrays as they are."""
+    indptr = np.array([0, 1, 2], dtype=np.int64)
+    indices = np.array([1, 0], dtype=np.int64)
+    g = Graph(2, indptr, indices)
+    assert g.indptr is indptr and g.indices is indices
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    again = Graph(2, indptr, indices)
+    assert not again.indptr.flags.writeable and not again.indices.flags.writeable
+    assert again == g == make_graph(2, [(0, 1)])
 
 
 @given(graphs(max_n=32, min_n=0))

@@ -282,6 +282,43 @@ def test_verdicts_and_illusion_optima_read_the_flag_tables_up_to_8_nodes(monkeyp
         illusion_possible(cycle_graph(9), IllusionKind.MAJORITY_MAJORITY)
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8, min_n=1))
+@example(make_graph(1, []))
+@example(make_graph(8, []))
+@example(complete_graph(8))
+@example(make_graph(8, [(1, 2), (1, 3), (1, 7), (4, 6)]))  # best strict count 5
+@example(circulant_graph(8, (1, 3)))  # best strict count 4
+@example(make_graph(8, [(0, v) for v in range(1, 8)]))  # best strict count 7
+@example(make_graph(8, [(3, 4), (6, 7)]))  # best weak count 7
+@example(make_graph(7, [(0, 1), (0, 5), (0, 6)]))  # best strict count 4
+@example(make_graph(7, [(1, 2), (2, 3)]))  # best strict count 3
+def test_byte_lane_verdicts_match_the_computed_counts(g):
+    """Up to 8 nodes a verdict is a sum of byte-lane ints, one lane per
+    representative, each raised by ``128 - threshold``: it equals the
+    popcount kernel's verdict for every kind.  The examples put the best
+    strict or weak count exactly at a threshold or one below it (5 and 4
+    are majority-majority's and weak-majority-majority's at 8 nodes, 4
+    both at 7, 8 unanimity's), and fill no lane or every lane."""
+    kinds = list(IllusionKind)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(oracle_module, "_TABLE_NODES", 0)
+        computed = [illusion_possible(g, kind) for kind in kinds]
+    assert [illusion_possible(g, kind) for kind in kinds] == computed
+
+
+def test_flag_rows_pack_the_flag_tables():
+    """Byte ``j`` of a packed row is the table row's flag at representative
+    ``j``, and the lane int has a 1 in every byte, one per column."""
+    for n in range(1, oracle_module._TABLE_NODES + 1):
+        for strict in (True, False):
+            table = oracle_module._flag_table(n, strict)
+            rows, lanes = oracle_module._flag_rows(n, strict)
+            width = table.shape[1]
+            assert [list(r.to_bytes(width, "little")) for r in rows] == table.tolist()
+            assert lanes.to_bytes(width, "little") == b"\x01" * width
+
+
 def _choose_path(monkeypatch, sliced):
     """Move the path selection's node floor so that every graph of 7 or
     more nodes scans bit-sliced, or none does."""
@@ -562,10 +599,16 @@ def test_enumeration_yields_distinct_regular_graphs():
 @pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (7, 4), (8, 2)])
 def test_enumerated_graphs_equal_the_builders_graphs(n, k):
     """An enumerated graph has the arrays (rows sorted), the hash and the
-    adjacency sets that make_graph gives its edges, and carries its
-    neighbour bitsets as read-only uint32."""
+    adjacency sets that make_graph gives its edges, read-only, and carries
+    its neighbour bitsets as read-only uint32.  Its ``indices`` and bitsets
+    are row views of read-only blocks, so they cannot be made writable."""
     for g in enumerate_regular(n, k):
         built = make_graph(n, g.edges)
+        assert not g.indptr.flags.writeable
+        assert not g.indices.flags.writeable
+        for row in (g.indices, g.neighbor_masks):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                row.flags.writeable = True
         assert g == built
         assert hash(g) == hash(built)
         assert g.adj == built.adj
@@ -577,6 +620,58 @@ def test_enumerated_graphs_equal_the_builders_graphs(n, k):
         assert g.neighbor_masks.dtype == np.uint32
         assert not g.neighbor_masks.flags.writeable
         assert g.neighbor_masks.tolist() == masks == built.neighbor_masks.tolist()
+
+
+# (n, k): the labeled k-regular graphs on n nodes with a True verdict, per
+# kind in IllusionKind order; k-regular graphs on 1-8 nodes that
+# are not listed do not exist.  47 067 graphs in all.
+VERDICT_COUNTS = {
+    (1, 0): [0, 0, 1, 1, 0, 1],
+    (2, 0): [0, 0, 1, 1, 0, 1],
+    (2, 1): [0, 0, 1, 1, 0, 1],
+    (3, 0): [0, 0, 1, 1, 0, 1],
+    (3, 2): [0, 0, 1, 1, 0, 0],
+    (4, 0): [0, 0, 1, 1, 0, 1],
+    (4, 1): [0, 0, 3, 3, 0, 3],
+    (4, 2): [0, 0, 3, 3, 0, 3],
+    (4, 3): [0, 0, 1, 1, 0, 1],
+    (5, 0): [0, 0, 1, 1, 0, 1],
+    (5, 2): [0, 0, 12, 12, 0, 0],
+    (5, 4): [0, 0, 1, 1, 0, 0],
+    (6, 0): [0, 0, 1, 1, 0, 1],
+    (6, 1): [0, 0, 15, 15, 0, 15],
+    (6, 2): [0, 0, 70, 70, 0, 70],
+    (6, 3): [0, 10, 70, 70, 0, 70],
+    (6, 4): [0, 0, 15, 15, 0, 0],
+    (6, 5): [0, 0, 1, 1, 0, 1],
+    (7, 0): [0, 0, 1, 1, 0, 1],
+    (7, 2): [0, 0, 465, 465, 0, 0],
+    (7, 4): [105, 105, 465, 465, 0, 0],
+    (7, 6): [0, 0, 1, 1, 0, 0],
+    (8, 0): [0, 0, 1, 1, 0, 1],
+    (8, 1): [0, 0, 105, 105, 0, 105],
+    (8, 2): [0, 0, 3507, 3507, 0, 2835],
+    (8, 3): [0, 16835, 19355, 19355, 0, 19355],
+    (8, 4): [0, 35, 19355, 19355, 0, 5915],
+    (8, 5): [672, 987, 3507, 3507, 0, 3507],
+    (8, 6): [0, 0, 105, 105, 0, 105],
+    (8, 7): [0, 0, 1, 1, 0, 1],
+}
+
+
+def test_verdict_counts_over_every_labeled_regular_graph_up_to_8_nodes():
+    """The count of True verdicts per (n, k) and kind over all 47 067
+    labeled regular graphs of 1-8 nodes, each one's own verdict."""
+    counts = {}
+    for n in range(1, 9):
+        for k in range(n):
+            graphs_nk = list(enumerate_regular(n, k))
+            if graphs_nk:
+                counts[n, k] = [
+                    sum(illusion_possible(g, kind) for g in graphs_nk) for kind in IllusionKind
+                ]
+    assert counts == VERDICT_COUNTS
+    assert sum(sum(1 for _ in enumerate_regular(n, k)) for n, k in counts) == 47_067
 
 
 def test_enumeration_cap():
