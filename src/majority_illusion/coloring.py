@@ -13,7 +13,6 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import repeat
 from operator import is_
 from typing import Iterable, Sequence
@@ -237,9 +236,9 @@ def weak_majority_2_coloring(g: Graph, initial: AnyColoring | None = None) -> np
     than dichromatic edges.  Each swap strictly decreases the total
     monochromatic count, so the loop terminates after at most ``|E|`` swaps.
     The default initial coloring is all-red; pass a seeded
-    :func:`random_coloring` for randomized starts.  The lowest violating
-    node is found through a heap of node ids, so a run costs
-    ``O((n + swaps * maxdeg) * log n)``.
+    :func:`random_coloring` for randomized starts.  The lowest violator is
+    found by a forward scan of violation flags, a byte per node, so a run
+    costs ``O(n + swaps * maxdeg)`` Python steps plus those scans in C.
     """
     colors, _ = weak_majority_2_coloring_swaps(g, initial)
     return colors
@@ -252,51 +251,51 @@ def weak_majority_2_coloring_swaps(
     swaps performed.
 
     The swap sequence is that of rescanning the nodes in ascending id from
-    the start after every swap: a lazy min-heap holds the id of every
-    violating node (plus stale entries, dropped when popped), and a swap can
-    create violations only among the swapped node's neighbors, which are
-    pushed as they cross the threshold.  Cost ``O((n + swaps * maxdeg) *
-    log n)``.  The loop flips Python bools in a list: ``is`` compares two
-    colors.
+    the start after every swap.  Each node keeps its red lead, ``2 * red
+    neighbours - degree``; red nodes violate above 0, blue ones below, and
+    the violators are the set bytes of a ``bytearray``.  A swap moves its
+    neighbours' leads by 2 and can flag only them, so the next target is the
+    first flag from the swapped node or the lowest neighbour it flagged.
+    Cost ``O(n + swaps * maxdeg)`` Python steps plus forward byte scans in C.
     """
     start = red_column(initial if initial is not None else np.ones(g.n, dtype=bool))
     if start.shape != (g.n,):
         raise PreconditionError("initial coloring must cover every node")
 
     bounds = g.indptr.tolist()
-    flat = g.indices.tolist()
-    red = g.neighbor_sums(start)
-    degrees = np.diff(g.indptr)
-    deg = degrees.tolist()
-    counts = np.where(start, red, degrees - red)
-    # Ascending ids of the violators: already a valid heap.
-    heap = np.flatnonzero(2 * counts > degrees).tolist()
-    mono_deg = counts.tolist()
+    flat = memoryview(g.indices)  # rows read only as swapped: no list of every id
+    lead = 2 * g.neighbor_sums(start) - np.diff(g.indptr)
+    flags = bytearray(np.where(start, lead > 0, lead < 0).tobytes())
+    budget = (int(np.where(start, lead, -lead).sum()) + len(flat)) // 4  # mono edges at start
+    lead = lead.tolist()
     colors = start.tolist()
-    budget = int(counts.sum()) // 2  # each swap strictly lowers the mono total
-    swaps = 0
-    while heap:
-        target = heappop(heap)
-        d = deg[target]
-        mono = mono_deg[target]
-        if 2 * mono <= d:
-            continue  # stale entry
+    swaps = low = 0
+    while (target := flags.find(1, low)) >= 0:
         if swaps >= budget:
-            raise InternalInvariantError(
-                "swap loop exceeded its monochromatic-edge budget"
-            )
-        old = colors[target]
-        colors[target] = not old
-        mono_deg[target] = d - mono
-        for j in flat[bounds[target] : bounds[target + 1]]:
-            if colors[j] is old:
-                mono_deg[j] -= 1
-            else:
-                m = mono_deg[j] + 1
-                mono_deg[j] = m
-                if 2 * m > deg[j] >= 2 * m - 2:
-                    heappush(heap, j)  # just crossed the threshold
+            raise InternalInvariantError("swap loop exceeded its monochromatic-edge budget")
         swaps += 1
+        flags[target] = 0
+        low = target + 1
+        if colors[target]:  # red to blue: every neighbour's lead falls by 2
+            colors[target] = False
+            for j in flat[bounds[target] : bounds[target + 1]]:
+                lead[j] = m = lead[j] - 2
+                if colors[j]:
+                    if m <= 0:
+                        flags[j] = 0
+                elif m < 0:
+                    flags[j] = 1
+                    low = min(low, j)
+        else:  # blue to red: every neighbour's lead rises by 2
+            colors[target] = True
+            for j in flat[bounds[target] : bounds[target + 1]]:
+                lead[j] = m = lead[j] + 2
+                if colors[j]:
+                    if m > 0:
+                        flags[j] = 1
+                        low = min(low, j)
+                elif m >= 0:
+                    flags[j] = 0
     return red_column(np.array(colors, dtype=bool)), swaps
 
 

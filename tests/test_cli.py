@@ -356,6 +356,11 @@ DIGEST_PINS = [
     ("gen cycle 9999 | color", "", 0, {
         "out": "c5df7bc7606bb5a3a2fdfed00d63d1847c91ef5e467f7b268599e97fcf59ff7d",
     }),
+    # the swap loop from a random start: 842 swaps, 146 of them to a node
+    # below the one before
+    ("gen circulant 3000 --offsets 1,2,5 | color --initial random --seed 7", "", 0, {
+        "out": "9efc53117ec8f0b40bae07fad9b34616460acdb9be66a880ee6b9d9c0ece37c6",
+    }),
     # the JSON edge lists of color and construct
     (f"{SEEDED} --format json", "", 0, {
         "out": "c99f78d71075bb73bc1e5f05312920b531a9479322a3a6d0d9f41e9dfeabe8a8",

@@ -29,7 +29,7 @@ from majority_illusion import (
     weak_majority_2_coloring_swaps,
 )
 from majority_illusion.coloring import WINNER_CODES
-from majority_illusion.graphs import circulant_graph
+from majority_illusion.graphs import Graph, circulant_graph
 
 from conftest import as_coloring, colored_graphs, graphs
 
@@ -122,10 +122,11 @@ def test_swap_loop_postcondition_any_start(g, rng):
     assert (as_coloring(colors), swaps) == _rescan_swap_loop(g, initial)
 
 
-def _rescan_swap_loop(g, initial):
+def _rescan_swap_loop(g, initial, order=None):
     """Reference oracle: the original loop, rescanning the nodes in
     ascending id from the start after every swap, and checking that every
-    swap strictly lowers the monochromatic total."""
+    swap strictly lowers the monochromatic total and leaves it at least 0.
+    The swapped nodes are appended to ``order``, if given."""
     colors = list(initial)
     mono_deg = [
         sum(1 for j in g.adj[i] if colors[j] is colors[i]) for i in range(g.n)
@@ -136,11 +137,13 @@ def _rescan_swap_loop(g, initial):
         target = next((i for i in range(g.n) if 2 * mono_deg[i] > g.degree(i)), -1)
         if target < 0:
             return tuple(colors), swaps
+        if order is not None:
+            order.append(target)
         old = colors[target]
         colors[target] = old.other
         before = total_mono
         total_mono -= 2 * mono_deg[target] - g.degree(target)
-        assert total_mono < before
+        assert 0 <= total_mono < before
         mono_deg[target] = g.degree(target) - mono_deg[target]
         for j in g.adj[target]:
             mono_deg[j] += -1 if colors[j] is old else 1
@@ -163,6 +166,58 @@ def test_swap_loop_scales_to_long_cycles():
     colors, swaps = weak_majority_2_coloring_swaps(g, all_red(g.n))
     assert swaps == 50_000
     assert is_weak_majority_coloring(g, colors)
+
+
+# (edges, start, node): a neighbour's swap leaves the node at a red lead of
+# 0, as many red as blue neighbours, so it is no violator and keeps its colour.
+LEAD_ZERO = [
+    ([(0, 1), (1, 2)], "RRR", 1),  # red, the lead falling from 2
+    ([(0, 1), (1, 2)], "BBB", 1),  # blue, rising from -2
+    ([(0, 1), (0, 2), (0, 3), (1, 2)], "RRBR", 2),  # blue, falling from 2
+    ([(0, 1), (0, 2), (0, 3), (1, 2)], "BRBB", 1),  # red, rising from -2
+]
+
+
+@pytest.mark.parametrize("edges, start, node", LEAD_ZERO)
+def test_swap_loop_leaves_a_node_at_lead_zero_unswapped(edges, start, node):
+    g = make_graph(len(start), edges)
+    initial = coloring_from_string(start)
+    colors, swaps = weak_majority_2_coloring_swaps(g, initial)
+    assert (as_coloring(colors), swaps) == _rescan_swap_loop(g, initial)
+    assert as_coloring(colors)[node] is initial[node]
+
+
+@pytest.mark.parametrize("start", ["RRRR", "BBBB"])
+def test_swap_loop_steps_back_below_its_target(start):
+    # a star with centre 1: leaf 0 swaps, then the centre, which makes
+    # leaf 0 a violator again, below the centre
+    g = make_graph(4, [(0, 1), (1, 2), (1, 3)])
+    initial = coloring_from_string(start)
+    order = []
+    colors, swaps = weak_majority_2_coloring_swaps(g, initial)
+    assert (as_coloring(colors), swaps) == _rescan_swap_loop(g, initial, order)
+    assert order == [0, 1, 0]
+
+
+def test_swap_loop_passes_over_isolated_nodes():
+    g = make_graph(9, [(1, 2), (2, 3), (3, 1), (2, 5), (5, 7)])
+    for start in ("RRRRRRRRR", "BRBBRBRRB", "RBBRBRBRR"):
+        initial = coloring_from_string(start)
+        colors, swaps = weak_majority_2_coloring_swaps(g, initial)
+        assert (as_coloring(colors), swaps) == _rescan_swap_loop(g, initial)
+        for i in (0, 4, 6, 8):
+            assert as_coloring(colors)[i] is initial[i]
+
+
+def test_swap_loop_stops_at_its_budget_on_asymmetric_rows():
+    # rows 0 -> 1 -> 2 -> 0, none holding its reverse: the rows count one
+    # monochromatic edge, a budget of one swap, but each swap leaves the next
+    # node a violator, so without the guard the loop would never end
+    g = Graph(3, np.array([0, 1, 2, 3]), np.array([1, 2, 0]))
+    with pytest.raises(InternalInvariantError, match="monochromatic-edge budget"):
+        weak_majority_2_coloring_swaps(g, all_red(3))
+    with pytest.raises(AssertionError):
+        _rescan_swap_loop(g, all_red(3))
 
 
 def test_illusion_coloring_on_complete_4():
