@@ -128,19 +128,35 @@ def _json_out(payload: dict) -> None:
     print(_json_text(payload))
 
 
-def _json_spliced(payload: dict, key: str, rendered: str) -> str:
-    """``_json_text(payload)`` with ``rendered`` standing for ``payload[key]``,
-    which is laid out apart (a large list, from templates)."""
+def _print_spliced(payload: dict, key: str, rendered: str) -> None:
+    """Print ``_json_text(payload)`` with ``rendered`` standing for
+    ``payload[key]``, which is laid out apart (a large list, from
+    templates).  The text before it, it and the text after it are written
+    in turn, so no copy of the whole document is made."""
     mark = f"<{key}>"
-    return _json_text({**payload, key: mark}).replace(json.dumps(mark), rendered, 1)
+    head, _, tail = _json_text({**payload, key: mark}).partition(json.dumps(mark))
+    sys.stdout.write(head)
+    sys.stdout.write(rendered)
+    sys.stdout.write(tail + "\n")
+
+
+def _json_list(rows: list[str]) -> str:
+    """``rows``, each ending in ``",\n"``, as ``json.dumps(indent=2)`` lays
+    out a list one level deep in the payload, in one join: the brackets go
+    in as rows and the last row loses its comma and line end, in place."""
+    if not rows:
+        return "[]"
+    rows[-1] = rows[-1][:-2]
+    rows.insert(0, "[\n")
+    rows.append("\n  ]")
+    return "".join(rows)
 
 
 def _json_id_rows(n: int, *columns: np.ndarray) -> str:
-    """The rows of node ids ``zip(*columns)`` as ``json.dumps(indent=2)``
-    lays out a list one level deep in the payload: bare ids for one
-    column, ``[u, v]`` lists for two.  Each column's ids come from a
-    per-node table of names with their punctuation, as ``write_graph``
-    does."""
+    """The rows of node ids ``zip(*columns)`` as :func:`_json_list` lays
+    them out: bare ids for one column, ``[u, v]`` lists for two.  Each
+    column's ids come from a per-node table of names with their
+    punctuation, as ``write_graph`` does."""
     if not len(columns[0]):
         return "[]"
     width = len(columns)
@@ -151,7 +167,7 @@ def _json_id_rows(n: int, *columns: np.ndarray) -> str:
         tail = ",\n      " if j < width - 1 else closer + ",\n"
         names = np.array([f"{head}{i}{tail}" for i in range(n)], dtype=object)
         rows[:, j] = names[column]
-    return "[\n" + "".join(rows.ravel().tolist())[:-2] + "\n  ]"
+    return _json_list(rows.ravel().tolist())
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -183,7 +199,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         out = illusion_coloring(graph, initial)
     if args.format == "json":
         payload = {"n": graph.n, "colors": coloring_to_string(out.red), "mode": args.mode}
-        print(_json_spliced(payload, "edges", _json_id_rows(graph.n, *graph.edge_arrays())))
+        _print_spliced(payload, "edges", _json_id_rows(graph.n, *graph.edge_arrays()))
     else:
         sys.stdout.write(write_graph(graph, out.red))
     return 0
@@ -221,16 +237,16 @@ def _agent_text(s: AgentStatus) -> str:
 _NODE_MARK = -1
 
 
-def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> str:
-    """``render(status)`` for every agent, joined: each class's status is
-    rendered once and split at the node id into a prefix and a suffix, and
-    the rows are laid out as (prefix, id, suffix) pieces joined once, as
-    ``write_graph`` joins its body."""
+def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
+    """``render(status)`` for every agent, as pieces to be joined once: each
+    class's status is rendered once and split at the node id into a prefix
+    and a suffix, and the rows are laid out as (prefix, id, suffix) pieces,
+    as ``write_graph`` lays out its body."""
     templates = [render(replace(s, node=_NODE_MARK)) for s in columns.statuses]
     table = np.array([t.partition(str(_NODE_MARK)) for t in templates], dtype=object)
     rows = table.reshape(-1, 3)[columns.codes]
     rows[:, 1] = [str(i) for i in range(len(columns.codes))]
-    return "".join(rows.ravel().tolist())
+    return rows.ravel().tolist()
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -256,15 +272,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         }
         if pq is not None:
             payload["pq"] = pq.to_json_dict()
-        rows = _agent_rows(columns, _agent_json_row)
-        agents = "[\n" + rows[:-2] + "\n  ]" if rows else "[]"
-        print(_json_spliced(payload, "agents", agents))
+        _print_spliced(payload, "agents", _json_list(_agent_rows(columns, _agent_json_row)))
     else:
         if derived:
             print("# coloring derived by the illusion-coloring pipeline")
             print(f"colors {coloring_to_string(cg.red)}")
         print("node color local global opposition illusion witness")
-        sys.stdout.write(_agent_rows(columns, _agent_text))
+        sys.stdout.write("".join(_agent_rows(columns, _agent_text)))
         print(
             f"counts strict={report.strict_count} "
             f"weak_only={report.weak_only_count} none={report.none_count}"
@@ -302,7 +316,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "report": report.to_json_dict(),
         }
         edges = _json_id_rows(cg.graph.n, *cg.graph.edge_arrays())
-        print(_json_spliced(payload, "edges", edges))
+        _print_spliced(payload, "edges", edges)
     else:
         sys.stdout.write(write_graph(cg.graph, cg.red))
         print(json.dumps(report.to_json_dict(), sort_keys=True), file=sys.stderr)
@@ -359,7 +373,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             "scope": "global" if args.node is None else f"node {args.node}",
         }
         nodes = _json_id_rows(graph.n, np.array(sorted(sat), dtype=np.int64))
-        print(_json_spliced(payload, "nodes_satisfying", nodes))
+        _print_spliced(payload, "nodes_satisfying", nodes)
     else:
         print("true" if truth else "false")
     return 0 if truth else 1

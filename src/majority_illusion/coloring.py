@@ -296,7 +296,7 @@ def weak_majority_2_coloring_swaps(
                         low = min(low, j)
                 elif m >= 0:
                     flags[j] = 0
-    return red_column(np.array(colors, dtype=bool)), swaps
+    return red_column(np.frombuffer(bytes(colors), dtype=bool)), swaps
 
 
 def illusion_coloring(g: Graph, initial: AnyColoring | None = None) -> ColoredGraph:
@@ -356,7 +356,7 @@ def proper_2_coloring(g: Graph) -> np.ndarray | None:
                     elif colors[v] is colors[u]:
                         return None
             queue = nxt
-    return red_column(np.array(colors, dtype=bool))
+    return red_column(np.frombuffer(bytes(colors), dtype=bool))
 
 
 def strict_illusion_from_proper(g: Graph) -> ColoredGraph | None:

@@ -51,14 +51,22 @@ class Graph:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        """Freeze both arrays.  A flag is written only where it is still
-        set: a read-only array, such as the rows that
-        :func:`~majority_illusion.oracle.enumerate_regular` shares, pays
-        one read, several times cheaper than a write."""
-        if self.indptr.flags.writeable:
-            self.indptr.flags.writeable = False
-        if self.indices.flags.writeable:
-            self.indices.flags.writeable = False
+        """Freeze both arrays."""
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    @classmethod
+    def _over_frozen(
+        cls, n: int, indptr: np.ndarray, indices: np.ndarray, neighbor_masks: np.ndarray
+    ) -> Graph:
+        """An instance over arrays that are already read-only, its
+        :attr:`neighbor_masks` given: ``object.__new__`` and one ``__dict__``
+        update, with no ``__init__`` or ``__post_init__``.  For
+        :func:`~majority_illusion.oracle.enumerate_regular`, which freezes
+        each block's arrays once."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, indptr=indptr, indices=indices, neighbor_masks=neighbor_masks)
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -371,6 +371,10 @@ DIGEST_PINS = [
     ("construct 12 6 --format json", "", 0, {
         "out": "bf1693873f5ac9406862c366745cec6ca0c55d03fd59c74075ea90b3d1243590",
     }),
+    # analyze's one-join JSON at 200 000 agents, a document of about 44 MB
+    ("gen cycle 200000 | color | analyze --format json", "", 0, {
+        "out": "ec4ce6d2861745d687046551db7f317d72405c9ce04cd5e6b9769c5ed2af96ba",
+    }),
     # the agent classes on a global tie with isolated red and blue nodes
     ("analyze", TIED, 0, {
         "out": "4a7822c15246e202b7116f1570edf1d746a687007a36105a79404be9c8e34894",
@@ -950,6 +954,41 @@ def test_analyze_renders_larger_graphs_as_the_reference(graph, fmt, p, q):
         colorings.append(illusion_coloring(graph).colors)
     for colors in colorings:
         _check_analyze(write_graph(graph, colors), fmt, p, q)
+
+
+class _Tally:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_analyze_json_peaks_below_two_and_a_half_documents(monkeypatch):
+    """``analyze --format json`` on an illusion-coloured 4000-node cycle,
+    an 879 408-character document, joins its agents list once and copies
+    no whole document after it: the traced peak stays below 2.5 times the
+    document (3.4 times when the list was spliced into one string)."""
+    cg = illusion_coloring(cycle_graph(4000))
+    text = write_graph(cg.graph, cg.red)
+    for traced in (False, True):  # the first call builds the parser
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        out = _Tally()
+        if traced:
+            tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["analyze", "--format", "json", "-"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.chars == 879_408
+    assert peak < 2.5 * out.chars
 
 
 def test_an_empty_graph_goes_through_color_and_analyze():

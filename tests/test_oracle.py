@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import chain
 from math import comb
 
@@ -18,6 +19,8 @@ from majority_illusion import (
     circulant_graph,
     cycle_graph,
     enumerate_regular,
+    formula_possible,
+    illusion_formula,
     illusion_possible,
     is_weak_majority_coloring,
     make_graph,
@@ -119,8 +122,21 @@ def test_edgeless_pair_has_no_strict_illusion():
 
 
 def test_cap_is_enforced():
+    """Every exhaustive search refuses a graph one node above its cap: the
+    optimum scan, the verdict up to 8 nodes (its inline check, on a built
+    and on an enumerated graph), the verdict by the kernel at 9-11 nodes,
+    and the model checker's search; at the cap each one answers."""
     with pytest.raises(PreconditionError, match="cap"):
         best_coloring(cycle_graph(5), Objective.MIN_MONOCHROMATIC, cap=4)
+    kind = IllusionKind.WEAK_MAJORITY_WEAK_MAJORITY
+    for g in (cycle_graph(5), next(enumerate_regular(8, 2)), cycle_graph(9), cycle_graph(11)):
+        with pytest.raises(PreconditionError, match="cap"):
+            illusion_possible(g, kind, cap=g.n - 1)
+        assert illusion_possible(g, kind, cap=g.n)
+    f = illusion_formula(kind)
+    with pytest.raises(PreconditionError, match="cap"):
+        formula_possible(cycle_graph(6), f, cap=5)
+    assert formula_possible(cycle_graph(6), f, cap=6)
 
 
 def test_chunked_scan_matches_single_chunk(monkeypatch):
@@ -523,6 +539,8 @@ def test_weak_illusions_reachable_on_small_graphs():
 def test_labeled_enumeration_counts():
     assert sum(1 for _ in enumerate_regular(6, 4)) == 15
     assert list(enumerate_regular(5, 3)) == []
+    # the one empty graph is k-regular for every k, however large
+    assert [g.n for g in enumerate_regular(0, 1 << 20)] == [0]
     # complement duality: counts match the (n-1-k)-regular class
     assert sum(1 for _ in enumerate_regular(6, 3)) == sum(
         1 for _ in enumerate_regular(6, 2)
@@ -576,9 +594,9 @@ def test_enumeration_blocks_stay_bounded_and_lazy(monkeypatch):
     expanded = []
     descend = oracle_module._descend
 
-    def counted(u, residual, masks, *chunk):
-        expanded.append(len(masks))
-        return descend(u, residual, masks, *chunk)
+    def counted(u, states, *chunk):
+        expanded.append(len(states))
+        return descend(u, states, *chunk)
 
     monkeypatch.setattr(oracle_module, "_descend", counted)
     first = next(enumerate_regular(10, 3))
@@ -601,8 +619,12 @@ def test_enumerated_graphs_equal_the_builders_graphs(n, k):
     """An enumerated graph has the arrays (rows sorted), the hash and the
     adjacency sets that make_graph gives its edges, read-only, and carries
     its neighbour bitsets as read-only uint32.  Its ``indices`` and bitsets
-    are row views of read-only blocks, so they cannot be made writable."""
+    are row views of read-only blocks, so they cannot be made writable.
+    Before any property is read it holds those four fields alone; its
+    edges, degrees, neighbour sums and regularity are the built graph's,
+    and it stays frozen."""
     for g in enumerate_regular(n, k):
+        assert set(vars(g)) == {"n", "indptr", "indices", "neighbor_masks"}
         built = make_graph(n, g.edges)
         assert not g.indptr.flags.writeable
         assert not g.indices.flags.writeable
@@ -616,10 +638,17 @@ def test_enumerated_graphs_equal_the_builders_graphs(n, k):
         for u, v in g.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        assert "neighbor_masks" in g.__dict__
         assert g.neighbor_masks.dtype == np.uint32
         assert not g.neighbor_masks.flags.writeable
         assert g.neighbor_masks.tolist() == masks == built.neighbor_masks.tolist()
+        assert g.edges == built.edges
+        assert g.degrees() == built.degrees() == (k,) * n
+        values = np.arange(1, n + 1) ** 2
+        assert g.neighbor_sums(values).tolist() == built.neighbor_sums(values).tolist()
+        assert g.is_regular(k) and built.is_regular(k)
+        for name in ("n", "edges", "neighbor_masks", "adj"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, None)
 
 
 # (n, k): the labeled k-regular graphs on n nodes with a True verdict, per
