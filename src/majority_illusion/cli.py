@@ -156,7 +156,7 @@ def _json_id_rows(n: int, *columns: np.ndarray) -> str:
     """The rows of node ids ``zip(*columns)`` as :func:`_json_list` lays
     them out: bare ids for one column, ``[u, v]`` lists for two.  Each
     column's ids come from a per-node table of names with their
-    punctuation, as ``write_graph`` does."""
+    punctuation."""
     if not len(columns[0]):
         return "[]"
     width = len(columns)
@@ -240,8 +240,7 @@ _NODE_MARK = -1
 def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
     """``render(status)`` for every agent, as pieces to be joined once: each
     class's status is rendered once and split at the node id into a prefix
-    and a suffix, and the rows are laid out as (prefix, id, suffix) pieces,
-    as ``write_graph`` lays out its body."""
+    and a suffix, and the rows are laid out as (prefix, id, suffix) pieces."""
     templates = [render(replace(s, node=_NODE_MARK)) for s in columns.statuses]
     table = np.array([t.partition(str(_NODE_MARK)) for t in templates], dtype=object)
     rows = table.reshape(-1, 3)[columns.codes]

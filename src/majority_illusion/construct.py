@@ -41,7 +41,8 @@ from .analysis import IllusionKind, classify_network
 from .coloring import WINNER_CODES, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
-from .graphs import MAX_NODES, _key_rows, _sorted_unique, check_size, make_graph
+from .graphs import MAX_NODES, _csr_graph, _key_rows, _sorted_unique, check_size
+from .graphs import make_graph  # noqa: F401  (perfbench looks it up here)
 
 _NO_EDGES = np.empty(0, dtype=np.int64)
 _NO_EDGES.flags.writeable = False
@@ -375,10 +376,17 @@ def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> N
 def _finish(
     plan: ConstructionPlan, keys: np.ndarray, report: ConstructionReport
 ) -> tuple[ColoredGraph, ConstructionReport]:
-    """Color the first ``n_red`` nodes red, build the graph and validate it."""
+    """Color the first ``n_red`` nodes red, build the graph from the keys
+    and validate it.  A key that is no pair ``0 <= u < v`` (a self-loop
+    among them) raises here; a duplicate key leaves its ends a degree
+    short, which validation names."""
     red = np.arange(plan.n) < plan.n_red
-    edges = np.stack(np.divmod(keys, plan.n), axis=1)
-    cg = ColoredGraph(make_graph(plan.n, edges), red)
+    u, v = np.divmod(keys, plan.n)
+    bad = np.flatnonzero((u < 0) | (u >= v))
+    if len(bad):
+        i = int(bad[0])
+        raise InternalInvariantError(f"edge key {int(keys[i])} is not a pair u < v: ({u[i]}, {v[i]})")
+    cg = ColoredGraph(_csr_graph(plan.n, u, v), red)
     _validate_colored_regular(cg, plan.n, plan.k, plan.n_red)
     report.validated = True
     return cg, report

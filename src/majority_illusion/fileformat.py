@@ -19,7 +19,10 @@ line-by-line reader, which names the line of the first fault.  Node
 counts are ASCII digits.  Both readers refuse a text of more than
 :data:`~majority_illusion.graphs.MAX_EDGES` edge lines before they build
 its edge array: the canonical one from its line count, the line reader at
-the line past the cap.
+the line past the cap.  The writer lays out the edge lines from two
+tables of 8-byte words, one per node and separator (the name, then ``" "``
+or ``"\n"``, zero-padded): one gather per column of the edge pairs, then
+one ``translate`` that drops the padding.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_from_word
 from .errors import FormatError, GraphError
-from .graphs import MAX_EDGES, Graph, make_graph
+from .graphs import MAX_EDGES, Graph, check_size, make_graph
 
 _DIGITS = str.maketrans("", "", "0123456789")
 
@@ -189,17 +192,44 @@ def parse_valuation_text(text: str, n: int) -> dict[str, np.ndarray]:
 
 
 def write_graph(graph: Graph, colors: AnyColoring | None = None) -> str:
+    check_size(graph.n, 0)
     head = f"n {graph.n}\n"
     if colors is not None:
         head += f"colors {coloring_to_string(colors)}\n"
-    # One name per node id and end: the body is "u v\n" for each edge.
-    left = np.array([f"{i} " for i in range(graph.n)], dtype=object)
-    right = np.array([f"{i}\n" for i in range(graph.n)], dtype=object)
+    return head + _body_words(graph).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _body_words(graph: Graph) -> np.ndarray:
+    """The body's ``"u v\n"`` lines as one ``(m, 2)`` array of name words:
+    one gather per column.  Only their zero padding is not text.  A
+    function of its own, so the name tables and the edge columns are freed
+    before the writer copies the words out."""
+    left, right = _name_words(graph.n)
     u, v = graph.edge_arrays()
-    body = np.empty((len(u), 2), dtype=object)
-    body[:, 0] = left[u]
-    body[:, 1] = right[v]
-    return head + "".join(body.ravel().tolist())
+    body = np.empty((len(u), 2), dtype=left.dtype)
+    np.take(left, u, out=body[:, 0])
+    np.take(right, v, out=body[:, 1])
+    return body
+
+
+def _name_words(n: int) -> np.ndarray:
+    """Two tables of ``n`` little-endian 8-byte words: node ``i``'s ASCII
+    digits then ``" "``, and its digits then ``"\n"``, each padded with
+    zero bytes.  Ids below :data:`~majority_illusion.graphs.MAX_NODES` have
+    at most 6 digits.  Built one digit place at a time, units first: each
+    place shifts the words of the ids that have it one byte up and puts
+    its digit in the first byte."""
+    words = np.empty((2, n), dtype="<u8")
+    words[0], words[1] = ord(" "), ord("\n")
+    low, rest = 0, np.arange(n, dtype=np.uint32)  # rest: the ids from low on
+    while low < n:
+        rest, digit = np.divmod(rest, 10)
+        words[:, low:] <<= 8
+        words[:, low:] |= digit + ord("0")
+        top = max(10 * low, 10)  # the first id with one more digit
+        rest = rest[top - low :]
+        low = top
+    return words
 
 
 def write_colored_graph(cg: ColoredGraph) -> str:

@@ -181,6 +181,13 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     if bad.any():
         first = int(bad.argmax())
         _check_pair(int(u[first]), int(v[first]), n)
+    return _csr_graph(n, u, v)
+
+
+def _csr_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph on ``n`` nodes with the edges ``(u[i], v[i])``: ids in
+    ``0..n-1`` and no self-loops, which are not checked here; duplicate
+    pairs collapse to one edge."""
     # Each edge as a key ``row * n + neighbour`` from each end, sorted: rows,
     # then neighbours.  Below 2^16 nodes every key fits in uint32, which
     # sorts in about half the time of int64.

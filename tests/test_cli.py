@@ -353,6 +353,10 @@ DIGEST_PINS = [
     (f"{ALL_RED} | analyze --format json --p 1/4 --q 3/4", "", 0, {
         "out": "10a77d075d3b195ab47c191f3cb364b618449ceea3fe8d2824845861dc039623",
     }),
+    # the widest names an 8-byte name word holds: ids up to MAX_NODES - 1
+    ("gen cycle 262144", "", 0, {
+        "out": "0023e3d24e173de879b051475f02859e7d945c7ad52e25e71f840307d9f3bb25",
+    }),
     ("gen cycle 9999 | color", "", 0, {
         "out": "c5df7bc7606bb5a3a2fdfed00d63d1847c91ef5e467f7b268599e97fcf59ff7d",
     }),

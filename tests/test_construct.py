@@ -384,6 +384,41 @@ def test_validation_names_the_first_fault(colors, n, k, n_red, message):
         _validate_colored_regular(cg, n, k, n_red)
 
 
+def _finish_edited_witness(edit) -> None:
+    """Run ``_finish`` on the (40, 12) witness's sorted keys as
+    ``edit(keys, i, n)`` returns them, where ``keys[i]`` joins two red
+    nodes."""
+    n, k = 40, 12
+    plan = construction_plan(n, k)
+    u, v = construct_regular_illusion(n, k).graph.edge_arrays()
+    keys = u * n + v
+    i = int(np.flatnonzero(v < plan.n_red)[0])
+    edited = np.sort(edit(keys, i, n))
+    construct._finish(plan, edited, construct.ConstructionReport(n=n, k=k, fast=False))
+
+
+def test_finish_refuses_a_self_loop_key():
+    """Self-loops at both ends of a red-red edge, in its place, keep every
+    degree and every red count: only the key check catches them."""
+
+    def loops(keys, i, n):
+        a, b = divmod(int(keys[i]), n)
+        return np.concatenate((np.delete(keys, i), [a * (n + 1), b * (n + 1)]))
+
+    with pytest.raises(InternalInvariantError, match=r"is not a pair u < v: \((\d+), \1\)"):
+        _finish_edited_witness(loops)
+
+
+def test_finish_collapses_a_duplicate_key_and_validation_names_it():
+    def doubled(keys, i, n):
+        out = keys.copy()
+        out[i] = keys[i + 1]
+        return out
+
+    with pytest.raises(InternalInvariantError, match="missed the target degree 12"):
+        _finish_edited_witness(doubled)
+
+
 def feasible_pairs(max_n: int) -> list[tuple[int, int]]:
     return [
         (n, k)

@@ -1,12 +1,17 @@
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majority_illusion import (
     FormatError,
+    Graph,
+    GraphError,
     coloring_from_string,
+    cycle_graph,
     make_graph,
     parse_colored_graph,
     parse_graph,
@@ -15,7 +20,9 @@ from majority_illusion import (
     write_graph,
 )
 
+from majority_illusion.coloring import coloring_to_string
 from majority_illusion.fileformat import _parse_canonical, parse_valuation_text
+from majority_illusion.graphs import MAX_NODES
 
 from conftest import as_coloring, colored_graphs, graphs, reference_make_graph
 
@@ -88,6 +95,81 @@ def test_write_parse_identity_on_structure(g):
     parsed = parse_graph(write_graph(g))
     assert parsed.n == g.n
     assert parsed.edges == g.edges
+
+
+def _reference_write(graph, colors=None):
+    """The writer the name words replaced, as a reference: a table of
+    f-string names per node and end, joined once."""
+    head = f"n {graph.n}\n"
+    if colors is not None:
+        head += f"colors {coloring_to_string(colors)}\n"
+    left = np.array([f"{i} " for i in range(graph.n)], dtype=object)
+    right = np.array([f"{i}\n" for i in range(graph.n)], dtype=object)
+    u, v = graph.edge_arrays()
+    body = np.empty((len(u), 2), dtype=object)
+    body[:, 0] = left[u]
+    body[:, 1] = right[v]
+    return head + "".join(body.ravel().tolist())
+
+
+# 0 and 1 nodes, each side of every power of ten up to 10^5, and the cap:
+# every name width a word holds
+_WRITER_NODE_COUNTS = sorted(
+    {0, 1, MAX_NODES} | {10**p + d for p in range(1, 6) for d in (-1, 0, 1)}
+)
+
+
+@st.composite
+def _wide_graphs(draw):
+    """A graph on one of the counts above, its edges between random ids and
+    the ids near 0, the powers of ten and the top, always with an edge at
+    the highest id, and maybe a seeded coloring."""
+    n = draw(st.sampled_from(_WRITER_NODE_COUNTS))
+    if n < 2:
+        return make_graph(n, []), draw(st.sampled_from([None, np.ones(n, dtype=bool)]))
+    near = sorted({0, 1, n - 2, n - 1} | {i for p in range(1, 6) for i in (10**p - 1, 10**p) if i < n})
+    ids = st.integers(0, n - 1) | st.sampled_from(near)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    top = draw(st.integers(0, n - 2))
+    edges = [(u, v) for u, v in pairs if u != v] + [(top, n - 1)]
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    colors = None if seed is None else np.random.default_rng(seed).random(n) < 0.5
+    return make_graph(n, edges), colors
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_graphs())
+def test_writer_matches_the_name_table_writer(case):
+    graph, colors = case
+    assert write_graph(graph, colors) == _reference_write(graph, colors)
+
+
+def test_writer_writes_the_widest_names():
+    text = write_graph(make_graph(MAX_NODES, [(0, MAX_NODES - 1)]))
+    assert text == f"n {MAX_NODES}\n0 {MAX_NODES - 1}\n"
+
+
+def test_every_name_and_its_separator_fit_in_a_word():
+    assert len(str(MAX_NODES - 1)) <= 7
+
+
+def test_writer_refuses_a_node_count_above_the_cap():
+    """A bare graph skips make_graph's cap, so the writer checks it: the
+    cap is what bounds a name and its separator to one 8-byte word."""
+    graph = Graph(MAX_NODES + 1, np.zeros(MAX_NODES + 2, dtype=np.int64), np.empty(0, dtype=np.int64))
+    with pytest.raises(GraphError, match="exceeds the limit"):
+        write_graph(graph)
+
+
+def test_writer_peak_memory_is_a_few_times_its_text():
+    graph = cycle_graph(200000)
+    tracemalloc.start()
+    try:
+        text = write_graph(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text)
 
 
 @given(colored_graphs(min_n=0))
