@@ -48,7 +48,7 @@ from .errors import (
     PreconditionError,
 )
 from .feasibility import regular_exists
-from .fileformat import parse_graph_text, parse_valuation_text, write_graph
+from .fileformat import _name_words, parse_graph_text, parse_valuation_text, write_graph
 from .graphs import circulant_graph, complete_graph, cycle_graph
 from .logic import (
     FORMULA_KINDS,
@@ -240,11 +240,13 @@ _NODE_MARK = -1
 def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
     """``render(status)`` for every agent, as pieces to be joined once: each
     class's status is rendered once and split at the node id into a prefix
-    and a suffix, and the rows are laid out as (prefix, id, suffix) pieces."""
+    and a suffix, and the rows are laid out as (prefix, id, suffix) pieces.
+    The ids come from the edge-list writer's name words."""
     templates = [render(replace(s, node=_NODE_MARK)) for s in columns.statuses]
     table = np.array([t.partition(str(_NODE_MARK)) for t in templates], dtype=object)
     rows = table.reshape(-1, 3)[columns.codes]
-    rows[:, 1] = [str(i) for i in range(len(columns.codes))]
+    ids = _name_words(len(columns.codes))[0].tobytes().translate(None, b"\0")
+    rows[:, 1] = ids.decode("ascii").split()
     return rows.ravel().tolist()
 
 

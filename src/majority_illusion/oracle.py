@@ -14,15 +14,13 @@ block of colorings count each node's red neighbours once:
   the all-blue one, untied and the smallest string, so no tied one is
   reported.  Where one block holds the whole half space (``n <= 15``),
   its representatives come from a table built once per node count, on
-  first use.  Up to 8 nodes the illusion counts need no popcount either:
-  a flag table per node count and kind, built on first use from the same
-  rules, holds the flags of every neighbour bitset, so a count is one
-  gather of the graph's bitset rows and one sum.  The tables up to 8
-  nodes take 77 728 bytes.  A verdict there needs no array at all: each
-  table row packed into a Python int, a byte lane per representative (93
-  bytes strict and 128 weak at 8 nodes), is summed over the graph's
-  ``n`` bitsets, and one add and one mask test every lane against the
-  threshold.  The packed rows up to 8 nodes take about 106 KB as ints;
+  first use.  Up to 8 nodes a verdict needs no array at all: a flag
+  table per node count and kind, built on first use from the same rules,
+  holds the flags of every neighbour bitset packed into a Python int, a
+  byte lane per representative (93 bytes strict and 128 weak at 8
+  nodes).  The graph's ``n`` rows are summed, and one add and one mask
+  test every lane against the threshold.  The rows up to 8 nodes take
+  about 106 KB as ints;
 - the bit-sliced kernel holds 64 colorings to a uint64 word: nodes 1-6
   by the bit in the word, the nodes above by the word's index.  A table
   of flag words built once per call from the same rules holds each
@@ -82,8 +80,8 @@ from .graphs import Graph
 DEFAULT_CAP = 22
 _CHUNK_BITS = 18  # a scan's largest temporary holds 2^18 uint32 words
 _MASK_BITS = 32  # colorings and neighborhoods are uint32 masks
-# Illusion flag tables, and verdicts as sums of n byte-lane ints, up to
-# here; fixed from a sweep (see CHANGES.md).
+# Verdicts as sums of n byte-lane ints, rows of a flag table, up to here;
+# fixed from a sweep (see CHANGES.md).
 _TABLE_NODES = 8
 
 
@@ -150,18 +148,13 @@ def _half_table(n: int) -> tuple[np.ndarray, int]:
     return reps, free
 
 
-def _one_block(n: int) -> bool:
-    """Does one block of ``_chunks(n - 1, rows=n)`` hold the whole half
-    space, ``n`` words per coloring?  The block size is looked up at each
-    call (``n >= 1``; one coloring is always a block)."""
-    return n << (n - 1) <= 1 << _CHUNK_BITS
-
-
 def _half_blocks(n: int) -> Iterator[tuple[np.ndarray, int]]:
     """The half-space blocks of ``_chunks(n - 1, rows=n)``, each shifted up
     one bit (node 0 blue), as :func:`_representatives`; a block that is the
-    whole half space comes from a table built on first use (``n >= 1``)."""
-    if _one_block(n):
+    whole half space, ``n`` words per coloring, comes from a table built on
+    first use (``n >= 1``; one coloring is always a block).  The block size
+    is looked up at each call."""
+    if n << (n - 1) <= 1 << _CHUNK_BITS:
         yield _half_table(n)
         return
     for masks in _chunks(n - 1, rows=n):
@@ -200,26 +193,16 @@ def _illusion_flags(hoods: np.ndarray, reps: np.ndarray, free: int, strict: bool
 
 
 @lru_cache(maxsize=None)
-def _flag_table(n: int, strict: bool) -> np.ndarray:
-    """:func:`_illusion_flags` of every neighbour bitset ``x < 2^n`` at the
-    representatives of :func:`_half_table`, as read-only uint8.  A weak
-    table holds ``2^(2n - 1)`` bytes (32 KB at ``_TABLE_NODES``); a strict
-    one at even ``n`` lacks the tied columns."""
-    flags = _illusion_flags(np.arange(1 << n, dtype=np.uint32), *_half_table(n), strict)
-    flags = flags.view(np.uint8)
-    flags.flags.writeable = False
-    return flags
-
-
-@lru_cache(maxsize=None)
 def _flag_rows(n: int, strict: bool) -> tuple[tuple[int, ...], int]:
-    """The rows of :func:`_flag_table` as Python ints, byte ``j`` of each
-    the row's flag at representative ``j``, and the int with a 1 in every
-    such byte lane.  A row is as many bytes as the table has columns: 93
-    strict and 128 weak at ``_TABLE_NODES``."""
-    table = _flag_table(n, strict)
-    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in table)
-    return rows, int.from_bytes(b"\x01" * table.shape[1], "little")
+    """:func:`_illusion_flags` of every neighbour bitset ``x < 2^n`` at the
+    representatives of :func:`_half_table`, row ``x`` packed into a Python
+    int, byte ``j`` its flag at representative ``j``, and the int with a 1
+    in every such byte lane.  A row has a lane per representative, less the
+    tied ones of a strict row at even ``n``: 93 strict and 128 weak at
+    ``_TABLE_NODES``."""
+    flags = _illusion_flags(np.arange(1 << n, dtype=np.uint32), *_half_table(n), strict)
+    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in flags)
+    return rows, int.from_bytes(b"\x01" * flags.shape[1], "little")
 
 
 def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
@@ -227,18 +210,13 @@ def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
     return np.where(reps & np.uint32(1), reps ^ np.uint32((1 << n) - 1), reps)
 
 
-def _illusion_counter(g: Graph, strict: bool) -> Callable[[np.ndarray, int], np.ndarray]:
+def _illusion_counts(g: Graph, reps: np.ndarray, free: int, strict: bool) -> np.ndarray:
     """Per-representative count of agents under strict (or weak) illusion
     in a block ``(reps, free)`` of :func:`_half_blocks`: the column sums of
-    :func:`_illusion_flags`.  Up to ``_TABLE_NODES`` nodes, where one block
-    is :func:`_half_table`, the flags are one gather of the graph's
-    neighbour bitsets' rows of :func:`_flag_table`."""
-    nbr = g.neighbor_masks
-    sums = np.add.reduce  # without ``np.sum``'s wrapper, a per-call cost at small n
-    if g.n <= _TABLE_NODES and _one_block(g.n):
-        table = _flag_table(g.n, strict)
-        return lambda reps, free: sums(table.take(nbr, axis=0), axis=0, dtype=np.uint8)
-    return lambda reps, free: sums(_illusion_flags(nbr, reps, free, strict), axis=0, dtype=np.uint8)
+    :func:`_illusion_flags`."""
+    # ``np.add.reduce`` without ``np.sum``'s wrapper, a per-call cost at small n
+    flags = _illusion_flags(g.neighbor_masks, reps, free, strict)
+    return np.add.reduce(flags, axis=0, dtype=np.uint8)
 
 
 def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
@@ -257,9 +235,9 @@ def _byte_optima(
     representatives, and a block of tied ones alone is skipped: a tied
     coloring scores 0, as does the all-blue one, untied and the smallest
     string of all, so no tied coloring is the smallest optimum."""
-    gain = _illusion_counter(g, objective is Objective.MAX_STRICT_ILLUSION)
+    strict = objective is Objective.MAX_STRICT_ILLUSION
     for reps, free in _half_blocks(g.n):
-        scores = gain(reps, free)
+        scores = _illusion_counts(g, reps, free, strict)
         if not len(scores):
             continue
         top = int(scores.max())
@@ -580,12 +558,12 @@ def illusion_possible(
     (see :func:`best_coloring`).  False on the empty graph, which has no
     agents to deceive.
 
-    Up to ``_TABLE_NODES`` nodes, where one block holds the half space
-    (the test of :func:`_one_block`, inline), a verdict is one sum of the
-    graph's :func:`_verdict_rows` and one mask test, with no helper call
-    once the rows are packed."""
+    Up to ``_TABLE_NODES`` nodes a verdict is one sum of the graph's
+    :func:`_verdict_rows` and one mask test, with no helper call once the
+    rows are packed; the rows cover the whole half space, so the block
+    size plays no part.  Above, the byte kernel counts block by block."""
     n = g.n
-    if 0 < n <= _TABLE_NODES and n <= cap and n << (n - 1) <= 1 << _CHUNK_BITS:
+    if 0 < n <= _TABLE_NODES and n <= cap:
         rows, start, top = _VERDICT_ROWS.get((n, kind)) or _verdict_rows(n, kind)
         return bool(sum(map(rows.__getitem__, g.neighbor_masks.tolist()), start) & top)
     _check_cap(g, cap)
@@ -593,9 +571,9 @@ def illusion_possible(
         return False
     strict, least = _ILLUSION_TESTS[kind]
     threshold = least(n)
-    count = _illusion_counter(g, strict)
     for reps, free in _half_blocks(n):
-        if np.maximum.reduce(count(reps, free), initial=0) >= threshold:  # no ``max`` wrapper
+        counts = _illusion_counts(g, reps, free, strict)
+        if np.maximum.reduce(counts, initial=0) >= threshold:  # no ``max`` wrapper
             return True
     return False
 
@@ -613,11 +591,11 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
     :attr:`Graph.neighbor_masks` is its block row.  Both blocks are made
     read-only once, and each graph is made by ``Graph._over_frozen``, with
     no ``__init__`` and no flag of its own to write.  Up to
-    ``_TABLE_NODES`` nodes a verdict on a graph is a sum of ``n`` byte-lane
-    ints (see :func:`illusion_possible`).  At (8, 2), in process on a
-    2-vCPU VM, a graph costs about 1.3 µs (0.6 µs of it the mask blocks)
-    and its verdict about 1.6 µs.  Empty when ``k*n`` is odd or
-    ``0 < n <= k``; on ``n = 0``, the one empty graph.
+    ``_TABLE_NODES`` nodes a verdict on a graph is a sum of its ``n``
+    packed flag rows (see :func:`illusion_possible`).  At (8, 2), in
+    process on a 2-vCPU VM, a graph costs about 1.3 µs (0.6 µs of it the
+    mask blocks) and its verdict about 1.6 µs.  Empty when ``k*n`` is odd
+    or ``0 < n <= k``; on ``n = 0``, the one empty graph.
     """
     if n > 10:
         raise PreconditionError(f"regular enumeration capped at 10 nodes, got {n}")

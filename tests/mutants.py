@@ -1,0 +1,156 @@
+"""A standing table of mutants: each row plants one small fault in a copy of
+``src/`` and runs the test files that should catch it.  A mutant that
+every listed test survives fails the script.
+
+    python tests/mutants.py
+
+Standard library only (the tests themselves need pytest), and pytest does
+not collect this file.  Each row's snippet must occur exactly once in its
+file, so a row left stale by a refactor fails loudly instead of planting
+nothing.  A row that runs past the timeout counts as killed, slowly, and
+is reported so.  The rows run one at a time, each in a fresh temporary
+directory, so no hypothesis example or pytest cache of a mutant reaches
+the checkout, and with a fixed hypothesis seed, so a row that is killed
+is killed on every run.  (Mutation testing: DeMillo, Lipton and Sayward, "Hints on
+Test Data Selection", IEEE Computer 1978.)
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/majority_illusion/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # files or test ids under tests/
+
+
+ORACLE = ("test_oracle.py",)
+COLORING = ("test_coloring.py",)
+ANALYSIS = ("test_analysis.py",)
+FILEFORMAT = ("test_fileformat.py",)
+
+MUTANTS = [
+    # the byte-lane start: a lane's bit 7 sets where its count reaches the threshold
+    Mutant("oracle.py", "(128 - least(n)) * lanes", "(127 - least(n)) * lanes", ORACLE),
+    Mutant("oracle.py", "(128 - least(n)) * lanes", "(129 - least(n)) * lanes", ORACLE),
+    # the illusion rules, stated once
+    Mutant("oracle.py", "c < (deg + 1) // 2 if strict", "c <= (deg + 1) // 2 if strict", ORACLE),
+    Mutant("oracle.py", "else c <= deg // 2", "else c < deg // 2", ORACLE),
+    Mutant("oracle.py", "(c + c != deg) & (not strict)", "(c + c == deg) & (not strict)", ORACLE),
+    # the majority-majority threshold
+    Mutant(
+        "oracle.py",
+        "MAJORITY_MAJORITY: (True, lambda n: n // 2 + 1)",
+        "MAJORITY_MAJORITY: (True, lambda n: n // 2)",
+        ORACLE,
+    ),
+    # the byte-lane verdict's gate, without the cap
+    Mutant("oracle.py", "if 0 < n <= _TABLE_NODES and n <= cap:", "if 0 < n <= _TABLE_NODES:", ORACLE),
+    # the swap loop's four lead compares, each shifted by one either way
+    Mutant("coloring.py", "if m <= 0:", "if m <= -1:", COLORING),
+    Mutant("coloring.py", "if m <= 0:", "if m <= 1:", COLORING),
+    Mutant("coloring.py", "elif m < 0:", "elif m < -1:", COLORING),
+    Mutant("coloring.py", "elif m < 0:", "elif m < 1:", COLORING),
+    Mutant("coloring.py", "if m > 0:", "if m > -1:", COLORING),
+    Mutant("coloring.py", "if m > 0:", "if m > 1:", COLORING),
+    Mutant("coloring.py", "elif m >= 0:", "elif m >= -1:", COLORING),
+    Mutant("coloring.py", "elif m >= 0:", "elif m >= 1:", COLORING),
+    # the bit-sliced kernel: the tree adder's odd row and the flag words' lead
+    Mutant("oracle.py", "if odd:", "if False:", ORACLE),
+    Mutant("oracle.py", "_words(lead > 0)", "_words(lead >= 0)", ORACLE),
+    # the cut scan's key: a row block's start above the column bits
+    Mutant("oracle.py", "(start << b) + pos", "(start << a) + pos", ORACLE),
+    # the classifier's class key, the q-window and the majority flag
+    Mutant(
+        "analysis.py",
+        "key = cg.red + 2 * cg.local_winner_codes + 6 * isolated",
+        "key = cg.red + 2 * cg.local_winner_codes",
+        ANALYSIS,
+    ),
+    Mutant("analysis.py", "return over > 0 and under > 0", "return over >= 0 and under > 0", ANALYSIS),
+    Mutant(
+        "analysis.py",
+        '"pq": strict * p.denominator > p.numerator * n',
+        '"pq": strict * p.denominator >= p.numerator * n',
+        ANALYSIS,
+    ),
+    # the bridge takes an open red node only
+    Mutant(
+        "construct.py",
+        "open_red = red[deg[red] < k]\n",
+        "open_red = red[deg[red] <= k]\n",
+        ("test_construct.py",),
+    ),
+    # the JSON id lists' indent, one space too many
+    Mutant(
+        "cli.py",
+        'head = "    " + opener',
+        'head = "     " + opener',
+        ("test_cli.py::test_construct_json_is_laid_out_as_json_dumps",),
+    ),
+    # the canonical reader's id range and edge cap, and the writer's digit places
+    Mutant("fileformat.py", "int(ids.max()) >= n", "int(ids.max()) > n", FILEFORMAT),
+    Mutant(
+        "fileformat.py",
+        "if lines > MAX_EDGES:",
+        "if lines > MAX_EDGES + 1:",
+        ("test_cli.py::test_canonical_text_past_the_edge_cap_is_refused_before_it_is_read",),
+    ),
+    Mutant("fileformat.py", "top = max(10 * low, 10)", "top = max(10 * low, 1)", FILEFORMAT),
+]
+
+
+def run(mutant: Mutant, work: Path) -> str:
+    """Plant ``mutant`` in a copy of ``src/`` under ``work`` and run its
+    tests with ``-x``: "killed", "killed, slowly", "survived", or what
+    else went wrong."""
+    src = work / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "majority_illusion" / mutant.file
+    text = path.read_text()
+    if (count := text.count(mutant.snippet)) != 1:
+        return f"stale: the snippet occurs {count} times"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    # pyproject's ``pythonpath`` would put the checkout's ``src`` first on
+    # the path: ``-o`` points it, and PYTHONPATH, at the copy
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    options = ["-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "-o", f"pythonpath={src}"]
+    command = [sys.executable, "-m", "pytest", *options, *(str(ROOT / "tests" / t) for t in mutant.tests)]
+    try:
+        done = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed, slowly"
+    return {0: "survived", 1: "killed"}.get(done.returncode, f"pytest exit {done.returncode}")
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+            verdict = run(mutant, Path(work))
+        failed += not verdict.startswith("killed")
+        print(
+            f"{verdict:<16} {time.perf_counter() - start:6.1f} s  {mutant.file}: "
+            f"{mutant.snippet!r} -> {mutant.replacement!r}",
+            flush=True,
+        )
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -277,15 +277,15 @@ ORACLE_PINS = [
     ("circulant 22 --offsets 1,2,5", MONO, "18 BBRBBRBBRBBRBBRBBRRBRR"),
     # the cut scan above 24 bits of mask, past the default cap
     ("cycle 26", f"{MONO} --cap 26", "0 " + "BR" * 13),
-    # the flag tables at 8 nodes or fewer, odd and even n
+    # the byte scan at 8 nodes or fewer, odd and even n
     ("cycle 7", STRICT, "2 BBRBRBR"),
     ("cycle 7", WEAK, "6 BBRBBRR"),
     ("circulant 8 --offsets 1,3", STRICT, "4 BBBRBRBR"),
     ("circulant 8 --offsets 1,3", WEAK, "8 BBBRBRRR"),
     ("cycle 8", STRICT, "2 BBBRBRBR"),
     ("cycle 8", WEAK, "8 BRBRBRBR"),
-    # strict optima beside a global tie: the flag table, a computed byte
-    # block with an 8-6 split, then the bit-sliced scan
+    # strict optima beside a global tie: the byte scan at 8 nodes and at 14
+    # with an 8-6 split, then the bit-sliced scan
     ("complete 8", STRICT, "0 BBBBBBBB"),
     ("circulant 8 --offsets 4", STRICT, "3 BBBBBRRR"),
     ("circulant 14 --offsets 7", STRICT, "6 BBBBBBBBRRRRRR"),

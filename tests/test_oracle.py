@@ -144,8 +144,8 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
     every graph with up to 5 nodes, and the corpus has optima whose
     smallest string lies outside the first block holding an optimum, so
     the cross-block tie-break is exercised.  The byte-optimum scans and a
-    verdict with no hit read every block, so no table of the whole half
-    space stands in for the split."""
+    verdict with no hit read every block: with the flag rows switched off,
+    no table of the whole half space stands in for the split."""
     corpus = list(atlas_graphs(5)) + [cycle_graph(6), complete_graph(6)]
     half_blocks = oracle_module._half_blocks
     scanned = []
@@ -157,6 +157,7 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
             yield block
 
     monkeypatch.setattr(oracle_module, "_half_blocks", counted)
+    monkeypatch.setattr(oracle_module, "_TABLE_NODES", 0)
     for bits in (0, 3, 4):
         monkeypatch.setattr(oracle_module, "_CHUNK_BITS", bits)
         for g in (cycle_graph(6), complete_graph(6)):
@@ -229,45 +230,35 @@ def _side(red, total):
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "weak"])
 def test_flag_tables_match_a_popcount_recount(strict):
-    """Each flag says whether a node with neighbour bitset ``x`` is under
-    illusion at a representative: its local and global sides differ, and
-    for strict illusion neither is a tie.  Even ``n`` has tied columns,
-    which strict tables leave out: nobody is under strict illusion there."""
+    """Byte ``j`` of a packed flag row says whether a node with neighbour
+    bitset ``x`` is under illusion at representative ``j``: its local and
+    global sides differ, and for strict illusion neither is a tie.  A row
+    has a lane per half-space representative, and the lane int a 1 in
+    each; even ``n`` has ``C(n - 1, n / 2)`` tied representatives, which
+    strict rows leave out: nobody is under strict illusion there."""
     for n in range(1, oracle_module._TABLE_NODES + 1):
         reps, free = oracle_module._half_table(n)
         if strict:
             reps = reps[:free]
-        table = oracle_module._flag_table(n, strict)
-        for x in range(1 << n):
+        rows, lanes = oracle_module._flag_rows(n, strict)
+        tied = comb(n - 1, n // 2) if strict and n % 2 == 0 else 0
+        width = (1 << (n - 1)) - tied
+        assert len(reps) == width and len(rows) == 1 << n
+        assert lanes.to_bytes(width, "little") == b"\x01" * width
+        for x, row in enumerate(rows):
             want = []
             for rep in reps.tolist():
                 local = _side((x & rep).bit_count(), x.bit_count())
                 side = _side(rep.bit_count(), n)
                 want.append(int(local != side and not (strict and local * side == 0)))
-            assert table[x].tolist() == want, (n, x)
+            assert list(row.to_bytes(width, "little")) == want, (n, x)
 
 
-def test_flag_tables_are_small_and_read_only():
-    """A table has a row per neighbour bitset and a column per half-space
-    representative, less the ``C(n - 1, n / 2)`` tied ones of a strict
-    table at even ``n``."""
-    total = 0
-    for n in range(1, oracle_module._TABLE_NODES + 1):
-        for strict in (True, False):
-            table = oracle_module._flag_table(n, strict)
-            tied = comb(n - 1, n // 2) if strict and n % 2 == 0 else 0
-            assert table.shape == (1 << n, (1 << (n - 1)) - tied)
-            assert table.dtype == np.uint8
-            assert not table.flags.writeable
-            total += table.nbytes
-    assert total == 77_728 < 80_000
-
-
-def test_verdicts_and_illusion_optima_read_the_flag_tables_up_to_8_nodes(monkeypatch):
+def test_verdicts_read_the_flag_rows_and_optima_the_kernel_up_to_8_nodes(monkeypatch):
     """With the popcount kernel refused, every verdict on the labeled
-    2-regular graphs of 8 nodes and the strict and weak optima of 8-node
-    graphs come from the tables, and equal the computed counts; a 9-node
-    graph reaches the kernel."""
+    2-regular graphs of 8 nodes comes from the packed flag rows and equals
+    the computed one.  The strict and weak optima of 8-node graphs, and a
+    9-node verdict, reach the kernel; the optima equal the full scan's."""
     enumerated = list(enumerate_regular(8, 2))
     corpus = [
         cycle_graph(8),
@@ -280,22 +271,27 @@ def test_verdicts_and_illusion_optima_read_the_flag_tables_up_to_8_nodes(monkeyp
     with monkeypatch.context() as computed:
         computed.setattr(oracle_module, "_TABLE_NODES", 0)
         verdicts = [any(illusion_possible(h, kind) for h in enumerated) for kind in kinds]
-        optima = [best_coloring(g, objective) for g in corpus for objective in illusions]
     for strict in (True, False):
-        oracle_module._flag_table(8, strict)  # built on first use, by the kernel
+        oracle_module._flag_rows(8, strict)  # built on first use, by the kernel
 
     def refuse(*args):
         raise AssertionError("the popcount kernel was reached")
 
-    monkeypatch.setattr(oracle_module, "_red_neighbors", refuse)
-    assert [any(illusion_possible(h, kind) for h in enumerated) for kind in kinds] == verdicts
-    assert verdicts == [False, False, True, True, False, True]
-    assert [best_coloring(g, objective) for g in corpus for objective in illusions] == optima
-    for objective in illusions:
+    with monkeypatch.context() as refused:
+        refused.setattr(oracle_module, "_red_neighbors", refuse)
+        assert [any(illusion_possible(h, kind) for h in enumerated) for kind in kinds] == verdicts
+        for g in corpus:
+            for objective in illusions:
+                with pytest.raises(AssertionError, match="kernel"):
+                    best_coloring(g, objective)
         with pytest.raises(AssertionError, match="kernel"):
-            best_coloring(cycle_graph(9), objective)
-    with pytest.raises(AssertionError, match="kernel"):
-        illusion_possible(cycle_graph(9), IllusionKind.MAJORITY_MAJORITY)
+            illusion_possible(cycle_graph(9), IllusionKind.MAJORITY_MAJORITY)
+    assert verdicts == [False, False, True, True, False, True]
+    for g in corpus:
+        best, _ = _reference(g)
+        for objective in illusions:
+            mask, score, _ = best[objective]
+            assert best_coloring(g, objective) == (coloring_from_mask(mask, g.n), score)
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,18 +317,6 @@ def test_byte_lane_verdicts_match_the_computed_counts(g):
         monkeypatch.setattr(oracle_module, "_TABLE_NODES", 0)
         computed = [illusion_possible(g, kind) for kind in kinds]
     assert [illusion_possible(g, kind) for kind in kinds] == computed
-
-
-def test_flag_rows_pack_the_flag_tables():
-    """Byte ``j`` of a packed row is the table row's flag at representative
-    ``j``, and the lane int has a 1 in every byte, one per column."""
-    for n in range(1, oracle_module._TABLE_NODES + 1):
-        for strict in (True, False):
-            table = oracle_module._flag_table(n, strict)
-            rows, lanes = oracle_module._flag_rows(n, strict)
-            width = table.shape[1]
-            assert [list(r.to_bytes(width, "little")) for r in rows] == table.tolist()
-            assert lanes.to_bytes(width, "little") == b"\x01" * width
 
 
 def _choose_path(monkeypatch, sliced):
