@@ -6,24 +6,27 @@ red node to just over ``k/2`` blue nodes (round-robin), tops the blue side
 up with a pairing pass, and finishes each color class with circulant
 subgraphs plus an exact pairing of the odd-parity leftovers.
 
-The edge set is a sorted int64 array of keys ``u * n + v`` with ``u < v``.
-Every stage reads it and returns only the sorted keys it adds, and one
-call, :meth:`ConstructionReport.add`, merges and records them.  The
-round-robin edges have a closed form, the circulants are one broadcast
-table of (position, offset) partners, the complete bipartite core of
-:func:`fast_construct` is a ``repeat`` and a ``tile``, and the bridge's
-candidates are one mask.  New keys are deduplicated by sorting, probed
-against the array in that sorted order, and merged into it by a stable
-sort of the two runs, which timsort merges in one pass; each degree pass
-is one search for the row starts plus one ``bincount``.  Two loops stay
-scalar because each choice depends on the last: the blue top-up (one pass
-over the blue nodes) and the pairing of the odd-parity leftovers (about
-``n/4`` open ends), which tests adjacency in one set of the edges between
-its open ends.  The pairing is an iterative depth-first search with an
-explicit undo stack, so it runs at any size; no stage has a fallback path,
-because none is reachable on a feasible input (the proofs are in
-CHANGES.md).  Every stage validates its degree accounting and the final
-product is re-checked for simplicity, regularity, and the
+The edge set is a sorted array of keys ``u * n + v`` with ``u < v``, at
+the graph's key width: uint32 below 2^16 nodes, where every key fits, and
+int64 from there on (:func:`~majority_illusion.graphs._key_dtype`).
+Every stage reads it and returns only the sorted keys it adds, at that
+width, and one call, :meth:`ConstructionReport.add`, merges and records
+them.  The round-robin edges are a ``tile`` of the red nodes against two
+cyclic runs of the blue ones, each circulant is one run of ``(position,
+position + step)`` pairs per step, taken once from the lower position,
+the complete bipartite core of :func:`fast_construct` is a ``repeat`` and
+a ``tile``, and the bridge's candidates are one mask.  New keys are
+sorted, probed against the array in that sorted order, and merged into it
+by a stable sort of the two runs, which timsort merges in one pass; each
+degree pass is one search for the row starts plus one ``bincount``.  Two
+loops stay scalar because each choice depends on the last: the blue
+top-up (one pass over the blue nodes) and the pairing of the odd-parity
+leftovers (about ``n/4`` open ends), which tests adjacency in one set of
+the edges between its open ends.  The pairing is an iterative depth-first
+search with an explicit undo stack, so it runs at any size; no stage has
+a fallback path, because none is reachable on a feasible input (the
+proofs are in CHANGES.md).  Every stage validates its degree accounting
+and the final product is re-checked for simplicity, regularity, and the
 majority-majority flag; any violation raises
 :class:`InternalInvariantError` rather than returning a wrong witness.
 """
@@ -41,11 +44,13 @@ from .analysis import IllusionKind, classify_network
 from .coloring import WINNER_CODES, ColoredGraph, Winner
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
-from .graphs import MAX_NODES, _csr_graph, _key_rows, _sorted_unique, check_size
+from .graphs import MAX_NODES, _csr_graph, _key_dtype, _key_rows, check_size
 from .graphs import make_graph  # noqa: F401  (perfbench looks it up here)
 
-_NO_EDGES = np.empty(0, dtype=np.int64)
-_NO_EDGES.flags.writeable = False
+
+def _no_edges(n: int) -> np.ndarray:
+    """No keys, at the key width of a graph on ``n`` nodes."""
+    return np.empty(0, dtype=_key_dtype(n))
 
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -72,8 +77,8 @@ def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
 def _merge(keys: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """The sorted union of ``keys`` and the sorted keys ``fresh``, which
-    none of ``keys`` repeats.  A stable sort of int64 is timsort, which
-    finds the two sorted runs and merges them in one pass."""
+    none of ``keys`` repeats.  A stable sort of 32- or 64-bit keys is
+    timsort, which finds the two sorted runs and merges them in one pass."""
     if not (len(keys) and len(fresh)):
         return keys if len(keys) else fresh
     out = np.concatenate((keys, fresh))
@@ -136,7 +141,13 @@ class ConstructionReport:
     validated: bool = False
 
     def add(self, keys: np.ndarray, stage: str, fresh: np.ndarray, **extra) -> np.ndarray:
-        """Record ``stage`` as adding the sorted keys ``fresh``; merge them into ``keys``."""
+        """Record ``stage`` as adding the sorted keys ``fresh``; merge them into
+        ``keys``.  Fresh keys wider or narrower than the graph's key width
+        raise, so no stage widens the edge set unseen."""
+        if len(fresh) and fresh.dtype != _key_dtype(self.n):
+            raise InternalInvariantError(
+                f"stage {stage} returned {fresh.dtype} keys on {self.n} nodes"
+            )
         self.stages.append({"stage": stage, "edges_added": len(fresh), **extra})
         return _merge(keys, fresh)
 
@@ -145,24 +156,33 @@ class ConstructionReport:
 
 
 def add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -> np.ndarray:
-    """The sorted keys that give every red node its blue quota, round-robin.
+    """The sorted keys that give every red node its blue quota, round-robin,
+    at the key width of a graph on ``n`` nodes.
 
     Pick ``i`` joins red node ``i % |R|`` to blue node ``(x + i) % |B|``,
     where the offset ``x`` is 0 until the first repeated pair and 1 from
     there on.  Distinct nodes repeat a pair first at ``i = lcm(|R|, |B|)``,
-    so ``x = [i >= lcm(|R|, |B|)]``.  A pick that repeats an earlier one
-    after the shift cannot happen on a feasible input and raises, naming
-    the red node of the first such pick.
+    so ``x = [i >= lcm(|R|, |B|)]``: the red picks are ``|R|`` laps of
+    ``red``, the blue ones laps of ``blue`` up to that pick and laps of
+    ``blue`` rotated by one from it on (the lcm is a whole number of
+    laps).  A pick that repeats an earlier one after the shift cannot
+    happen on a feasible input and raises, naming the red node of the
+    first such pick.
     """
-    red = np.asarray(red, dtype=np.int64)
-    blue = np.asarray(blue, dtype=np.int64)
-    i = np.arange(len(red) * _blue_quota(k), dtype=np.int64)
-    shift = i >= lcm(len(red), len(blue))
-    picks = _edge_keys(red[i % len(red)], blue[(i + shift) % len(blue)], n)
-    order = np.argsort(picks, kind="stable")
-    ordered = picks[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]
-    if len(repeats):
+    dtype = _key_dtype(n)
+    red = np.asarray(red, dtype=dtype)
+    blue = np.asarray(blue, dtype=dtype)
+    quota = _blue_quota(k)
+    count = len(red) * quota
+    unshifted = min(lcm(len(red), len(blue)), count)
+    blue_picks = np.concatenate(
+        (np.resize(blue, unshifted), np.resize(np.roll(blue, -1), count - unshifted))
+    )
+    picks = _edge_keys(np.tile(red, quota), blue_picks, n)
+    ordered = np.sort(picks)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(picks, kind="stable")
+        repeats = order[1:][picks[order[1:]] == picks[order[:-1]]]
         raise InternalInvariantError(
             f"red node {int(red[repeats.min() % len(red)])} collides again after the shift"
         )
@@ -172,18 +192,19 @@ def add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -
 def add_extra_blue_edges(
     keys: np.ndarray, n: int, blue: Sequence[int], k: int, k_blue: int
 ) -> np.ndarray:
-    """The sorted keys pairing up blue nodes with more than ``k_blue`` open ends.
+    """The sorted keys pairing up blue nodes with more than ``k_blue`` open
+    ends, at the key width of a graph on ``n`` nodes.
 
     Blue nodes are visited in ascending degree (most missing edges first);
     each is joined to its cyclic successor when both sit below
     ``k - k_blue`` and are not yet adjacent.  In the odd-leftover case one
     blue node stays one edge short for the caller to absorb.
     """
-    blue = np.asarray(blue, dtype=np.int64)
+    blue = np.asarray(blue, dtype=_key_dtype(n))
     deg = _degree_counts(keys, n)
     order = blue[np.lexsort((blue, deg[blue]))]
     if len(order) < 2:
-        return _NO_EDGES
+        return _no_edges(n)
     successor = np.roll(order, -1)
     pairs = _edge_keys(order, successor, n)
     adjacent = _contains(keys, pairs).tolist()
@@ -197,13 +218,14 @@ def add_extra_blue_edges(
             added.add(key)
             deg[node] += 1
             deg[nxt] += 1
-    return np.array(sorted(added), dtype=np.int64)
+    return np.array(sorted(added), dtype=_key_dtype(n))
 
 
 def add_regular_subgraph(
     keys: np.ndarray, n: int, nodes: Sequence[int], k_sub: int
 ) -> np.ndarray:
-    """The sorted keys of a circulant ``k_sub``-regular graph on ``nodes`` (in list order).
+    """The sorted keys of a circulant ``k_sub``-regular graph on ``nodes`` (in
+    list order), at the key width of a graph on ``n`` nodes.
 
     Each node connects around the position opposite its own: the antipodal
     node first when the count is even and ``k_sub`` odd, then offsets
@@ -212,15 +234,16 @@ def add_regular_subgraph(
     A collision with an edge already in ``keys`` raises
     :class:`InternalInvariantError`, naming the first in that order.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=_key_dtype(n))
     m = len(nodes)
     if k_sub == 0:
-        return _NO_EDGES
+        return _no_edges(n)
     if k_sub < 0 or k_sub >= m:
         raise PreconditionError(f"subgraph degree {k_sub} invalid for {m} nodes")
-    # Each edge is in the table from both ends; the sorted distinct keys
-    # are both the probe and the keys returned.
-    fresh = _sorted_unique(_circulant_table(n, nodes, k_sub))
+    # The sorted keys, each edge once, are both the probe and the keys
+    # returned; only a collision needs the loop order.
+    fresh = _circulant_half(n, nodes, k_sub)
+    fresh.sort()
     if _contains(keys, fresh).any():
         table = _circulant_table(n, nodes, k_sub)
         u, v = divmod(int(table[_contains(keys, table).argmax()]), n)
@@ -230,17 +253,33 @@ def add_regular_subgraph(
 
 def _circulant_table(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
     """The keys of :func:`add_regular_subgraph`'s edges in its loop order:
-    by node position, then by partner."""
+    by node position, then by partner.  Each edge is in it from both ends."""
     m = len(nodes)
-    # Partners as doubled offsets from the doubled opposite position: the
-    # antipode (0), then -2i+1 and +2i for each i, halved after the sum.
+    positions = np.arange(m, dtype=np.int64)[:, None] + _circulant_steps(m, k_sub)
+    return _edge_keys(nodes[:, None], nodes[positions % m], n).ravel()
+
+
+def _circulant_steps(m: int, k_sub: int) -> np.ndarray:
+    """Position ``p``'s partners are ``(p + s) % m`` for these steps ``s``, in
+    loop order.  As doubled offsets from the doubled opposite position
+    ``2p + m``: the antipode (0), then -2i+1 and +2i for each i, halved
+    after the sum."""
     i = np.arange(1, k_sub // 2 + 1, dtype=np.int64)
     offsets = np.stack((1 - 2 * i, 2 * i), axis=1).ravel()
     if m % 2 == 0 and k_sub % 2 == 1:
         offsets = np.concatenate(([0], offsets))
-    opposite = 2 * np.arange(m, dtype=np.int64)[:, None] + m
-    partners = nodes[((opposite + offsets) // 2) % m]
-    return _edge_keys(nodes[:, None], partners, n).ravel()
+    return (m + offsets) // 2 % m
+
+
+def _circulant_half(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
+    """The distinct keys of :func:`_circulant_table`, unsorted: each edge
+    once, from the lower of its two positions.  The steps are distinct, in
+    ``1..m-1`` and closed under ``s -> m - s``, so every edge is one pair
+    ``(p, p + s)`` with ``p + s < m``: a run of ``m - s`` pairs per step."""
+    m = len(nodes)
+    steps = _circulant_steps(m, k_sub).tolist()
+    runs = (_edge_keys(nodes[: m - s], nodes[s:], n) for s in steps)
+    return np.concatenate([_no_edges(n), *runs])
 
 
 def _realize_deficits(
@@ -304,7 +343,7 @@ def _realize_deficits(
             if deg[w] < k:
                 insort(open_ends, (k - deg[w], -w))
         start = len(open_ends) - 2
-    return np.array(sorted(key(u, v) for u, v in chosen), dtype=np.int64)
+    return np.array(sorted(key(u, v) for u, v in chosen), dtype=_key_dtype(n))
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:
@@ -352,7 +391,7 @@ def _bridge(
         raise InternalInvariantError(f"no red node left to bridge blue node {bridged_blue}")
     bridged_red = int(candidates[0])
     deg[[bridged_red, bridged_blue]] += 1
-    return _edge_keys(np.array([bridged_red]), bridged_blue, n)
+    return _edge_keys(np.array([bridged_red], dtype=_key_dtype(n)), bridged_blue, n)
 
 
 def _validate_colored_regular(cg: ColoredGraph, n: int, k: int, n_red: int) -> None:
@@ -410,11 +449,11 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
     """
     plan = _require_feasible(n, k)
     report = ConstructionReport(n=n, k=k, fast=False)
-    red = np.arange(plan.n_red, dtype=np.int64)
-    blue = np.arange(plan.n_red, n, dtype=np.int64)
+    red = np.arange(plan.n_red, dtype=_key_dtype(n))
+    blue = np.arange(plan.n_red, n, dtype=_key_dtype(n))
 
     initial = add_initial_edges(n, blue, red, k)
-    keys = report.add(_NO_EDGES, "initial-bipartite", initial, per_red=plan.blue_target)
+    keys = report.add(_no_edges(n), "initial-bipartite", initial, per_red=plan.blue_target)
     deg = _degree_counts(keys, n)
     bad = red[deg[red] != plan.blue_target].tolist()
     if bad:
@@ -479,10 +518,10 @@ def fast_construct_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionRep
         )
     plan = _require_feasible(n, k)
     report = ConstructionReport(n=n, k=k, fast=True)
-    red = np.arange(plan.n_red, dtype=np.int64)
-    blue = np.arange(plan.n_red, n, dtype=np.int64)
+    red = np.arange(plan.n_red, dtype=_key_dtype(n))
+    blue = np.arange(plan.n_red, n, dtype=_key_dtype(n))
     core = np.repeat(red, plan.n_blue) * n + np.tile(blue, plan.n_red)
-    keys = report.add(_NO_EDGES, "complete-bipartite", core)
+    keys = report.add(_no_edges(n), "complete-bipartite", core)
     keys = _add_circulants(report, keys, n, (
         ("red-circulant", red, k - plan.n_blue, True),
         ("blue-circulant", blue, k - plan.n_red, True),

@@ -13,8 +13,8 @@ with ``u < v``), so write/read/write round-trips are byte-identical.  The
 colors line is read into a bool column (:attr:`ColoredGraph.red`) by one
 byte compare.  The reader takes a text in the canonical layout (one space
 inside each edge line, no comments or blank lines, every id below ``n``) as
-one int64 array: one ``translate`` checks the layout and one text-mode
-``np.fromstring`` reads the ids.  Any other text goes through a
+one int64 array: one ``bytes.translate`` checks the layout and one
+text-mode ``np.fromstring`` reads the ids.  Any other text goes through a
 line-by-line reader, which names the line of the first fault.  Node
 counts are ASCII digits.  Both readers refuse a text of more than
 :data:`~majority_illusion.graphs.MAX_EDGES` edge lines before they build
@@ -32,8 +32,6 @@ import numpy as np
 from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_from_word
 from .errors import FormatError, GraphError
 from .graphs import MAX_EDGES, Graph, check_size, make_graph
-
-_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def parse_graph_text(text: str) -> tuple[Graph, np.ndarray | None]:
@@ -55,8 +53,10 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray | None, np.ndarray] | N
     """Header, colors and edge pairs of a text in the writer's layout;
     ``None`` for any other text, valid or not."""
     # The header and colors lines are found by offset, so the body is
-    # copied out of the text once.
-    if not text.startswith("n "):
+    # copied out of the text once, as bytes.  A text with any non-ASCII
+    # character (a digit such as ``٣`` among them) goes to the line reader;
+    # ``str.isascii`` reads a flag of the string, not its characters.
+    if not (text.isascii() and text.startswith("n ")):
         return None
     end = _line_end(text, 0)
     count = text[2:end]
@@ -72,12 +72,12 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray | None, np.ndarray] | N
             return None
         colors = red_from_word(word)
         start = end + 1
-    body = text[start:]
-    # Without its ASCII digits the body reads " \n" once per line, and it
-    # ends at a line end: then two ids a line leave no line short.
-    separators = body.translate(_DIGITS)
+    body = text[start:].encode("ascii")
+    # Without its digits the body reads " \n" once per line, and it ends at
+    # a line end: then two ids a line leave no line short.
+    separators = body.translate(None, b"0123456789")
     lines = len(separators) // 2
-    if separators != " \n" * lines or body[-1:] not in ("", "\n"):
+    if separators != b" \n" * lines or body[-1:] not in (b"", b"\n"):
         return None
     if lines > MAX_EDGES:
         raise FormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")

@@ -31,8 +31,9 @@ MAX_NODES = 1 << 18
 # before the first edge is built.  gen complete 2000 (1 999 000 edges)
 # takes about 0.3 s and 190 MB at peak on the same VM.
 MAX_EDGES = 1 << 22
-# make_graph sorts its edge keys ``u * n + v`` as uint32 below this many
-# nodes (every key is then below 2^32) and as int64 from it on.
+# Edge keys ``u * n + v`` are uint32 below this many nodes (every key is
+# then below 2^32) and int64 from it on: make_graph sorts them at that
+# width, and every construction stage builds them at it.
 _NARROW_KEYS_BELOW = 1 << 16
 
 
@@ -189,9 +190,8 @@ def _csr_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     ``0..n-1`` and no self-loops, which are not checked here; duplicate
     pairs collapse to one edge."""
     # Each edge as a key ``row * n + neighbour`` from each end, sorted: rows,
-    # then neighbours.  Below 2^16 nodes every key fits in uint32, which
-    # sorts in about half the time of int64.
-    dtype = np.uint32 if n < _NARROW_KEYS_BELOW else np.int64
+    # then neighbours.  Narrow keys sort in about half the time of int64.
+    dtype = _key_dtype(n)
     u, v, m = u.astype(dtype, copy=False), v.astype(dtype, copy=False), len(u)
     keys = np.empty(2 * m, dtype=dtype)
     np.multiply(u, n, out=keys[:m])
@@ -202,6 +202,12 @@ def _csr_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     indptr, row_starts = _key_rows(keys, n)
     keys -= row_starts  # in place: the neighbours
     return Graph(n, indptr, keys.astype(np.int64, copy=False))
+
+
+def _key_dtype(n: int) -> type:
+    """The dtype of the edge keys ``u * n + v`` on ``n`` nodes: uint32 below
+    :data:`_NARROW_KEYS_BELOW` nodes, int64 from there on."""
+    return np.uint32 if n < _NARROW_KEYS_BELOW else np.int64
 
 
 def _key_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +223,7 @@ def _key_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys``, ascending; ``keys`` is sorted in
     place.  A sort and one comparison of neighbours, which at millions of
-    int64 keys beats ``np.unique``'s hash path."""
+    keys beats ``np.unique``'s hash path."""
     keys.sort()
     fresh = np.empty(len(keys), dtype=bool)
     fresh[:1] = True

@@ -87,6 +87,16 @@ MUTANTS = [
         '"pq": strict * p.denominator >= p.numerator * n',
         ANALYSIS,
     ),
+    # the edge-key width: uint32 keys overflow from 65 537 nodes on
+    Mutant(
+        "graphs.py",
+        "_NARROW_KEYS_BELOW = 1 << 16",
+        "_NARROW_KEYS_BELOW = 1 << 17",
+        (
+            "test_construct.py::test_initial_edges_round_robin_spread",
+            "test_cli.py::test_every_ci_digest_replays_in_process[construct 65537 6]",
+        ),
+    ),
     # the bridge takes an open red node only
     Mutant(
         "construct.py",

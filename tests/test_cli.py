@@ -337,6 +337,15 @@ DIGEST_PINS = [
         "out": "54d5373115dac8b45b3a878e4b2a937c096b67cf028d0a90b6b3803599c3f917",
         "err": "cf943db39570441c186887e59e2815370ccc418f5583231e310c4f51e4c6cadd",
     }),
+    # both sides of the key width: uint32 edge keys, then int64
+    ("construct 65535 6", "", 0, {
+        "out": "cda2af6a2eb78563b4b2b4d4b0336ac38c7e09993aa194497a60933738bc49ee",
+        "err": "d8a02a69e77b023959877acdde5efa7a0d65ff277d388b7fc3563a3eb3ebb09e",
+    }),
+    ("construct 65537 6", "", 0, {
+        "out": "313dcb0831fabbd2914392bf9df15abcbe6facf0731c8c1b2e23b4e72f8d97bc",
+        "err": "b75e5a81f25c44a3debe8ceb5b2bdaca402d241138a2e5de6b397bb222abf1d7",
+    }),
     # the seeded colour pipeline, the all-red swap loop and the status columns
     (SEEDED, "", 0, {
         "out": "5d9a7f2d02f5ca929372f19748924d9422b7cddafabbbbff86f9f0156194ae8d",

@@ -27,7 +27,7 @@ from majority_illusion import (
     regular_exists,
 )
 from majority_illusion.construct import _bridge, _realize_deficits, _validate_colored_regular
-from majority_illusion.graphs import MAX_NODES
+from majority_illusion.graphs import _NARROW_KEYS_BELOW, MAX_NODES, _key_dtype
 from reference_construct import _norm
 
 NO_EDGES = np.empty(0, dtype=np.int64)
@@ -111,10 +111,17 @@ def test_plan_odd_n():
 def test_initial_edges_round_robin_spread():
     red, blue = list(range(7)), list(range(7, 12))
     keys = add_initial_edges(12, blue, red, 6)
-    assert keys.dtype == np.int64 and len(keys) == 28
+    assert keys.dtype == _key_dtype(12) == np.uint32 and len(keys) == 28
     deg = degrees_of(keys, 12)
     assert all(deg[r] == 4 for r in red)
     assert sorted(deg[b] for b in blue) == [5, 5, 6, 6, 6]
+    # the same picks on the top 12 ids of a graph past the narrow width,
+    # whose keys are above 2^32
+    n = _NARROW_KEYS_BELOW + 1
+    top = n - 12
+    wide = add_initial_edges(n, [top + b for b in blue], [top + r for r in red], 6)
+    assert wide.dtype == _key_dtype(n) == np.int64
+    assert edges_of(wide, n) == {(top + u, top + v) for u, v in edges_of(keys, 12)}
 
 
 def test_initial_edges_odd_degree_quota():
@@ -467,19 +474,21 @@ def test_fast_construction_matches_the_set_based_builder():
 
 def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypatch):
     """Checked on the stage functions themselves, not against the
-    set-based builder: on every pair the builder comparisons walk, each
-    stage returns sorted, distinct int64 keys that are not in the edge set
-    it was given, and the stages' ``edges_added`` sum to the ``n * k / 2``
-    edges of the witness."""
+    set-based builder: on every pair the builder comparisons walk, and on
+    one past the narrow key width that takes every stage, each stage
+    returns sorted, distinct keys at the graph's key width that are not in
+    the edge set it was given, and the stages' ``edges_added`` sum to the
+    ``n * k / 2`` edges of the witness."""
     faults, called = [], set()
 
     def checked(name, stage):
         def wrapper(*args):
             fresh = stage(*args)
             called.add(name)
-            given = NO_EDGES if name == "add_initial_edges" else args[0]
+            initial = name == "add_initial_edges"
+            given, n = (NO_EDGES, args[0]) if initial else args[:2]
             sorted_distinct = bool(np.all(fresh[1:] > fresh[:-1]))
-            if fresh.dtype != np.int64 or not sorted_distinct or np.isin(fresh, given).any():
+            if fresh.dtype != _key_dtype(n) or not sorted_distinct or np.isin(fresh, given).any():
                 faults.append((name, fresh.tolist(), given.tolist()))
             return fresh
 
@@ -491,6 +500,8 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
         monkeypatch.setattr(construct, name, checked(name, getattr(construct, name)))
     builds = [(construct.construct_regular_illusion_report, n, k) for n, k in feasible_pairs(60)]
     builds += [(construct.fast_construct_report, n, k) for n, k in fast_pairs(102)]
+    # int64 keys: the short red circulant, the bridge and both pairings
+    builds.append((construct.construct_regular_illusion_report, _NARROW_KEYS_BELOW + 4, 8))
     miscounted = []
     for build, n, k in builds:
         _, report = build(n, k)
@@ -508,6 +519,24 @@ def test_initial_edges_match_the_set_based_round_robin(r, b, k, data):
     pick repeats an earlier one it names the same red node."""
     n = r + b
     ids = data.draw(st.permutations(range(n)))
+    red, blue = ids[:r], ids[r:]
+    try:
+        expected = ref.add_initial_edges(set(), blue, red, k)
+    except InternalInvariantError as exc:
+        with pytest.raises(InternalInvariantError) as new:
+            add_initial_edges(n, blue, red, k)
+        assert str(new.value) == str(exc)
+    else:
+        assert edges_of(add_initial_edges(n, blue, red, k), n) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 20), st.integers(1, 30), st.data())
+def test_initial_edges_on_scattered_ids_match_the_set_based_round_robin(r, b, k, spare, data):
+    """Red and blue lists in shuffled order, over ids with gaps between
+    them: the laps of the closed form follow list order, not id order."""
+    n = r + b + spare
+    ids = data.draw(st.permutations(range(n)))[: r + b]
     red, blue = ids[:r], ids[r:]
     try:
         expected = ref.add_initial_edges(set(), blue, red, k)
@@ -560,6 +589,20 @@ def test_circulant_matches_the_set_based_circulant(m, spare, data):
     else:
         fresh = add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
         assert edges_of(fresh, n) == expected - existing
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 5), st.data())
+def test_circulant_half_is_the_table_once_per_edge(m, spare, data):
+    """The one-sided runs hold each distinct key of the two-sided table
+    exactly once, for any node count, degree and node order."""
+    n = m + spare
+    nodes = np.array(data.draw(st.permutations(range(n)))[:m], dtype=_key_dtype(n))
+    k_sub = data.draw(st.integers(1, m - 1))
+    half = construct._circulant_half(n, nodes, k_sub)
+    table = construct._circulant_table(n, nodes, k_sub)
+    assert half.dtype == table.dtype == _key_dtype(n)
+    assert sorted(half.tolist()) == sorted(set(table.tolist()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -366,6 +366,27 @@ def test_array_path_edge_cases_match_the_line_reader(text, fast):
         _assert_read_as_the_line_reader_reads(text)
 
 
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("n 4\n0 ٣\n1 2\n", ((0, 3), (1, 2))),  # int() reads ٣ as 3
+        ("n 4\ncolors RRBB\n٣ 1\n", ((1, 3),)),
+        ("n 3\n0 ٣\n", "edge (0, 3) uses a node id outside 0..2"),
+    ],
+)
+def test_a_non_ascii_digit_in_the_body_goes_to_the_line_reader(text, outcome):
+    """The byte layout check sends a body that is not ASCII to the line
+    reader, which reads it as it did before that check: the same edges,
+    or the same message."""
+    assert _parse_canonical(text) is None
+    if isinstance(outcome, str):
+        with pytest.raises(FormatError) as exc:
+            parse_graph_text(text)
+        assert str(exc.value) == outcome
+    else:
+        assert parse_graph_text(text)[0].edges == outcome
+
+
 @given(colored_graphs(max_n=12, min_n=0), st.booleans())
 def test_writer_output_takes_the_array_path(cg, with_colors):
     text = write_graph(cg.graph, cg.colors if with_colors else None)
