@@ -152,20 +152,23 @@ def _json_list(rows: list[str]) -> str:
     return "".join(rows)
 
 
+def _node_ids(n: int) -> list[str]:
+    """The texts of node ids ``0 .. n - 1``, from the edge-list writer's name words."""
+    return _name_words(n)[0].tobytes().translate(None, b"\0").decode("ascii").split()
+
+
 def _json_id_rows(n: int, *columns: np.ndarray) -> str:
-    """The rows of node ids ``zip(*columns)`` as :func:`_json_list` lays
-    them out: bare ids for one column, ``[u, v]`` lists for two.  Each
-    column's ids come from a per-node table of names with their
-    punctuation."""
+    """``zip(*columns)`` as :func:`_json_list` rows: bare ids, or ``[u, v]`` lists for two."""
     if not len(columns[0]):
         return "[]"
     width = len(columns)
     opener, closer = ("[\n      ", "\n    ]") if width > 1 else ("", "")
     rows = np.empty((len(columns[0]), width), dtype=object)
+    ids = _node_ids(n)
     for j, column in enumerate(columns):
         head = "    " + opener if j == 0 else ""
         tail = ",\n      " if j < width - 1 else closer + ",\n"
-        names = np.array([f"{head}{i}{tail}" for i in range(n)], dtype=object)
+        names = np.array([f"{head}{i}{tail}" for i in ids], dtype=object)
         rows[:, j] = names[column]
     return _json_list(rows.ravel().tolist())
 
@@ -238,15 +241,12 @@ _NODE_MARK = -1
 
 
 def _agent_rows(columns: StatusColumns, render: Callable[[AgentStatus], str]) -> list[str]:
-    """``render(status)`` for every agent, as pieces to be joined once: each
-    class's status is rendered once and split at the node id into a prefix
-    and a suffix, and the rows are laid out as (prefix, id, suffix) pieces.
-    The ids come from the edge-list writer's name words."""
+    """``render(status)`` for every agent as (prefix, id, suffix) pieces, to
+    be joined once: each class's status is rendered once, split at the id."""
     templates = [render(replace(s, node=_NODE_MARK)) for s in columns.statuses]
     table = np.array([t.partition(str(_NODE_MARK)) for t in templates], dtype=object)
     rows = table.reshape(-1, 3)[columns.codes]
-    ids = _name_words(len(columns.codes))[0].tobytes().translate(None, b"\0")
-    rows[:, 1] = ids.decode("ascii").split()
+    rows[:, 1] = _node_ids(len(columns.codes))
     return rows.ravel().tolist()
 
 

@@ -94,7 +94,7 @@ MUTANTS = [
         "_NARROW_KEYS_BELOW = 1 << 17",
         (
             "test_construct.py::test_initial_edges_round_robin_spread",
-            "test_cli.py::test_every_ci_digest_replays_in_process[construct 65537 6]",
+            "test_cli.py::test_every_pin_replays_in_process[construct 65537 6]",
         ),
     ),
     # the bridge takes an open red node only

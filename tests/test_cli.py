@@ -1,17 +1,17 @@
 import contextlib
-import hashlib
 import io
 import itertools
 import json
 import os
 import random
-import shlex
+import re
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +47,7 @@ from majority_illusion.coloring import coloring_to_string, random_coloring
 from majority_illusion.graphs import MAX_EDGES, MAX_NODES, check_size
 from majority_illusion.logic import FORMULA_KINDS
 
+import pins
 from conftest import colored_graphs, random_graph
 
 
@@ -247,168 +248,6 @@ def test_oracle_json_reports_what_the_text_form_does(capsys, tmp_path, objective
     assert text == "objective {objective}\nscore {score}\ncolors {colors}\n".format(**payload)
 
 
-STRICT, WEAK, MONO = (o.value for o in Objective)
-
-# The oracle pins of the CI workflow: (gen arguments, the objective and any
-# further oracle options, score and colors, or the sha256 of the JSON report).
-ORACLE_PINS = [
-    # the byte scan's illusion counts, one block
-    ("circulant 14 --offsets 1,2,5", STRICT, "6 BBBRBBRRBRRBBR"),
-    ("circulant 14 --offsets 1,2,5", WEAK, "14 BRBRBRBRBRBRBR"),
-    ("complete 10", STRICT, "0 BBBBBBBBBB"),
-    ("complete 10", WEAK, "10 BBBBBRRRRR"),
-    # the bit-sliced illusion counts at the 16-node floor
-    ("circulant 16 --offsets 1,3", STRICT, "8 BBBRBRBRBBBRBRBR"),
-    ("circulant 16 --offsets 1,3", WEAK, "16 BBBRBRBRBRBRBRRR"),
-    # the cut scan's fewest monochromatic edges at even and odd n
-    ("circulant 16 --offsets 1,2,5", MONO, "12 BBRBBRBBRBBRRBRR"),
-    ("circulant 14 --offsets 1,2,5", MONO, "10 BBRBBRRBBRBBRR"),
-    ("circulant 13 --offsets 1,3", MONO, "4 BBRBRBRBRBRBR"),
-    # the bit-sliced illusion counts and the cut scan at 21 nodes
-    ("circulant 21 --offsets 1,4", STRICT, "10 BBBBBBBRBRBRRRRRRBRBR"),
-    ("circulant 21 --offsets 1,4", WEAK, "19 BBBBBBRRRRRBBBBBRRRRR"),
-    ("circulant 21 --offsets 1,4", MONO, "6 BBRBRBBRBRRBRBBRBRRBR"),
-    # the same at even n: a strict optimum beside a global tie, and at the cap
-    ("circulant 20 --offsets 10", STRICT, "9 BBBBBBBBBBBRRRRRRRRR"),
-    ("circulant 20 --offsets 10", WEAK, "20 BBBBBBBBBBRRRRRRRRRR"),
-    ("circulant 20 --offsets 10", MONO, "0 BBBBBBBBBBRRRRRRRRRR"),
-    ("circulant 22 --offsets 1,2,5", STRICT, "10 BBBBBBBBBBRBRRRRRRRRBR"),
-    ("circulant 22 --offsets 1,2,5", WEAK, "22 BBBBBBBBBRBRRRRRRRRRBR"),
-    ("circulant 22 --offsets 1,2,5", MONO, "18 BBRBBRBBRBBRBBRBBRRBRR"),
-    # the cut scan above 24 bits of mask, past the default cap
-    ("cycle 26", f"{MONO} --cap 26", "0 " + "BR" * 13),
-    # the byte scan at 8 nodes or fewer, odd and even n
-    ("cycle 7", STRICT, "2 BBRBRBR"),
-    ("cycle 7", WEAK, "6 BBRBBRR"),
-    ("circulant 8 --offsets 1,3", STRICT, "4 BBBRBRBR"),
-    ("circulant 8 --offsets 1,3", WEAK, "8 BBBRBRRR"),
-    ("cycle 8", STRICT, "2 BBBRBRBR"),
-    ("cycle 8", WEAK, "8 BRBRBRBR"),
-    # strict optima beside a global tie: the byte scan at 8 nodes and at 14
-    # with an 8-6 split, then the bit-sliced scan
-    ("complete 8", STRICT, "0 BBBBBBBB"),
-    ("circulant 8 --offsets 4", STRICT, "3 BBBBBRRR"),
-    ("circulant 14 --offsets 7", STRICT, "6 BBBBBBBBRRRRRR"),
-    ("complete 16", STRICT, "0 BBBBBBBBBBBBBBBB"),
-    ("circulant 16 --offsets 8", STRICT, "7 BBBBBBBBBRRRRRRR"),
-    # the JSON report on the bitsets of a complete graph
-    ("complete 8", MONO, "c7dcb21a848ea4f919f867fbbdd8cc2be55f883dc33cb4299959b795f24fad55"),
-]
-
-
-@pytest.mark.parametrize("graph, options, answer", ORACLE_PINS)
-def test_oracle_replays_the_ci_pins(capsys, tmp_path, graph, options, answer):
-    """``gen ... | oracle --objective ...`` in process, byte for byte."""
-    _, text, _ = run(capsys, "gen", *graph.split())
-    path = tmp_path / "g.txt"
-    path.write_text(text)
-    objective = options.split()[0]
-    argv = ["oracle", str(path), "--objective", *options.split()]
-    if " " in answer:
-        score, colors = answer.split()
-        code, out, _ = run(capsys, *argv)
-        assert (code, out) == (0, f"objective {objective}\nscore {score}\ncolors {colors}\n")
-    else:
-        code, out, _ = run(capsys, *argv, "--format", "json")
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, answer)
-
-
-TIED = "n 8\ncolors RBRBRBRB\n0 1\n0 2\n1 2\n2 3\n3 4\n4 5\n"
-VALUATION = "# atoms per node\n0 p q\n1 p\n3 q r  # two\n\n5 p r\n8 q\n11 p q r\n7\n"
-SEEDED = "gen circulant 3500 --offsets 1,3,7 | color --initial random --seed 7"
-ALL_RED = "gen circulant 4000 --offsets 1,3,7 | color"
-
-# The other byte pins of the CI workflow: (``millusion`` stages joined by
-# ``|``, the first stage's stdin, the last stage's exit code, and the sha256
-# of its stdout, its stderr, or both in one buffer followed by ``exit N``,
-# as ``2>&1; echo "exit $?"`` gives).  The stages run beside ``g.txt``, the
-# 12-node circulant below, and ``v.txt``, the valuation above.
-DIGEST_PINS = [
-    # the construction witnesses and their stage reports
-    ("construct 2379 96", "", 0, {
-        "out": "42c3a9cd03e09a16ad7c716e79dc4235f39ec1fab0e8ea20382f162716d7ccef",
-        "err": "fd157f7793cfb2079b5a73869f3147dd9cfcf62fd48e10ba2b4cda957e0d149e",
-    }),
-    ("construct 100000 8", "", 0, {
-        "out": "261419947e89562e80b5c46e5eaa21d86313d4cf441283bbb83d5890b3a06a39",
-        "err": "28be616b20838e94493d2db444f3cbcf3f5ea7691c7110050afcbfb943e7cc7f",
-    }),
-    ("construct 302 152 --fast", "", 0, {
-        "out": "54d5373115dac8b45b3a878e4b2a937c096b67cf028d0a90b6b3803599c3f917",
-        "err": "cf943db39570441c186887e59e2815370ccc418f5583231e310c4f51e4c6cadd",
-    }),
-    # both sides of the key width: uint32 edge keys, then int64
-    ("construct 65535 6", "", 0, {
-        "out": "cda2af6a2eb78563b4b2b4d4b0336ac38c7e09993aa194497a60933738bc49ee",
-        "err": "d8a02a69e77b023959877acdde5efa7a0d65ff277d388b7fc3563a3eb3ebb09e",
-    }),
-    ("construct 65537 6", "", 0, {
-        "out": "313dcb0831fabbd2914392bf9df15abcbe6facf0731c8c1b2e23b4e72f8d97bc",
-        "err": "b75e5a81f25c44a3debe8ceb5b2bdaca402d241138a2e5de6b397bb222abf1d7",
-    }),
-    # the seeded colour pipeline, the all-red swap loop and the status columns
-    (SEEDED, "", 0, {
-        "out": "5d9a7f2d02f5ca929372f19748924d9422b7cddafabbbbff86f9f0156194ae8d",
-    }),
-    (f"{SEEDED} | analyze --format json --p 1/4 --q 3/4", "", 0, {
-        "out": "2cd48d4abffdbf3d30d5a6d4a3b0d8ea8a231fa95d2f639817dd6d642ae7e701",
-    }),
-    (f"{SEEDED} | analyze", "", 0, {
-        "out": "e0c78321039f2243771b8dd3c59bc9dff64be9883e383cce6ea769b0a0b97b24",
-    }),
-    (ALL_RED, "", 0, {
-        "out": "c03ab8b73d0e31c314a42b07673ccb62534387df114a1edc2d1df94cd067f4d7",
-    }),
-    (f"{ALL_RED} | analyze --format json --p 1/4 --q 3/4", "", 0, {
-        "out": "10a77d075d3b195ab47c191f3cb364b618449ceea3fe8d2824845861dc039623",
-    }),
-    # the widest names an 8-byte name word holds: ids up to MAX_NODES - 1
-    ("gen cycle 262144", "", 0, {
-        "out": "0023e3d24e173de879b051475f02859e7d945c7ad52e25e71f840307d9f3bb25",
-    }),
-    ("gen cycle 9999 | color", "", 0, {
-        "out": "c5df7bc7606bb5a3a2fdfed00d63d1847c91ef5e467f7b268599e97fcf59ff7d",
-    }),
-    # the swap loop from a random start: 842 swaps, 146 of them to a node
-    # below the one before
-    ("gen circulant 3000 --offsets 1,2,5 | color --initial random --seed 7", "", 0, {
-        "out": "9efc53117ec8f0b40bae07fad9b34616460acdb9be66a880ee6b9d9c0ece37c6",
-    }),
-    # the JSON edge lists of color and construct
-    (f"{SEEDED} --format json", "", 0, {
-        "out": "c99f78d71075bb73bc1e5f05312920b531a9479322a3a6d0d9f41e9dfeabe8a8",
-    }),
-    ("color g.txt --mode weak --format json", "", 0, {
-        "out": "c04a40b9237fb20f3982ba6c32c12e74f72f4d3879240dcfae8043c875049e03",
-    }),
-    ("construct 12 6 --format json", "", 0, {
-        "out": "bf1693873f5ac9406862c366745cec6ca0c55d03fd59c74075ea90b3d1243590",
-    }),
-    # analyze's one-join JSON at 200 000 agents, a document of about 44 MB
-    ("gen cycle 200000 | color | analyze --format json", "", 0, {
-        "out": "ec4ce6d2861745d687046551db7f317d72405c9ce04cd5e6b9769c5ed2af96ba",
-    }),
-    # the agent classes on a global tie with isolated red and blue nodes
-    ("analyze", TIED, 0, {
-        "out": "4a7822c15246e202b7116f1570edf1d746a687007a36105a79404be9c8e34894",
-    }),
-    ("analyze --format json --p 1/2 --q 1/3", TIED, 0, {
-        "out": "a20cb29cf5cb1d1df9d754a9a1bfe13f56d62e56b8d4976a9499b540142d9c4a",
-    }),
-    # the model checker on a valuation file, and on the 500 000-edge witness
-    ("mc g.txt --formula '<>1 (q | r) & ~W p' --global --valuation v.txt --format json",
-     "", 1, {
-        "both": "8714210c9de07dfe8bdb25c7e48b11a9665d3d5b5064c519de0cc0c727f4fd5c",
-    }),
-    ("mc g.txt --formula 'p | s' --node 5 --valuation v.txt --format json", "", 0, {
-        "both": "28f700d9ff3df4e206ae17d8a911ae5ab43dab60dcf9b193d5fb4d5ea583ad1e",
-    }),
-    ("construct 20000 50 | mc - --formula '<>25 p | W p' --global --format json", "", 1, {
-        "both": "efad6b1f0b6fff58795fed37c4d75b00bddb4b0bfebf0a768ef0770ed7abaeb0",
-    }),
-]
-
-
 def _pipe(monkeypatch, stages, stdin, merged=False):
     """Run ``millusion`` stages in process, each reading the one before's
     stdout; every stage but the last must exit 0.  Returns the last one's
@@ -425,26 +264,26 @@ def _pipe(monkeypatch, stages, stdin, merged=False):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "pipeline, stdin, exit_code, digests",
-    DIGEST_PINS,
-    ids=[f"{row[0]}{' < tied' if row[1] else ''}" for row in DIGEST_PINS],
-)
-def test_every_ci_digest_replays_in_process(
-    monkeypatch, tmp_path, pipeline, stdin, exit_code, digests
-):
-    """The CI workflow's byte pins, each pipeline in process, byte for byte."""
+@pytest.mark.parametrize("pin", pins.PINS, ids=[pin.id for pin in pins.PINS])
+def test_every_pin_replays_in_process(monkeypatch, tmp_path, pin):
+    """Each row of the pin table, every stage in process, byte for byte."""
     monkeypatch.chdir(tmp_path)
-    _, graph, _ = _pipe(monkeypatch, [["gen", "circulant", "12", "--offsets", "1,3"]], "")
+    _, graph, _ = _pipe(monkeypatch, pins.stages(pins.GRAPH), "")
     (tmp_path / "g.txt").write_text(graph)
-    (tmp_path / "v.txt").write_text(VALUATION)
-    words = shlex.split(pipeline)
-    stages = [list(g) for bar, g in itertools.groupby(words, "|".__eq__) if not bar]
-    merged = "both" in digests
-    code, out, err = _pipe(monkeypatch, stages, stdin, merged)
-    streams = {"both": f"{out}exit {code}\n"} if merged else {"out": out, "err": err}
-    got = {k: hashlib.sha256(streams[k].encode()).hexdigest() for k in digests}
-    assert (code, got) == (exit_code, digests)
+    (tmp_path / "v.txt").write_text(pins.VALUATION)
+    stages = pins.stages(pin.pipeline)
+    code, out, err = _pipe(monkeypatch, stages, pins.INPUTS[pin.stdin], pin.stream == "both")
+    assert pins.verdict(pin, code, out.encode(), err.encode()) is None
+
+
+def test_the_workflow_replays_the_pin_table_and_restates_no_pin():
+    """CI checks outputs through ``python tests/pins.py`` alone: a digest or
+    an exact answer written into the workflow would be a second copy of a
+    pin that nothing keeps in step with the table."""
+    workflow = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
+    assert "python tests/pins.py" in workflow
+    assert "sha256sum" not in workflow
+    assert not re.search(r"^\s*check\b", workflow, re.MULTILINE)
 
 
 def test_oracle_cap_usage_error(capsys, tmp_path):
