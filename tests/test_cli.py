@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -274,6 +275,42 @@ def test_every_pin_replays_in_process(monkeypatch, tmp_path, pin):
     stages = pins.stages(pin.pipeline)
     code, out, err = _pipe(monkeypatch, stages, pins.INPUTS[pin.stdin], pin.stream == "both")
     assert pins.verdict(pin, code, out.encode(), err.encode()) is None
+
+
+def _oracle_pins():
+    """The oracle rows of the pin table as (gen arguments, the objective and
+    any further oracle options, score and colors, or the sha256 of the JSON
+    report)."""
+    rows = []
+    for pin in pins.PINS:
+        match = re.fullmatch(r"gen (.+) \| oracle --objective (.+?)( --format json)?", pin.pipeline)
+        if match:
+            graph, options, as_json = match.groups()
+            answer = pin.expect if as_json else " ".join(
+                line.split()[1] for line in pin.expect.splitlines()[1:])
+            rows.append((graph, options, answer))
+    return rows
+
+
+ORACLE_PINS = _oracle_pins()
+
+
+@pytest.mark.parametrize("graph, options, answer", ORACLE_PINS)
+def test_oracle_replays_the_ci_pins(capsys, tmp_path, graph, options, answer):
+    """The oracle rows of the pin table, with the graph read from a file
+    path rather than stdin, byte for byte."""
+    _, text, _ = run(capsys, "gen", *graph.split())
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    objective = options.split()[0]
+    argv = ["oracle", str(path), "--objective", *options.split()]
+    if " " in answer:
+        score, colors = answer.split()
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, f"objective {objective}\nscore {score}\ncolors {colors}\n")
+    else:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, answer)
 
 
 def test_the_workflow_replays_the_pin_table_and_restates_no_pin():
