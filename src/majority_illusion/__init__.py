@@ -9,7 +9,7 @@ constructive builder for regular witnesses, a brute-force oracle, and a
 model checker for a global majority logic.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -109,4 +109,8 @@ from .oracle import (
     illusion_possible,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

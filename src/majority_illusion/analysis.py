@@ -6,8 +6,13 @@ global winner.  Generalized thresholds are exact rationals
 (:class:`fractions.Fraction`) and every comparison is cross-multiplied
 integer arithmetic, so divisibility-sensitive boundaries are exact.
 
-:func:`agent_status` is the definition, one agent at a time, and the only
-statement of the opposition, illusion and witness rules.  An agent's own
+:func:`agent_status` is the definition, one agent at a time.  It reads
+the opposition from the agent's local winner, the one majority rule of
+:mod:`.coloring`, and the illusion level and witness from the q-window at
+``q = 1/2`` (:func:`_in_q_window`, the one statement of the illusion rule,
+also under :func:`q_illusion`, :func:`weak_q_illusion` and
+:func:`pq_report`): a strict witness is a strict illusion, a weak-only
+witness a weak one.  An agent's own
 colour, local winner and isolation fix the rest of its status, so the
 agents fall into at most eight classes: :func:`status_columns` keys every
 agent's class in one array pass and calls ``agent_status`` once per class
@@ -101,15 +106,14 @@ def agent_status(cg: ColoredGraph, i: int) -> AgentStatus:
     else:
         opposition = Level.STRICT
 
-    if local is glob:
-        illusion = Level.NONE
-        witness = None
-    elif local is not Winner.TIE and glob is not Winner.TIE:
+    d = cg.graph.degree(i)
+    red = cg.local_red_count(i)
+    if (witness := _q_witness(cg, red, d, _HALF, strict=True)) is not None:
         illusion = Level.STRICT
-        witness = local.color
-    else:
+    elif (witness := _q_witness(cg, red, d, _HALF, strict=False)) is not None:
         illusion = Level.WEAK
-        witness = local.color if local is not Winner.TIE else glob.color.other
+    else:
+        illusion = Level.NONE
 
     return AgentStatus(
         node=i,
@@ -119,7 +123,7 @@ def agent_status(cg: ColoredGraph, i: int) -> AgentStatus:
         opposition=opposition,
         illusion=illusion,
         illusion_color=witness,
-        isolated=cg.graph.degree(i) == 0,
+        isolated=d == 0,
     )
 
 

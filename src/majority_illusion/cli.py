@@ -157,19 +157,14 @@ def _node_ids(n: int) -> list[str]:
     return _name_words(n)[0].tobytes().translate(None, b"\0").decode("ascii").split()
 
 
-def _json_id_rows(n: int, *columns: np.ndarray) -> str:
-    """``zip(*columns)`` as :func:`_json_list` rows: bare ids, or ``[u, v]`` lists for two."""
-    if not len(columns[0]):
+def _json_id_rows(n: int, u: np.ndarray, v: np.ndarray) -> str:
+    """The edges ``zip(u, v)`` as :func:`_json_list` rows of ``[u, v]`` lists."""
+    if not len(u):
         return "[]"
-    width = len(columns)
-    opener, closer = ("[\n      ", "\n    ]") if width > 1 else ("", "")
-    rows = np.empty((len(columns[0]), width), dtype=object)
     ids = _node_ids(n)
-    for j, column in enumerate(columns):
-        head = "    " + opener if j == 0 else ""
-        tail = ",\n      " if j < width - 1 else closer + ",\n"
-        names = np.array([f"{head}{i}{tail}" for i in ids], dtype=object)
-        rows[:, j] = names[column]
+    rows = np.empty((len(u), 2), dtype=object)
+    rows[:, 0] = np.array([f"    [\n      {i},\n      " for i in ids], dtype=object)[u]
+    rows[:, 1] = np.array([f"{i}\n    ],\n" for i in ids], dtype=object)[v]
     return _json_list(rows.ravel().tolist())
 
 
@@ -373,7 +368,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             "truth": truth,
             "scope": "global" if args.node is None else f"node {args.node}",
         }
-        nodes = _json_id_rows(graph.n, np.array(sorted(sat), dtype=np.int64))
+        nodes = _json_list([f"    {i},\n" for i in sorted(sat)])
         _print_spliced(payload, "nodes_satisfying", nodes)
     else:
         print("true" if truth else "false")

@@ -4,7 +4,9 @@ A coloring is one read-only bool column, ``True`` at the red nodes.
 Functions here take it as such a column or as a :data:`Coloring`, and
 those that make one for a pipeline return the column.
 All half-threshold comparisons use exact integer arithmetic (``2 * count``
-against a set size) so ties are detected exactly.
+against a set size) so ties are detected exactly.  The majority winner is
+stated once, in :func:`_winner_codes`, on ints or arrays: a node's
+neighbourhood, the whole graph and :func:`majority_winner` all read it.
 """
 
 from __future__ import annotations
@@ -121,22 +123,19 @@ def random_coloring(n: int, rng: random.Random) -> np.ndarray:
     return red_column(words[kept] < 1 << 30)
 
 
-def _winner(red: int, total: int) -> Winner:
-    """Majority winner of ``total`` votes of which ``red`` are red; ``TIE``
-    when neither color holds strictly more than half (in particular when
+def _winner_codes(red: int | np.ndarray, total: int | np.ndarray) -> np.ndarray:
+    """Majority winners, as :data:`WINNER_CODES` indices, of ``total`` votes
+    of which ``red`` are red, on ints or elementwise on arrays: ``TIE``
+    where neither color holds strictly more than half (in particular where
     ``total`` is 0)."""
-    if 2 * red > total:
-        return Winner.RED
-    if 2 * (total - red) > total:
-        return Winner.BLUE
-    return Winner.TIE
+    return np.where(2 * red > total, _RED, np.where(2 * red < total, _BLUE, _TIE))
 
 
 def majority_winner(colors: Iterable[Color]) -> Winner:
     """Majority winner of a multiset of colors; ``TIE`` when neither color
     holds strictly more than half (in particular for the empty multiset)."""
     colors = tuple(colors)
-    return _winner(colors.count(Color.RED), len(colors))
+    return WINNER_CODES[_winner_codes(colors.count(Color.RED), len(colors))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,15 +187,13 @@ class ColoredGraph:
     def local_winner_codes(self) -> np.ndarray:
         """Every node's :meth:`local_winner` as an index into
         :data:`WINNER_CODES`, a read-only int8 array."""
-        twice_red = 2 * self.red_neighbor_array
-        deg = np.diff(self.graph.indptr)
-        codes = np.select([twice_red > deg, twice_red < deg], [0, 1], 2).astype(np.int8)
+        codes = _winner_codes(self.red_neighbor_array, np.diff(self.graph.indptr)).astype(np.int8)
         codes.flags.writeable = False
         return codes
 
     @cached_property
     def global_winner(self) -> Winner:
-        return _winner(self.color_counts[0], self.graph.n)
+        return WINNER_CODES[_winner_codes(self.color_counts[0], self.graph.n)]
 
     def local_red_count(self, i: int) -> int:
         self.graph.check_node(i)

@@ -11,7 +11,10 @@ node's neighborhood and over the whole graph::
 ``M`` (more than half of the neighbors) and ``GM`` (more than half of all
 nodes) are the duals ``~W~`` and ``~GW~``; they are parsed and printed as
 first-class operators but evaluate through their expansion, so duality
-holds by construction.  Surface syntax: atoms are identifiers, prefix
+holds by construction.  The four derived operators (``&``, ``->``, ``M``,
+``GM``) expand through one table, ``_EXPANSIONS``; the expansion rebuilds
+every other node, and the walk over subformulas finds children, from the
+node's dataclass fields.  Surface syntax: atoms are identifiers, prefix
 operators bind tightest, then ``&``, ``|``, ``->`` (right-associative).
 
 The model checker (:func:`extension`) evaluates each unique subformula
@@ -20,7 +23,8 @@ true neighbours with the graph's own row sum, :meth:`Graph.neighbor_sums`,
 and reads nothing of the classifier (``analysis``, red-neighbour counts,
 local winners), so that it stays an independent check of it.  The
 satisfiability search (:func:`formula_possible`) runs the same program on
-node bitsets, one per valuation.
+node bitsets, one per valuation.  Both compare each count with the one
+threshold rule of the counting modalities, :func:`_least`.
 """
 
 from __future__ import annotations
@@ -123,43 +127,31 @@ class GlobalMajority(Formula):
     sub: Formula
 
 
+# The derived operators' core expansions, from their expanded operands.
+_EXPANSIONS: dict[type, Callable[..., Formula]] = {
+    And: lambda a, b: Not(Or(Not(a), Not(b))),
+    Implies: lambda a, b: Or(Not(a), b),
+    NeighborMajority: lambda a: Not(WeakNeighborMajority(Not(a))),
+    GlobalMajority: lambda a: Not(WeakGlobalMajority(Not(a))),
+}
+
+
+def _fields(f: Formula) -> list:
+    """The values of a formula node's dataclass fields, in order."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"unknown formula node {f!r}")
+    return [getattr(f, name) for name in f.__match_args__]
+
+
 def expand(f: Formula) -> Formula:
     """Rewrite derived operators (And, Implies, M, GM) into the core
     connectives; semantics-preserving."""
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(expand(f.sub))
-    if isinstance(f, Or):
-        return Or(expand(f.left), expand(f.right))
-    if isinstance(f, And):
-        return Not(Or(Not(expand(f.left)), Not(expand(f.right))))
-    if isinstance(f, Implies):
-        return Or(Not(expand(f.left)), expand(f.right))
-    if isinstance(f, NeighborCountOver):
-        return NeighborCountOver(f.bound, expand(f.sub))
-    if isinstance(f, WeakNeighborMajority):
-        return WeakNeighborMajority(expand(f.sub))
-    if isinstance(f, NeighborMajority):
-        return Not(WeakNeighborMajority(Not(expand(f.sub))))
-    if isinstance(f, GlobalCountOver):
-        return GlobalCountOver(f.bound, expand(f.sub))
-    if isinstance(f, WeakGlobalMajority):
-        return WeakGlobalMajority(expand(f.sub))
-    if isinstance(f, GlobalMajority):
-        return Not(WeakGlobalMajority(Not(expand(f.sub))))
-    raise TypeError(f"unknown formula node {f!r}")
+    values = [expand(v) if isinstance(v, Formula) else v for v in _fields(f)]
+    return _EXPANSIONS.get(type(f), type(f))(*values)
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, (Or, And, Implies)):
-        return (f.left, f.right)
-    if isinstance(f, (Not, NeighborCountOver, WeakNeighborMajority, NeighborMajority,
-                      GlobalCountOver, WeakGlobalMajority, GlobalMajority)):
-        return (f.sub,)
-    raise TypeError(f"unknown formula node {f!r}")
+    return tuple([v for v in _fields(f) if isinstance(v, Formula)])
 
 
 def _too_deep() -> PreconditionError:
@@ -391,13 +383,20 @@ def model_from_colored_graph(cg: ColoredGraph, atom: str = "p") -> Model:
     return Model(cg.graph, {atom: cg.red})
 
 
+def _least(node: Formula, total: int | np.ndarray, n: int) -> int | np.ndarray:
+    """The fewest true nodes, of ``total`` counted, at which the counting
+    node ``node`` holds: more than its bound (``<>b``, ``E_b``), or at
+    least half (``W``, ``GW``).  No count exceeds the ``n`` nodes, so the
+    bound is clipped to ``n``: a threshold never outgrows a small count's
+    dtype."""
+    bound = getattr(node, "bound", None)
+    return (total + 1) // 2 if bound is None else min(bound, n) + 1
+
+
 def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
     """Extension of ``node`` in ``model`` as a boolean node column, given
-    its children's columns ``args``.
-
-    A count never exceeds ``n``, so a neighbour bound is clipped to ``n``
-    before numpy compares it: counts are only compared with Python ints
-    they can hold.
+    its children's columns ``args``; each count is compared with its
+    :func:`_least` threshold.
     """
     g = model.graph
     if isinstance(node, Atom):
@@ -407,14 +406,10 @@ def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
         return ~args[0]
     if isinstance(node, Or):
         return args[0] | args[1]
-    if isinstance(node, NeighborCountOver):
-        return g.neighbor_sums(args[0]) > min(node.bound, g.n)
-    if isinstance(node, WeakNeighborMajority):
-        return 2 * g.neighbor_sums(args[0]) >= np.diff(g.indptr)
-    if isinstance(node, GlobalCountOver):
-        return np.full(g.n, int(np.count_nonzero(args[0])) > node.bound)
-    if isinstance(node, WeakGlobalMajority):
-        return np.full(g.n, 2 * int(np.count_nonzero(args[0])) >= g.n)
+    if isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
+        return g.neighbor_sums(args[0]) >= _least(node, np.diff(g.indptr), g.n)
+    if isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
+        return np.full(g.n, int(np.count_nonzero(args[0])) >= _least(node, g.n, g.n))
     raise TypeError(f"evaluation reached unexpanded node {node!r}")
 
 
@@ -581,7 +576,7 @@ def _compile(g: Graph, program: _Program) -> Callable[[np.ndarray], np.ndarray]:
     valuation masks (bit ``i`` set: the atom holds at node ``i``) to the
     node bitsets of the formula's extension under each of them."""
     nbr = g.neighbor_masks
-    degrees = g.degrees()
+    degrees = np.diff(g.indptr)
     full = np.uint32((1 << g.n) - 1)
 
     def extensions(masks: np.ndarray) -> np.ndarray:
@@ -597,16 +592,14 @@ def _bitsets(
     args: list[np.ndarray],
     masks: np.ndarray,
     nbr: np.ndarray,
-    degrees: tuple[int, ...],
+    degrees: np.ndarray,
     full: np.uint32,
 ) -> np.ndarray:
     """Extension of ``node`` under each valuation in ``masks``, as node
     bitsets, given its children's extensions ``args``.
 
-    A count ``c`` meets ``2c >= d`` exactly when ``c >= (d + 1) // 2``, and
-    "more than ``b``" is ``c >= b + 1``; thresholds above the most nodes
-    that could count are never met, so uint8 popcounts are only compared
-    with Python ints they can hold.
+    Each popcount is compared with its :func:`_least` threshold, worked out
+    for every node at once; none exceeds ``n + 1``, which uint8 holds.
     """
     if isinstance(node, Atom):
         return masks
@@ -615,22 +608,14 @@ def _bitsets(
     if isinstance(node, Or):
         return args[0] | args[1]
     if isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
+        least = np.broadcast_to(_least(node, degrees, len(degrees)), degrees.shape)
         out = np.zeros_like(masks)
-        for i, deg in enumerate(degrees):
-            least = (
-                node.bound + 1
-                if isinstance(node, NeighborCountOver)
-                else (deg + 1) // 2
-            )
-            if least <= deg:
-                hit = np.bitwise_count(args[0] & nbr[i]) >= least
-                out |= hit.astype(np.uint32) << np.uint32(i)
+        for i, at_least in enumerate(least.tolist()):
+            hit = np.bitwise_count(args[0] & nbr[i]) >= at_least
+            out |= hit.astype(np.uint32) << np.uint32(i)
         return out
     if isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
-        n = len(degrees)
-        least = node.bound + 1 if isinstance(node, GlobalCountOver) else (n + 1) // 2
-        if least > n:
-            return np.zeros_like(masks)
+        least = _least(node, len(degrees), len(degrees))
         return np.where(np.bitwise_count(args[0]) >= least, full, np.uint32(0))
     raise TypeError(f"evaluation reached unexpanded node {node!r}")
 

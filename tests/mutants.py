@@ -41,6 +41,7 @@ ORACLE = ("test_oracle.py",)
 COLORING = ("test_coloring.py",)
 ANALYSIS = ("test_analysis.py",)
 FILEFORMAT = ("test_fileformat.py",)
+LOGIC = ("test_logic.py",)
 
 MUTANTS = [
     # the byte-lane start: a lane's bit 7 sets where its count reaches the threshold
@@ -87,6 +88,24 @@ MUTANTS = [
         '"pq": strict * p.denominator >= p.numerator * n',
         ANALYSIS,
     ),
+    # the majority winner, stated once for ints and arrays
+    Mutant("coloring.py", "2 * red > total", "2 * red >= total", COLORING),
+    # the illusion level: a strict witness at q = 1/2
+    Mutant(
+        "analysis.py",
+        "_q_witness(cg, red, d, _HALF, strict=True)",
+        "_q_witness(cg, red, d, _HALF, strict=False)",
+        ANALYSIS,
+    ),
+    # the counting thresholds, and And's expansion
+    Mutant("logic.py", "min(bound, n) + 1", "min(bound, n)", LOGIC),
+    Mutant("logic.py", "(total + 1) // 2", "total // 2", LOGIC),
+    Mutant(
+        "logic.py",
+        "And: lambda a, b: Not(Or(Not(a), Not(b)))",
+        "And: lambda a, b: Or(Not(a), Not(b))",
+        LOGIC,
+    ),
     # the edge-key width: uint32 keys overflow from 65 537 nodes on
     Mutant(
         "graphs.py",
@@ -104,11 +123,11 @@ MUTANTS = [
         "open_red = red[deg[red] <= k]\n",
         ("test_construct.py",),
     ),
-    # the JSON id lists' indent, one space too many
+    # the JSON edge lists' indent, one space too many
     Mutant(
         "cli.py",
-        'head = "    " + opener',
-        'head = "     " + opener',
+        'f"    [\\n      {i}',
+        'f"     [\\n      {i}',
         ("test_cli.py::test_construct_json_is_laid_out_as_json_dumps",),
     ),
     # the canonical reader's id range and edge cap, and the writer's digit places

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -446,6 +447,25 @@ def test_mc_json_lists_the_satisfying_nodes(capsys, tmp_path):
         '{\n  "format_version": 1,\n  "nodes_satisfying": [\n    0,\n    1\n  ],\n'
         '  "scope": "global",\n  "truth": false\n}\n'
     )
+
+
+def test_mc_json_lists_the_satisfying_nodes_without_the_name_table(capsys, tmp_path, monkeypatch):
+    """``mc`` lays out the few ids it prints one by one; ``color`` still
+    reads the writer's name table for its edge list."""
+    built = []
+
+    def name_words(n):
+        built.append(n)
+        return fileformat._name_words(n)
+
+    monkeypatch.setattr(cli, "_name_words", name_words)
+    path = tmp_path / "c6.txt"
+    path.write_text(write_graph(cycle_graph(6), coloring_from_string("RRBRBB")))
+    code, out, err = run(capsys, "mc", str(path), "--formula", "p", "--global", "--format", "json")
+    assert (code, err, built) == (1, "", [])
+    assert json.loads(out)["nodes_satisfying"] == [0, 1, 3]
+    code, _, _ = run(capsys, "color", str(path), "--mode", "weak", "--format", "json")
+    assert (code, built) == (0, [6])
 
 
 def test_mc_syntax_error_is_usage_error(capsys, tmp_path):
@@ -1101,6 +1121,20 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation):
             finally:
                 cli.sys.stdin = saved
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+def test_star_import_binds_only_the_api():
+    """Every name in ``__all__`` imports, and none is a submodule or the
+    ``__future__`` feature ``annotations``."""
+    import majority_illusion
+
+    namespace = {}
+    exec("from majority_illusion import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(majority_illusion.__all__)
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert "annotations" not in namespace
+    assert {"ColoredGraph", "parse_formula", "illusion_possible"} <= set(namespace)
 
 
 def test_one_parser_serves_successive_calls_like_fresh_ones(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import warnings
@@ -52,6 +53,7 @@ from majority_illusion.logic import (
     WeakGlobalMajority,
     WeakNeighborMajority,
     _check_depth,
+    _children,
     _columns,
     _compile,
     _program,
@@ -127,6 +129,39 @@ formulas = formula_trees("pq", st.integers(0, 3))
 
 @given(formulas)
 def test_printer_parser_round_trip(f):
+    assert expand(parse_formula(format_formula(f))) == expand(f)
+
+
+_CORE = {Atom, Not, Or, NeighborCountOver, WeakNeighborMajority, GlobalCountOver, WeakGlobalMajority}
+
+
+def _formula_classes(cls=Formula):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _formula_classes(sub)
+
+
+def _operands(node):
+    values = (getattr(node, field.name) for field in dataclasses.fields(node))
+    return [v for v in values if isinstance(v, Formula)]
+
+
+@pytest.mark.parametrize("cls", list(_formula_classes()), ids=lambda cls: cls.__name__)
+def test_every_operator_walks_its_fields_and_expands_to_core(cls):
+    """One node of each Formula subclass: ``_children`` gives its formula
+    fields in order, its expansion holds core nodes only, and it survives
+    the printer.  A new operator fails here until both walks know it."""
+    operands = iter([Atom("p"), Not(Atom("q"))])
+    values = [
+        {"int": 2, "str": "r"}.get(field.type) or next(operands)
+        for field in dataclasses.fields(cls)
+    ]
+    f = cls(*values)
+    assert _children(f) == tuple(v for v in values if isinstance(v, Formula))
+    level = [expand(f)]
+    while level:
+        assert {type(node) for node in level} <= _CORE
+        level = [c for node in level for c in _operands(node)]
     assert expand(parse_formula(format_formula(f))) == expand(f)
 
 
