@@ -24,29 +24,25 @@ decides it once per distinct pair.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .coloring import Color, ColoredGraph, Winner
+from .coloring import Color, ColoredGraph, TextEnum, Winner
 from .errors import InternalInvariantError, PreconditionError
 
 Threshold = Fraction
 _HALF = Fraction(1, 2)
 
 
-class Level(enum.Enum):
+class Level(TextEnum):
     NONE = "none"
     WEAK = "weak"
     STRICT = "strict"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Chromaticity(enum.Enum):
+class Chromaticity(TextEnum):
     MONOCHROMATIC = "monochromatic"
     POLYCHROMATIC = "polychromatic"
 
@@ -55,11 +51,8 @@ class Chromaticity(enum.Enum):
         """Monochromatic when the witnesses hold at most one color."""
         return cls.MONOCHROMATIC if len(witnesses) <= 1 else cls.POLYCHROMATIC
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class IllusionKind(enum.Enum):
+class IllusionKind(TextEnum):
     """Network-level classification flags."""
 
     MAJORITY_MAJORITY = "majority-majority"
@@ -68,9 +61,6 @@ class IllusionKind(enum.Enum):
     WEAK_MAJORITY_WEAK_MAJORITY = "weak-majority-weak-majority"
     UNANIMITY_MAJORITY = "unanimity-majority"
     UNANIMITY_WEAK_MAJORITY = "unanimity-weak-majority"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,14 @@ from .errors import InternalInvariantError, PreconditionError
 from .graphs import Graph
 
 
-class Color(enum.Enum):
+class TextEnum(enum.Enum):
+    """An enum whose members print as their values."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class Color(TextEnum):
     RED = "R"
     BLUE = "B"
 
@@ -33,11 +40,8 @@ class Color(enum.Enum):
     def other(self) -> "Color":
         return Color.BLUE if self is Color.RED else Color.RED
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Winner(enum.Enum):
+class Winner(TextEnum):
     """Outcome of a majority vote over a node set: a color, or a tie."""
 
     RED = "R"
@@ -53,9 +57,6 @@ class Winner(enum.Enum):
         if self is Winner.TIE:
             return None
         return Color.RED if self is Winner.RED else Color.BLUE
-
-    def __str__(self) -> str:
-        return self.value
 
 
 Coloring = tuple[Color, ...]

@@ -190,19 +190,18 @@ def add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -
 
 
 def add_extra_blue_edges(
-    keys: np.ndarray, n: int, blue: Sequence[int], k: int, k_blue: int
+    keys: np.ndarray, n: int, order: Sequence[int], deg: np.ndarray, k: int, k_blue: int
 ) -> np.ndarray:
     """The sorted keys pairing up blue nodes with more than ``k_blue`` open
     ends, at the key width of a graph on ``n`` nodes.
 
-    Blue nodes are visited in ascending degree (most missing edges first);
-    each is joined to its cyclic successor when both sit below
-    ``k - k_blue`` and are not yet adjacent.  In the odd-leftover case one
-    blue node stays one edge short for the caller to absorb.
+    The blue nodes are visited in ``order``, by ascending degree ``deg`` in
+    ``keys`` (most missing edges first) and then id; each is joined to its
+    cyclic successor when both sit below ``k - k_blue`` and are not yet
+    adjacent.  In the odd-leftover case one blue node stays one edge short
+    for the caller to absorb.
     """
-    blue = np.asarray(blue, dtype=_key_dtype(n))
-    deg = _degree_counts(keys, n)
-    order = blue[np.lexsort((blue, deg[blue]))]
+    order = np.asarray(order, dtype=_key_dtype(n))
     if len(order) < 2:
         return _no_edges(n)
     successor = np.roll(order, -1)
@@ -464,7 +463,8 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
     # Top-up edges join blues consecutive in this order, so a circulant over
     # the same order only uses larger cyclic distances and cannot collide.
     blue_order = blue[np.lexsort((blue, deg[blue]))]
-    keys = report.add(keys, "blue-top-up", add_extra_blue_edges(keys, n, blue, k, plan.k_blue))
+    top_up = add_extra_blue_edges(keys, n, blue_order, deg, k, plan.k_blue)
+    keys = report.add(keys, "blue-top-up", top_up)
     _check_top_up(_degree_counts(keys, n)[blue], k - plan.k_blue)
 
     red_deferred = plan.k_red % 2 == 1 and plan.n_red % 2 == 1

@@ -507,14 +507,14 @@ def illusion_formula(kind: str | IllusionKind, atom: str = "p") -> Formula:
 _Program = tuple[tuple[Formula, tuple[int, ...], tuple[int, ...]], ...]
 
 
-@lru_cache(maxsize=256)
 def _program(core: Formula) -> _Program:
     """The unique subformulas of ``core``, children first and left child
     first; ``core`` comes last.  Each comes with the positions of its
     children in the list and of the children it is the last to read.
 
-    Built once per expanded formula; a tuple, so a cached program cannot
-    be changed."""
+    An expansion shares no node object, so each node is walked once.
+    :func:`_expanded_program` caches the program: a tuple, so a cached
+    program cannot be changed."""
     # A subformula is keyed by its class, bound and children's positions,
     # so no lookup hashes a whole subtree; ``at`` maps each node object
     # visited to its position.
@@ -524,8 +524,6 @@ def _program(core: Formula) -> _Program:
     stack = [(core, False)]  # a node, and whether its children are done
     while stack:
         node, ready = stack.pop()
-        if id(node) in at:
-            continue
         kids = _children(node)
         if not ready:
             stack.append((node, True))

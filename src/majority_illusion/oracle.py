@@ -65,7 +65,6 @@ and the empty graph has no illusion, as in the classifier.
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
@@ -73,7 +72,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analysis import IllusionKind
-from .coloring import Color, Coloring
+from .coloring import Color, Coloring, TextEnum
 from .errors import PreconditionError
 from .graphs import Graph
 
@@ -85,13 +84,10 @@ _MASK_BITS = 32  # colorings and neighborhoods are uint32 masks
 _TABLE_NODES = 8
 
 
-class Objective(enum.Enum):
+class Objective(TextEnum):
     MAX_STRICT_ILLUSION = "max-strict-illusion-count"
     MAX_WEAK_ILLUSION = "max-weak-illusion-count"
     MIN_MONOCHROMATIC = "min-monochromatic"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def coloring_from_mask(mask: int, n: int) -> Coloring:

@@ -106,6 +106,13 @@ MUTANTS = [
         "And: lambda a, b: Or(Not(a), Not(b))",
         LOGIC,
     ),
+    # a program step's key holds its bound: <>0 p and <>1 p stay two steps
+    Mutant(
+        "logic.py",
+        '(type(node), getattr(node, "bound", None), args)',
+        "(type(node), args)",
+        LOGIC,
+    ),
     # the edge-key width: uint32 keys overflow from 65 537 nodes on
     Mutant(
         "graphs.py",
@@ -121,6 +128,13 @@ MUTANTS = [
         "construct.py",
         "open_red = red[deg[red] < k]\n",
         "open_red = red[deg[red] <= k]\n",
+        ("test_construct.py",),
+    ),
+    # the blue top-up's order, which the blue circulant reuses: degree, then id
+    Mutant(
+        "construct.py",
+        "np.lexsort((blue, deg[blue]))",
+        "np.lexsort((deg[blue], blue))",
         ("test_construct.py",),
     ),
     # the JSON edge lists' indent, one space too many

@@ -15,8 +15,10 @@ from majority_illusion import (
     IllusionKind,
     Level,
     NetworkIllusionReport,
+    Objective,
     PqReport,
     PreconditionError,
+    Strictness,
     Winner,
     agent_status,
     agent_statuses,
@@ -85,6 +87,17 @@ def _instance_with(own, local, glob):
             g = make_graph(n, [(0, j) for j in range(1, 3)])
             return ColoredGraph(g, tuple(colors))
     raise AssertionError("no instance found")
+
+
+@pytest.mark.parametrize("kind", [Color, Winner, Level, Chromaticity, IllusionKind, Objective])
+def test_enum_members_print_as_their_values(kind):
+    for member in kind:
+        assert str(member) == format(member) == f"{member}" == member.value
+
+
+def test_enums_outside_the_printed_reports_keep_pythons_text():
+    assert str(Strictness.STRICT) == "Strictness.STRICT"
+    assert str(CompleteWeakClass.NONE) == "CompleteWeakClass.NONE"
 
 
 @pytest.mark.parametrize("own", [R, B])

@@ -66,6 +66,11 @@ def test_gen_cycle(capsys):
     assert g.degrees() == (2,) * 5
 
 
+def test_gen_complete_of_no_nodes_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "gen", "complete", "0")
+    assert (code, out, err) == (2, "", "error: a complete graph needs at least 1 node, got 0\n")
+
+
 def test_gen_circulant_requires_offsets(capsys):
     code, _, err = run(capsys, "gen", "circulant", "6")
     assert code == 2

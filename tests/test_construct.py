@@ -47,6 +47,14 @@ def degrees_of(keys: np.ndarray, n: int) -> list[int]:
     return np.bincount(np.concatenate(np.divmod(keys, n)), minlength=n).tolist()
 
 
+def top_up(keys: np.ndarray, n: int, blue, k: int, k_blue: int) -> np.ndarray:
+    """The blue top-up as the builder calls it: on the degrees in ``keys``,
+    with the blue nodes by ascending degree, then id."""
+    deg = np.array(degrees_of(keys, n), dtype=np.int64)
+    order = sorted(blue, key=lambda b: (deg[b], b))
+    return add_extra_blue_edges(keys, n, order, deg, k, k_blue)
+
+
 def reference_realize_deficits(edges, members, k, deg, label):
     """The recursive backtracker the iterative pairing replaced, kept as
     the reference it must match edge for edge."""
@@ -136,7 +144,7 @@ def test_initial_edges_odd_degree_quota():
 def test_blue_top_up_adds_single_pair():
     red, blue = list(range(7)), list(range(7, 12))
     keys = add_initial_edges(12, blue, red, 6)
-    fresh = add_extra_blue_edges(keys, 12, blue, 6, 0)
+    fresh = top_up(keys, 12, blue, 6, 0)
     assert len(edges_of(fresh, 12)) == 1 and fresh.min() >= 7 * 12
     deg = degrees_of(construct._merge(keys, fresh), 12)
     assert all(deg[b] == 6 for b in blue)
@@ -145,7 +153,7 @@ def test_blue_top_up_adds_single_pair():
 def test_blue_top_up_no_op_when_saturated():
     red, blue = list(range(8)), list(range(8, 14))
     keys = add_initial_edges(14, blue, red, 4)  # blues land exactly on 4
-    assert len(add_extra_blue_edges(keys, 14, blue, 4, 0)) == 0
+    assert len(top_up(keys, 14, blue, 4, 0)) == 0
 
 
 def test_circulant_degree_two_is_a_cycle():
@@ -612,8 +620,32 @@ def test_blue_top_up_matches_the_set_based_top_up(b, r, k, k_blue, data):
     blue = data.draw(st.permutations(range(r, n)))
     existing = data.draw(edge_sets(n))
     expected = ref.add_extra_blue_edges(set(existing), blue, k, k_blue)
-    fresh = add_extra_blue_edges(keys_of(existing, n), n, blue, k, k_blue)
+    fresh = top_up(keys_of(existing, n), n, blue, k, k_blue)
     assert edges_of(fresh, n) == expected - existing
+
+
+@pytest.mark.parametrize("n, k", [(12, 6), (16, 8), (15, 6), (40, 13), (2379, 96)])
+def test_top_up_counts_no_degrees(monkeypatch, n, k):
+    """The top-up reads the degrees its caller counted after the initial
+    stage, so it makes no degree pass of its own."""
+    stage, passes = ["build"], []
+    count, add = construct._degree_counts, construct.add_extra_blue_edges
+
+    def counted(*args):
+        passes.append(stage[-1])
+        return count(*args)
+
+    def spied(*args):
+        stage.append("top-up")
+        try:
+            return add(*args)
+        finally:
+            stage.pop()
+
+    monkeypatch.setattr(construct, "_degree_counts", counted)
+    monkeypatch.setattr(construct, "add_extra_blue_edges", spied)
+    construct.construct_regular_illusion_report(n, k)
+    assert passes and "top-up" not in passes
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (16, 8), (15, 6), (40, 13)])

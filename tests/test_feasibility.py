@@ -55,6 +55,12 @@ def test_complete_graphs_never_reach_strict_at_half(n):
     assert not v.weak_pq
 
 
+def test_complete_pq_refuses_an_empty_graph():
+    with pytest.raises(PreconditionError) as err:
+        complete_pq_feasible(0, HALF, HALF)
+    assert str(err.value) == "complete graph needs at least 1 node, got 0"
+
+
 def test_balanced_split_gives_weak_weak_on_even_complete():
     v = complete_pq_feasible(6, HALF, HALF)
     assert v.weak_p_weak_q

@@ -57,6 +57,20 @@ def test_out_of_range_rejected():
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_graph(-1, []), "node count must be nonnegative, got -1"),
+        (lambda: complete_graph(0), "a complete graph needs at least 1 node, got 0"),
+        (lambda: circulant_graph(0, [1]), "a circulant graph needs at least 1 node, got 0"),
+    ],
+)
+def test_node_count_below_the_least_rejected(build, message):
+    with pytest.raises(GraphError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "build", [lambda n: make_graph(n, []), cycle_graph, complete_graph]
 )
 def test_node_count_above_the_cap_rejected_before_allocating(build):

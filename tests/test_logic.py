@@ -56,6 +56,7 @@ from majority_illusion.logic import (
     _children,
     _columns,
     _compile,
+    _expanded_program,
     _program,
     _run,
     _tokenize,
@@ -712,11 +713,23 @@ def test_unknown_atoms_warn_left_to_right_and_at_the_caller():
 
 
 def test_each_expanded_formula_builds_one_program_of_tuples():
-    core = expand(illusion_formula(IllusionKind.MAJORITY_WEAK_MAJORITY))
-    program = _program(core)
-    assert _program(expand(parse_formula(format_formula(core)))) is program
+    f = illusion_formula(IllusionKind.MAJORITY_WEAK_MAJORITY)
+    program, atoms = _expanded_program(f)
+    assert _expanded_program(parse_formula(format_formula(f)))[0] is program
     assert isinstance(program, tuple)
     assert all(isinstance(step, tuple) for step in program)
+    assert atoms == ("p",)
+
+
+def test_program_keeps_subformulas_apart_by_their_bound():
+    """``<>0 p`` and ``<>1 p`` read the same child: the program keeps them
+    as two steps, which a key without the bound would merge."""
+    f = parse_formula("<>0 p & ~<>1 p")
+    model = model_from_colored_graph(ColoredGraph(cycle_graph(5), coloring_from_string("RRBBB")))
+    # nodes 0 and 1 are red: 0, 1, 2 and 4 see a red neighbour, and none sees two
+    assert extension(model, f) == {0, 1, 2, 4}
+    bounds = [node.bound for node, _, _ in _program(expand(f)) if isinstance(node, NeighborCountOver)]
+    assert sorted(bounds) == [0, 1]
 
 
 # --- the frozenset table the boolean columns replaced, kept verbatim -------

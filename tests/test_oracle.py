@@ -520,6 +520,13 @@ def test_weak_illusions_reachable_on_small_graphs():
     assert illusion_possible(triangle(), IllusionKind.MAJORITY_WEAK_MAJORITY)
 
 
+@pytest.mark.parametrize("n, k", [(-1, 2), (3, -1)])
+def test_enumeration_refuses_a_negative_size(n, k):
+    with pytest.raises(PreconditionError) as err:
+        list(enumerate_regular(n, k))
+    assert str(err.value) == "n and k must be nonnegative"
+
+
 def test_labeled_enumeration_counts():
     assert sum(1 for _ in enumerate_regular(6, 4)) == 15
     assert list(enumerate_regular(5, 3)) == []
