@@ -52,9 +52,6 @@ from .coloring import (
 from .construct import (
     ConstructionPlan,
     ConstructionReport,
-    add_extra_blue_edges,
-    add_initial_edges,
-    add_regular_subgraph,
     construct_regular_illusion,
     construct_regular_illusion_report,
     construction_plan,

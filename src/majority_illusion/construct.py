@@ -1,5 +1,5 @@
-"""Constructive search-free builders for k-regular graphs carrying a
-majority-majority illusion.
+"""Builders of k-regular graphs carrying a majority-majority illusion:
+direct stages, then a depth-first search that pairs the leftovers.
 
 The pipeline colors ``n//2 + 1`` nodes red and the rest blue, wires every
 red node to just over ``k/2`` blue nodes (round-robin), tops the blue side
@@ -155,7 +155,7 @@ class ConstructionReport:
         return asdict(self)
 
 
-def add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -> np.ndarray:
+def _add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -> np.ndarray:
     """The sorted keys that give every red node its blue quota, round-robin,
     at the key width of a graph on ``n`` nodes.
 
@@ -189,7 +189,7 @@ def add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) -
     return ordered
 
 
-def add_extra_blue_edges(
+def _add_extra_blue_edges(
     keys: np.ndarray, n: int, order: Sequence[int], deg: np.ndarray, k: int, k_blue: int
 ) -> np.ndarray:
     """The sorted keys pairing up blue nodes with more than ``k_blue`` open
@@ -220,7 +220,7 @@ def add_extra_blue_edges(
     return np.array(sorted(added), dtype=_key_dtype(n))
 
 
-def add_regular_subgraph(
+def _add_regular_subgraph(
     keys: np.ndarray, n: int, nodes: Sequence[int], k_sub: int
 ) -> np.ndarray:
     """The sorted keys of a circulant ``k_sub``-regular graph on ``nodes`` (in
@@ -251,7 +251,7 @@ def add_regular_subgraph(
 
 
 def _circulant_table(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
-    """The keys of :func:`add_regular_subgraph`'s edges in its loop order:
+    """The keys of :func:`_add_regular_subgraph`'s edges in its loop order:
     by node position, then by partner.  Each edge is in it from both ends."""
     m = len(nodes)
     positions = np.arange(m, dtype=np.int64)[:, None] + _circulant_steps(m, k_sub)
@@ -363,7 +363,7 @@ def _add_circulants(report: ConstructionReport, keys: np.ndarray, n: int, rows) 
     """Add the circulant of each taken row ``(stage, nodes, degree, taken)``."""
     for stage, nodes, degree, taken in rows:
         if taken:
-            fresh = add_regular_subgraph(keys, n, nodes, degree)
+            fresh = _add_regular_subgraph(keys, n, nodes, degree)
             keys = report.add(keys, stage, fresh, degree=degree)
     return keys
 
@@ -451,7 +451,7 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
     red = np.arange(plan.n_red, dtype=_key_dtype(n))
     blue = np.arange(plan.n_red, n, dtype=_key_dtype(n))
 
-    initial = add_initial_edges(n, blue, red, k)
+    initial = _add_initial_edges(n, blue, red, k)
     keys = report.add(_no_edges(n), "initial-bipartite", initial, per_red=plan.blue_target)
     deg = _degree_counts(keys, n)
     bad = red[deg[red] != plan.blue_target].tolist()
@@ -463,7 +463,7 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
     # Top-up edges join blues consecutive in this order, so a circulant over
     # the same order only uses larger cyclic distances and cannot collide.
     blue_order = blue[np.lexsort((blue, deg[blue]))]
-    top_up = add_extra_blue_edges(keys, n, blue_order, deg, k, plan.k_blue)
+    top_up = _add_extra_blue_edges(keys, n, blue_order, deg, k, plan.k_blue)
     keys = report.add(keys, "blue-top-up", top_up)
     _check_top_up(_degree_counts(keys, n)[blue], k - plan.k_blue)
 

@@ -43,9 +43,9 @@ colorings than a sliced one, so an early hit is found sooner (3-6 times
 at n = 18 for unanimity-weak-majority).
 
 The fewest monochromatic edges are the most dichromatic ones, a maximum
-cut, which is a quadratic form in the colour bits.  :func:`_cut_optima`
-splits the nodes above 0 into two halves, so that a block of counts is
-one small float32 matrix product, exact in integers, at every ``n``.
+cut.  :func:`_cut_optima` splits the nodes above 0 into rows and columns
+and builds each block of counts as a subset-sum table, in int16 adds
+only: a count is at most ``|E| <= 496``, a partial sum at least ``-2|E|``.
 
 :func:`enumerate_regular` backtracks one node at a time over numpy blocks
 of states, a state one int16 row of residual degrees and bitsets, so that
@@ -247,47 +247,49 @@ def _cut_optima(g: Graph) -> tuple[int, int]:
     """The most dichromatic edges of a coloring with node 0 blue, and the
     smallest coloring string that has them, as a mask: a maximum cut.
 
-    With ``s`` the red bits, a coloring has ``s·deg - sᵀAs`` dichromatic
-    edges, a quadratic form.  Nodes ``1..a`` (``a = (n - 1) // 2``) give
-    the rows ``x`` and the nodes above the columns ``y``, each in string
-    order (its first node the highest bit), so C order is string order.
-    A row block's counts are one float32 product of ``[x·(-2C) | gx | 1]``
-    by ``[yᵀ; 1; gy]``: ``C`` is the cross adjacency, and ``gx``, ``gy``
-    each half's form on its own nodes.  Every term is an integer below
-    ``2^24``, so the product is exact.  A block's first ``argmax`` is its
-    best count at its smallest optimum string, and the blocks come in
-    string order (the split of R. Williams, "A new algorithm for optimal
-    2-constraint satisfaction and its implications", TCS 2005, without
-    the fast multiplication)."""
+    Red sets ``x``, ``y`` on disjoint nodes cut ``cut(x) + cut(y) -
+    2·e(x, y)`` edges, each ``cut`` with every other node blue.  The last
+    ``b`` nodes, at most ``_CHUNK_BITS - 7``, give the columns ``y``, the
+    nodes from 1 below them the rows ``x``, each in string order (its first
+    node the highest bit).  A block of rows is a ``(2^b, rows)`` int16
+    table of at most ``2^_CHUNK_BITS`` counts, built by doubling from
+    ``cut(x)``: column node ``v``, the last first, makes columns ``h..2h -
+    1`` columns ``0..h - 1`` less ``2·|N(v) ∩ x|``; then ``cut(y)`` is
+    added (the subset sums of E. Horowitz and S. Sahni, JACM 1974, over the
+    split of R. Williams, TCS 2005).  int16 holds every value, from
+    ``-2|E|`` up to ``|E| <= 496``.  A block's smallest optimum string is
+    its first row at its maximum, at that row's first column; a later
+    block replaces it only with a larger count."""
     n = g.n
-    a = (n - 1) // 2
-    b = n - 1 - a
-    nodes = np.arange(1, n, dtype=np.uint32)
-    adj = (g.neighbor_masks[1:, None] >> nodes & np.uint32(1)).astype(np.float32)
-    deg = np.bitwise_count(g.neighbor_masks[1:]).astype(np.float32)
+    b = min(n // 2, max(0, _CHUNK_BITS - 7))
+    a = n - 1 - b
+    nbr = g.neighbor_masks
 
-    def half(lo: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The 0/1 rows of the ``2^k`` colorings of nodes ``lo + 1..lo + k``
-        in string order, and each one's form on those nodes."""
-        bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
-        bits = bits.astype(np.float32)
-        inner = adj[lo : lo + k, lo : lo + k]
-        return bits, bits @ deg[lo : lo + k] - ((bits @ inner) * bits).sum(axis=1)
+    def half(index: np.ndarray, lo: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The masks of colorings ``index`` of nodes ``lo + 1..lo + k`` in
+        string order, and the edges each one cuts, the other nodes blue."""
+        nodes = np.arange(lo + 1, lo + k + 1, dtype=np.uint32)[:, None]
+        red = index >> (lo + k - nodes) & 1
+        masks = np.bitwise_or.reduce(red << nodes, axis=0)
+        cut = np.bitwise_count(nbr[lo + 1 : lo + k + 1, None] & ~masks & -red)
+        return masks, np.add.reduce(cut, axis=0, dtype=np.int16)
 
-    x, gx = half(0, a)
-    y, gy = half(a, b)
-    left = np.column_stack((x @ (-2 * adj[:a, a:]), gx, np.ones_like(gx)))
-    right = np.vstack((y.T, np.ones_like(gy), gy))
-    rows = max(1, (1 << _CHUNK_BITS) >> b)  # at least one row a block
-    out = np.empty((min(rows, len(x)), len(y)), dtype=np.float32)
-    best, key = -1, 0
-    for start in range(0, len(x), rows):
-        block = np.matmul(left[start : start + rows], right, out=out[: min(rows, len(x) - start)])
-        pos = int(block.argmax())
-        if block.flat[pos] > best:
-            best, key = int(block.flat[pos]), (start << b) + pos
-    # the key's bits are nodes 1..n-1, node 1 highest: reversed, a mask
-    return best, int(f"{key:0{n - 1}b}"[::-1], 2) << 1
+    ys, gy = half(np.arange(1 << b, dtype=np.uint32), a, b)
+    columns = nbr[a + 1 :, None]
+    rows = 1 << min(a, _CHUNK_BITS - b)
+    t = np.empty((1 << b, rows), dtype=np.int16)
+    best, mask = -1, 0
+    for start in range(0, 1 << a, rows):
+        xs, t[0] = half(np.arange(start, start + rows, dtype=np.uint32), 0, a)
+        twice = np.left_shift(np.bitwise_count(xs & columns), 1, dtype=np.int16)
+        for j, step in enumerate(twice[::-1]):  # the last node, a column's bit 0, first
+            np.subtract(t[: 1 << j], step, out=t[1 << j : 2 << j])
+        t += gy[:, None]
+        top = int(t.max())
+        if top > best:
+            row = int(t.max(axis=0).argmax())
+            best, mask = top, int(xs[row] | ys[t[:, row].argmax()])
+    return best, mask
 
 
 _WORD_BITS = 6  # a colour plane word holds 2^6 colorings

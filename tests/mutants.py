@@ -72,8 +72,16 @@ MUTANTS = [
     # the bit-sliced kernel: the tree adder's odd row and the flag words' lead
     Mutant("oracle.py", "if odd:", "if False:", ORACLE),
     Mutant("oracle.py", "_words(lead > 0)", "_words(lead >= 0)", ORACLE),
-    # the cut scan's key: a row block's start above the column bits
-    Mutant("oracle.py", "(start << b) + pos", "(start << a) + pos", ORACLE),
+    # the cut scan: a later block wins only on a larger count, a block's
+    # first row at its maximum wins, and the doubling takes the last node first
+    Mutant("oracle.py", "if top > best:", "if top >= best:", ORACLE),
+    Mutant(
+        "oracle.py",
+        "row = int(t.max(axis=0).argmax())",
+        "row = rows - 1 - int(t.max(axis=0)[::-1].argmax())",
+        ORACLE,
+    ),
+    Mutant("oracle.py", "enumerate(twice[::-1])", "enumerate(twice)", ORACLE),
     # the classifier's class key, the q-window and the majority flag
     Mutant(
         "analysis.py",

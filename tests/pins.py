@@ -185,8 +185,8 @@ PINS = [
     oracle("circulant 14 --offsets 1,2,5", WEAK, 14, "BRBRBRBRBRBRBR"),
     oracle("complete 10", STRICT, 0, "BBBBBBBBBB"),
     oracle("complete 10", WEAK, 10, "BBBBBRRRRR"),
-    # the cut scan's fewest monochromatic edges at even and odd n, and above
-    # float32's 24 bits of mask, past the default cap
+    # the cut scan's fewest monochromatic edges at even and odd n, and a mask
+    # above 2^24, red nodes past the default cap's 22
     oracle("circulant 16 --offsets 1,2,5", MONO, 12, "BBRBBRBBRBBRRBRR"),
     oracle("circulant 14 --offsets 1,2,5", MONO, 10, "BBRBBRRBBRBBRR"),
     oracle("circulant 13 --offsets 1,3", MONO, 4, "BBRBRBRBRBRBR"),

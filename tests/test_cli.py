@@ -329,6 +329,14 @@ def test_the_workflow_replays_the_pin_table_and_restates_no_pin():
     assert not re.search(r"^\s*check\b", workflow, re.MULTILINE)
 
 
+def test_the_workflow_pins_no_thread_count():
+    """CI runs with the thread counts a user's shell has: the oracle calls
+    no BLAS routine, so no step needs a pin, and none may hide one."""
+    workflow = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert name not in workflow, name
+
+
 def test_oracle_cap_usage_error(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text("n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")

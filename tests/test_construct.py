@@ -13,9 +13,6 @@ from majority_illusion import (
     InfeasibleError,
     InternalInvariantError,
     PreconditionError,
-    add_extra_blue_edges,
-    add_initial_edges,
-    add_regular_subgraph,
     classify_network,
     construct_regular_illusion,
     construct_regular_illusion_report,
@@ -26,7 +23,14 @@ from majority_illusion import (
     make_graph,
     regular_exists,
 )
-from majority_illusion.construct import _bridge, _realize_deficits, _validate_colored_regular
+from majority_illusion.construct import (
+    _add_extra_blue_edges,
+    _add_initial_edges,
+    _add_regular_subgraph,
+    _bridge,
+    _realize_deficits,
+    _validate_colored_regular,
+)
 from majority_illusion.graphs import _NARROW_KEYS_BELOW, MAX_NODES, _key_dtype
 from reference_construct import _norm
 
@@ -52,7 +56,7 @@ def top_up(keys: np.ndarray, n: int, blue, k: int, k_blue: int) -> np.ndarray:
     with the blue nodes by ascending degree, then id."""
     deg = np.array(degrees_of(keys, n), dtype=np.int64)
     order = sorted(blue, key=lambda b: (deg[b], b))
-    return add_extra_blue_edges(keys, n, order, deg, k, k_blue)
+    return _add_extra_blue_edges(keys, n, order, deg, k, k_blue)
 
 
 def reference_realize_deficits(edges, members, k, deg, label):
@@ -118,7 +122,7 @@ def test_plan_odd_n():
 
 def test_initial_edges_round_robin_spread():
     red, blue = list(range(7)), list(range(7, 12))
-    keys = add_initial_edges(12, blue, red, 6)
+    keys = _add_initial_edges(12, blue, red, 6)
     assert keys.dtype == _key_dtype(12) == np.uint32 and len(keys) == 28
     deg = degrees_of(keys, 12)
     assert all(deg[r] == 4 for r in red)
@@ -127,14 +131,14 @@ def test_initial_edges_round_robin_spread():
     # whose keys are above 2^32
     n = _NARROW_KEYS_BELOW + 1
     top = n - 12
-    wide = add_initial_edges(n, [top + b for b in blue], [top + r for r in red], 6)
+    wide = _add_initial_edges(n, [top + b for b in blue], [top + r for r in red], 6)
     assert wide.dtype == _key_dtype(n) == np.int64
     assert edges_of(wide, n) == {(top + u, top + v) for u, v in edges_of(keys, 12)}
 
 
 def test_initial_edges_odd_degree_quota():
     red, blue = list(range(6)), list(range(6, 10))
-    keys = add_initial_edges(10, blue, red, 3)
+    keys = _add_initial_edges(10, blue, red, 3)
     assert len(keys) == 12
     deg = degrees_of(keys, 10)
     assert all(deg[r] == 2 for r in red)
@@ -143,7 +147,7 @@ def test_initial_edges_odd_degree_quota():
 
 def test_blue_top_up_adds_single_pair():
     red, blue = list(range(7)), list(range(7, 12))
-    keys = add_initial_edges(12, blue, red, 6)
+    keys = _add_initial_edges(12, blue, red, 6)
     fresh = top_up(keys, 12, blue, 6, 0)
     assert len(edges_of(fresh, 12)) == 1 and fresh.min() >= 7 * 12
     deg = degrees_of(construct._merge(keys, fresh), 12)
@@ -152,29 +156,29 @@ def test_blue_top_up_adds_single_pair():
 
 def test_blue_top_up_no_op_when_saturated():
     red, blue = list(range(8)), list(range(8, 14))
-    keys = add_initial_edges(14, blue, red, 4)  # blues land exactly on 4
+    keys = _add_initial_edges(14, blue, red, 4)  # blues land exactly on 4
     assert len(top_up(keys, 14, blue, 4, 0)) == 0
 
 
 def test_circulant_degree_two_is_a_cycle():
-    keys = add_regular_subgraph(NO_EDGES, 7, list(range(7)), 2)
+    keys = _add_regular_subgraph(NO_EDGES, 7, list(range(7)), 2)
     g = make_graph(7, np.stack(np.divmod(keys, 7), axis=1))
     assert g.is_regular(2)
     assert len(keys) == 7
 
 
 def test_circulant_zero_is_no_op():
-    assert len(add_regular_subgraph(NO_EDGES, 5, list(range(5)), 0)) == 0
+    assert len(_add_regular_subgraph(NO_EDGES, 5, list(range(5)), 0)) == 0
 
 
 def test_circulant_odd_degree_even_count():
-    keys = add_regular_subgraph(NO_EDGES, 6, list(range(6)), 3)
+    keys = _add_regular_subgraph(NO_EDGES, 6, list(range(6)), 3)
     assert make_graph(6, np.stack(np.divmod(keys, 6), axis=1)).is_regular(3)
 
 
 def test_circulant_collision_raises():
     with pytest.raises(InternalInvariantError, match=r"circulant edge \(0, 3\) collides"):
-        add_regular_subgraph(keys_of({(0, 3)}, 6), 6, list(range(6)), 3)
+        _add_regular_subgraph(keys_of({(0, 3)}, 6), 6, list(range(6)), 3)
 
 
 def test_circulant_collision_names_the_first_in_loop_order():
@@ -182,7 +186,7 @@ def test_circulant_collision_names_the_first_in_loop_order():
     the first collision of the loop's order, here not the smallest key."""
     existing = keys_of({(0, 2), (3, 5)}, 6)
     with pytest.raises(InternalInvariantError, match=r"circulant edge \(3, 5\) collides"):
-        add_regular_subgraph(existing, 6, [5, 4, 3, 2, 1, 0], 2)
+        _add_regular_subgraph(existing, 6, [5, 4, 3, 2, 1, 0], 2)
 
 
 _key_values = st.one_of(st.integers(0, 40), st.integers(0, 2**62))
@@ -209,7 +213,7 @@ def test_merge_and_contains_match_python_sets(keys, fresh, probe):
 
 def test_circulant_rejects_oversized_degree():
     with pytest.raises(PreconditionError):
-        add_regular_subgraph(NO_EDGES, 4, list(range(4)), 4)
+        _add_regular_subgraph(NO_EDGES, 4, list(range(4)), 4)
 
 
 def test_reference_construction_12_6():
@@ -279,7 +283,7 @@ def test_stage_accounting_for_even_parameters():
     # blue open ends after the bipartite stage: (n/2-1)(k-2)/2 - (k+2)
     for n, k in ((12, 6), (16, 6), (14, 10), (22, 12)):
         plan = construction_plan(n, k)
-        keys = add_initial_edges(n, plan.blue_nodes, plan.red_nodes, k)
+        keys = _add_initial_edges(n, plan.blue_nodes, plan.red_nodes, k)
         deg = degrees_of(keys, n)
         open_ends = sum(k - deg[b] for b in plan.blue_nodes)
         assert open_ends == (n // 2 - 1) * (k - 2) // 2 - (k + 2)
@@ -493,7 +497,7 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
         def wrapper(*args):
             fresh = stage(*args)
             called.add(name)
-            initial = name == "add_initial_edges"
+            initial = name == "_add_initial_edges"
             given, n = (NO_EDGES, args[0]) if initial else args[:2]
             sorted_distinct = bool(np.all(fresh[1:] > fresh[:-1]))
             if fresh.dtype != _key_dtype(n) or not sorted_distinct or np.isin(fresh, given).any():
@@ -502,7 +506,7 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
 
         return wrapper
 
-    stages = {"add_initial_edges", "add_extra_blue_edges", "add_regular_subgraph", "_bridge",
+    stages = {"_add_initial_edges", "_add_extra_blue_edges", "_add_regular_subgraph", "_bridge",
               "_realize_deficits"}
     for name in stages:
         monkeypatch.setattr(construct, name, checked(name, getattr(construct, name)))
@@ -532,10 +536,10 @@ def test_initial_edges_match_the_set_based_round_robin(r, b, k, data):
         expected = ref.add_initial_edges(set(), blue, red, k)
     except InternalInvariantError as exc:
         with pytest.raises(InternalInvariantError) as new:
-            add_initial_edges(n, blue, red, k)
+            _add_initial_edges(n, blue, red, k)
         assert str(new.value) == str(exc)
     else:
-        assert edges_of(add_initial_edges(n, blue, red, k), n) == expected
+        assert edges_of(_add_initial_edges(n, blue, red, k), n) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -550,10 +554,10 @@ def test_initial_edges_on_scattered_ids_match_the_set_based_round_robin(r, b, k,
         expected = ref.add_initial_edges(set(), blue, red, k)
     except InternalInvariantError as exc:
         with pytest.raises(InternalInvariantError) as new:
-            add_initial_edges(n, blue, red, k)
+            _add_initial_edges(n, blue, red, k)
         assert str(new.value) == str(exc)
     else:
-        assert edges_of(add_initial_edges(n, blue, red, k), n) == expected
+        assert edges_of(_add_initial_edges(n, blue, red, k), n) == expected
 
 
 @pytest.mark.parametrize(
@@ -566,7 +570,7 @@ def test_initial_edges_on_scattered_ids_match_the_set_based_round_robin(r, b, k,
 def test_initial_collision_names_the_red_node_of_the_first_repeat(red, blue, k, node):
     n = len(red) + len(blue)
     with pytest.raises(InternalInvariantError) as exc:
-        add_initial_edges(n, blue, red, k)
+        _add_initial_edges(n, blue, red, k)
     assert str(exc.value) == f"red node {node} collides again after the shift"
     with pytest.raises(InternalInvariantError, match=str(exc.value)):
         ref.add_initial_edges(set(), blue, red, k)
@@ -592,10 +596,10 @@ def test_circulant_matches_the_set_based_circulant(m, spare, data):
         ref.add_regular_subgraph(expected, nodes, k_sub)
     except InternalInvariantError as exc:
         with pytest.raises(InternalInvariantError) as new:
-            add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
+            _add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
         assert str(new.value) == str(exc)
     else:
-        fresh = add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
+        fresh = _add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
         assert edges_of(fresh, n) == expected - existing
 
 
@@ -629,7 +633,7 @@ def test_top_up_counts_no_degrees(monkeypatch, n, k):
     """The top-up reads the degrees its caller counted after the initial
     stage, so it makes no degree pass of its own."""
     stage, passes = ["build"], []
-    count, add = construct._degree_counts, construct.add_extra_blue_edges
+    count, add = construct._degree_counts, construct._add_extra_blue_edges
 
     def counted(*args):
         passes.append(stage[-1])
@@ -643,7 +647,7 @@ def test_top_up_counts_no_degrees(monkeypatch, n, k):
             stage.pop()
 
     monkeypatch.setattr(construct, "_degree_counts", counted)
-    monkeypatch.setattr(construct, "add_extra_blue_edges", spied)
+    monkeypatch.setattr(construct, "_add_extra_blue_edges", spied)
     construct.construct_regular_illusion_report(n, k)
     assert passes and "top-up" not in passes
 
@@ -652,7 +656,7 @@ def test_top_up_counts_no_degrees(monkeypatch, n, k):
 def test_top_up_check_names_the_same_degrees(monkeypatch, n, k):
     """With the top-up left out, both builders stop at its check and list
     the same blue degrees."""
-    monkeypatch.setattr(construct, "add_extra_blue_edges", lambda *args: NO_EDGES)
+    monkeypatch.setattr(construct, "_add_extra_blue_edges", lambda *args: NO_EDGES)
     monkeypatch.setattr(ref, "add_extra_blue_edges", lambda edges, *args: edges)
     with pytest.raises(InternalInvariantError, match="blue top-up left degrees") as exc:
         construct.construct_regular_illusion_report(n, k)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import FrozenInstanceError
 from itertools import chain
 from math import comb
@@ -180,10 +181,10 @@ def test_chunked_scan_matches_single_chunk(monkeypatch):
 
 
 def test_cut_scan_row_blocks_combine_like_one_block(monkeypatch):
-    """Row blocks of one to a few rows give the full-scan fewest
-    monochromatic edges, and the corpus has optima in several blocks, the
-    smallest string not in the last of them, so a later block that ties
-    the best count does not replace it."""
+    """Row blocks of a few rows give the full-scan fewest monochromatic
+    edges, and the corpus has optima in several blocks, the smallest string
+    not in the last of them, so a later block that ties the best count does
+    not replace it.  Below ``2^7`` words a block has no column nodes."""
     corpus = [
         cycle_graph(9),
         complete_graph(8),
@@ -196,8 +197,8 @@ def test_cut_scan_row_blocks_combine_like_one_block(monkeypatch):
         split = 0
         for g in corpus:
             n = g.n
-            b = n - 1 - (n - 1) // 2  # column nodes
-            rows = max(1, (1 << bits) >> b)
+            b = min(n // 2, max(0, bits - 7))  # column nodes
+            rows = 1 << (bits - b)
             assert 1 << (n - 1 - b) > rows  # more than one block
 
             def block(mask):
@@ -213,10 +214,71 @@ def test_cut_scan_row_blocks_combine_like_one_block(monkeypatch):
         assert split > 0
 
 
+def _reference_cut(g):
+    """The most dichromatic edges of a coloring with node 0 blue, and the
+    smallest coloring string that has them, as a mask: every edge's two
+    colours compared under every such coloring, ``2^20`` at a time."""
+    n = g.n
+    best, best_key, best_mask = -1, 0, 0
+    half = 1 << (n - 1)
+    for start in range(0, half, 1 << 20):
+        masks = np.arange(start, min(start + (1 << 20), half), dtype=np.uint32) << np.uint32(1)
+        cut = np.zeros(len(masks), dtype=np.int32)
+        for u, v in g.edges:
+            cut += (masks >> np.uint32(u) ^ masks >> np.uint32(v)) & np.uint32(1)
+        top = int(cut.max())
+        if top < best:
+            continue
+        tied = masks[cut == top]
+        # node 0 first: the string's order is the order of the reversed bits
+        keys = sum((tied >> np.uint32(v) & np.uint32(1)) << np.uint32(n - 1 - v) for v in range(n))
+        pos = int(np.argmin(keys))
+        if top > best or int(keys[pos]) < best_key:
+            best, best_key, best_mask = top, int(keys[pos]), int(tied[pos])
+    return best, best_mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=22))
+@example(make_graph(22, []))  # every coloring ties
+@example(complete_graph(15))
+@example(cycle_graph(21))  # four blocks of 2^8 rows and 2^10 columns
+@example(circulant_graph(22, (1, 5)))  # eight blocks, 11 column nodes
+def test_cut_scan_matches_a_full_scan(g):
+    """The cut scan's count and smallest optimum string equal a scan of
+    every coloring with node 0 blue, edge by edge, and agree with the full
+    reference's fewest monochromatic edges."""
+    assert oracle_module._cut_optima(g) == _reference_cut(g)
+    if g.n <= 12:
+        mask, score, _ = _reference(g)[0][Objective.MIN_MONOCHROMATIC]
+        assert _reference_cut(g) == (g.edge_count - score, mask)
+
+
+@settings(max_examples=3, deadline=None)
+@given(graphs(min_n=23, max_n=26))
+@example(circulant_graph(24, (1, 4)))  # 12 column nodes, were they not capped at 11
+def test_cut_scan_past_the_default_cap_matches_a_full_scan(g):
+    """From 24 nodes the column count stops at 11 and the rows grow: the
+    scan still equals the edge-by-edge scan, under a raised cap."""
+    cut, mask = _reference_cut(g)
+    want = (coloring_from_mask(mask, g.n), g.edge_count - cut)
+    assert best_coloring(g, Objective.MIN_MONOCHROMATIC, cap=26) == want
+
+
+def test_cut_scan_makes_no_float_product():
+    """The cut scan adds integers only: its source names no float type and
+    no matrix product, which numpy would hand to a threaded BLAS."""
+    source = inspect.getsource(oracle_module._cut_optima)
+    for word in ("@", "matmul", "dot", "float"):
+        assert word not in source, word
+
+
 def test_cut_scan_keeps_masks_above_float32_precision():
-    """The alternating 26-cycle's optimum mask, 44 739 242, reads 44 739 240
-    in float32: the mask is worked out in integers."""
-    assert float(np.float32(44_739_242)) != 44_739_242
+    """The alternating 26-cycle's optimum mask, 44 739 242, lies above
+    2^24, past the default cap: no graph the cap admits has a red node
+    above 21.  So it pins the mask's high bits, red nodes 24 and 25 among
+    the column nodes; float32 would read the mask as 44 739 240."""
+    assert 44_739_242 > 1 << 24 and float(np.float32(44_739_242)) != 44_739_242
     assert best_coloring(cycle_graph(26), Objective.MIN_MONOCHROMATIC, cap=26) == (
         (Color.BLUE, Color.RED) * 13,
         0,
