@@ -18,14 +18,18 @@ the complete bipartite core of :func:`fast_construct` is a ``repeat`` and
 a ``tile``, and the bridge's candidates are one mask.  New keys are
 sorted, probed against the array in that sorted order, and merged into it
 by a stable sort of the two runs, which timsort merges in one pass; each
-degree pass is one search for the row starts plus one ``bincount``.  Two
-loops stay scalar because each choice depends on the last: the blue
-top-up (one pass over the blue nodes) and the pairing of the odd-parity
-leftovers (about ``n/4`` open ends), which tests adjacency in one set of
-the edges between its open ends.  The pairing is an iterative depth-first
-search with an explicit undo stack, so it runs at any size; no stage has
-a fallback path, because none is reachable on a feasible input (the
-proofs are in CHANGES.md).  Every stage validates its degree accounting
+degree pass is one search for the row starts plus one ``bincount``.  The
+blue top-up, whose choices each depend on the one before, is one pass in
+closed form: a choice depends on the last only where its node has room
+for one edge, and there the choices alternate.  The pairing of the
+odd-parity leftovers (about ``n/4`` open ends) is an iterative depth-first
+search with an explicit undo stack, so it runs at any size; wherever
+every open end lacks one edge, its choices come in blocks of two or four
+consecutive open ids, fixed by one probe of the pairs one and two apart,
+and it makes them in bulk, leaving only the rest (a node two edges short,
+a longer scan, an undo) to the scalar search.  No stage has a fallback
+path, because none is reachable on a feasible input (the proofs are in
+CHANGES.md).  Every stage validates its degree accounting
 and the final product is re-checked for simplicity, regularity, and the
 majority-majority flag; any violation raises
 :class:`InternalInvariantError` rather than returning a wrong witness.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -200,24 +205,35 @@ def _add_extra_blue_edges(
     cyclic successor when both sit below ``k - k_blue`` and are not yet
     adjacent.  In the odd-leftover case one blue node stays one edge short
     for the caller to absorb.
+
+    The walk is one array pass.  With room ``r = k - k_blue - deg``, pair
+    ``i`` joins ``(o[i], o[i+1])``; ``o[i+1]`` is in no earlier pair, and
+    ``o[i]`` only in pair ``i - 1``.  So pair ``i`` is taken iff it is open
+    (not in ``keys``, both rooms at least 1) and ``o[i]`` still has room:
+    ``r(o[i]) >= 2`` or pair ``i - 1`` not taken, with nothing before pair
+    0.  Only an open pair with ``r(o[i]) = 1`` depends on the one before
+    it, taking the opposite choice, so from the last pair that does not
+    (closed, open with room 2, or pair 0) the choices alternate.  The
+    last pair wraps to ``o[0]``, which pair 0 may have filled.  Two blue
+    nodes are one pair twice; pair 1 is open only when pair 0 is, which
+    takes it first, so the key is kept once.
     """
     order = np.asarray(order, dtype=_key_dtype(n))
-    if len(order) < 2:
+    m = len(order)
+    if m < 2:
         return _no_edges(n)
-    successor = np.roll(order, -1)
-    pairs = _edge_keys(order, successor, n)
-    adjacent = _contains(keys, pairs).tolist()
-    limit = k - k_blue
-    deg = deg.tolist()
-    # A pair comes twice only for two blue nodes, as (a, b) then (b, a);
-    # the set keeps it once.
-    added: set[int] = set()
-    for node, nxt, key, known in zip(order.tolist(), successor.tolist(), pairs.tolist(), adjacent):
-        if not known and deg[node] < limit and deg[nxt] < limit:
-            added.add(key)
-            deg[node] += 1
-            deg[nxt] += 1
-    return np.array(sorted(added), dtype=_key_dtype(n))
+    pairs = _edge_keys(order, np.roll(order, -1), n)
+    room = (k - k_blue) - deg[order]
+    open_pair = ~_contains(keys, pairs) & (room >= 1) & (np.roll(room, -1) >= 1)
+    settled = ~open_pair | (room >= 2)
+    settled[0] = True  # nothing comes before pair 0
+    at = np.arange(m)
+    last = np.maximum.accumulate(np.where(settled, at, 0))
+    taken = open_pair[last] ^ ((at - last) % 2 == 1)
+    taken[-1] &= room[0] - taken[0] >= 1
+    if m == 2:
+        taken[1] = False
+    return np.sort(pairs[taken])
 
 
 def _add_regular_subgraph(
@@ -282,7 +298,7 @@ def _circulant_half(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
 
 
 def _realize_deficits(
-    keys: np.ndarray, n: int, members: Sequence[int], k: int, deg: list[int], label: str
+    keys: np.ndarray, n: int, members: Sequence[int], k: int, deg: np.ndarray, label: str
 ) -> np.ndarray:
     """Connect same-color nodes until every member reaches degree ``k``.
 
@@ -292,47 +308,77 @@ def _realize_deficits(
     order of ``(deg - k, id)``.  When no partner is left, the last choice
     is undone and its scan resumes just past the partner it had taken.
     Raises when the open ends cannot be realized at all; returns the
-    pairing's keys, sorted, and updates ``deg`` in place.
+    pairing's keys, sorted, and updates the degree array ``deg`` in place.
+
+    Whenever every open end has deficit 1 and the lowest open id is about
+    to start a fresh scan, :func:`_pair_blocks` makes the search's next
+    choices in bulk, as far as they follow from its probes alone.  The
+    search is a function of its state: the open ends, the undo stack, the
+    degrees and the scan's start.  The bulk pass leaves each as the search
+    would have, its pairs on the undo stack in choice order, so every
+    later step, an undo into the bulk pairs included, is the search's own.
     """
-    deficit = {u: k - deg[u] for u in members if deg[u] < k}
-    if sum(deficit.values()) % 2 == 1:
-        raise InternalInvariantError(f"{label} open ends sum to an odd number: {deficit}")
-    # Every pair probed joins two open members, so only the edges between
-    # members are kept to probe, with the chosen edges added as they come.
-    member = np.zeros(n, dtype=bool)
-    member[list(deficit)] = True
-    low, high = np.divmod(keys, n)
-    edges = set(keys[member[low] & member[high]].tolist())
+    dtype = _key_dtype(n)
+    members = np.asarray(members, dtype=dtype)
+    ids = np.sort(members[deg[members] < k])
+    if int((k - deg[ids]).sum()) % 2 == 1:
+        raise InternalInvariantError(
+            f"{label} open ends sum to an odd number: {_deficits(members, k, deg)}"
+        )
 
     def key(u: int, v: int) -> int:
         return u * n + v if u < v else v * n + u
 
-    # The open members as (k - deg, -id), ascending: that order reversed,
-    # so the node to extend is last and the scan for its partner runs down
-    # from the one before it; a step takes both from near the end of the
-    # list instead of moving all of it.
-    open_ends = sorted((d, -u) for u, d in deficit.items())
+    def end(w: int) -> int:
+        return (k - int(deg[w])) * n + n - 1 - w
+
+    # The search probes one set: the edges from each node it extends to
+    # the other members, found in one probe when it first extends the
+    # node, and the pairs it chose itself.  A pair chosen in bulk closes
+    # both of its ends, so no scan probes it while it stands.
+    edges: set[int] = set()
+    extended: set[int] = set()
+    both_open: list[tuple[int, int]] = []  # choices that left both ends open
+    # The open members as the ints end(w) = (k - deg) * n + (n - 1 - id),
+    # ascending: the order of (deg - k, id) reversed, so the node to extend
+    # is last and the scan for its partner runs down from the one before
+    # it; a step takes both from near the end of the list instead of
+    # moving all of it.
+    open_ends = np.sort((k - deg[ids]) * n + (n - 1 - ids)).tolist()
     chosen: list[tuple[int, int]] = []  # (extended node, partner), in choice order
     start = len(open_ends) - 2
     while open_ends:
-        u = -open_ends[-1][1]
+        # a fresh scan, and the neediest open end (last) is one edge short
+        if start == len(open_ends) - 2 and open_ends[-1] < 2 * n:
+            live = sorted(key(u, v) for u, v in both_open
+                          if deg[u] < k and deg[v] < k and key(u, v) in edges)
+            _pair_blocks(keys, n, np.array(live, dtype=dtype), open_ends, chosen, deg)
+            start = len(open_ends) - 2
+            if not open_ends:
+                break
+        u = n - 1 - open_ends[-1] % n
+        if u not in extended:
+            extended.add(u)
+            probe = _edge_keys(ids, u, n)
+            edges.update(probe[_contains(keys, probe)].tolist())
         for i in range(start, -1, -1):
-            v = -open_ends[i][1]
+            v = n - 1 - open_ends[i] % n
             if key(u, v) not in edges:
                 break
         else:
             if not chosen:
                 raise InternalInvariantError(
-                    f"{label} open ends {deficit} cannot be paired without duplicates"
+                    f"{label} open ends {_deficits(members, k, deg)} cannot be paired "
+                    "without duplicates"
                 )
             u, v = chosen.pop()
             edges.discard(key(u, v))
             for w in (u, v):
                 if deg[w] < k:
-                    del open_ends[bisect_left(open_ends, (k - deg[w], -w))]
+                    del open_ends[bisect_left(open_ends, end(w))]
                 deg[w] -= 1
-                insort(open_ends, (k - deg[w], -w))
-            start = bisect_left(open_ends, (k - deg[v], -v)) - 1
+                insort(open_ends, end(w))
+            start = bisect_left(open_ends, end(v)) - 1
             continue
         del open_ends[-1], open_ends[i]
         edges.add(key(u, v))
@@ -340,9 +386,77 @@ def _realize_deficits(
         for w in (u, v):
             deg[w] += 1
             if deg[w] < k:
-                insort(open_ends, (k - deg[w], -w))
+                insort(open_ends, end(w))
+        if deg[u] < k and deg[v] < k:
+            both_open.append((u, v))
         start = len(open_ends) - 2
-    return np.array(sorted(key(u, v) for u, v in chosen), dtype=_key_dtype(n))
+    ends = np.fromiter(chain.from_iterable(chosen), dtype=dtype, count=2 * len(chosen))
+    return np.sort(_edge_keys(ends[0::2], ends[1::2], n))
+
+
+def _deficits(members: np.ndarray, k: int, deg: np.ndarray) -> dict[int, int]:
+    """Each open member's deficit ``k - deg``, in member order."""
+    return {u: k - d for u, d in zip(members.tolist(), deg[members].tolist()) if d < k}
+
+
+def _pair_blocks(
+    keys: np.ndarray,
+    n: int,
+    live: np.ndarray,
+    open_ends: list[int],
+    chosen: list[tuple[int, int]],
+    deg: np.ndarray,
+) -> None:
+    """Make the pairing search's next choices in bulk, from a state where
+    every open end has deficit 1 and the lowest open id starts a fresh
+    scan, and leave ``open_ends``, ``chosen`` and ``deg`` as the search
+    would.  ``live`` holds the sorted keys of its chosen pairs that join
+    two open ends.
+
+    With the open ids ascending, ``m[0] < m[1] < ...``, a block starts at
+    ``s`` with ``m[s]`` scanning from ``m[s+1]``.  If that pair is free
+    (neither an edge in ``keys`` nor a chosen pair), it is the block.  If
+    not, ``m[s]`` takes ``m[s+2]`` and then ``m[s+1]``, now the lowest,
+    takes ``m[s+3]``, provided both pairs are free.  So blocks start at
+    even positions, and an even position starts one iff the run of
+    adjacent consecutive pairs at the even positions before it has even
+    length.  Blocks are committed up to the first block of four with an
+    adjacent distance-2 pair or running past the end (an adjacent last
+    pair), where the search takes over.  The probes cover a window of the
+    lowest ids that doubles while all its blocks commit, so a stop costs
+    at most the window probed.
+    """
+    window = 256
+    while open_ends:
+        w = min(len(open_ends), window)
+        # each open end is n + (n - 1 - id); the lowest ids are the last
+        m = (2 * n - 1 - np.array(open_ends[: -w - 1 : -1])).astype(_key_dtype(n))
+        probe = np.concatenate((m[:-1] * n + m[1:], m[:-2] * n + m[2:]))
+        adjacent = _contains(keys, probe) | _contains(live, probe)
+        # at each even position: the consecutive pair, and the two pairs
+        # two apart (adjacent past the window)
+        run = adjacent[: w - 1 : 2]
+        far = np.append(adjacent[w - 1 :], [True, True])
+        far = far[0::2] | far[1::2]
+        slot = np.arange(len(run))
+        last_free = np.maximum.accumulate(np.where(run, -1, slot))
+        starts = (slot - np.append(-1, last_free[:-1])) % 2 == 1
+        wide = starts & run
+        stuck = np.flatnonzero(wide & far)
+        count = stuck[0] if len(stuck) else len(run)
+        # each committed even position s gives one pair, in choice order:
+        # (s, s+1) for a block of two, (s, s+2) and then (s+1, s+3) for
+        # one of four, whose second pair is its second position's
+        s = 2 * slot[:count]
+        chosen.extend(zip(m[s - ~starts[:count]].tolist(), m[s + 1 + wide[:count]].tolist()))
+        deg[m[: 2 * count]] += 1
+        # a block of four at the window's last start runs past the window,
+        # to be probed again in the next one; past the end it is a stop
+        cut = count == len(run) - 1 and w < len(open_ends)
+        del open_ends[len(open_ends) - 2 * count :]
+        if count < len(run) and not cut:
+            return
+        window *= 2
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:
@@ -482,10 +596,7 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
         if red_deferred:
             # one red end must cross over; pick the neediest blue node
             keys = report.add(keys, "bridge", _bridge(keys, n, red, blue, k, deg))
-        open_blue = blue[deg[blue] < k].tolist()
-        open_red = red[deg[red] < k].tolist()
-        deg = deg.tolist()
-        for label, members in (("blue", open_blue), ("red", open_red)):
+        for label, members in (("blue", blue), ("red", red)):
             fresh = _realize_deficits(keys, n, members, k, deg, label)
             if len(fresh):
                 keys = report.add(keys, f"{label}-pairing", fresh)

@@ -42,6 +42,8 @@ COLORING = ("test_coloring.py",)
 ANALYSIS = ("test_analysis.py",)
 FILEFORMAT = ("test_fileformat.py",)
 LOGIC = ("test_logic.py",)
+TOP_UP = ("test_construct.py::test_blue_top_up_matches_the_set_based_top_up",)
+BULK = ("test_construct.py::test_bulk_pairing_matches_the_search",)
 
 MUTANTS = [
     # the byte-lane start: a lane's bit 7 sets where its count reaches the threshold
@@ -144,6 +146,26 @@ MUTANTS = [
         "np.lexsort((blue, deg[blue]))",
         "np.lexsort((deg[blue], blue))",
         ("test_construct.py",),
+    ),
+    # the blue top-up in closed form: a node the pair before it filled
+    # takes another pair only with room 2, and the last pair wraps to the
+    # first node, which pair 0 may have filled
+    Mutant("construct.py", "| (room >= 2)", "| (room >= 1)", TOP_UP),
+    Mutant("construct.py", "room[0] - taken[0] >= 1", "room[0] >= 1", TOP_UP),
+    # the pairing's bulk pass: block starts by run parity, counted from
+    # before the first slot; the distance-2 probe; chosen pairs as adjacent
+    Mutant("construct.py", "np.append(-1, last_free[:-1])", "np.append(0, last_free[:-1])", BULK),
+    Mutant(
+        "construct.py",
+        "stuck = np.flatnonzero(wide & far)",
+        "stuck = np.flatnonzero(wide & (slot == len(run) - 1))",
+        BULK,
+    ),
+    Mutant(
+        "construct.py",
+        "_contains(keys, probe) | _contains(live, probe)",
+        "_contains(keys, probe)",
+        BULK,
     ),
     # the JSON edge lists' indent, one space too many
     Mutant(

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import majority_illusion.construct as construct
@@ -347,7 +347,7 @@ def test_iterative_pairing_matches_recursive_reference(instance):
     n = len(deg)
     outcomes = []
     for realize in (_realize_deficits, reference_realize_deficits):
-        d = list(deg)
+        d = np.array(deg) if realize is _realize_deficits else list(deg)
         try:
             if realize is _realize_deficits:
                 out = edges | edges_of(realize(keys_of(edges, n), n, members, k, d, "test"), n)
@@ -355,9 +355,9 @@ def test_iterative_pairing_matches_recursive_reference(instance):
                 out = set(edges)
                 realize(out, members, k, d, "test")
         except InternalInvariantError:
-            outcomes.append(("raised", d == deg))
+            outcomes.append(("raised", list(d) == deg))
         else:
-            outcomes.append((frozenset(out), tuple(d)))
+            outcomes.append((frozenset(out), tuple(int(x) for x in d)))
     assert outcomes[0] == outcomes[1]
 
 
@@ -368,7 +368,7 @@ def test_pairing_matches_the_set_based_pairing(instance):
     degrees, and raises its messages, naming the same open ends."""
     edges, members, k, deg = instance
     n = len(deg)
-    d_new, d_old = list(deg), list(deg)
+    d_new, d_old = np.array(deg), list(deg)
     try:
         fresh = _realize_deficits(keys_of(edges, n), n, members, k, d_new, "blue")
     except InternalInvariantError as exc:
@@ -380,7 +380,103 @@ def test_pairing_matches_the_set_based_pairing(instance):
         added = ref._realize_deficits(old_edges, members, k, d_old, "blue")
         assert edges_of(fresh, n) == old_edges - edges
         assert len(fresh) == added
-        assert d_new == d_old
+        assert d_new.tolist() == d_old
+
+
+@st.composite
+def bulk_pairing_instances(draw):
+    """8-60 members of deficit 1, over ids with gaps, listed in any order,
+    and no, one or two heads of deficit 2 (as the parity asks).  Among the
+    members in id order ``m``, the edges are consecutive pairs
+    ``(m[j], m[j+1])`` in runs, pairs ``(m[j], m[j+2])``, a few random
+    pairs, and, at will, the last two members.  Heads sit next to each
+    other or two apart at will, so that the search, pairing them first,
+    leaves a chosen pair between two open ends where the bulk pass
+    probes."""
+    count = draw(st.integers(8, 60))
+    spare = draw(st.integers(0, count))
+    ids = sorted(draw(st.permutations(range(count + spare)))[:count])
+    members = draw(st.permutations(ids))
+    near = draw(st.lists(st.booleans(), min_size=count - 1, max_size=count - 1))
+    near[-1] |= draw(st.booleans())
+    edges = {(ids[j], ids[j + 1]) for j, joined in enumerate(near) if joined}
+    edges |= {(ids[j], ids[j + 2]) for j in draw(st.sets(st.integers(0, count - 3), max_size=4))}
+    position = st.integers(0, count - 1)
+    edges |= {_norm(ids[a], ids[b]) for a, b in draw(st.lists(st.tuples(position, position),
+                                                             max_size=count // 4)) if a != b}
+    k = 10
+    deg = [k] * (count + spare)
+    for u in ids:
+        deg[u] = k - 1
+    heads = draw(st.sampled_from((0, 2) if count % 2 == 0 else (1,)))
+    first = draw(position)
+    second = (first + draw(st.sampled_from((1, 2, count // 2)))) % count
+    for j in (first, second)[:heads]:
+        deg[ids[j]] = k - 2
+    if heads == 2 and draw(st.booleans()):
+        edges.discard(_norm(ids[first], ids[second]))
+    return edges, members, k, deg
+
+
+@settings(max_examples=300, deadline=None)
+@given(bulk_pairing_instances())
+# heads 0 and 1 pair first, so (0, 1) is a chosen pair when the bulk pass starts
+@example((set(), list(range(8)), 10, [8, 8, 9, 9, 9, 9, 9, 9]))
+# heads 0 and 2 likewise, and (0, 1) sends 0 on to its chosen partner 2
+@example(({(0, 1)}, list(range(8)), 10, [8, 9, 8, 9, 9, 9, 9, 9]))
+# 0 takes 2, but (1, 3) is an edge, so 1 scans on past the block
+@example(({(0, 1), (1, 3)}, list(range(8)), 10, [9] * 8))
+# the last pair is an edge: the search undoes (4, 5)
+@example(({(0, 1), (6, 7)}, list(range(8)), 10, [9] * 8))
+def test_bulk_pairing_matches_the_search(instance):
+    """Every choice the bulk pass makes is the search's: edges, degrees
+    and error texts equal the set-based pairing's, and the outcome the
+    recursive backtracker's."""
+    edges, members, k, deg = instance
+    n = len(deg)
+    d_new, d_old, d_rec = np.array(deg), list(deg), list(deg)
+    try:
+        fresh = _realize_deficits(keys_of(edges, n), n, members, k, d_new, "red")
+    except InternalInvariantError as exc:
+        with pytest.raises(InternalInvariantError) as old:
+            ref._realize_deficits(set(edges), members, k, d_old, "red")
+        assert str(exc) == str(old.value)
+        with pytest.raises(InternalInvariantError):
+            reference_realize_deficits(set(edges), members, k, d_rec, "red")
+        return
+    old_edges, rec_edges = set(edges), set(edges)
+    ref._realize_deficits(old_edges, members, k, d_old, "red")
+    reference_realize_deficits(rec_edges, members, k, d_rec, "red")
+    assert edges_of(fresh, n) == old_edges - edges == rec_edges - edges
+    assert d_new.tolist() == d_old == d_rec
+
+
+@pytest.mark.parametrize("n, k", [(4444, 12), (2844, 12)])
+def test_pairings_of_the_benchmark_sizes_run_in_bulk(monkeypatch, n, k):
+    """At these pairs both pairings close over a thousand open ends each;
+    all but a handful of the pairs come from the bulk pass, in a handful
+    of its calls, so the search takes only a few steps of its own."""
+    calls, pairs = [], []
+    bulk, realize = construct._pair_blocks, construct._realize_deficits
+
+    def spied(*args):
+        chosen = args[4]
+        before = len(chosen)
+        bulk(*args)
+        calls.append(len(chosen) - before)
+
+    def counted(*args):
+        calls.clear()
+        fresh = realize(*args)
+        pairs.append((len(fresh), sum(calls), len(calls)))
+        return fresh
+
+    monkeypatch.setattr(construct, "_pair_blocks", spied)
+    monkeypatch.setattr(construct, "_realize_deficits", counted)
+    construct.construct_regular_illusion_report(n, k)
+    assert len(pairs) == 2
+    for total, in_bulk, bulk_calls in pairs:
+        assert total > 700 and in_bulk >= total - 2 and bulk_calls <= 3
 
 
 _K5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -617,15 +713,47 @@ def test_circulant_half_is_the_table_once_per_edge(m, spare, data):
     assert sorted(half.tolist()) == sorted(set(table.tolist()))
 
 
+@st.composite
+def top_up_instances(draw):
+    """2-40 blue nodes, listed in any order, each with room 0-3 below the
+    top-up's limit ``k - k_blue`` (most of them 1), so that the top-up's
+    order, by room and then id, holds long runs of room 1.  Pairs next to
+    each other in that order, the wrapping one included, are edges at
+    will, and a few random pairs too; red nodes below the blue ids pad
+    each blue node's degree to its limit less its room."""
+    b = draw(st.integers(2, 40))
+    rooms = draw(st.lists(st.one_of(st.just(1), st.integers(0, 3)), min_size=b, max_size=b))
+    rank = draw(st.permutations(range(b)))  # each blue node's place among the blue ids
+    order = sorted(range(b), key=lambda i: (-rooms[i], rank[i]))
+    joined = draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    inner = {_norm(order[i], order[(i + 1) % b]) for i in range(b) if joined[i]}
+    position = st.integers(0, b - 1)
+    inner |= {_norm(i, j) for i, j in draw(st.lists(st.tuples(position, position), max_size=4))}
+    inner = {e for e in inner if e[0] != e[1]}
+    inner_deg = np.bincount(np.array(sorted(inner), dtype=np.int64).reshape(-1, 2).ravel(),
+                            minlength=b)
+    limit = int(inner_deg.max()) + 3 + draw(st.integers(0, 2))
+    pad = [limit - room - int(d) for room, d in zip(rooms, inner_deg)]
+    r = max(pad)
+    blue = [r + rank[i] for i in range(b)]
+    edges = {(blue[i], blue[j]) if blue[i] < blue[j] else (blue[j], blue[i]) for i, j in inner}
+    edges |= {(red, blue[i]) for i in range(b) for red in range(pad[i])}
+    k_blue = draw(st.integers(0, 4))
+    return edges, blue, limit + k_blue, k_blue
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 4), st.integers(1, 9), st.integers(0, 4), st.data())
-def test_blue_top_up_matches_the_set_based_top_up(b, r, k, k_blue, data):
-    n = r + b
-    blue = data.draw(st.permutations(range(r, n)))
-    existing = data.draw(edge_sets(n))
-    expected = ref.add_extra_blue_edges(set(existing), blue, k, k_blue)
-    fresh = top_up(keys_of(existing, n), n, blue, k, k_blue)
-    assert edges_of(fresh, n) == expected - existing
+@given(top_up_instances())
+# three nodes of room 1: pair 0 fills node 0, so the wrapping pair (2, 0) is not taken
+@example(({(0, 1), (0, 2), (0, 3)}, [1, 2, 3], 2, 0))
+# two nodes of room 2: both pairs are (1, 2), kept once
+@example(({(0, 1), (0, 2)}, [1, 2], 3, 0))
+def test_blue_top_up_matches_the_set_based_top_up(instance):
+    edges, blue, k, k_blue = instance
+    n = max(blue) + 1
+    expected = ref.add_extra_blue_edges(set(edges), blue, k, k_blue)
+    fresh = top_up(keys_of(edges, n), n, blue, k, k_blue)
+    assert edges_of(fresh, n) == expected - edges
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (16, 8), (15, 6), (40, 13), (2379, 96)])
