@@ -1,5 +1,5 @@
 """Builders of k-regular graphs carrying a majority-majority illusion:
-direct stages, then a depth-first search that pairs the leftovers.
+direct stages, with no search.
 
 The pipeline colors ``n//2 + 1`` nodes red and the rest blue, wires every
 red node to just over ``k/2`` blue nodes (round-robin), tops the blue side
@@ -22,12 +22,10 @@ degree pass is one search for the row starts plus one ``bincount``.  The
 blue top-up, whose choices each depend on the one before, is one pass in
 closed form: a choice depends on the last only where its node has room
 for one edge, and there the choices alternate.  The pairing of the
-odd-parity leftovers (about ``n/4`` open ends) is an iterative depth-first
-search with an explicit undo stack, so it runs at any size; wherever
-every open end lacks one edge, its choices come in blocks of two or four
-consecutive open ids, fixed by one probe of the pairs one and two apart,
-and it makes them in bulk, leaving only the rest (a node two edges short,
-a longer scan, an undo) to the scalar search.  No stage has a fallback
+odd-parity leftovers (about ``n/4`` open ends) is one pass in closed form
+too: the open ids pair two by two, ascending, but for a block of four
+where a pair is already an edge and a fixed swap at the last pair, as an
+exact depth-first search would pair them.  No stage has a fallback
 path, because none is reachable on a feasible input (the proofs are in
 CHANGES.md).  Every stage validates its degree accounting
 and the final product is re-checked for simplicity, regularity, and the
@@ -37,9 +35,7 @@ majority-majority flag; any violation raises
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -300,163 +296,76 @@ def _circulant_half(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
 def _realize_deficits(
     keys: np.ndarray, n: int, members: Sequence[int], k: int, deg: np.ndarray, label: str
 ) -> np.ndarray:
-    """Connect same-color nodes until every member reaches degree ``k``.
+    """Connect same-color nodes until every member reaches degree ``k``;
+    return the pairing's keys, sorted, and raise ``deg`` to ``k`` in place.
 
-    Exact depth-first search over simple, non-duplicate pairings, run as a
-    loop with an explicit undo stack.  The most-deficient open member
-    (lowest id on ties) takes the first node it is not adjacent to in the
-    order of ``(deg - k, id)``.  When no partner is left, the last choice
-    is undone and its scan resumes just past the partner it had taken.
-    Raises when the open ends cannot be realized at all; returns the
-    pairing's keys, sorted, and updates the degree array ``deg`` in place.
+    One pass in closed form over the open members ``m`` (``deg < k``),
+    ascending.  It makes the choices of an exact depth-first search (the
+    most deficient open member, lowest id on ties, takes the first open
+    member not adjacent to it, in that order; with no partner left, the
+    last choice is undone and its scan resumes) on the states the builder
+    leaves:
 
-    Whenever every open end has deficit 1 and the lowest open id is about
-    to start a fresh scan, :func:`_pair_blocks` makes the search's next
-    choices in bulk, as far as they follow from its probes alone.  The
-    search is a function of its state: the open ends, the undo stack, the
-    degrees and the scan's start.  The bulk pass leaves each as the search
-    would have, its pairs on the undo stack in choice order, so every
-    later step, an undo into the bulk pairs included, is the search's own.
+    - every open member lacks one edge, but for at most one head lacking
+      two, the highest id; the head takes ``m[0]`` and then lacks one;
+    - the rest pair two by two, ascending; where a pair is an edge, its
+      second end swaps with the next pair's first (a block of four), so
+      blocks start by the parity of the run of edges before them;
+    - where the last pair starts a block and is an edge, its first end
+      swaps with the second end of the pair before (the search's undo).
+
+    On the builder's states every formed pair is free, by lemmas on ``m``
+    (proved in CHANGES.md): a non-empty ``m`` holds at least four ids, a
+    head is not adjacent to ``m[0]``, no two reds one apart are adjacent,
+    no two blues two apart are, and two blues three apart are only where
+    at most one pair one apart is.  Any other state raises, with the
+    search's texts, and leaves ``deg`` as it was: an odd sum, a deficit
+    above 2 or a head below the top id, a head left alone, or a formed
+    pair that is already an edge.
     """
-    dtype = _key_dtype(n)
-    members = np.asarray(members, dtype=dtype)
+    members = np.asarray(members, dtype=_key_dtype(n))
     ids = np.sort(members[deg[members] < k])
-    if int((k - deg[ids]).sum()) % 2 == 1:
+    lack = k - deg[ids]
+    if int(lack.sum()) % 2 == 1:
         raise InternalInvariantError(
             f"{label} open ends sum to an odd number: {_deficits(members, k, deg)}"
         )
+    if not len(ids):
+        return _no_edges(n)
 
-    def key(u: int, v: int) -> int:
-        return u * n + v if u < v else v * n + u
+    def unpaired() -> InternalInvariantError:
+        return InternalInvariantError(
+            f"{label} open ends {_deficits(members, k, deg)} cannot be paired without duplicates"
+        )
 
-    def end(w: int) -> int:
-        return (k - int(deg[w])) * n + n - 1 - w
-
-    # The search probes one set: the edges from each node it extends to
-    # the other members, found in one probe when it first extends the
-    # node, and the pairs it chose itself.  A pair chosen in bulk closes
-    # both of its ends, so no scan probes it while it stands.
-    edges: set[int] = set()
-    extended: set[int] = set()
-    both_open: list[tuple[int, int]] = []  # choices that left both ends open
-    # The open members as the ints end(w) = (k - deg) * n + (n - 1 - id),
-    # ascending: the order of (deg - k, id) reversed, so the node to extend
-    # is last and the scan for its partner runs down from the one before
-    # it; a step takes both from near the end of the list instead of
-    # moving all of it.
-    open_ends = np.sort((k - deg[ids]) * n + (n - 1 - ids)).tolist()
-    chosen: list[tuple[int, int]] = []  # (extended node, partner), in choice order
-    start = len(open_ends) - 2
-    while open_ends:
-        # a fresh scan, and the neediest open end (last) is one edge short
-        if start == len(open_ends) - 2 and open_ends[-1] < 2 * n:
-            live = sorted(key(u, v) for u, v in both_open
-                          if deg[u] < k and deg[v] < k and key(u, v) in edges)
-            _pair_blocks(keys, n, np.array(live, dtype=dtype), open_ends, chosen, deg)
-            start = len(open_ends) - 2
-            if not open_ends:
-                break
-        u = n - 1 - open_ends[-1] % n
-        if u not in extended:
-            extended.add(u)
-            probe = _edge_keys(ids, u, n)
-            edges.update(probe[_contains(keys, probe)].tolist())
-        for i in range(start, -1, -1):
-            v = n - 1 - open_ends[i] % n
-            if key(u, v) not in edges:
-                break
-        else:
-            if not chosen:
-                raise InternalInvariantError(
-                    f"{label} open ends {_deficits(members, k, deg)} cannot be paired "
-                    "without duplicates"
-                )
-            u, v = chosen.pop()
-            edges.discard(key(u, v))
-            for w in (u, v):
-                if deg[w] < k:
-                    del open_ends[bisect_left(open_ends, end(w))]
-                deg[w] -= 1
-                insort(open_ends, end(w))
-            start = bisect_left(open_ends, end(v)) - 1
-            continue
-        del open_ends[-1], open_ends[i]
-        edges.add(key(u, v))
-        chosen.append((u, v))
-        for w in (u, v):
-            deg[w] += 1
-            if deg[w] < k:
-                insort(open_ends, end(w))
-        if deg[u] < k and deg[v] < k:
-            both_open.append((u, v))
-        start = len(open_ends) - 2
-    ends = np.fromiter(chain.from_iterable(chosen), dtype=dtype, count=2 * len(chosen))
-    return np.sort(_edge_keys(ends[0::2], ends[1::2], n))
+    if (lack[:-1] != 1).any() or lack[-1] > 2 or len(ids) == 1:
+        raise unpaired()
+    head = bool(lack[-1] == 2)
+    rest = ids[1:] if head else ids
+    adjacent = _contains(keys, rest[0::2] * n + rest[1::2])
+    slot = np.arange(len(adjacent))
+    last_free = np.maximum.accumulate(np.where(adjacent, -1, slot))
+    starts = (slot - np.append(-1, last_free[:-1])) % 2 == 1
+    # the ends to swap; the last pair's swap moves to the pair before, and
+    # with none before it wraps to the pair itself, which the probe refuses
+    at = 2 * np.flatnonzero(starts & adjacent) + 1
+    if len(at) and at[-1] == len(rest) - 1:
+        at[-1] -= 2
+    ends = rest.copy()
+    ends[at], ends[at + 1] = rest[at + 1], rest[at]
+    u, v = ends[0::2], ends[1::2]
+    if head:
+        u, v = np.append(u, ids[-1]), np.append(v, ids[0])
+    fresh = np.sort(_edge_keys(u, v, n))
+    if _contains(keys, fresh).any():
+        raise unpaired()
+    deg[ids] = k
+    return fresh
 
 
 def _deficits(members: np.ndarray, k: int, deg: np.ndarray) -> dict[int, int]:
     """Each open member's deficit ``k - deg``, in member order."""
     return {u: k - d for u, d in zip(members.tolist(), deg[members].tolist()) if d < k}
-
-
-def _pair_blocks(
-    keys: np.ndarray,
-    n: int,
-    live: np.ndarray,
-    open_ends: list[int],
-    chosen: list[tuple[int, int]],
-    deg: np.ndarray,
-) -> None:
-    """Make the pairing search's next choices in bulk, from a state where
-    every open end has deficit 1 and the lowest open id starts a fresh
-    scan, and leave ``open_ends``, ``chosen`` and ``deg`` as the search
-    would.  ``live`` holds the sorted keys of its chosen pairs that join
-    two open ends.
-
-    With the open ids ascending, ``m[0] < m[1] < ...``, a block starts at
-    ``s`` with ``m[s]`` scanning from ``m[s+1]``.  If that pair is free
-    (neither an edge in ``keys`` nor a chosen pair), it is the block.  If
-    not, ``m[s]`` takes ``m[s+2]`` and then ``m[s+1]``, now the lowest,
-    takes ``m[s+3]``, provided both pairs are free.  So blocks start at
-    even positions, and an even position starts one iff the run of
-    adjacent consecutive pairs at the even positions before it has even
-    length.  Blocks are committed up to the first block of four with an
-    adjacent distance-2 pair or running past the end (an adjacent last
-    pair), where the search takes over.  The probes cover a window of the
-    lowest ids that doubles while all its blocks commit, so a stop costs
-    at most the window probed.
-    """
-    window = 256
-    while open_ends:
-        w = min(len(open_ends), window)
-        # each open end is n + (n - 1 - id); the lowest ids are the last
-        m = (2 * n - 1 - np.array(open_ends[: -w - 1 : -1])).astype(_key_dtype(n))
-        probe = np.concatenate((m[:-1] * n + m[1:], m[:-2] * n + m[2:]))
-        adjacent = _contains(keys, probe) | _contains(live, probe)
-        # at each even position: the consecutive pair, and the two pairs
-        # two apart (adjacent past the window)
-        run = adjacent[: w - 1 : 2]
-        far = np.append(adjacent[w - 1 :], [True, True])
-        far = far[0::2] | far[1::2]
-        slot = np.arange(len(run))
-        last_free = np.maximum.accumulate(np.where(run, -1, slot))
-        starts = (slot - np.append(-1, last_free[:-1])) % 2 == 1
-        wide = starts & run
-        stuck = np.flatnonzero(wide & far)
-        count = stuck[0] if len(stuck) else len(run)
-        # each committed even position s gives one pair, in choice order:
-        # (s, s+1) for a block of two, (s, s+2) and then (s+1, s+3) for
-        # one of four, whose second pair is its second position's
-        s = 2 * slot[:count]
-        chosen.extend(zip(m[s - ~starts[:count]].tolist(), m[s + 1 + wide[:count]].tolist()))
-        deg[m[: 2 * count]] += 1
-        # a block of four at the window's last start runs past the window,
-        # to be probed again in the next one; past the end it is a stop
-        cut = count == len(run) - 1 and w < len(open_ends)
-        del open_ends[len(open_ends) - 2 * count :]
-        if count < len(run) and not cut:
-            return
-        window *= 2
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:

@@ -43,7 +43,10 @@ ANALYSIS = ("test_analysis.py",)
 FILEFORMAT = ("test_fileformat.py",)
 LOGIC = ("test_logic.py",)
 TOP_UP = ("test_construct.py::test_blue_top_up_matches_the_set_based_top_up",)
-BULK = ("test_construct.py::test_bulk_pairing_matches_the_search",)
+PAIRING = (
+    "test_construct.py::test_bulk_pairing_matches_the_search",
+    "test_construct.py::test_builder_shaped_pairings_never_raise",
+)
 
 MUTANTS = [
     # the byte-lane start: a lane's bit 7 sets where its count reaches the threshold
@@ -152,21 +155,12 @@ MUTANTS = [
     # first node, which pair 0 may have filled
     Mutant("construct.py", "| (room >= 2)", "| (room >= 1)", TOP_UP),
     Mutant("construct.py", "room[0] - taken[0] >= 1", "room[0] >= 1", TOP_UP),
-    # the pairing's bulk pass: block starts by run parity, counted from
-    # before the first slot; the distance-2 probe; chosen pairs as adjacent
-    Mutant("construct.py", "np.append(-1, last_free[:-1])", "np.append(0, last_free[:-1])", BULK),
-    Mutant(
-        "construct.py",
-        "stuck = np.flatnonzero(wide & far)",
-        "stuck = np.flatnonzero(wide & (slot == len(run) - 1))",
-        BULK,
-    ),
-    Mutant(
-        "construct.py",
-        "_contains(keys, probe) | _contains(live, probe)",
-        "_contains(keys, probe)",
-        BULK,
-    ),
+    # the pairing in closed form: block starts by run parity, counted from
+    # before the first slot; the last pair's swap with the pair before it;
+    # the head takes the lowest open id
+    Mutant("construct.py", "np.append(-1, last_free[:-1])", "np.append(0, last_free[:-1])", PAIRING),
+    Mutant("construct.py", "at[-1] -= 2", "at[-1] -= 1", PAIRING),
+    Mutant("construct.py", "np.append(v, ids[0])", "np.append(v, ids[1])", PAIRING),
     # the JSON edge lists' indent, one space too many
     Mutant(
         "cli.py",

@@ -340,47 +340,53 @@ def pairing_instances(draw, even: bool = True):
     return edges, members, k, deg
 
 
+def assert_pairing_agrees(instance, label: str) -> None:
+    """The closed-form pairing against both references.  Where it returns,
+    its keys and degrees are both references'; where a reference raises,
+    it raises too, with the set-based reference's text; and every raise
+    leaves ``deg`` as it was.  It may raise where the references pair: on
+    a state outside its form, which the builder never leaves."""
+    edges, members, k, deg = instance
+    n = len(deg)
+    d_new, d_old, d_rec = np.array(deg), list(deg), list(deg)
+    old_edges, rec_edges = set(edges), set(edges)
+    texts = []
+    for realize, args in (
+        (ref._realize_deficits, (old_edges, members, k, d_old, label)),
+        (reference_realize_deficits, (rec_edges, members, k, d_rec, label)),
+    ):
+        try:
+            realize(*args)
+        except InternalInvariantError as exc:
+            texts.append(str(exc))
+        else:
+            texts.append(None)
+    old, rec = texts
+    try:
+        fresh = _realize_deficits(keys_of(edges, n), n, members, k, d_new, label)
+    except InternalInvariantError as exc:
+        assert d_new.tolist() == deg
+        if old is not None or rec is not None:
+            assert str(exc) == old
+    else:
+        assert old is None and rec is None
+        assert edges_of(fresh, n) == old_edges - edges == rec_edges - edges
+        assert d_new.tolist() == d_old == d_rec
+
+
 @settings(max_examples=400, deadline=None)
 @given(pairing_instances())
 def test_iterative_pairing_matches_recursive_reference(instance):
-    edges, members, k, deg = instance
-    n = len(deg)
-    outcomes = []
-    for realize in (_realize_deficits, reference_realize_deficits):
-        d = np.array(deg) if realize is _realize_deficits else list(deg)
-        try:
-            if realize is _realize_deficits:
-                out = edges | edges_of(realize(keys_of(edges, n), n, members, k, d, "test"), n)
-            else:
-                out = set(edges)
-                realize(out, members, k, d, "test")
-        except InternalInvariantError:
-            outcomes.append(("raised", list(d) == deg))
-        else:
-            outcomes.append((frozenset(out), tuple(int(x) for x in d)))
-    assert outcomes[0] == outcomes[1]
+    assert_pairing_agrees(instance, "test")
 
 
 @settings(max_examples=400, deadline=None)
 @given(pairing_instances(even=False))
+# a lone head: the pairing must not join it to itself
+@example((set(), [0], 10, [8, 10]))
 def test_pairing_matches_the_set_based_pairing(instance):
-    """The array pairing adds the set-based one's edges, leaves the same
-    degrees, and raises its messages, naming the same open ends."""
-    edges, members, k, deg = instance
-    n = len(deg)
-    d_new, d_old = np.array(deg), list(deg)
-    try:
-        fresh = _realize_deficits(keys_of(edges, n), n, members, k, d_new, "blue")
-    except InternalInvariantError as exc:
-        with pytest.raises(InternalInvariantError) as old:
-            ref._realize_deficits(set(edges), members, k, d_old, "blue")
-        assert str(exc) == str(old.value)
-    else:
-        old_edges = set(edges)
-        added = ref._realize_deficits(old_edges, members, k, d_old, "blue")
-        assert edges_of(fresh, n) == old_edges - edges
-        assert len(fresh) == added
-        assert d_new.tolist() == d_old
+    """Odd sums as well: the same error texts, naming the same open ends."""
+    assert_pairing_agrees(instance, "blue")
 
 
 @st.composite
@@ -390,9 +396,7 @@ def bulk_pairing_instances(draw):
     members in id order ``m``, the edges are consecutive pairs
     ``(m[j], m[j+1])`` in runs, pairs ``(m[j], m[j+2])``, a few random
     pairs, and, at will, the last two members.  Heads sit next to each
-    other or two apart at will, so that the search, pairing them first,
-    leaves a chosen pair between two open ends where the bulk pass
-    probes."""
+    other or two apart at will."""
     count = draw(st.integers(8, 60))
     spare = draw(st.integers(0, count))
     ids = sorted(draw(st.permutations(range(count + spare)))[:count])
@@ -420,63 +424,90 @@ def bulk_pairing_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(bulk_pairing_instances())
-# heads 0 and 1 pair first, so (0, 1) is a chosen pair when the bulk pass starts
+# two heads, next to each other or two apart: outside the form, so the
+# pass raises where the search pairs them
 @example((set(), list(range(8)), 10, [8, 8, 9, 9, 9, 9, 9, 9]))
-# heads 0 and 2 likewise, and (0, 1) sends 0 on to its chosen partner 2
 @example(({(0, 1)}, list(range(8)), 10, [8, 9, 8, 9, 9, 9, 9, 9]))
+# a head at the highest id takes the lowest, then pairs last
+@example(({(0, 1)}, list(range(9)), 10, [9] * 8 + [8]))
+# (0, 1) is an edge: a block of four, (0, 2) and (1, 3)
+@example(({(0, 1)}, list(range(8)), 10, [9] * 8))
 # 0 takes 2, but (1, 3) is an edge, so 1 scans on past the block
 @example(({(0, 1), (1, 3)}, list(range(8)), 10, [9] * 8))
 # the last pair is an edge: the search undoes (4, 5)
 @example(({(0, 1), (6, 7)}, list(range(8)), 10, [9] * 8))
+# the last pair is an edge after a block of four: the search undoes (3, 5)
+@example(({(2, 3), (6, 7)}, list(range(8)), 10, [9] * 8))
 def test_bulk_pairing_matches_the_search(instance):
-    """Every choice the bulk pass makes is the search's: edges, degrees
-    and error texts equal the set-based pairing's, and the outcome the
-    recursive backtracker's."""
+    """Long runs of deficit-1 members: blocks of two and four, the undo at
+    the last pair, and heads anywhere."""
+    assert_pairing_agrees(instance, "red")
+
+
+@st.composite
+def builder_pairing_instances(draw):
+    """Open ends of the shape the builder leaves (the lemmas of
+    ``_realize_deficits``): 4-60 members of deficit 1 over ids with gaps,
+    listed in any order, or that many plus a head of deficit 2 at the
+    highest id.  Among the open ids in order ``m``, edges join ``m[j]`` and
+    ``m[j+1]`` as the top-up leaves them, alternating in runs or all along
+    one, and, as the circulants leave them, pairs at least four apart; the
+    last two ids are joined at will.  The head is not joined to ``m[0]``."""
+    count = 2 * draw(st.integers(2, 30)) + draw(st.sampled_from((0, 1)))
+    spare = draw(st.integers(0, count))
+    ids = sorted(draw(st.permutations(range(count + spare)))[:count])
+    members = draw(st.permutations(ids))
+    joined = []
+    while len(joined) < count - 1:
+        length = draw(st.integers(1, count))
+        run = draw(st.sampled_from(([True], [True, False], [False])))
+        joined += (run * length)[:length]
+    edges = {(ids[j], ids[j + 1]) for j in range(count - 1) if joined[j]}
+    if draw(st.booleans()):
+        edges.add((ids[-2], ids[-1]))
+    far = st.tuples(st.integers(0, count - 1), st.integers(4, count))
+    edges |= {(ids[a], ids[a + d]) for a, d in draw(st.lists(far, max_size=count)) if a + d < count}
+    k = 10
+    deg = [k] * (count + spare)
+    for u in ids:
+        deg[u] = k - 1
+    if count % 2:
+        deg[ids[-1]] = k - 2
+        edges.discard((ids[0], ids[-1]))
+    return edges, members, k, deg
+
+
+@settings(max_examples=300, deadline=None)
+@given(builder_pairing_instances())
+def test_builder_shaped_pairings_never_raise(instance):
     edges, members, k, deg = instance
     n = len(deg)
-    d_new, d_old, d_rec = np.array(deg), list(deg), list(deg)
-    try:
-        fresh = _realize_deficits(keys_of(edges, n), n, members, k, d_new, "red")
-    except InternalInvariantError as exc:
-        with pytest.raises(InternalInvariantError) as old:
-            ref._realize_deficits(set(edges), members, k, d_old, "red")
-        assert str(exc) == str(old.value)
-        with pytest.raises(InternalInvariantError):
-            reference_realize_deficits(set(edges), members, k, d_rec, "red")
-        return
-    old_edges, rec_edges = set(edges), set(edges)
-    ref._realize_deficits(old_edges, members, k, d_old, "red")
-    reference_realize_deficits(rec_edges, members, k, d_rec, "red")
-    assert edges_of(fresh, n) == old_edges - edges == rec_edges - edges
-    assert d_new.tolist() == d_old == d_rec
+    _realize_deficits(keys_of(edges, n), n, members, k, np.array(deg), "blue")
+    assert_pairing_agrees(instance, "blue")
 
 
-@pytest.mark.parametrize("n, k", [(4444, 12), (2844, 12)])
-def test_pairings_of_the_benchmark_sizes_run_in_bulk(monkeypatch, n, k):
-    """At these pairs both pairings close over a thousand open ends each;
-    all but a handful of the pairs come from the bulk pass, in a handful
-    of its calls, so the search takes only a few steps of its own."""
-    calls, pairs = [], []
-    bulk, realize = construct._pair_blocks, construct._realize_deficits
+@pytest.mark.parametrize("n, k", [(4444, 12), (2844, 12), (100000, 8)])
+def test_a_pairing_call_makes_two_probes(monkeypatch, n, k):
+    """Each pairing call probes the edge set twice, at any size: once for
+    the consecutive pairs, once for the pairs it forms."""
+    calls, probes = [], []
+    contains, realize = construct._contains, construct._realize_deficits
 
-    def spied(*args):
-        chosen = args[4]
-        before = len(chosen)
-        bulk(*args)
-        calls.append(len(chosen) - before)
+    def counted_probe(*args):
+        if probes:
+            probes[-1] += 1
+        return contains(*args)
 
     def counted(*args):
-        calls.clear()
+        probes.append(0)
         fresh = realize(*args)
-        pairs.append((len(fresh), sum(calls), len(calls)))
+        calls.append((len(fresh), probes.pop()))
         return fresh
 
-    monkeypatch.setattr(construct, "_pair_blocks", spied)
+    monkeypatch.setattr(construct, "_contains", counted_probe)
     monkeypatch.setattr(construct, "_realize_deficits", counted)
     construct.construct_regular_illusion_report(n, k)
-    assert len(pairs) == 2
-    for total, in_bulk, bulk_calls in pairs:
-        assert total > 700 and in_bulk >= total - 2 and bulk_calls <= 3
+    assert calls and all(total > 700 and count == 2 for total, count in calls)
 
 
 _K5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -859,3 +890,53 @@ def test_the_bridge_leaves_both_of_its_nodes_full(monkeypatch):
                 construct_regular_illusion_report(n, k)
     assert (pairs, bridged) == (2260, 2260)
     assert short == []
+
+
+def pairing_lemma_faults(keys, n, members, k, deg, label) -> list[str]:
+    """The lemmas of ``_realize_deficits`` on one state, as the faults
+    found.  With the open members ``m`` in id order: a non-empty pairing
+    has at least four; each lacks one edge, but for at most one head
+    lacking two, at the highest id and not adjacent to ``m[0]``; no two
+    reds one apart are adjacent; no two blues two apart are, and two blues
+    three apart are only where at most one pair one apart is.  (Two reds
+    two apart can be, across the bridged red: at (12, 7), for one.)"""
+    m = sorted(u for u in members if deg[u] < k)
+    lack = [k - int(deg[u]) for u in m]
+    edges = set(keys.tolist())
+
+    def adjacent(gap: int) -> list[bool]:
+        return [min(u, v) * n + max(u, v) in edges for u, v in zip(m, m[gap:])]
+
+    faults = []
+    if m and len(m) < 4:
+        faults.append(f"only {len(m)} open")
+    if any(d != 1 for d in lack[:-1]) or lack[-1:] not in ([], [1], [2]):
+        faults.append(f"deficits {lack}")
+    if lack[-1:] == [2] and adjacent(len(m) - 1)[0]:
+        faults.append("head adjacent to the lowest")
+    if label == "red" and any(adjacent(1)):
+        faults.append("reds one apart")
+    if label == "blue" and any(adjacent(2)):
+        faults.append("blues two apart")
+    if label == "blue" and any(adjacent(3)) and sum(adjacent(1)) > 1:
+        faults.append("blues three apart beside pairs one apart")
+    return faults
+
+
+def test_every_pairing_state_below_n_100_has_the_closed_forms_shape(monkeypatch):
+    """The lemmas the closed-form pairing rests on, on the state of every
+    pairing call of every feasible pair with n < 100 (the proof for every
+    n is in CHANGES.md)."""
+    faults, opened = [], {"red": 0, "blue": 0}
+    realize = construct._realize_deficits
+
+    def spied(keys, n, members, k, deg, label):
+        opened[label] += bool((deg[members] < k).any())
+        faults.extend((n, k, label, f) for f in pairing_lemma_faults(keys, n, members, k, deg, label))
+        return realize(keys, n, members, k, deg, label)
+
+    monkeypatch.setattr(construct, "_realize_deficits", spied)
+    for n, k in feasible_pairs(99):
+        construct_regular_illusion_report(n, k)
+    assert faults == []
+    assert opened == {"red": 803, "blue": 760}

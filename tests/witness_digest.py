@@ -2,25 +2,34 @@
 feasible pair with ``5 <= n < 260`` and ``k >= 3``, in loop order (n, then
 k, ascending), updated with each graph's ``indices`` bytes and then its
 ``red`` bytes.  A refactor of ``construct.py`` that keeps every witness
-byte for byte keeps this digest.
+byte for byte keeps this digest.  Then it builds, and so validates, a
+fixed list of large pairs and a fixed-seed draw of feasible pairs from
+``n = 260`` up to ``MAX_NODES`` within the edge cap.
 
     python tests/witness_digest.py
 
 Standard library and the library only, and pytest does not collect this
 file.  It prints the digest and the pair count and fails unless both are
-the pinned ones.
+the pinned ones; a large pair that fails to build raises.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 import sys
 import time
 
 from majority_illusion import construct_regular_illusion_report, regular_exists
+from majority_illusion.graphs import MAX_EDGES, MAX_NODES
 
 DIGEST = "461966fa099a211cf124805ae9c42b1b0bf2de6daf185a013374bb25336a04a9"
 PAIRS = 24_190
+# pairs that take both pairings: at the edge cap, dense and sparse; a long
+# sparse pairing; and at the node cap
+LARGE = [(2896, 2891), (162096, 51), (100000, 8), (262144, 15)]
+DRAWN = 100
 
 
 def witness_digest() -> tuple[str, int]:
@@ -36,6 +45,18 @@ def witness_digest() -> tuple[str, int]:
     return digest.hexdigest(), pairs
 
 
+def large_pairs(seed: int = 0) -> list[tuple[int, int]]:
+    """``LARGE``, then ``DRAWN`` feasible pairs: ``n`` log-uniform in
+    ``260..MAX_NODES`` and ``k`` uniform in ``3..n - 1`` within the edge cap."""
+    rng, pairs = random.Random(seed), list(LARGE)
+    while len(pairs) < len(LARGE) + DRAWN:
+        n = round(math.exp(rng.uniform(math.log(260), math.log(MAX_NODES))))
+        k = rng.randint(3, min(n - 1, 2 * MAX_EDGES // n))
+        if n * k % 2 == 0 and regular_exists(n, k).possible:
+            pairs.append((n, k))
+    return pairs
+
+
 def main() -> int:
     start = time.perf_counter()
     digest, pairs = witness_digest()
@@ -43,6 +64,12 @@ def main() -> int:
     if (digest, pairs) != (DIGEST, PAIRS):
         print(f"expected {DIGEST} over {PAIRS} pairs", file=sys.stderr)
         return 1
+    start = time.perf_counter()
+    large = large_pairs()
+    for n, k in large:
+        construct_regular_illusion_report(n, k)
+    print(f"{len(large)} large pairs up to n = {max(n for n, _ in large)} built and "
+          f"validated in {time.perf_counter() - start:.1f} s")
     return 0
 
 
