@@ -9,28 +9,30 @@ subgraphs plus an exact pairing of the odd-parity leftovers.
 The edge set is a sorted array of keys ``u * n + v`` with ``u < v``, at
 the graph's key width: uint32 below 2^16 nodes, where every key fits, and
 int64 from there on (:func:`~majority_illusion.graphs._key_dtype`).
-Every stage reads it and returns only the sorted keys it adds, at that
-width, and one call, :meth:`ConstructionReport.add`, merges and records
-them.  The round-robin edges are a ``tile`` of the red nodes against two
-cyclic runs of the blue ones, each circulant is one run of ``(position,
-position + step)`` pairs per step, taken once from the lower position,
-the complete bipartite core of :func:`fast_construct` is a ``repeat`` and
-a ``tile``, and the bridge's candidates are one mask.  New keys are
-sorted, probed against the array in that sorted order, and merged into it
-by a stable sort of the two runs, which timsort merges in one pass; each
-degree pass is one search for the row starts plus one ``bincount``.  The
-blue top-up, whose choices each depend on the one before, is one pass in
-closed form: a choice depends on the last only where its node has room
-for one edge, and there the choices alternate.  The pairing of the
-odd-parity leftovers (about ``n/4`` open ends) is one pass in closed form
-too: the open ids pair two by two, ascending, but for a block of four
-where a pair is already an edge and a fixed swap at the last pair, as an
-exact depth-first search would pair them.  No stage has a fallback
-path, because none is reachable on a feasible input (the proofs are in
-CHANGES.md).  Every stage validates its degree accounting
-and the final product is re-checked for simplicity, regularity, and the
-majority-majority flag; any violation raises
-:class:`InternalInvariantError` rather than returning a wrong witness.
+Every stage returns only the sorted keys it adds, at that width, and one
+call, :meth:`ConstructionReport.add`, merges and records them; the stages
+after the blue top-up read the array (the round robin's keys start it,
+and the top-up reads only degrees).  The round-robin edges are a ``tile``
+of the red nodes against two cyclic runs of the blue ones, each circulant
+is one run of ``(position, position + step)`` pairs per step, taken once
+from the lower position, the complete bipartite core of
+:func:`fast_construct` is a ``repeat`` and a ``tile``, and the bridge's
+candidates are one mask.  New keys are sorted, probed against the array
+in that sorted order, and merged into it by a stable sort of the two
+runs, which timsort merges in one pass; each degree pass is one search
+for the row starts plus one ``bincount``.  The blue top-up, whose choices
+each depend on the one before, is one pass in closed form: a choice
+depends on the last only where its node has room for one edge, and there
+the choices alternate.  The pairing of the odd-parity leftovers (about
+``n/4`` open ends) is one pass in closed form too: the open ids pair two
+by two, ascending, but for a block of four where a pair is already an
+edge and a fixed swap at the last pair, as an exact depth-first search
+would pair them.  No stage has a fallback path, because none is reachable
+on a feasible input (the proofs are in CHANGES.md).  Every stage
+validates its degree accounting and the final product is re-checked for
+simplicity, regularity, and the majority-majority flag; any violation
+raises :class:`InternalInvariantError` rather than returning a wrong
+witness.
 """
 
 from __future__ import annotations
@@ -191,44 +193,39 @@ def _add_initial_edges(n: int, blue: Sequence[int], red: Sequence[int], k: int) 
 
 
 def _add_extra_blue_edges(
-    keys: np.ndarray, n: int, order: Sequence[int], deg: np.ndarray, k: int, k_blue: int
+    n: int, order: Sequence[int], deg: np.ndarray, k: int, k_blue: int
 ) -> np.ndarray:
     """The sorted keys pairing up blue nodes with more than ``k_blue`` open
     ends, at the key width of a graph on ``n`` nodes.
 
-    The blue nodes are visited in ``order``, by ascending degree ``deg`` in
-    ``keys`` (most missing edges first) and then id; each is joined to its
-    cyclic successor when both sit below ``k - k_blue`` and are not yet
-    adjacent.  In the odd-leftover case one blue node stays one edge short
-    for the caller to absorb.
+    The blue nodes are visited in ``order``, by ascending degree ``deg``
+    (most missing edges first) and then id; each is joined to its cyclic
+    successor when both sit below ``k - k_blue``.  In the odd-leftover case
+    one blue node stays one edge short for the caller to absorb.  The
+    builder's edges are then the round robin's, none joining two blues,
+    and ``order`` holds at least three nodes (proofs in CHANGES.md), so the
+    pairs are distinct and none is an edge yet.
 
     The walk is one array pass.  With room ``r = k - k_blue - deg``, pair
     ``i`` joins ``(o[i], o[i+1])``; ``o[i+1]`` is in no earlier pair, and
     ``o[i]`` only in pair ``i - 1``.  So pair ``i`` is taken iff it is open
-    (not in ``keys``, both rooms at least 1) and ``o[i]`` still has room:
-    ``r(o[i]) >= 2`` or pair ``i - 1`` not taken, with nothing before pair
-    0.  Only an open pair with ``r(o[i]) = 1`` depends on the one before
-    it, taking the opposite choice, so from the last pair that does not
-    (closed, open with room 2, or pair 0) the choices alternate.  The
-    last pair wraps to ``o[0]``, which pair 0 may have filled.  Two blue
-    nodes are one pair twice; pair 1 is open only when pair 0 is, which
-    takes it first, so the key is kept once.
+    (both rooms at least 1) and ``o[i]`` still has room: ``r(o[i]) >= 2``
+    or pair ``i - 1`` not taken, with nothing before pair 0.  Only an open
+    pair with ``r(o[i]) = 1`` depends on the one before it, taking the
+    opposite choice, so from the last pair that does not (closed, open with
+    room 2, or pair 0) the choices alternate.  The last pair wraps to
+    ``o[0]``, which pair 0 may have filled.
     """
     order = np.asarray(order, dtype=_key_dtype(n))
-    m = len(order)
-    if m < 2:
-        return _no_edges(n)
     pairs = _edge_keys(order, np.roll(order, -1), n)
     room = (k - k_blue) - deg[order]
-    open_pair = ~_contains(keys, pairs) & (room >= 1) & (np.roll(room, -1) >= 1)
+    open_pair = (room >= 1) & (np.roll(room, -1) >= 1)
     settled = ~open_pair | (room >= 2)
     settled[0] = True  # nothing comes before pair 0
-    at = np.arange(m)
+    at = np.arange(len(order))
     last = np.maximum.accumulate(np.where(settled, at, 0))
     taken = open_pair[last] ^ ((at - last) % 2 == 1)
     taken[-1] &= room[0] - taken[0] >= 1
-    if m == 2:
-        taken[1] = False
     return np.sort(pairs[taken])
 
 
@@ -243,38 +240,25 @@ def _add_regular_subgraph(
     fanning out from the antipode.  When both the count and ``k_sub`` are
     odd every node is left one edge short (the caller pairs the remainder).
     A collision with an edge already in ``keys`` raises
-    :class:`InternalInvariantError`, naming the first in that order.
+    :class:`InternalInvariantError`, naming the smallest colliding edge.
     """
     nodes = np.asarray(nodes, dtype=_key_dtype(n))
     m = len(nodes)
-    if k_sub == 0:
-        return _no_edges(n)
     if k_sub < 0 or k_sub >= m:
         raise PreconditionError(f"subgraph degree {k_sub} invalid for {m} nodes")
-    # The sorted keys, each edge once, are both the probe and the keys
-    # returned; only a collision needs the loop order.
     fresh = _circulant_half(n, nodes, k_sub)
     fresh.sort()
-    if _contains(keys, fresh).any():
-        table = _circulant_table(n, nodes, k_sub)
-        u, v = divmod(int(table[_contains(keys, table).argmax()]), n)
+    hit = _contains(keys, fresh)
+    if hit.any():
+        u, v = divmod(int(fresh[hit.argmax()]), n)
         raise InternalInvariantError(f"circulant edge {(u, v)} collides with an existing edge")
     return fresh
 
 
-def _circulant_table(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
-    """The keys of :func:`_add_regular_subgraph`'s edges in its loop order:
-    by node position, then by partner.  Each edge is in it from both ends."""
-    m = len(nodes)
-    positions = np.arange(m, dtype=np.int64)[:, None] + _circulant_steps(m, k_sub)
-    return _edge_keys(nodes[:, None], nodes[positions % m], n).ravel()
-
-
 def _circulant_steps(m: int, k_sub: int) -> np.ndarray:
-    """Position ``p``'s partners are ``(p + s) % m`` for these steps ``s``, in
-    loop order.  As doubled offsets from the doubled opposite position
-    ``2p + m``: the antipode (0), then -2i+1 and +2i for each i, halved
-    after the sum."""
+    """Position ``p``'s partners are ``(p + s) % m`` for these steps ``s``.
+    As doubled offsets from the doubled opposite position ``2p + m``: the
+    antipode (0), then -2i+1 and +2i for each i, halved after the sum."""
     i = np.arange(1, k_sub // 2 + 1, dtype=np.int64)
     offsets = np.stack((1 - 2 * i, 2 * i), axis=1).ravel()
     if m % 2 == 0 and k_sub % 2 == 1:
@@ -283,10 +267,10 @@ def _circulant_steps(m: int, k_sub: int) -> np.ndarray:
 
 
 def _circulant_half(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
-    """The distinct keys of :func:`_circulant_table`, unsorted: each edge
-    once, from the lower of its two positions.  The steps are distinct, in
-    ``1..m-1`` and closed under ``s -> m - s``, so every edge is one pair
-    ``(p, p + s)`` with ``p + s < m``: a run of ``m - s`` pairs per step."""
+    """The circulant's keys, unsorted: each edge once, from the lower of its
+    two positions.  The steps are distinct, in ``1..m-1`` and closed under
+    ``s -> m - s``, so every edge is one pair ``(p, p + s)`` with
+    ``p + s < m``: a run of ``m - s`` pairs per step."""
     m = len(nodes)
     steps = _circulant_steps(m, k_sub).tolist()
     runs = (_edge_keys(nodes[: m - s], nodes[s:], n) for s in steps)
@@ -486,13 +470,12 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
     # Top-up edges join blues consecutive in this order, so a circulant over
     # the same order only uses larger cyclic distances and cannot collide.
     blue_order = blue[np.lexsort((blue, deg[blue]))]
-    top_up = _add_extra_blue_edges(keys, n, blue_order, deg, k, plan.k_blue)
+    top_up = _add_extra_blue_edges(n, blue_order, deg, k, plan.k_blue)
     keys = report.add(keys, "blue-top-up", top_up)
     _check_top_up(_degree_counts(keys, n)[blue], k - plan.k_blue)
 
     red_deferred = plan.k_red % 2 == 1 and plan.n_red % 2 == 1
     blue_deferred = plan.k_blue % 2 == 1 and plan.n_blue % 2 == 1
-    # A red circulant of degree 0 is recorded, a blue one is not.
     keys = _add_circulants(report, keys, n, (
         ("red-circulant", red, plan.k_red, not red_deferred),
         ("blue-circulant", blue_order, plan.k_blue, not blue_deferred and plan.k_blue > 0),

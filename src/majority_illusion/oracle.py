@@ -530,13 +530,11 @@ _ILLUSION_TESTS: dict[IllusionKind, tuple[bool, Callable[[int], int]]] = {
     IllusionKind.UNANIMITY_WEAK_MAJORITY: (False, lambda n: n),
 }
 
-# (n, kind) -> _verdict_rows(n, kind), filled on first use
-_VERDICT_ROWS: dict[tuple[int, IllusionKind], tuple[tuple[int, ...], int, int]] = {}
 
-
+@lru_cache(maxsize=None)
 def _verdict_rows(n: int, kind: IllusionKind) -> tuple[tuple[int, ...], int, int]:
     """The kind's :func:`_flag_rows` on ``n`` nodes, the start of their sum
-    and the mask of bit 7 of every lane, kept in ``_VERDICT_ROWS``.
+    and the mask of bit 7 of every lane.
 
     A lane counts at most ``n <= 8`` agents and the threshold is at least
     1, so a sum started at ``128 - threshold`` in every lane stays below
@@ -544,8 +542,7 @@ def _verdict_rows(n: int, kind: IllusionKind) -> tuple[tuple[int, ...], int, int
     exactly where its count reaches the threshold."""
     strict, least = _ILLUSION_TESTS[kind]
     rows, lanes = _flag_rows(n, strict)
-    packed = _VERDICT_ROWS[n, kind] = rows, (128 - least(n)) * lanes, lanes << 7
-    return packed
+    return rows, (128 - least(n)) * lanes, lanes << 7
 
 
 def illusion_possible(
@@ -557,12 +554,12 @@ def illusion_possible(
     agents to deceive.
 
     Up to ``_TABLE_NODES`` nodes a verdict is one sum of the graph's
-    :func:`_verdict_rows` and one mask test, with no helper call once the
-    rows are packed; the rows cover the whole half space, so the block
-    size plays no part.  Above, the byte kernel counts block by block."""
+    :func:`_verdict_rows`, cached per ``(n, kind)``, and one mask test;
+    the rows cover the whole half space, so the block size plays no
+    part.  Above, the byte kernel counts block by block."""
     n = g.n
     if 0 < n <= _TABLE_NODES and n <= cap:
-        rows, start, top = _VERDICT_ROWS.get((n, kind)) or _verdict_rows(n, kind)
+        rows, start, top = _verdict_rows(n, kind)
         return bool(sum(map(rows.__getitem__, g.neighbor_masks.tolist()), start) & top)
     _check_cap(g, cap)
     if n == 0:

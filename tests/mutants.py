@@ -155,6 +155,15 @@ MUTANTS = [
     # first node, which pair 0 may have filled
     Mutant("construct.py", "| (room >= 2)", "| (room >= 1)", TOP_UP),
     Mutant("construct.py", "room[0] - taken[0] >= 1", "room[0] >= 1", TOP_UP),
+    # a top-up pair needs room at its second node too
+    Mutant("construct.py", "(np.roll(room, -1) >= 1)", "(np.roll(room, -1) >= 0)", TOP_UP),
+    # the circulant's collision check, which names the smallest colliding edge
+    Mutant(
+        "construct.py",
+        "if hit.any():",
+        "if False:",
+        ("test_construct.py::test_circulant_collision_raises",),
+    ),
     # the pairing in closed form: block starts by run parity, counted from
     # before the first slot; the last pair's swap with the pair before it;
     # the head takes the lowest open id

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def top_up(keys: np.ndarray, n: int, blue, k: int, k_blue: int) -> np.ndarray:
     with the blue nodes by ascending degree, then id."""
     deg = np.array(degrees_of(keys, n), dtype=np.int64)
     order = sorted(blue, key=lambda b: (deg[b], b))
-    return _add_extra_blue_edges(keys, n, order, deg, k, k_blue)
+    return _add_extra_blue_edges(n, order, deg, k, k_blue)
 
 
 def reference_realize_deficits(edges, members, k, deg, label):
@@ -181,11 +182,12 @@ def test_circulant_collision_raises():
         _add_regular_subgraph(keys_of({(0, 3)}, 6), 6, list(range(6)), 3)
 
 
-def test_circulant_collision_names_the_first_in_loop_order():
-    """The distinct keys are probed in sorted order, but the message names
-    the first collision of the loop's order, here not the smallest key."""
+def test_circulant_collision_names_the_smallest_colliding_edge():
+    """The message names the smallest colliding key, the first hit of the
+    sorted probe, here not the first collision of the set-based loop's
+    order, which is (3, 5)."""
     existing = keys_of({(0, 2), (3, 5)}, 6)
-    with pytest.raises(InternalInvariantError, match=r"circulant edge \(3, 5\) collides"):
+    with pytest.raises(InternalInvariantError, match=r"circulant edge \(0, 2\) collides"):
         _add_regular_subgraph(existing, 6, [5, 4, 3, 2, 1, 0], 2)
 
 
@@ -616,16 +618,18 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
     set-based builder: on every pair the builder comparisons walk, and on
     one past the narrow key width that takes every stage, each stage
     returns sorted, distinct keys at the graph's key width that are not in
-    the edge set it was given, and the stages' ``edges_added`` sum to the
-    ``n * k / 2`` edges of the witness."""
+    the edge set it was given (the top-up, given none, is checked against
+    the edge set it is merged into), and the stages' ``edges_added`` sum
+    to the ``n * k / 2`` edges of the witness."""
     faults, called = [], set()
 
     def checked(name, stage):
         def wrapper(*args):
             fresh = stage(*args)
             called.add(name)
-            initial = name == "_add_initial_edges"
-            given, n = (NO_EDGES, args[0]) if initial else args[:2]
+            # the first two stages are given no edge set
+            no_edge_set = name in ("_add_initial_edges", "_add_extra_blue_edges")
+            given, n = (NO_EDGES, args[0]) if no_edge_set else args[:2]
             sorted_distinct = bool(np.all(fresh[1:] > fresh[:-1]))
             if fresh.dtype != _key_dtype(n) or not sorted_distinct or np.isin(fresh, given).any():
                 faults.append((name, fresh.tolist(), given.tolist()))
@@ -633,10 +637,20 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
 
         return wrapper
 
+    add = construct.ConstructionReport.add
+
+    def recorded(report, keys, stage, fresh, **extra):
+        if stage == "blue-top-up":
+            called.add(stage)
+            if np.isin(fresh, keys).any():
+                faults.append((stage, fresh.tolist(), keys.tolist()))
+        return add(report, keys, stage, fresh, **extra)
+
     stages = {"_add_initial_edges", "_add_extra_blue_edges", "_add_regular_subgraph", "_bridge",
               "_realize_deficits"}
     for name in stages:
         monkeypatch.setattr(construct, name, checked(name, getattr(construct, name)))
+    monkeypatch.setattr(construct.ConstructionReport, "add", recorded)
     builds = [(construct.construct_regular_illusion_report, n, k) for n, k in feasible_pairs(60)]
     builds += [(construct.fast_construct_report, n, k) for n, k in fast_pairs(102)]
     # int64 keys: the short red circulant, the bridge and both pairings
@@ -646,7 +660,7 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
         _, report = build(n, k)
         if sum(stage["edges_added"] for stage in report.stages) != n * k // 2:
             miscounted.append((build.__name__, n, k))
-    assert called == stages
+    assert called == stages | {"blue-top-up"}
     assert faults == []
     assert miscounted == []
 
@@ -712,22 +726,29 @@ def edge_sets(draw, n: int) -> set[tuple[int, int]]:
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 9), st.integers(0, 3), st.data())
 def test_circulant_matches_the_set_based_circulant(m, spare, data):
-    """Same edges, and on a collision the same edge named: the first of the
-    set-based loop's order that was already present."""
+    """Same edges, and on a collision the smallest edge of the set-based
+    circulant that was already present is named."""
     n = m + spare
     nodes = data.draw(st.permutations(range(n)))[:m]
     k_sub = data.draw(st.integers(0, m - 1))
     existing = data.draw(edge_sets(n))
-    expected = set(existing)
-    try:
-        ref.add_regular_subgraph(expected, nodes, k_sub)
-    except InternalInvariantError as exc:
+    circulant = ref.add_regular_subgraph(set(), nodes, k_sub)
+    collisions = circulant & existing
+    if collisions:
         with pytest.raises(InternalInvariantError) as new:
             _add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
-        assert str(new.value) == str(exc)
+        assert str(new.value) == f"circulant edge {min(collisions)} collides with an existing edge"
     else:
         fresh = _add_regular_subgraph(keys_of(existing, n), n, nodes, k_sub)
-        assert edges_of(fresh, n) == expected - existing
+        assert edges_of(fresh, n) == circulant
+
+
+def circulant_table(n: int, nodes: np.ndarray, k_sub: int) -> np.ndarray:
+    """The circulant's keys in the set-based loop's order: by node position,
+    then by partner.  Each edge is in it from both ends."""
+    m = len(nodes)
+    positions = np.arange(m, dtype=np.int64)[:, None] + construct._circulant_steps(m, k_sub)
+    return construct._edge_keys(nodes[:, None], nodes[positions % m], n).ravel()
 
 
 @settings(max_examples=300, deadline=None)
@@ -739,36 +760,26 @@ def test_circulant_half_is_the_table_once_per_edge(m, spare, data):
     nodes = np.array(data.draw(st.permutations(range(n)))[:m], dtype=_key_dtype(n))
     k_sub = data.draw(st.integers(1, m - 1))
     half = construct._circulant_half(n, nodes, k_sub)
-    table = construct._circulant_table(n, nodes, k_sub)
+    table = circulant_table(n, nodes, k_sub)
     assert half.dtype == table.dtype == _key_dtype(n)
     assert sorted(half.tolist()) == sorted(set(table.tolist()))
 
 
 @st.composite
 def top_up_instances(draw):
-    """2-40 blue nodes, listed in any order, each with room 0-3 below the
-    top-up's limit ``k - k_blue`` (most of them 1), so that the top-up's
-    order, by room and then id, holds long runs of room 1.  Pairs next to
-    each other in that order, the wrapping one included, are edges at
-    will, and a few random pairs too; red nodes below the blue ids pad
-    each blue node's degree to its limit less its room."""
-    b = draw(st.integers(2, 40))
+    """3-40 blue nodes, as the builder hands them to the top-up: joined to
+    red nodes only, each with room 0-3 below the top-up's limit
+    ``k - k_blue`` (most of them 1), so that the top-up's order, by room
+    and then id, holds long runs of room 1.  Red nodes below the blue ids
+    pad each blue node's degree to its limit less its room."""
+    b = draw(st.integers(3, 40))
     rooms = draw(st.lists(st.one_of(st.just(1), st.integers(0, 3)), min_size=b, max_size=b))
     rank = draw(st.permutations(range(b)))  # each blue node's place among the blue ids
-    order = sorted(range(b), key=lambda i: (-rooms[i], rank[i]))
-    joined = draw(st.lists(st.booleans(), min_size=b, max_size=b))
-    inner = {_norm(order[i], order[(i + 1) % b]) for i in range(b) if joined[i]}
-    position = st.integers(0, b - 1)
-    inner |= {_norm(i, j) for i, j in draw(st.lists(st.tuples(position, position), max_size=4))}
-    inner = {e for e in inner if e[0] != e[1]}
-    inner_deg = np.bincount(np.array(sorted(inner), dtype=np.int64).reshape(-1, 2).ravel(),
-                            minlength=b)
-    limit = int(inner_deg.max()) + 3 + draw(st.integers(0, 2))
-    pad = [limit - room - int(d) for room, d in zip(rooms, inner_deg)]
+    limit = 3 + draw(st.integers(0, 2))
+    pad = [limit - room for room in rooms]
     r = max(pad)
     blue = [r + rank[i] for i in range(b)]
-    edges = {(blue[i], blue[j]) if blue[i] < blue[j] else (blue[j], blue[i]) for i, j in inner}
-    edges |= {(red, blue[i]) for i in range(b) for red in range(pad[i])}
+    edges = {(red, blue[i]) for i in range(b) for red in range(pad[i])}
     k_blue = draw(st.integers(0, 4))
     return edges, blue, limit + k_blue, k_blue
 
@@ -777,8 +788,6 @@ def top_up_instances(draw):
 @given(top_up_instances())
 # three nodes of room 1: pair 0 fills node 0, so the wrapping pair (2, 0) is not taken
 @example(({(0, 1), (0, 2), (0, 3)}, [1, 2, 3], 2, 0))
-# two nodes of room 2: both pairs are (1, 2), kept once
-@example(({(0, 1), (0, 2)}, [1, 2], 3, 0))
 def test_blue_top_up_matches_the_set_based_top_up(instance):
     edges, blue, k, k_blue = instance
     n = max(blue) + 1
@@ -925,18 +934,49 @@ def pairing_lemma_faults(keys, n, members, k, deg, label) -> list[str]:
 
 def test_every_pairing_state_below_n_100_has_the_closed_forms_shape(monkeypatch):
     """The lemmas the closed-form pairing rests on, on the state of every
-    pairing call of every feasible pair with n < 100 (the proof for every
-    n is in CHANGES.md)."""
-    faults, opened = [], {"red": 0, "blue": 0}
-    realize = construct._realize_deficits
+    pairing call of every feasible pair with n < 100, and those the top-up
+    and the circulants rest on: the top-up's edge set joins red to blue
+    only, its order holds at least three blue nodes, each with room 0, 1
+    or 2, and every circulant has degree at least 1 and meets no edge
+    already there (the proofs for every n are in CHANGES.md)."""
+    faults, opened, rooms, circulants = [], {"red": 0, "blue": 0}, Counter(), 0
+    realize, circulant = construct._realize_deficits, construct._add_regular_subgraph
+    blue_top_up, add = construct._add_extra_blue_edges, construct.ConstructionReport.add
 
     def spied(keys, n, members, k, deg, label):
         opened[label] += bool((deg[members] < k).any())
         faults.extend((n, k, label, f) for f in pairing_lemma_faults(keys, n, members, k, deg, label))
         return realize(keys, n, members, k, deg, label)
 
+    def spied_top_up(n, order, deg, k, k_blue):
+        room = k - k_blue - deg[order]
+        rooms.update(room.tolist())
+        if len(order) < 3 or not set(room.tolist()) <= {0, 1, 2}:
+            faults.append((n, k, "top-up", len(order), sorted(set(room.tolist()))))
+        return blue_top_up(n, order, deg, k, k_blue)
+
+    def recorded(report, keys, stage, fresh, **extra):
+        n, n_red = report.n, report.n // 2 + 1
+        if stage == "blue-top-up" and not ((keys // n < n_red) & (keys % n >= n_red)).all():
+            faults.append((n, report.k, "top-up", "a key within one color"))
+        return add(report, keys, stage, fresh, **extra)
+
+    def spied_circulant(keys, n, nodes, k_sub):
+        nonlocal circulants
+        circulants += 1
+        half = construct._circulant_half(n, np.asarray(nodes, dtype=_key_dtype(n)), k_sub)
+        if k_sub < 1 or np.isin(half, keys).any():
+            faults.append((n, "circulant", k_sub))
+        return circulant(keys, n, nodes, k_sub)
+
     monkeypatch.setattr(construct, "_realize_deficits", spied)
-    for n, k in feasible_pairs(99):
+    monkeypatch.setattr(construct, "_add_extra_blue_edges", spied_top_up)
+    monkeypatch.setattr(construct.ConstructionReport, "add", recorded)
+    monkeypatch.setattr(construct, "_add_regular_subgraph", spied_circulant)
+    pairs = feasible_pairs(99)
+    for n, k in pairs:
         construct_regular_illusion_report(n, k)
     assert faults == []
     assert opened == {"red": 803, "blue": 760}
+    assert (len(pairs), circulants) == (3310, 6262)
+    assert rooms == {0: 40_732, 1: 56_373, 2: 12_803}

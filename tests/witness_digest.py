@@ -4,7 +4,10 @@ k, ascending), updated with each graph's ``indices`` bytes and then its
 ``red`` bytes.  A refactor of ``construct.py`` that keeps every witness
 byte for byte keeps this digest.  Then it builds, and so validates, a
 fixed list of large pairs and a fixed-seed draw of feasible pairs from
-``n = 260`` up to ``MAX_NODES`` within the edge cap.
+``n = 260`` up to ``MAX_NODES`` within the edge cap, and at each of their
+blue top-ups asserts the lemmas proved in CHANGES.md: its edge set joins
+red to blue only, and its order holds at least three blue nodes, each
+with room 0, 1 or 2 below ``k - k_blue``.
 
     python tests/witness_digest.py
 
@@ -21,6 +24,7 @@ import random
 import sys
 import time
 
+import majority_illusion.construct as construct
 from majority_illusion import construct_regular_illusion_report, regular_exists
 from majority_illusion.graphs import MAX_EDGES, MAX_NODES
 
@@ -57,6 +61,28 @@ def large_pairs(seed: int = 0) -> list[tuple[int, int]]:
     return pairs
 
 
+def spy_on_the_top_up() -> None:
+    """Make every later build assert the top-up's lemmas (see the module
+    docstring), at the stage itself and where its keys are recorded."""
+    top_up, add = construct._add_extra_blue_edges, construct.ConstructionReport.add
+
+    def checked_top_up(n, order, deg, k, k_blue):
+        room = k - k_blue - deg[order]
+        if len(order) < 3 or not ((room >= 0) & (room <= 2)).all():
+            raise AssertionError(f"top-up at n = {n}, k = {k}: {len(order)} blue nodes, "
+                                 f"rooms {sorted(set(room.tolist()))}")
+        return top_up(n, order, deg, k, k_blue)
+
+    def checked_add(report, keys, stage, fresh, **extra):
+        n, n_red = report.n, report.n // 2 + 1
+        if stage == "blue-top-up" and not ((keys // n < n_red) & (keys % n >= n_red)).all():
+            raise AssertionError(f"top-up at n = {n}, k = {report.k}: a key within one color")
+        return add(report, keys, stage, fresh, **extra)
+
+    construct._add_extra_blue_edges = checked_top_up
+    construct.ConstructionReport.add = checked_add
+
+
 def main() -> int:
     start = time.perf_counter()
     digest, pairs = witness_digest()
@@ -66,10 +92,11 @@ def main() -> int:
         return 1
     start = time.perf_counter()
     large = large_pairs()
+    spy_on_the_top_up()
     for n, k in large:
         construct_regular_illusion_report(n, k)
-    print(f"{len(large)} large pairs up to n = {max(n for n, _ in large)} built and "
-          f"validated in {time.perf_counter() - start:.1f} s")
+    print(f"{len(large)} large pairs up to n = {max(n for n, _ in large)} built, "
+          f"validated and their top-ups checked in {time.perf_counter() - start:.1f} s")
     return 0
 
 
