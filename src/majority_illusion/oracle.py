@@ -28,9 +28,8 @@ block of colorings count each node's red neighbours once:
   the red nodes among those above 6, the global lead folded in.  A
   block's flags are one gather from it, and one tree adder over the nodes
   sums them into bit-sliced scores.  The best score is narrowed from its
-  top plane down, and the smallest optimum string is found by one greedy
-  pass over the nodes that keeps each one blue where some optimum allows
-  it.
+  top plane down, and its first optimum is the first set bit of the
+  candidate words.
 
 The byte scan's cost doubles with each node; the sliced scan's grows
 more slowly.  So graphs of 16 or more nodes scan bit-sliced and smaller
@@ -57,10 +56,12 @@ Swapping every color negates each local and the global lead, so it keeps
 every agent's strict or weak illusion status and every edge's
 monochromaticity.  The scans therefore cover only the half of the space
 with node 0 blue; that half holds the lexicographically smallest of each
-swapped pair ('B' < 'R').  Blocks combine associatively (better score,
-then lexicographically smaller coloring string), so the block size never
-changes a result.  Masks are uint32, so graphs are limited to 32 nodes,
-and the empty graph has no illusion, as in the classifier.
+swapped pair ('B' < 'R').  :func:`best_coloring` relabels the graph so
+that ascending masks of that half are the strings in ascending order:
+each scan keeps the first optimum it meets, a later block replaces it
+only with a larger score, and the block size never changes a result.
+Masks are uint32, so graphs are limited to 32 nodes, and the empty graph
+has no illusion, as in the classifier.
 """
 
 from __future__ import annotations
@@ -206,83 +207,69 @@ def _from_representatives(reps: np.ndarray, n: int) -> np.ndarray:
     return np.where(reps & np.uint32(1), reps ^ np.uint32((1 << n) - 1), reps)
 
 
-def _illusion_counts(g: Graph, reps: np.ndarray, free: int, strict: bool) -> np.ndarray:
+def _illusion_counts(nbr: np.ndarray, reps: np.ndarray, free: int, strict: bool) -> np.ndarray:
     """Per-representative count of agents under strict (or weak) illusion
-    in a block ``(reps, free)`` of :func:`_half_blocks`: the column sums of
-    :func:`_illusion_flags`."""
+    in a block ``(reps, free)`` of :func:`_half_blocks`, on a graph of
+    neighbour bitsets ``nbr``: the column sums of :func:`_illusion_flags`."""
     # ``np.add.reduce`` without ``np.sum``'s wrapper, a per-call cost at small n
-    flags = _illusion_flags(g.neighbor_masks, reps, free, strict)
+    flags = _illusion_flags(nbr, reps, free, strict)
     return np.add.reduce(flags, axis=0, dtype=np.uint8)
 
 
-def _string_keys(masks: np.ndarray, n: int) -> np.ndarray:
-    """Bit-reversed masks: ordering by key equals ordering the R/B strings
-    lexicographically (node 0 first, 'B' < 'R')."""
-    shift = np.arange(n, dtype=np.uint32)[:, None]
-    bits = (masks[None, :] >> shift) & np.uint32(1)
-    return np.bitwise_or.reduce(bits << (np.uint32(n - 1) - shift), axis=0)
-
-
-def _byte_optima(
-    g: Graph, objective: Objective
-) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
-    """Per block of :func:`_half_blocks`: the best illusion count and a
-    call that lists its optima.  Strict scores skip the tied
-    representatives, and a block of tied ones alone is skipped: a tied
-    coloring scores 0, as does the all-blue one, untied and the smallest
-    string of all, so no tied coloring is the smallest optimum."""
+def _byte_optima(nbr: np.ndarray, objective: Objective) -> Iterator[tuple[int, int]]:
+    """Per block of :func:`_half_blocks`: the best illusion count and the
+    first mask that has it.  Strict scores skip the tied representatives,
+    and a block of tied ones alone is skipped: a tied coloring scores 0, as
+    does the all-blue one, untied and mask 0, so no tied coloring is the
+    first optimum."""
+    n = len(nbr)
     strict = objective is Objective.MAX_STRICT_ILLUSION
-    for reps, free in _half_blocks(g.n):
-        scores = _illusion_counts(g, reps, free, strict)
+    for reps, free in _half_blocks(n):
+        scores = _illusion_counts(nbr, reps, free, strict)
         if not len(scores):
             continue
         top = int(scores.max())
-        reps = reps[: len(scores)]
-        yield top, lambda reps=reps, scores=scores, top=top: _from_representatives(
-            reps[scores == top], g.n
-        )
+        yield top, int(_from_representatives(reps[: len(scores)][scores == top], n).min())
 
 
-def _cut_optima(g: Graph) -> tuple[int, int]:
-    """The most dichromatic edges of a coloring with node 0 blue, and the
-    smallest coloring string that has them, as a mask: a maximum cut.
+def _cut_optima(nbr: np.ndarray) -> tuple[int, int]:
+    """The most dichromatic edges of a coloring of bitsets ``nbr`` with
+    node 0 blue, and the smallest mask that has them: a maximum cut.
 
     Red sets ``x``, ``y`` on disjoint nodes cut ``cut(x) + cut(y) -
-    2·e(x, y)`` edges, each ``cut`` with every other node blue.  The last
-    ``b`` nodes, at most ``_CHUNK_BITS - 7``, give the columns ``y``, the
-    nodes from 1 below them the rows ``x``, each in string order (its first
-    node the highest bit).  A block of rows is a ``(2^b, rows)`` int16
-    table of at most ``2^_CHUNK_BITS`` counts, built by doubling from
-    ``cut(x)``: column node ``v``, the last first, makes columns ``h..2h -
-    1`` columns ``0..h - 1`` less ``2·|N(v) ∩ x|``; then ``cut(y)`` is
-    added (the subset sums of E. Horowitz and S. Sahni, JACM 1974, over the
-    split of R. Williams, TCS 2005).  int16 holds every value, from
-    ``-2|E|`` up to ``|E| <= 496``.  A block's smallest optimum string is
-    its first row at its maximum, at that row's first column; a later
+    2·e(x, y)`` edges, each ``cut`` with every other node blue.  Nodes
+    ``1..b``, ``b`` at most ``_CHUNK_BITS - 7``, give the columns ``y`` and
+    the nodes above them the rows ``x``, bit ``j`` of an index its part's
+    node ``j``.  A block of rows is a ``(2^b, rows)`` int16 table of at
+    most ``2^_CHUNK_BITS`` counts, built by doubling from ``cut(x)``:
+    column node ``v = 1 + j`` makes columns ``2^j..2^(j+1) - 1`` columns
+    ``0..2^j - 1`` less ``2·|N(v) ∩ x|``; then ``cut(y)`` is added (the
+    subset sums of E. Horowitz and S. Sahni, JACM 1974, over the split of
+    R. Williams, TCS 2005).  int16 holds every value, from ``-2|E|`` up to
+    ``|E| <= 496``.  Rows hold the high bits, so a block's first optimum
+    is its first row at its maximum, at that row's first column; a later
     block replaces it only with a larger count."""
-    n = g.n
+    n = len(nbr)
     b = min(n // 2, max(0, _CHUNK_BITS - 7))
     a = n - 1 - b
-    nbr = g.neighbor_masks
 
     def half(index: np.ndarray, lo: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The masks of colorings ``index`` of nodes ``lo + 1..lo + k`` in
-        string order, and the edges each one cuts, the other nodes blue."""
-        nodes = np.arange(lo + 1, lo + k + 1, dtype=np.uint32)[:, None]
-        red = index >> (lo + k - nodes) & 1
-        masks = np.bitwise_or.reduce(red << nodes, axis=0)
-        cut = np.bitwise_count(nbr[lo + 1 : lo + k + 1, None] & ~masks & -red)
+        """The masks of colorings ``index`` of nodes ``lo..lo + k - 1``, and
+        the edges each one cuts, the other nodes blue."""
+        red = index >> np.arange(k, dtype=np.uint32)[:, None] & 1
+        masks = index << np.uint32(lo)
+        cut = np.bitwise_count(nbr[lo : lo + k, None] & ~masks & -red)
         return masks, np.add.reduce(cut, axis=0, dtype=np.int16)
 
-    ys, gy = half(np.arange(1 << b, dtype=np.uint32), a, b)
-    columns = nbr[a + 1 :, None]
+    ys, gy = half(np.arange(1 << b, dtype=np.uint32), 1, b)
+    columns = nbr[1 : b + 1, None]
     rows = 1 << min(a, _CHUNK_BITS - b)
     t = np.empty((1 << b, rows), dtype=np.int16)
     best, mask = -1, 0
     for start in range(0, 1 << a, rows):
-        xs, t[0] = half(np.arange(start, start + rows, dtype=np.uint32), 0, a)
+        xs, t[0] = half(np.arange(start, start + rows, dtype=np.uint32), b + 1, a)
         twice = np.left_shift(np.bitwise_count(xs & columns), 1, dtype=np.int16)
-        for j, step in enumerate(twice[::-1]):  # the last node, a column's bit 0, first
+        for j, step in enumerate(twice):
             np.subtract(t[: 1 << j], step, out=t[1 << j : 2 << j])
         t += gy[:, None]
         top = int(t.max())
@@ -292,13 +279,8 @@ def _cut_optima(g: Graph) -> tuple[int, int]:
     return best, mask
 
 
-_WORD_BITS = 6  # a colour plane word holds 2^6 colorings
-_ZERO = np.uint64(0)
-_ONES = ~_ZERO
-# Node i in 1..6 is red in coloring 64w + b when bit i - 1 of b is set.
-_WORD_PLANES = tuple(
-    np.uint64(sum(1 << b for b in range(64) if b >> k & 1)) for k in range(_WORD_BITS)
-)
+_WORD_BITS = 6  # a flag word holds 2^6 colorings
+_ONES = ~np.uint64(0)
 
 
 # Fixed from a sweep of n 14-18 and every mean degree (see CHANGES.md).
@@ -315,33 +297,13 @@ def _block_words(n: int) -> int:
     return 1 << (min(n - 1, _CHUNK_BITS) - _WORD_BITS)
 
 
-def _plane_blocks(n: int) -> Iterator[list]:
-    """The colour planes of every node, per block of ``2^_CHUNK_BITS``
-    colorings with node 0 blue (all of them if fewer), in ascending order.
-
-    Half-space coloring ``j`` (mask ``j << 1``) is bit ``j % 64`` of word
-    ``j // 64``, so node 0's plane is 0, nodes 1..6 have constant word
-    patterns, and each higher node's words are all zeros or all ones, by
-    one bit of the word index.  Planes that are constant over the block are
-    numpy scalars.  Needs one full word: ``n >= 7``.
-    """
-    total = 1 << (n - 1 - _WORD_BITS)
-    words = _block_words(n)
-    inside = min(words.bit_length() - 1, n - 1 - _WORD_BITS)
-    index = np.arange(words, dtype=np.uint64)
-    varying = [-(index >> np.uint64(k) & np.uint64(1)) for k in range(inside)]
-    for first in range(0, total, words):
-        fixed = [_ONES if first >> k & 1 else _ZERO for k in range(inside, n - 1 - _WORD_BITS)]
-        yield [_ZERO, *_WORD_PLANES, *varying, *fixed]
-
-
 def _words(flags: np.ndarray) -> np.ndarray:
     """The flags along the last axis, 64 long, as uint64 words: bit ``b``
     is flag ``b``."""
     return np.packbits(flags, axis=-1, bitorder="little").view("<u8")[..., 0]
 
 
-def _flag_words(g: Graph, strict: bool) -> np.ndarray:
+def _flag_words(nbr: np.ndarray, strict: bool) -> np.ndarray:
     """Entry ``[i, h, q]``: the uint64 word whose bit ``b`` flags node ``i``
     under strict (or weak) illusion, by :func:`_illusion_rule`, at every
     coloring where nodes 1-6 are red by the bits of ``b``, ``h`` of node
@@ -350,8 +312,7 @@ def _flag_words(g: Graph, strict: bool) -> np.ndarray:
     count, and per ``q`` one word of each lead picks the bits of node
     ``i``'s flags under that lead.  Entries with ``h`` above node ``i``'s
     count of neighbours above node 6 stand for no coloring."""
-    n = g.n
-    nbr = g.neighbor_masks
+    n = len(nbr)
     b = np.arange(1 << _WORD_BITS, dtype=np.uint32)
     above = np.bitwise_count(nbr >> np.uint32(_WORD_BITS + 1))
     h = np.arange(int(above.max()) + 1, dtype=np.int16)[:, None]
@@ -414,24 +375,25 @@ def _add_row(total: list, extra: list) -> None:
     total[len(extra)] ^= carry
 
 
-def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]]:
-    """Per block of :func:`_plane_blocks`: the bit-sliced illusion count
-    and the node planes.
+def _sliced_scores(nbr: np.ndarray, objective: Objective) -> Iterator[list]:
+    """Per block of ``2^_CHUNK_BITS`` colorings with node 0 blue (all of
+    them if fewer), in ascending order: the bit-sliced illusion count.
 
-    Block coloring ``(w, b)``, bit ``b`` of the block's word ``w``, has
-    nodes 1-6 red by the bits of ``b`` and the nodes above by those of the
-    word's index.  So node ``i``'s flags there are a row of
+    Half-space coloring ``j`` (mask ``j << 1``) is bit ``j % 64`` of word
+    ``w = j // 64``: nodes 1-6 are red by the bits of ``j % 64`` and the
+    nodes above by those of ``w``.  So node ``i``'s flags there are a row of
     :func:`_flag_words`, at its red neighbours and the red nodes above node
     6, and a block's flags are one gather.  The gather's index is the sum
     of two parts built once per call, for the low and the high bits of
-    ``w``, plus the block's offset for the nodes fixed over it.  The
-    illusion counts are the flags' column sums, by :func:`_tree_sum`, whose
-    planes are views of buffers that the next block overwrites."""
-    n = g.n
-    words = _flag_words(g, objective is Objective.MAX_STRICT_ILLUSION)
+    ``w`` in the block, plus the block's offset for the nodes fixed over
+    it.  The illusion counts are the flags' column sums, by
+    :func:`_tree_sum`, whose planes are views of buffers that the next
+    block overwrites.  Needs one full word: ``n >= 7``."""
+    n = len(nbr)
+    words = _flag_words(nbr, objective is Objective.MAX_STRICT_ILLUSION)
     _, hs, qs = words.shape
     words = words.ravel()
-    high = g.neighbor_masks >> np.uint32(_WORD_BITS + 1)
+    high = nbr >> np.uint32(_WORD_BITS + 1)
     block = _block_words(n)
     low_bits = block.bit_length() // 2
 
@@ -448,7 +410,7 @@ def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]
     half = (n + 1) // 2
     index = np.empty((half, len(high_words), len(low[0])), dtype=np.intp)
     rows = np.empty((n, block), dtype=np.uint64)
-    for k, planes in enumerate(_plane_blocks(n)):
+    for k in range((1 << (n - 1 - _WORD_BITS)) // block):
         steps = high_part + part(np.array([k * block], dtype=np.uint32), 0)
         for start in (0, half):
             nodes = slice(start, min(start + half, n))
@@ -456,35 +418,44 @@ def _sliced_scores(g: Graph, objective: Objective) -> Iterator[tuple[list, list]
             np.add(steps[nodes, :, None], low[nodes, None, :], out=chunk)
             # in range by construction; the default mode would copy ``out``
             words.take(chunk.reshape(-1, block), out=rows[nodes], mode="clip")
-        yield _tree_sum(rows, index.reshape(half, block).view(np.uint64)), planes
+        yield _tree_sum(rows, index.reshape(half, block).view(np.uint64))
 
 
-def _sliced_optima(
-    g: Graph, objective: Objective
-) -> Iterator[tuple[int, Callable[[], np.ndarray]]]:
+def _sliced_optima(nbr: np.ndarray, objective: Objective) -> Iterator[tuple[int, int]]:
     """Per block: the best score, narrowed from the top score plane down,
-    and a call that finds its smallest optimum string by one greedy pass
-    that keeps each node blue where some optimum allows it."""
-    for scores, planes in _sliced_scores(g, objective):
-        candidates = np.full(_block_words(g.n), _ONES)
+    and the first mask that has it, the first set bit of the candidate
+    words."""
+    block = _block_words(len(nbr))
+    for k, scores in enumerate(_sliced_scores(nbr, objective)):
+        candidates = np.full(block, _ONES)
         top = 0
         for j in reversed(range(len(scores))):
             kept = candidates & scores[j]
             if kept.any():
                 candidates, top = kept, top | 1 << j
-        yield top, lambda candidates=candidates, planes=planes: _smallest(candidates, planes)
+        w = int(np.flatnonzero(candidates)[0])
+        word = int(candidates[w])
+        yield top, ((k * block + w) << _WORD_BITS | (word & -word).bit_length() - 1) << 1
 
 
-def _smallest(candidates: np.ndarray, planes: list) -> np.ndarray:
-    """The smallest string among the candidate colorings, as a mask."""
-    mask = 0
-    for v in range(1, len(planes)):
-        blue = candidates & ~planes[v]
-        if blue.any():
-            candidates = blue
-        else:
-            mask |= 1 << v
-    return np.array([mask], dtype=np.uint32)
+@lru_cache(maxsize=None)
+def _relabelling(n: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The oracle's tie-break: node ``i >= 1`` becomes ``n - i`` and node 0
+    stays, its own inverse, as a tuple, a gather index and each node's new
+    bit, padded to 32 uint32 bits.  With node 0 blue, ascending masks of
+    the relabelled graph read nodes ``1..n - 1`` from the top bit down: the
+    R/B strings ('B' < 'R', node 0 first) in ascending order."""
+    order = tuple((n - node) % n for node in range(n))
+    bits = np.zeros(_MASK_BITS, dtype=np.uint32)
+    bits[:n] = [1 << v for v in order]
+    return order, np.array(order, dtype=np.intp), bits
+
+
+def _relabel(nbr: np.ndarray) -> np.ndarray:
+    """Bitsets ``nbr`` relabelled by :func:`_relabelling`: row ``p`` is row
+    ``order[p]``, its bit ``q`` read from bit ``order[q]``."""
+    _, index, bits = _relabelling(len(nbr))
+    return np.packbits(nbr[index, None] & bits != 0, axis=1, bitorder="little").view("<u4").ravel()
 
 
 def best_coloring(
@@ -495,29 +466,27 @@ def best_coloring(
     Ties break toward the lexicographically smallest coloring string.
     Every objective is invariant under swapping all colors, and of each
     swapped pair the string with node 0 blue is the smaller, so only the
-    colorings with node 0 blue are scanned.  Fewest monochromatic edges
-    is found as most dichromatic ones, by :func:`_cut_optima`.
+    colorings with node 0 blue are scanned, on the graph relabelled by
+    :func:`_relabelling`: ascending masks there are the strings in
+    ascending order, so each scan keeps the first optimum it meets and a
+    later block replaces it only with a larger score.  Fewest
+    monochromatic edges is found as most dichromatic ones, by
+    :func:`_cut_optima`.
     """
     _check_cap(g, cap)
     if g.n == 0:
         return (), 0
+    nbr = _relabel(g.neighbor_masks)
     if objective is Objective.MIN_MONOCHROMATIC:
-        cut, mask = _cut_optima(g)
-        return coloring_from_mask(mask, g.n), g.edge_count - cut
-    scan = _sliced_optima if _sliced_path(g) else _byte_optima
-    best: int | None = None
-    best_key: int | None = None
-    best_mask = 0
-    for top, optima in scan(g, objective):
-        if best is not None and top < best:
-            continue
-        candidates = optima()
-        keys = _string_keys(candidates, g.n)
-        pos = int(keys.argmin())
-        key = int(keys[pos])
-        if best is None or top > best or key < best_key:
-            best, best_key, best_mask = top, key, int(candidates[pos])
-    return coloring_from_mask(best_mask, g.n), best
+        cut, mask = _cut_optima(nbr)
+        best = g.edge_count - cut
+    else:
+        best = -1
+        for top, first in (_sliced_optima if _sliced_path(g) else _byte_optima)(nbr, objective):
+            if top > best:
+                best, mask = top, first
+    order = _relabelling(g.n)[0]
+    return tuple(Color.RED if mask >> p & 1 else Color.BLUE for p in order), best
 
 
 # kind -> (counts strict illusions, fewest illusioned agents on n nodes)
@@ -567,7 +536,7 @@ def illusion_possible(
     strict, least = _ILLUSION_TESTS[kind]
     threshold = least(n)
     for reps, free in _half_blocks(n):
-        counts = _illusion_counts(g, reps, free, strict)
+        counts = _illusion_counts(g.neighbor_masks, reps, free, strict)
         if np.maximum.reduce(counts, initial=0) >= threshold:  # no ``max`` wrapper
             return True
     return False

@@ -77,16 +77,29 @@ MUTANTS = [
     # the bit-sliced kernel: the tree adder's odd row and the flag words' lead
     Mutant("oracle.py", "if odd:", "if False:", ORACLE),
     Mutant("oracle.py", "_words(lead > 0)", "_words(lead >= 0)", ORACLE),
+    # the tie-break, stated once: the relabelling that makes ascending masks
+    # ascending strings, and each scan's first optimum in mask order
+    Mutant("oracle.py", "(n - node) % n", "node", ORACLE),
+    Mutant("oracle.py", "scores == top], n).min())", "scores == top], n).max())", ORACLE),
+    Mutant("oracle.py", "(word & -word).bit_length()", "word.bit_length()", ORACLE),
+    # a later block wins only on a larger score, in best_coloring's merge
+    Mutant(
+        "oracle.py",
+        "if top > best:\n                best, mask = top, first",
+        "if top >= best:\n                best, mask = top, first",
+        ORACLE,
+    ),
     # the cut scan: a later block wins only on a larger count, a block's
-    # first row at its maximum wins, and the doubling takes the last node first
-    Mutant("oracle.py", "if top > best:", "if top >= best:", ORACLE),
+    # first row at its maximum wins, and the doubling takes column node
+    # 1 + j at step j
+    Mutant("oracle.py", "if top > best:\n            row =", "if top >= best:\n            row =", ORACLE),
     Mutant(
         "oracle.py",
         "row = int(t.max(axis=0).argmax())",
         "row = rows - 1 - int(t.max(axis=0)[::-1].argmax())",
         ORACLE,
     ),
-    Mutant("oracle.py", "enumerate(twice[::-1])", "enumerate(twice)", ORACLE),
+    Mutant("oracle.py", "enumerate(twice)", "enumerate(twice[::-1])", ORACLE),
     # the classifier's class key, the q-window and the majority flag
     Mutant(
         "analysis.py",

@@ -337,6 +337,19 @@ def test_the_workflow_pins_no_thread_count():
         assert name not in workflow, name
 
 
+def test_the_readme_lists_every_script_the_workflow_runs():
+    """Each ``tests/`` or ``perfbench/`` script that a CI step runs is one
+    of the commands in README's Tests block."""
+    root = Path(__file__).parent.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    scripts = set(re.findall(r"\brun: python3? ((?:tests|perfbench)/\w+\.py)\b", workflow))
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Tests", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = set(re.findall(r"^python3? ((?:tests|perfbench)/\w+\.py)\b", block, re.M))
+    assert "tests/pins.py" in scripts  # the pattern reads the workflow's steps
+    assert scripts <= listed, scripts - listed
+
+
 def test_oracle_cap_usage_error(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text("n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
