@@ -26,7 +26,13 @@ from .graphs import Graph
 
 
 class TextEnum(enum.Enum):
-    """An enum whose members print as their values."""
+    """An enum whose members print as their values.
+
+    Members are singletons that compare by identity, so they hash by it
+    too: the C hash of ``object``, not ``Enum``'s Python hash of the
+    name, for the cached tables keyed by a member."""
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value

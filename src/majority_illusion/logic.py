@@ -18,13 +18,16 @@ node's dataclass fields.  Surface syntax: atoms are identifiers, prefix
 operators bind tightest, then ``&``, ``|``, ``->`` (right-associative).
 
 The model checker (:func:`extension`) evaluates each unique subformula
-once, children first, as one boolean column over the nodes.  It counts
-true neighbours with the graph's own row sum, :meth:`Graph.neighbor_sums`,
-and reads nothing of the classifier (``analysis``, red-neighbour counts,
-local winners), so that it stays an independent check of it.  The
-satisfiability search (:func:`formula_possible`) runs the same program on
-node bitsets, one per valuation.  Both compare each count with the one
-threshold rule of the counting modalities, :func:`_least`.
+once, children first, as one boolean column over the nodes; the program
+folds every double negation.  It counts true neighbours with the graph's
+own row sum, :meth:`Graph.neighbor_sums`, and reads nothing of the
+classifier (``analysis``, red-neighbour counts, local winners), so that
+it stays an independent check of it.  The satisfiability search
+(:func:`formula_possible`) runs the same program on node bitsets, one per
+valuation, and when one chunk holds every valuation it counts each
+neighbour threshold once into a table that its steps read.  Both compare
+each count with the one threshold rule of the counting modalities,
+:func:`_least`.
 """
 
 from __future__ import annotations
@@ -507,10 +510,21 @@ def illusion_formula(kind: str | IllusionKind, atom: str = "p") -> Formula:
 _Program = tuple[tuple[Formula, tuple[int, ...], tuple[int, ...]], ...]
 
 
+def _folded(f: Formula) -> Formula:
+    """``f`` without its leading double negations: ``~~a`` is ``a``."""
+    while isinstance(f, Not) and isinstance(f.sub, Not):
+        f = f.sub.sub
+    return f
+
+
 def _program(core: Formula) -> _Program:
-    """The unique subformulas of ``core``, children first and left child
-    first; ``core`` comes last.  Each comes with the positions of its
-    children in the list and of the children it is the last to read.
+    """The unique subformulas of ``core`` with every double negation
+    folded, children first and left child first; ``core`` comes last.
+    Each comes with the positions of its children in the list and of the
+    children it is the last to read.
+
+    The expansions of ``&``, ``M`` and ``GM`` make ``~~a``; a ``Not`` step
+    never reads another, so majority-majority runs 14 steps, not 23.
 
     An expansion shares no node object, so each node is walked once.
     :func:`_expanded_program` caches the program: a tuple, so a cached
@@ -521,10 +535,10 @@ def _program(core: Formula) -> _Program:
     index: dict[object, int] = {}
     at: dict[int, int] = {}
     program: list[tuple[Formula, tuple[int, ...]]] = []
-    stack = [(core, False)]  # a node, and whether its children are done
+    stack = [(_folded(core), False)]  # a node, and whether its children are done
     while stack:
         node, ready = stack.pop()
-        kids = _children(node)
+        kids = tuple(map(_folded, _children(node)))
         if not ready:
             stack.append((node, True))
             stack.extend((c, False) for c in reversed(kids))
@@ -572,17 +586,36 @@ def _expanded_program(f: Formula) -> tuple[_Program, tuple[str, ...]]:
 def _compile(g: Graph, program: _Program) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the program of an expanded formula into a function from
     valuation masks (bit ``i`` set: the atom holds at node ``i``) to the
-    node bitsets of the formula's extension under each of them."""
+    node bitsets of the formula's extension under each of them.
+
+    A chunk that holds every valuation holds every node bitset a step can
+    give, so each counting threshold is counted once, on all ``2^n``
+    bitsets, into a table that each step with that threshold reads at its
+    argument: ``W p`` and ``W ~p`` share one pass.  The tables live for
+    the call, at most one of ``2^n`` words per distinct threshold."""
     nbr = g.neighbor_masks
     degrees = np.diff(g.indptr)
     full = np.uint32((1 << g.n) - 1)
+    every = 1 << g.n
 
     def extensions(masks: np.ndarray) -> np.ndarray:
+        tables: dict | None = {} if len(masks) == every else None
         return _run(
-            program, lambda node, args: _bitsets(node, args, masks, nbr, degrees, full)
+            program,
+            lambda node, args: _bitsets(node, args, masks, nbr, degrees, full, tables),
         )
 
     return extensions
+
+
+def _counted(sets: np.ndarray, nbr: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """The nodes ``i`` with at least ``least[i]`` neighbours in each node
+    bitset of ``sets``, as node bitsets: a popcount per node."""
+    out = np.zeros_like(sets)
+    for i, at_least in enumerate(least.tolist()):
+        hit = np.bitwise_count(sets & nbr[i]) >= at_least
+        out |= hit.astype(np.uint32) << np.uint32(i)
+    return out
 
 
 def _bitsets(
@@ -592,12 +625,16 @@ def _bitsets(
     nbr: np.ndarray,
     degrees: np.ndarray,
     full: np.uint32,
+    tables: dict | None,
 ) -> np.ndarray:
     """Extension of ``node`` under each valuation in ``masks``, as node
     bitsets, given its children's extensions ``args``.
 
     Each popcount is compared with its :func:`_least` threshold, worked out
     for every node at once; none exceeds ``n + 1``, which uint8 holds.
+    With ``tables`` (``masks`` holds every valuation), a neighbour count
+    is read from its threshold's table, keyed by the threshold vector, so
+    that ``<>0 p`` and ``<>1 p`` read two tables.
     """
     if isinstance(node, Atom):
         return masks
@@ -607,11 +644,12 @@ def _bitsets(
         return args[0] | args[1]
     if isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
         least = np.broadcast_to(_least(node, degrees, len(degrees)), degrees.shape)
-        out = np.zeros_like(masks)
-        for i, at_least in enumerate(least.tolist()):
-            hit = np.bitwise_count(args[0] & nbr[i]) >= at_least
-            out |= hit.astype(np.uint32) << np.uint32(i)
-        return out
+        if tables is None:
+            return _counted(args[0], nbr, least)
+        key = least.tobytes()
+        if key not in tables:
+            tables[key] = _counted(np.arange(len(masks), dtype=np.uint32), nbr, least)
+        return tables[key].take(args[0])
     if isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
         least = _least(node, len(degrees), len(degrees))
         return np.where(np.bitwise_count(args[0]) >= least, full, np.uint32(0))
@@ -624,9 +662,13 @@ def formula_possible(
     """Is ``f`` satisfiable at some node under some valuation of ``atom``?
 
     Scans all 2^n single-atom valuations in the oracle's chunks, with every
-    subformula evaluated as one node bitset per valuation, and stops at the
-    first chunk with a satisfying valuation.  Formulas mentioning other
-    atoms are rejected.
+    subformula of the folded program (no double negations) evaluated as
+    one node bitset per valuation, and stops at the first chunk with a
+    satisfying valuation.  Up to 18 nodes the one chunk holds every
+    valuation, and each neighbour threshold is counted once, into a table
+    of ``2^n`` words read by every ``<>n`` or ``W`` step with that
+    threshold (see :func:`_compile`).  Formulas mentioning other atoms are
+    rejected.
     """
     _check_cap(g, cap)
     program, used = _prepared(f)

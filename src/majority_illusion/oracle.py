@@ -91,10 +91,6 @@ class Objective(TextEnum):
     MIN_MONOCHROMATIC = "min-monochromatic"
 
 
-def coloring_from_mask(mask: int, n: int) -> Coloring:
-    return tuple(Color.RED if (mask >> i) & 1 else Color.BLUE for i in range(n))
-
-
 def _check_cap(g: Graph, cap: int) -> None:
     if g.n > cap:
         raise PreconditionError(

@@ -8,11 +8,13 @@ Standard library only (the tests themselves need pytest), and pytest does
 not collect this file.  Each row's snippet must occur exactly once in its
 file, so a row left stale by a refactor fails loudly instead of planting
 nothing.  A row that runs past the timeout counts as killed, slowly, and
-is reported so.  The rows run one at a time, each in a fresh temporary
-directory, so no hypothesis example or pytest cache of a mutant reaches
-the checkout, and with a fixed hypothesis seed, so a row that is killed
-is killed on every run.  (Mutation testing: DeMillo, Lipton and Sayward, "Hints on
-Test Data Selection", IEEE Computer 1978.)
+is reported so.  The rows run on ``min(4, os.cpu_count())`` workers, each
+in a fresh temporary directory, so no hypothesis example or pytest cache
+of a mutant reaches the checkout or another row, and with a fixed
+hypothesis seed, so a row that is killed is killed on every run, in any
+order.  The rows print in table order, then the summed and wall times.
+(Mutation testing: DeMillo, Lipton and Sayward, "Hints on Test Data
+Selection", IEEE Computer 1978.)
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,11 +40,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # files or test ids under tests/
 
 
-ORACLE = ("test_oracle.py",)
+# the oracle digest first: it kills all but the cap row in a few seconds
+ORACLE = ("test_digests.py::test_oracle_digest", "test_oracle.py")
 COLORING = ("test_coloring.py",)
 ANALYSIS = ("test_analysis.py",)
 FILEFORMAT = ("test_fileformat.py",)
-LOGIC = ("test_logic.py",)
+LOGIC = ("test_logic.py", "test_digests.py::test_logic_digest")
 TOP_UP = ("test_construct.py::test_blue_top_up_matches_the_set_based_top_up",)
 PAIRING = (
     "test_construct.py::test_bulk_pairing_matches_the_search",
@@ -105,7 +109,10 @@ MUTANTS = [
         "analysis.py",
         "key = cg.red + 2 * cg.local_winner_codes + 6 * isolated",
         "key = cg.red + 2 * cg.local_winner_codes",
-        ANALYSIS,
+        (
+            "test_analysis.py::test_one_tally_matches_the_per_node_definitions",
+            "test_analysis.py::test_status_columns_match_the_definition",
+        ),
     ),
     Mutant("analysis.py", "return over > 0 and under > 0", "return over >= 0 and under > 0", ANALYSIS),
     Mutant(
@@ -137,7 +144,21 @@ MUTANTS = [
         "logic.py",
         '(type(node), getattr(node, "bound", None), args)',
         "(type(node), args)",
-        LOGIC,
+        ("test_logic.py::test_program_keeps_subformulas_apart_by_their_bound",),
+    ),
+    # the program folds double negations, and the satisfiability scan's
+    # threshold tables are keyed by the threshold, bound included
+    Mutant(
+        "logic.py",
+        "while isinstance(f, Not) and isinstance(f.sub, Not):",
+        "while False:",
+        ("test_logic.py::test_programs_fold_double_negations",),
+    ),
+    Mutant(
+        "logic.py",
+        "key = least.tobytes()",
+        "key = type(node)",
+        ("test_logic.py::test_program_keeps_subformulas_apart_by_their_bound",),
     ),
     # the edge-key width: uint32 keys overflow from 65 537 nodes on
     Mutant(
@@ -154,7 +175,7 @@ MUTANTS = [
         "construct.py",
         "open_red = red[deg[red] < k]\n",
         "open_red = red[deg[red] <= k]\n",
-        ("test_construct.py",),
+        ("test_construct.py::test_bridge_names_the_blue_node_no_red_node_can_reach",),
     ),
     # the blue top-up's order, which the blue circulant reuses: degree, then id
     Mutant(
@@ -191,7 +212,12 @@ MUTANTS = [
         ("test_cli.py::test_construct_json_is_laid_out_as_json_dumps",),
     ),
     # the canonical reader's id range and edge cap, and the writer's digit places
-    Mutant("fileformat.py", "int(ids.max()) >= n", "int(ids.max()) > n", FILEFORMAT),
+    Mutant(
+        "fileformat.py",
+        "int(ids.max()) >= n",
+        "int(ids.max()) > n",
+        ("test_fileformat.py::test_array_path_edge_cases_match_the_line_reader",),
+    ),
     Mutant(
         "fileformat.py",
         "if lines > MAX_EDGES:",
@@ -225,19 +251,26 @@ def run(mutant: Mutant, work: Path) -> str:
     return {0: "survived", 1: "killed"}.get(done.returncode, f"pytest exit {done.returncode}")
 
 
+def timed(mutant: Mutant) -> tuple[str, float]:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        verdict = run(mutant, Path(work))
+    return verdict, time.perf_counter() - start
+
+
 def main() -> int:
-    failed = 0
-    for mutant in MUTANTS:
-        start = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix="mutant-") as work:
-            verdict = run(mutant, Path(work))
-        failed += not verdict.startswith("killed")
-        print(
-            f"{verdict:<16} {time.perf_counter() - start:6.1f} s  {mutant.file}: "
-            f"{mutant.snippet!r} -> {mutant.replacement!r}",
-            flush=True,
-        )
+    start, failed, summed = time.perf_counter(), 0, 0.0
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        for mutant, (verdict, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            failed += not verdict.startswith("killed")
+            summed += seconds
+            print(
+                f"{verdict:<16} {seconds:6.1f} s  {mutant.file}: "
+                f"{mutant.snippet!r} -> {mutant.replacement!r}",
+                flush=True,
+            )
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    print(f"rows {summed:.1f} s summed, {time.perf_counter() - start:.1f} s wall")
     return 1 if failed else 0
 
 

@@ -270,12 +270,12 @@ def test_satisfiability_rejects_graphs_wider_than_the_masks():
         formula_possible(make_graph(33, []), Atom("p"), cap=40)
 
 
-def extension_bitsets_reference(g, f):
-    """Node bitset of ``f``'s extension under each valuation of ``p``, one
-    frozenset valuation at a time."""
+def extension_bitsets_reference(g, f, masks=None):
+    """Node bitset of ``f``'s extension under each valuation of ``p`` (or
+    each of ``masks``), one frozenset valuation at a time."""
     only, none = frozenset({"p"}), frozenset()
     out = []
-    for mask in range(1 << g.n):
+    for mask in range(1 << g.n) if masks is None else masks:
         valuation = tuple(only if mask >> i & 1 else none for i in range(g.n))
         sat = extension(model_from_sets(g, valuation, extra_atoms="p"), f)
         out.append(sum(1 << i for i in sat))
@@ -303,6 +303,19 @@ def test_bitset_kernel_matches_frozenset_extension(case):
     masks = np.arange(1 << g.n, dtype=np.uint32)
     assert _compile(g, _program(expand(f)))(masks).tolist() == expected
     assert formula_possible(g, f) == any(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_single_atom_formulas(), st.data())
+def test_bitset_kernel_counts_per_node_on_a_strict_slice_of_the_valuations(case, data):
+    """A chunk short of every valuation builds no threshold table: each
+    counting step counts its own argument, node by node."""
+    g, f = case
+    lo = data.draw(st.integers(0, (1 << g.n) - 1))
+    hi = data.draw(st.integers(lo, (1 << g.n) - (lo == 0)))
+    masks = np.arange(lo, hi, dtype=np.uint32)
+    expected = extension_bitsets_reference(g, f, masks.tolist())
+    assert _compile(g, _program(expand(f)))(masks).tolist() == expected
 
 
 def test_bitset_satisfiability_on_isolated_nodes_and_huge_bounds():
@@ -730,6 +743,37 @@ def test_program_keeps_subformulas_apart_by_their_bound():
     assert extension(model, f) == {0, 1, 2, 4}
     bounds = [node.bound for node, _, _ in _program(expand(f)) if isinstance(node, NeighborCountOver)]
     assert sorted(bounds) == [0, 1]
+    # and the satisfiability scan reads them from two threshold tables
+    masks = np.arange(1 << 5, dtype=np.uint32)
+    assert _compile(cycle_graph(5), _program(expand(f)))(masks).tolist() == (
+        extension_bitsets_reference(cycle_graph(5), f)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, steps",
+    [(IllusionKind.MAJORITY_MAJORITY, 14), (IllusionKind.MAJORITY_WEAK_MAJORITY, 24)],
+)
+def test_programs_fold_double_negations(kind, steps):
+    """The expansions of ``&``, ``M`` and ``GM`` make ``~~a``; no program
+    step negates a negation (23 and 33 steps unfolded)."""
+    program = _expanded_program(illusion_formula(kind))[0]
+    assert len(program) == steps
+    negations = [j for j, (node, _, _) in enumerate(program) if isinstance(node, Not)]
+    assert not any(program[j][1][0] in negations for j in negations)
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        ("~~p", [(Atom, ())]),
+        ("~~~p", [(Atom, ()), (Not, (0,))]),
+        ("~~~~(p | ~~p)", [(Atom, ()), (Or, (0, 0))]),
+    ],
+)
+def test_double_negations_fold_down_to_the_core(text, steps):
+    program = _program(expand(parse_formula(text)))
+    assert [(type(node), kids) for node, kids, _ in program] == steps
 
 
 # --- the frozenset table the boolean columns replaced, kept verbatim -------

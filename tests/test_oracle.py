@@ -27,10 +27,14 @@ from majority_illusion import (
     make_graph,
     monochromatic_count,
 )
-from majority_illusion.oracle import coloring_from_mask
 
 from conftest import atlas_graphs, graphs
 from reference_enumerate import reference_regular_neighbors
+
+
+def coloring_from_mask(mask: int, n: int) -> tuple[Color, ...]:
+    """The coloring with node ``i`` red where bit ``i`` of ``mask`` is set."""
+    return tuple(Color.RED if (mask >> i) & 1 else Color.BLUE for i in range(n))
 
 
 def _full_scan_counts(g, masks):
