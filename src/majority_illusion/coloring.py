@@ -37,6 +37,18 @@ class TextEnum(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def parse(cls, value):
+        """The member that is ``value`` or has it as its value; anything
+        else raises :class:`PreconditionError` naming the choices."""
+        try:
+            return cls(value)
+        except ValueError:
+            choices = tuple(member.value for member in cls)
+            raise PreconditionError(
+                f"unknown {cls.__name__} {value!r}; expected one of {choices}"
+            ) from None
+
 
 class Color(TextEnum):
     RED = "R"

@@ -10,7 +10,8 @@ The edge set is a sorted array of keys ``u * n + v`` with ``u < v``, at
 the graph's key width: uint32 below 2^16 nodes, where every key fits, and
 int64 from there on (:func:`~majority_illusion.graphs._key_dtype`).
 Every stage returns only the sorted keys it adds, at that width, and one
-call, :meth:`ConstructionReport.add`, merges and records them; the stages
+call, :meth:`ConstructionReport.add`, merges and records them; a stage
+that adds no edge is no row, and ``add`` alone decides it.  The stages
 after the blue top-up read the array (the round robin's keys start it,
 and the top-up reads only degrees).  The round-robin edges are a ``tile``
 of the red nodes against two cyclic runs of the blue ones, each circulant
@@ -79,11 +80,11 @@ def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
 
 def _merge(keys: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """The sorted union of ``keys`` and the sorted keys ``fresh``, which
-    none of ``keys`` repeats.  A stable sort of 32- or 64-bit keys is
+    """The sorted union of ``keys`` and the non-empty sorted keys ``fresh``,
+    which none of ``keys`` repeats.  A stable sort of 32- or 64-bit keys is
     timsort, which finds the two sorted runs and merges them in one pass."""
-    if not (len(keys) and len(fresh)):
-        return keys if len(keys) else fresh
+    if not len(keys):
+        return fresh
     out = np.concatenate((keys, fresh))
     out.sort(kind="stable")
     return out
@@ -119,6 +120,14 @@ class ConstructionPlan:
 
 
 def construction_plan(n: int, k: int) -> ConstructionPlan:
+    """The plan for a pair that :func:`regular_exists` accepts; any other
+    pair raises :class:`PreconditionError`.  On such a pair every residual
+    degree is at least 0 (the proof is in CHANGES.md)."""
+    verdict = regular_exists(n, k)
+    if not verdict.possible:
+        raise PreconditionError(
+            f"no construction plan for n={n}, k={k} (failed: {', '.join(verdict.failed)})"
+        )
     n_red = n // 2 + 1
     n_blue = n - n_red
     if n % 2 == 0:
@@ -130,13 +139,16 @@ def construction_plan(n: int, k: int) -> ConstructionPlan:
             k_blue = 0
     else:
         k_blue, k_red = k // 2 - 2, (k - 2) // 2
-    if k_blue < 0 or k_red < 0:
-        raise InternalInvariantError(f"negative residual degree for n={n}, k={k}")
     return ConstructionPlan(n=n, k=k, n_red=n_red, n_blue=n_blue, k_red=k_red, k_blue=k_blue)
 
 
 @dataclass
 class ConstructionReport:
+    """How a construction was built: one row per stage that added edges,
+    in build order, each with its ``edges_added``; the rows sum to the
+    ``n * k / 2`` edges of the witness.  A stage that adds no edge is no
+    row, whichever builder runs it."""
+
     n: int
     k: int
     fast: bool
@@ -145,9 +157,12 @@ class ConstructionReport:
 
     def add(self, keys: np.ndarray, stage: str, fresh: np.ndarray, **extra) -> np.ndarray:
         """Record ``stage`` as adding the sorted keys ``fresh``; merge them into
-        ``keys``.  Fresh keys wider or narrower than the graph's key width
-        raise, so no stage widens the edge set unseen."""
-        if len(fresh) and fresh.dtype != _key_dtype(self.n):
+        ``keys``.  A stage with no fresh keys records no row and returns
+        ``keys`` unchanged.  Fresh keys wider or narrower than the graph's
+        key width raise, so no stage widens the edge set unseen."""
+        if not len(fresh):
+            return keys
+        if fresh.dtype != _key_dtype(self.n):
             raise InternalInvariantError(
                 f"stage {stage} returned {fresh.dtype} keys on {self.n} nodes"
             )
@@ -478,9 +493,9 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
     blue_deferred = plan.k_blue % 2 == 1 and plan.n_blue % 2 == 1
     keys = _add_circulants(report, keys, n, (
         ("red-circulant", red, plan.k_red, not red_deferred),
-        ("blue-circulant", blue_order, plan.k_blue, not blue_deferred and plan.k_blue > 0),
-        ("red-circulant-short", red, plan.k_red - 1, red_deferred and plan.k_red > 1),
-        ("blue-circulant-short", blue_order, plan.k_blue - 1, blue_deferred and plan.k_blue > 1),
+        ("blue-circulant", blue_order, plan.k_blue, not blue_deferred),
+        ("red-circulant-short", red, plan.k_red - 1, red_deferred),
+        ("blue-circulant-short", blue_order, plan.k_blue - 1, blue_deferred),
     ))
 
     if red_deferred or blue_deferred:
@@ -490,8 +505,7 @@ def construct_regular_illusion_report(n: int, k: int) -> tuple[ColoredGraph, Con
             keys = report.add(keys, "bridge", _bridge(keys, n, red, blue, k, deg))
         for label, members in (("blue", blue), ("red", red)):
             fresh = _realize_deficits(keys, n, members, k, deg, label)
-            if len(fresh):
-                keys = report.add(keys, f"{label}-pairing", fresh)
+            keys = report.add(keys, f"{label}-pairing", fresh)
 
     return _finish(plan, keys, report)
 

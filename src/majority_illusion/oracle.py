@@ -212,14 +212,13 @@ def _illusion_counts(nbr: np.ndarray, reps: np.ndarray, free: int, strict: bool)
     return np.add.reduce(flags, axis=0, dtype=np.uint8)
 
 
-def _byte_optima(nbr: np.ndarray, objective: Objective) -> Iterator[tuple[int, int]]:
+def _byte_optima(nbr: np.ndarray, strict: bool) -> Iterator[tuple[int, int]]:
     """Per block of :func:`_half_blocks`: the best illusion count and the
     first mask that has it.  Strict scores skip the tied representatives,
     and a block of tied ones alone is skipped: a tied coloring scores 0, as
     does the all-blue one, untied and mask 0, so no tied coloring is the
     first optimum."""
     n = len(nbr)
-    strict = objective is Objective.MAX_STRICT_ILLUSION
     for reps, free in _half_blocks(n):
         scores = _illusion_counts(nbr, reps, free, strict)
         if not len(scores):
@@ -371,7 +370,7 @@ def _add_row(total: list, extra: list) -> None:
     total[len(extra)] ^= carry
 
 
-def _sliced_scores(nbr: np.ndarray, objective: Objective) -> Iterator[list]:
+def _sliced_scores(nbr: np.ndarray, strict: bool) -> Iterator[list]:
     """Per block of ``2^_CHUNK_BITS`` colorings with node 0 blue (all of
     them if fewer), in ascending order: the bit-sliced illusion count.
 
@@ -386,7 +385,7 @@ def _sliced_scores(nbr: np.ndarray, objective: Objective) -> Iterator[list]:
     :func:`_tree_sum`, whose planes are views of buffers that the next
     block overwrites.  Needs one full word: ``n >= 7``."""
     n = len(nbr)
-    words = _flag_words(nbr, objective is Objective.MAX_STRICT_ILLUSION)
+    words = _flag_words(nbr, strict)
     _, hs, qs = words.shape
     words = words.ravel()
     high = nbr >> np.uint32(_WORD_BITS + 1)
@@ -417,12 +416,12 @@ def _sliced_scores(nbr: np.ndarray, objective: Objective) -> Iterator[list]:
         yield _tree_sum(rows, index.reshape(half, block).view(np.uint64))
 
 
-def _sliced_optima(nbr: np.ndarray, objective: Objective) -> Iterator[tuple[int, int]]:
+def _sliced_optima(nbr: np.ndarray, strict: bool) -> Iterator[tuple[int, int]]:
     """Per block: the best score, narrowed from the top score plane down,
     and the first mask that has it, the first set bit of the candidate
     words."""
     block = _block_words(len(nbr))
-    for k, scores in enumerate(_sliced_scores(nbr, objective)):
+    for k, scores in enumerate(_sliced_scores(nbr, strict)):
         candidates = np.full(block, _ONES)
         top = 0
         for j in reversed(range(len(scores))):
@@ -455,7 +454,7 @@ def _relabel(nbr: np.ndarray) -> np.ndarray:
 
 
 def best_coloring(
-    g: Graph, objective: Objective, cap: int = DEFAULT_CAP
+    g: Graph, objective: Objective | str, cap: int = DEFAULT_CAP
 ) -> tuple[Coloring, int]:
     """Exact optimum over all 2^n colorings for the given objective.
 
@@ -467,8 +466,10 @@ def best_coloring(
     ascending order, so each scan keeps the first optimum it meets and a
     later block replaces it only with a larger score.  Fewest
     monochromatic edges is found as most dichromatic ones, by
-    :func:`_cut_optima`.
+    :func:`_cut_optima`.  ``objective`` is a member or its value; anything
+    else raises :class:`PreconditionError`.
     """
+    objective = Objective.parse(objective)
     _check_cap(g, cap)
     if g.n == 0:
         return (), 0
@@ -477,8 +478,9 @@ def best_coloring(
         cut, mask = _cut_optima(nbr)
         best = g.edge_count - cut
     else:
+        strict = objective is Objective.MAX_STRICT_ILLUSION
         best = -1
-        for top, first in (_sliced_optima if _sliced_path(g) else _byte_optima)(nbr, objective):
+        for top, first in (_sliced_optima if _sliced_path(g) else _byte_optima)(nbr, strict):
             if top > best:
                 best, mask = top, first
     order = _relabelling(g.n)[0]
@@ -497,21 +499,22 @@ _ILLUSION_TESTS: dict[IllusionKind, tuple[bool, Callable[[int], int]]] = {
 
 
 @lru_cache(maxsize=None)
-def _verdict_rows(n: int, kind: IllusionKind) -> tuple[tuple[int, ...], int, int]:
+def _verdict_rows(n: int, kind: IllusionKind | str) -> tuple[tuple[int, ...], int, int]:
     """The kind's :func:`_flag_rows` on ``n`` nodes, the start of their sum
-    and the mask of bit 7 of every lane.
+    and the mask of bit 7 of every lane.  The kind is resolved here, so a
+    cached verdict does no lookup of its own.
 
     A lane counts at most ``n <= 8`` agents and the threshold is at least
     1, so a sum started at ``128 - threshold`` in every lane stays below
     256, with no carry into the next lane, and sets the lane's bit 7
     exactly where its count reaches the threshold."""
-    strict, least = _ILLUSION_TESTS[kind]
+    strict, least = _ILLUSION_TESTS[IllusionKind.parse(kind)]
     rows, lanes = _flag_rows(n, strict)
     return rows, (128 - least(n)) * lanes, lanes << 7
 
 
 def illusion_possible(
-    g: Graph, kind: IllusionKind, cap: int = DEFAULT_CAP
+    g: Graph, kind: IllusionKind | str, cap: int = DEFAULT_CAP
 ) -> bool:
     """Does some coloring place ``g`` in the given network illusion?
     Exact, by exhaustive enumeration of the colorings with node 0 blue
@@ -521,15 +524,21 @@ def illusion_possible(
     Up to ``_TABLE_NODES`` nodes a verdict is one sum of the graph's
     :func:`_verdict_rows`, cached per ``(n, kind)``, and one mask test;
     the rows cover the whole half space, so the block size plays no
-    part.  Above, the byte kernel counts block by block."""
+    part.  Above, the byte kernel counts block by block.  ``kind`` is a
+    member or its value; anything else raises :class:`PreconditionError`,
+    on the empty graph too."""
     n = g.n
     if 0 < n <= _TABLE_NODES and n <= cap:
-        rows, start, top = _verdict_rows(n, kind)
+        try:
+            rows, start, top = _verdict_rows(n, kind)
+        except TypeError:  # an unhashable kind keys no cache and is no member
+            IllusionKind.parse(kind)
+            raise
         return bool(sum(map(rows.__getitem__, g.neighbor_masks.tolist()), start) & top)
+    strict, least = _ILLUSION_TESTS[IllusionKind.parse(kind)]
     _check_cap(g, cap)
     if n == 0:
         return False
-    strict, least = _ILLUSION_TESTS[kind]
     threshold = least(n)
     for reps, free in _half_blocks(n):
         counts = _illusion_counts(g.neighbor_masks, reps, free, strict)

@@ -67,6 +67,13 @@ MUTANTS = [
         "MAJORITY_MAJORITY: (True, lambda n: n // 2)",
         ORACLE,
     ),
+    # an objective is read by value or refused, never scored as weak
+    Mutant(
+        "oracle.py",
+        "    objective = Objective.parse(objective)\n",
+        "",
+        ("test_oracle.py::test_objectives_and_kinds_are_read_by_value_and_nothing_else",),
+    ),
     # the byte-lane verdict's gate, without the cap
     Mutant("oracle.py", "if 0 < n <= _TABLE_NODES and n <= cap:", "if 0 < n <= _TABLE_NODES:", ORACLE),
     # the swap loop's four lead compares, each shifted by one either way
@@ -169,6 +176,13 @@ MUTANTS = [
             "test_construct.py::test_initial_edges_round_robin_spread",
             "test_cli.py::test_every_pin_replays_in_process[construct 65537 6]",
         ),
+    ),
+    # the report's one rule: a stage that adds no edge is no row
+    Mutant(
+        "construct.py",
+        "        if not len(fresh):\n            return keys\n",
+        "",
+        ("test_construct.py::test_every_stage_returns_only_new_keys_and_the_report_adds_them_up",),
     ),
     # the bridge takes an open red node only
     Mutant(

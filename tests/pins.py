@@ -101,7 +101,7 @@ PINS = [
     Pin("construct 302 152 --fast", "out",
         "54d5373115dac8b45b3a878e4b2a937c096b67cf028d0a90b6b3803599c3f917"),
     Pin("construct 302 152 --fast", "err",
-        "cf943db39570441c186887e59e2815370ccc418f5583231e310c4f51e4c6cadd"),
+        "f45ac998305102b3bd5d5cf6e80c1c46c70c53318e3a317d3f207179d0a3dd8f"),
     # both sides of the key width: uint32 edge keys, then int64
     Pin("construct 65535 6", "out",
         "cda2af6a2eb78563b4b2b4d4b0336ac38c7e09993aa194497a60933738bc49ee"),

@@ -176,8 +176,10 @@ def _realize_deficits(
 
 
 def _record(report: ConstructionReport, stage: str, before: int, after: int, **extra) -> None:
-    """Append the stage's entry to ``report``, by the edge set's growth."""
-    report.stages.append({"stage": stage, "edges_added": after - before, **extra})
+    """Append the stage's entry to ``report``, by the edge set's growth; a
+    stage that adds no edge is no entry."""
+    if after > before:
+        report.stages.append({"stage": stage, "edges_added": after - before, **extra})
 
 
 def _add_circulant(

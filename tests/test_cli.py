@@ -227,9 +227,11 @@ def test_construct_fast_variant(capsys):
 
 
 def test_construct_infeasible_exits_one(capsys):
-    code, _, err = run(capsys, "construct", "6", "4")
-    assert code == 1
-    assert "minority-pool" in err
+    # (7, 2) is outside the plan's domain too: infeasible, not a defect
+    for n, k, reason in (("6", "4", "minority-pool"), ("7", "2", "two-regular")):
+        code, _, err = run(capsys, "construct", n, k)
+        assert code == 1
+        assert reason in err
 
 
 def test_oracle_min_monochromatic(capsys, tmp_path):

@@ -121,6 +121,18 @@ def test_plan_odd_n():
     assert (plan.k_red, plan.k_blue) == (3, 2)
 
 
+@pytest.mark.parametrize("n, k", [(-3, 4), (9, 100), (7, 2), (5, 1), (0, 0), (12, 8)])
+def test_plan_refuses_every_pair_the_feasibility_verdict_refuses(n, k):
+    with pytest.raises(PreconditionError):
+        construction_plan(n, k)
+
+
+def test_a_planned_pair_has_no_negative_residual_degree():
+    for n, k in feasible_pairs(120):
+        plan = construction_plan(n, k)
+        assert plan.k_red >= 1 and plan.k_blue >= 0, (n, k)
+
+
 def test_initial_edges_round_robin_spread():
     red, blue = list(range(7)), list(range(7, 12))
     keys = _add_initial_edges(12, blue, red, 6)
@@ -619,8 +631,8 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
     one past the narrow key width that takes every stage, each stage
     returns sorted, distinct keys at the graph's key width that are not in
     the edge set it was given (the top-up, given none, is checked against
-    the edge set it is merged into), and the stages' ``edges_added`` sum
-    to the ``n * k / 2`` edges of the witness."""
+    the edge set it is merged into), no report row adds 0 edges, and the
+    stages' ``edges_added`` sum to the ``n * k / 2`` edges of the witness."""
     faults, called = [], set()
 
     def checked(name, stage):
@@ -655,14 +667,16 @@ def test_every_stage_returns_only_new_keys_and_the_report_adds_them_up(monkeypat
     builds += [(construct.fast_construct_report, n, k) for n, k in fast_pairs(102)]
     # int64 keys: the short red circulant, the bridge and both pairings
     builds.append((construct.construct_regular_illusion_report, _NARROW_KEYS_BELOW + 4, 8))
-    miscounted = []
+    miscounted, empty = [], []
     for build, n, k in builds:
         _, report = build(n, k)
         if sum(stage["edges_added"] for stage in report.stages) != n * k // 2:
             miscounted.append((build.__name__, n, k))
+        empty += [(build.__name__, n, k, s["stage"]) for s in report.stages if not s["edges_added"]]
     assert called == stages | {"blue-top-up"}
     assert faults == []
     assert miscounted == []
+    assert empty == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -937,8 +951,10 @@ def test_every_pairing_state_below_n_100_has_the_closed_forms_shape(monkeypatch)
     pairing call of every feasible pair with n < 100, and those the top-up
     and the circulants rest on: the top-up's edge set joins red to blue
     only, its order holds at least three blue nodes, each with room 0, 1
-    or 2, and every circulant has degree at least 1 and meets no edge
-    already there (the proofs for every n are in CHANGES.md)."""
+    or 2, and no circulant meets an edge already there (the proofs for
+    every n are in CHANGES.md).  A circulant of degree 0, which the builder
+    calls where a residual degree is 0, adds no key; the others are
+    counted."""
     faults, opened, rooms, circulants = [], {"red": 0, "blue": 0}, Counter(), 0
     realize, circulant = construct._realize_deficits, construct._add_regular_subgraph
     blue_top_up, add = construct._add_extra_blue_edges, construct.ConstructionReport.add
@@ -963,9 +979,9 @@ def test_every_pairing_state_below_n_100_has_the_closed_forms_shape(monkeypatch)
 
     def spied_circulant(keys, n, nodes, k_sub):
         nonlocal circulants
-        circulants += 1
+        circulants += k_sub > 0
         fresh = circulant(keys, n, nodes, k_sub)
-        if k_sub < 1 or np.isin(fresh, keys).any():
+        if k_sub < 0 or (k_sub == 0) != (len(fresh) == 0) or np.isin(fresh, keys).any():
             faults.append((n, "circulant", k_sub))
         return fresh
 

@@ -607,6 +607,24 @@ def test_empty_graph_has_no_illusion():
         assert not illusion_possible(g, kind)
 
 
+def test_objectives_and_kinds_are_read_by_value_and_nothing_else():
+    """A value string answers as its member does, on each scan path and
+    on the cached table path; any other objective or kind is refused,
+    naming the choices, at every size, the empty graph included."""
+    assert best_coloring(cycle_graph(8), Objective.MAX_STRICT_ILLUSION)[1] == 2
+    for g in (make_graph(0, []), cycle_graph(6), cycle_graph(8), circulant_graph(21, [1, 3])):
+        for objective in Objective:
+            assert best_coloring(g, objective.value) == best_coloring(g, objective)
+        for kind in IllusionKind:
+            assert illusion_possible(g, kind.value) == illusion_possible(g, kind)
+        for wrong in ("bogus", "max-strict-illusion", IllusionKind.MAJORITY_MAJORITY, None, []):
+            with pytest.raises(PreconditionError, match="expected one of"):
+                best_coloring(g, wrong)
+        for wrong in ("bogus", "majority", Objective.MAX_STRICT_ILLUSION, None, ["majority-majority"]):
+            with pytest.raises(PreconditionError, match="expected one of"):
+                illusion_possible(g, wrong)
+
+
 def test_no_strict_majority_illusion_on_odd_cycle():
     assert not illusion_possible(cycle_graph(5), IllusionKind.WEAK_MAJORITY_MAJORITY)
 

@@ -2,18 +2,21 @@
 feasible pair with ``5 <= n < 260`` and ``k >= 3``, in loop order (n, then
 k, ascending), updated with each graph's ``indices`` bytes and then its
 ``red`` bytes.  A refactor of ``construct.py`` that keeps every witness
-byte for byte keeps this digest.  Then it builds, and so validates, a
-fixed list of large pairs and a fixed-seed draw of feasible pairs from
-``n = 260`` up to ``MAX_NODES`` within the edge cap, and at each of their
-blue top-ups asserts the lemmas proved in CHANGES.md: its edge set joins
-red to blue only, and its order holds at least three blue nodes, each
-with room 0, 1 or 2 below ``k - k_blue``.
+byte for byte keeps this digest.  Each of those reports must hold no row
+that adds 0 edges, and its rows must sum to the ``n * k / 2`` edges of
+the witness.  Then it builds, and so validates, a fixed list of large
+pairs and a fixed-seed draw of feasible pairs from ``n = 260`` up to
+``MAX_NODES`` within the edge cap, and at each of their blue top-ups
+asserts the lemmas proved in CHANGES.md: its edge set joins red to blue
+only, and its order holds at least three blue nodes, each with room 0, 1
+or 2 below ``k - k_blue``.
 
     python tests/witness_digest.py
 
 Standard library and the library only, and pytest does not collect this
 file.  It prints the digest and the pair count and fails unless both are
-the pinned ones; a large pair that fails to build raises.
+the pinned ones; a report that breaks its rule, or a large pair that
+fails to build, raises.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ def witness_digest() -> tuple[str, int]:
         for k in range(3, n):
             if n * k % 2 or not regular_exists(n, k).possible:
                 continue
-            cg, _ = construct_regular_illusion_report(n, k)
+            cg, report = construct_regular_illusion_report(n, k)
+            added = [stage["edges_added"] for stage in report.stages]
+            if 0 in added or sum(added) != n * k // 2:
+                raise AssertionError(f"report at n = {n}, k = {k}: rows add {added}")
             digest.update(cg.graph.indices.tobytes())
             digest.update(cg.red.tobytes())
             pairs += 1
