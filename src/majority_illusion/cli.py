@@ -2,8 +2,9 @@
 
 Subcommands compose through the colored-graph text format on stdin/stdout;
 JSON is reserved for reports.  Exit codes: 0 success (or a positive
-verdict), 1 negative verdict, 2 usage error, 3 internal-invariant failure
-or any other unexpected exception (one line on stderr, no traceback).
+verdict), 1 negative verdict, 2 any :class:`PreconditionError` (a usage
+error: the input's fault), 3 internal-invariant failure or any other
+unexpected exception (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ from .coloring import (
     illusion_coloring,
 )
 from .construct import construct_regular_illusion_report, fast_construct_report
-from .errors import (
-    FormatError,
-    FormulaSyntaxError,
-    GraphError,
-    InfeasibleError,
-    InternalInvariantError,
-    PreconditionError,
-)
+from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .feasibility import regular_exists
 from .fileformat import _name_words, parse_graph_text, parse_valuation_text, write_graph
 from .graphs import circulant_graph, complete_graph, cycle_graph
@@ -54,6 +48,7 @@ from .logic import (
     FORMULA_KINDS,
     Model,
     UnknownAtomWarning,
+    _prepared,
     extension,
     illusion_formula,
     model_from_colored_graph,
@@ -70,17 +65,15 @@ def _read_input(path: str | None) -> str:
 
 def _read_text(path: str | None) -> str:
     """The UTF-8 text of the file at ``path``, or of stdin for ``None``.
-    A path with a NUL byte and a text that does not decode are input
-    faults: they raise the package's own errors, with Python's messages."""
-    if path is not None and "\0" in path:
-        raise PreconditionError("embedded null byte")
+    A fault in opening, reading or decoding it is the input's: a
+    :class:`PreconditionError` with Python's own message."""
     try:
         if path is None:
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(str(exc)) from None
+    except (OSError, ValueError) as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 # Fraction expands a decimal exponent into an exact integer, so both the
@@ -347,7 +340,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     else:
         formula = parse_formula(args.formula)
     if args.valuation is not None:
-        model = Model(graph, parse_valuation_text(_read_text(args.valuation), graph.n))
+        _, atoms = _prepared(formula)
+        model = Model(graph, parse_valuation_text(_read_text(args.valuation), graph.n, atoms))
     elif colors is not None:
         model = model_from_colored_graph(ColoredGraph(graph, colors), atom=args.atom)
     else:
@@ -483,16 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        FormatError,
-        FormulaSyntaxError,
-        GraphError,
-        PreconditionError,
-        FileNotFoundError,
-        IsADirectoryError,
-        NotADirectoryError,
-        PermissionError,
-    ) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -1,17 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Every refusal of outside
+input is a :class:`PreconditionError` (CLI exit 2); :class:`InfeasibleError`
+is a verdict (exit 1) and :class:`InternalInvariantError` a defect (exit 3)."""
 
 from __future__ import annotations
 
 
-class GraphError(ValueError):
+class PreconditionError(ValueError):
+    """An operation was called outside its documented domain: the input's fault."""
+
+
+class GraphError(PreconditionError):
     """Invalid graph construction (out-of-range node id, self-loop, bad size)."""
 
 
-class FormatError(ValueError):
+class FormatError(PreconditionError):
     """Malformed graph / colored-graph text."""
 
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(PreconditionError):
     """Malformed formula text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -19,12 +25,8 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class PreconditionError(ValueError):
-    """An operation was called outside its documented domain."""
-
-
 class InfeasibleError(ValueError):
-    """A construction was requested for parameters proven impossible.
+    """A construction was requested for parameters proven impossible: a verdict.
 
     Carries the feasibility verdict so callers can report reason codes.
     """

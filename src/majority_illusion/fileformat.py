@@ -59,10 +59,9 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray | None, np.ndarray] | N
     if not (text.isascii() and text.startswith("n ")):
         return None
     end = _line_end(text, 0)
-    count = text[2:end]
-    if not _is_count(count):
+    n = _count(text[2:end])
+    if n is None:
         return None
-    n = int(count)
     start = end + 1
     colors = None
     if text.startswith("colors ", start):
@@ -96,10 +95,14 @@ def _line_end(text: str, start: int) -> int:
     return len(text) if end < 0 else end
 
 
-def _is_count(text: str) -> bool:
-    """ASCII digits only: ``str.isdigit`` also takes digits ``int`` reads
-    (``٣``) and digits it rejects (``²``)."""
-    return text.isascii() and text.isdigit()
+def _count(text: str) -> int | None:
+    """The count ``text`` names if it is a run of ASCII digits, else ``None``:
+    ``str.isdigit`` also takes digits ``int`` reads (``٣``) and digits it
+    rejects (``²``), and ``int`` refuses a run past its limit (4300 digits)."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
 
 
 def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int]]]:
@@ -114,9 +117,9 @@ def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int
         if parts[0] == "n":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate 'n' header")
-            if len(parts) != 2 or not _is_count(parts[1]):
+            n = _count(parts[1]) if len(parts) == 2 else None
+            if n is None:
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
-            n = int(parts[1])
         elif parts[0] == "colors":
             if n is None:
                 raise FormatError(f"line {lineno}: 'colors' before 'n' header")
@@ -162,11 +165,13 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     return ColoredGraph(graph, colors)
 
 
-def parse_valuation_text(text: str, n: int) -> dict[str, np.ndarray]:
+def parse_valuation_text(text: str, n: int, atoms: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Parse ``node atom...`` lines (comments and blank lines as in the
-    graph format) into one bool column of ``n`` nodes per atom they name,
-    ``True`` at the nodes whose line names it.  Nodes without a line hold
-    no atom; a node may have one line only."""
+    graph format) into one bool column of ``n`` nodes per atom of ``atoms``
+    they name, ``True`` at the nodes whose line names it; every line is
+    checked, but other atoms get no column.  Nodes without a line hold no
+    atom; a node may have one line only."""
+    wanted = frozenset(atoms)
     seen = np.zeros(n, dtype=bool)
     columns: dict[str, np.ndarray] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,7 +189,7 @@ def parse_valuation_text(text: str, n: int) -> dict[str, np.ndarray]:
         if seen[node]:
             raise FormatError(f"line {lineno}: duplicate node {node}")
         seen[node] = True
-        for atom in parts[1:]:
+        for atom in (a for a in parts[1:] if a in wanted):
             if atom not in columns:
                 columns[atom] = np.zeros(n, dtype=bool)
             columns[atom][node] = True

@@ -237,6 +237,15 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _index(digits: str, pos: int) -> int:
+    """The index ``digits`` names; a run longer than ``int`` reads is malformed."""
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"counting index of {len(digits)} digits is too long"
+        raise FormulaSyntaxError(message, pos) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -295,11 +304,11 @@ class _Parser:
             if index is None or index.kind != "number":
                 raise FormulaSyntaxError("malformed counting index after '<>'", tok.pos)
             self.take()
-            return NeighborCountOver(int(index.text), self.parse_unary())
+            return NeighborCountOver(_index(index.text, index.pos), self.parse_unary())
         if tok.kind == "ident" and tok.text.startswith("E_"):
             if not tok.text[2:].isdigit():
                 raise FormulaSyntaxError(f"malformed counting index in {tok.text!r}", tok.pos)
-            return GlobalCountOver(int(tok.text[2:]), self.parse_unary())
+            return GlobalCountOver(_index(tok.text[2:], tok.pos + 2), self.parse_unary())
         if tok.kind == "ident":
             return Atom(tok.text)
         if tok.kind == "lparen":
@@ -656,10 +665,8 @@ def _bitsets(
     raise TypeError(f"evaluation reached unexpanded node {node!r}")
 
 
-def formula_possible(
-    g: Graph, f: Formula, atom: str = "p", cap: int = DEFAULT_CAP
-) -> bool:
-    """Is ``f`` satisfiable at some node under some valuation of ``atom``?
+def formula_possible(g: Graph, f: Formula, cap: int = DEFAULT_CAP) -> bool:
+    """Is ``f`` satisfiable at some node under some valuation of its atom?
 
     Scans all 2^n single-atom valuations in the oracle's chunks, with every
     subformula of the folded program (no double negations) evaluated as
@@ -667,12 +674,12 @@ def formula_possible(
     satisfying valuation.  Up to 18 nodes the one chunk holds every
     valuation, and each neighbour threshold is counted once, into a table
     of ``2^n`` words read by every ``<>n`` or ``W`` step with that
-    threshold (see :func:`_compile`).  Formulas mentioning other atoms are
-    rejected.
+    threshold (see :func:`_compile`).  Formulas with two or more atoms
+    are rejected.
     """
     _check_cap(g, cap)
     program, used = _prepared(f)
-    if not set(used) <= {atom}:
+    if len(used) > 1:
         raise PreconditionError(
             f"satisfiability search is single-atom; formula uses {sorted(used)}"
         )

@@ -239,6 +239,27 @@ MUTANTS = [
         ("test_cli.py::test_canonical_text_past_the_edge_cap_is_refused_before_it_is_read",),
     ),
     Mutant("fileformat.py", "top = max(10 * low, 10)", "top = max(10 * low, 1)", FILEFORMAT),
+    # a path that cannot be opened, and a digit run int cannot read, in a
+    # graph header (both readers' one guard) or a counting index, is the
+    # input's fault: exit 2, not 3
+    Mutant(
+        "cli.py",
+        "except (OSError, ValueError) as exc:",
+        "except ValueError as exc:",
+        ("test_cli.py::test_a_fault_that_open_or_int_raises_exits_two_in_one_line",),
+    ),
+    Mutant(
+        "fileformat.py",
+        "text.isdigit() else None\n    except ValueError:",
+        "text.isdigit() else None\n    except TypeError:",
+        ("test_cli.py::test_a_fault_that_open_or_int_raises_exits_two_in_one_line",),
+    ),
+    Mutant(
+        "logic.py",
+        "return int(digits)\n    except ValueError:",
+        "return int(digits)\n    except TypeError:",
+        ("test_logic.py::test_a_counting_index_int_cannot_read_is_a_syntax_error_at_the_index",),
+    ),
 ]
 
 

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -686,6 +688,61 @@ def test_a_path_with_a_nul_byte_is_a_usage_error(capsys, tmp_path, where):
     assert (code, out, err) == (2, "", "error: embedded null byte\n")
 
 
+_LONG_RUN = "9" * 5000  # beyond int's default limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "fault, where",
+    [(fault, where) for fault in ("name too long", "symlink loop") for where in ("graph", "valuation")]
+    + [("long header", "canonical"), ("long header", "commented"), ("long index", "<>"),
+       ("long index", "E_")],
+)
+def test_a_fault_that_open_or_int_raises_exits_two_in_one_line(capsys, tmp_path, fault, where):
+    """Input faults that Python's ``open`` or ``int`` finds, not the
+    package: a path it cannot open, read as a graph or as a valuation, and
+    a digit run beyond ``int``'s limit, in a header that each graph reader
+    reads and in either counting index.  Each is the input's, exit 2."""
+    good = tmp_path / "g.txt"
+    good.write_text("n 2\ncolors RB\n0 1\n")
+    files, formula = {"graph": good, "valuation": good}, "p"
+    if fault in ("name too long", "symlink loop"):
+        number = errno.ENAMETOOLONG if fault == "name too long" else errno.ELOOP
+        bad = files[where] = tmp_path / ("x" * 300 if number == errno.ENAMETOOLONG else "loop")
+        if number == errno.ELOOP:
+            bad.symlink_to(bad.name)
+        message = f"[Errno {number}] {os.strerror(number)}: {str(bad)!r}"
+    elif fault == "long header":
+        lines = ["n " + _LONG_RUN] if where == "canonical" else ["# c", "n " + _LONG_RUN]
+        files["graph"] = tmp_path / "h.txt"
+        files["graph"].write_text("\n".join(lines) + "\n")
+        message = f"line {len(lines)}: expected 'n <count>'"
+    else:
+        formula = f"p & {where}{_LONG_RUN} p"
+        message = "counting index of 5000 digits is too long (at position 6)"
+    code, out, err = run(
+        capsys, "mc", str(files["graph"]), "--formula", formula, "--global",
+        "--valuation", str(files["valuation"]),
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_every_package_error_but_a_verdict_or_a_defect_is_a_precondition_error():
+    """``main`` exits 2 on a :class:`PreconditionError` and names no
+    subclass of it, so every refusal of input must be one."""
+    import majority_illusion
+
+    errors = {
+        value
+        for info in pkgutil.iter_modules(majority_illusion.__path__, "majority_illusion.")
+        for value in vars(__import__(info.name, fromlist=["_"])).values()
+        if isinstance(value, type) and issubclass(value, Exception)
+        and not issubclass(value, Warning) and value.__module__.startswith("majority_illusion")
+    }
+    outside = {e.__name__ for e in errors if not issubclass(e, PreconditionError)}
+    assert outside == {"InfeasibleError", "InternalInvariantError"}
+    assert {"FormatError", "FormulaSyntaxError", "GraphError"} <= {e.__name__ for e in errors}
+
+
 def test_canonical_text_past_the_edge_cap_is_refused_before_it_is_read(
     capsys, monkeypatch, tmp_path
 ):
@@ -1005,7 +1062,7 @@ def _noisy_graph_texts(draw):
     line = st.one_of(
         st.just(f"n {n}"),
         _huge.map("n {}".format),
-        st.sampled_from(["n", "n -1", "n x", f"n {n} {n}", "colors", "# c"]),
+        st.sampled_from(["n", "n -1", "n x", f"n {n} {n}", "colors", "# c", f"n {_LONG_RUN}"]),
         st.text(alphabet="RBx", max_size=n + 2).map(lambda c: f"colors {c}"),
         st.tuples(node, node).map(lambda e: f"{e[0]} {e[1]}"),
         st.text(max_size=12).filter(_header_free),
@@ -1029,6 +1086,7 @@ _formula = _mostly(
         lambda f: st.one_of(
             f.map("~{}".format),
             st.tuples(st.sampled_from(["<>2 ", "E_3 ", "<>0 ", "E_99999999999999999999 ",
+                                       f"<>{_LONG_RUN} ", f"E_{_LONG_RUN} ",
                                        "W ", "M ", "GW ", "GM "]), f).map("".join),
             st.tuples(f, st.sampled_from([" & ", " | ", " -> "]), f).map(
                 lambda t: f"({''.join(t)})"
@@ -1083,7 +1141,8 @@ def _invocations(draw):
                  "-", "GRAPH"]
         argv = draw(st.lists(_mostly(st.sampled_from(vocab), _count, odds=1), max_size=8))
     else:
-        file = _mostly(st.just("GRAPH"), st.sampled_from(["-", "MISSING", "DIR"]), odds=3)
+        faults = ["MISSING", "DIR", "LONGNAME", "LOOP"]
+        file = _mostly(st.just("GRAPH"), st.sampled_from(["-", *faults]), odds=3)
         argv = [command, draw(file)]
         if command == "color":
             argv += _flags(draw, {
@@ -1109,7 +1168,7 @@ def _invocations(draw):
             argv += draw(st.sampled_from([["--global"], ["--node", draw(_anyint)]]))
             argv += _flags(draw, {
                 "--atom": _mostly(st.sampled_from(["p", "q"])),
-                "--valuation": st.just("VALUATION"),
+                "--valuation": _mostly(st.just("VALUATION"), st.sampled_from(faults), odds=3),
                 "--format": fmt,
             })
     return argv, draw(_graph_texts), draw(_valuation)
@@ -1123,7 +1182,11 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation):
     a defect, which would exit 3.  Node counts
     (graph headers, ``gen``/``construct``/``feasible`` sizes) are at most 64
     or above ``MAX_NODES``, which is rejected before anything is allocated;
-    counts in between would only make the run slow.  ``--p``/``--q`` texts
+    counts in between would only make the run slow.  A header or a
+    counting index may also be a 5000-digit run, beyond what ``int``
+    reads, and a file argument or ``--valuation`` a path that cannot be
+    opened: missing, a directory, a 300-character name or a symlink
+    loop.  ``--p``/``--q`` texts
     include decimal exponents up to 10^12, which are rejected before
     ``Fraction`` expands them.  Oracle caps stay at most 16 (token soups
     keep the default, 22), so a scan covers at most 2^21 colorings."""
@@ -1134,7 +1197,10 @@ def test_every_invocation_keeps_the_exit_code_contract(invocation):
             "VALUATION": os.path.join(tmp, "valuation.txt"),
             "MISSING": os.path.join(tmp, "missing.txt"),
             "DIR": tmp,
+            "LONGNAME": os.path.join(tmp, "x" * 300),
+            "LOOP": os.path.join(tmp, "loop"),
         }
+        os.symlink("loop", paths["LOOP"])
         with open(paths["GRAPH"], "w", encoding="utf-8") as fh:
             fh.write(graph_text)
         with open(paths["VALUATION"], "w", encoding="utf-8") as fh:

@@ -106,6 +106,22 @@ def test_parse_errors_carry_positions(text):
     assert err.value.position >= 0
 
 
+_LONG_RUN = "9" * 5000  # beyond int's default digit limit of 4300
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(f"<>{_LONG_RUN} p", 2), (f"E_{_LONG_RUN} p", 2), (f"p & <>{_LONG_RUN} p", 6),
+     (f"p | E_{_LONG_RUN} p", 6)],
+    ids=["<>", "E_", "p & <>", "p | E_"],
+)
+def test_a_counting_index_int_cannot_read_is_a_syntax_error_at_the_index(text, position):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert str(err.value) == f"counting index of 5000 digits is too long (at position {position})"
+    assert err.value.position == position
+
+
 def formula_trees(atoms, bounds):
     return st.recursive(
         st.sampled_from([Atom(a) for a in atoms]),
@@ -253,6 +269,14 @@ def test_majority_weak_majority_reachable_on_samples():
     f = illusion_formula(IllusionKind.MAJORITY_WEAK_MAJORITY)
     for g in (cycle_graph(4), cycle_graph(5), complete_graph(4)):
         assert formula_possible(g, f)
+
+
+def test_satisfiability_searches_over_the_formulas_one_atom_whatever_its_name():
+    for g in (cycle_graph(5), complete_graph(4), cycle_graph(8)):
+        for text in ("W {} & ~{}", "GM {} & M ~{}", "{} & ~{}"):
+            f_p, f_q = (parse_formula(text.replace("{}", a)) for a in "pq")
+            assert formula_possible(g, f_q) == formula_possible(g, f_p)
+    assert formula_possible(cycle_graph(5), parse_formula("W q & ~q"))
 
 
 def test_multi_atom_satisfiability_rejected():
