@@ -139,10 +139,7 @@ def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int
                 raise FormatError(f"line {lineno}: edge before 'n' header")
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'u v' edge pair")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer node id") from None
+            u, v = _node_id(parts[0], lineno, n), _node_id(parts[1], lineno, n)
             if len(edges) == MAX_EDGES:
                 raise FormatError(
                     f"line {lineno}: edge lines exceed the limit of {MAX_EDGES}"
@@ -151,6 +148,19 @@ def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int
     if n is None:
         raise FormatError("missing 'n <count>' header")
     return n, colors, edges
+
+
+def _node_id(token: str, lineno: int, n: int) -> int:
+    """The node id ``token`` names, as ``int`` reads it; a digit run past
+    ``int``'s limit (4300 digits) is out of range, named by its length."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token[1:] if token[0] in "+-" else token
+        if not digits.isdecimal():
+            raise FormatError(f"line {lineno}: non-integer node id") from None
+        message = f"node id of {len(digits)} digits out of range for graph on {n} nodes"
+        raise FormatError(f"line {lineno}: {message}") from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -178,10 +188,7 @@ def parse_valuation_text(text: str, n: int, atoms: tuple[str, ...]) -> dict[str,
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
-        try:
-            node = int(parts[0])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer node id") from None
+        node = _node_id(parts[0], lineno, n)
         if not 0 <= node < n:
             raise FormatError(
                 f"line {lineno}: node id {node} out of range for graph on {n} nodes"

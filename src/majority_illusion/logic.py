@@ -17,16 +17,19 @@ every other node, and the walk over subformulas finds children, from the
 node's dataclass fields.  Surface syntax: atoms are identifiers, prefix
 operators bind tightest, then ``&``, ``|``, ``->`` (right-associative).
 
-The model checker (:func:`extension`) evaluates each unique subformula
-once, children first, as one boolean column over the nodes; the program
-folds every double negation.  It counts true neighbours with the graph's
-own row sum, :meth:`Graph.neighbor_sums`, and reads nothing of the
-classifier (``analysis``, red-neighbour counts, local winners), so that
-it stays an independent check of it.  The satisfiability search
-(:func:`formula_possible`) runs the same program on node bitsets, one per
-valuation, and when one chunk holds every valuation it counts each
-neighbour threshold once into a table that its steps read.  Both compare
-each count with the one threshold rule of the counting modalities,
+Both evaluators run one program of the formula's unique subformulas,
+children first, with every double negation folded, through one step
+loop, :func:`_run`, which states the atom, ``~`` and ``|`` once and takes
+the two counting steps from its caller.  The model checker
+(:func:`extension`) holds each subformula as one boolean column over the
+nodes, counts true neighbours with the graph's own row sum,
+:meth:`Graph.neighbor_sums`, and reads nothing of the classifier
+(``analysis``, red-neighbour counts, local winners), so that it stays an
+independent check of it.  The satisfiability search
+(:func:`formula_possible`) holds each as node bitsets, one per valuation,
+and when one chunk holds every valuation it counts each neighbour
+threshold once into a table that its steps read.  Both compare each
+count with the one threshold rule of the counting modalities,
 :func:`_least`.
 """
 
@@ -333,7 +336,9 @@ def parse_formula(text: str) -> Formula:
 
 def format_formula(f: Formula) -> str:
     """Render a formula so that ``parse_formula(format_formula(f))`` equals
-    ``f`` up to derived-operator expansion."""
+    ``f`` up to derived-operator expansion; raises
+    :class:`PreconditionError` on formulas nested deeper than
+    :data:`MAX_FORMULA_DEPTH`, before rendering recurses."""
 
     def render(node: Formula, level: int) -> str:
         if isinstance(node, Atom):
@@ -356,6 +361,7 @@ def format_formula(f: Formula) -> str:
             raise TypeError(f"unknown formula node {node!r}")
         return head + render(node.sub, _TIGHTEST)
 
+    _check_depth(f)
     return render(f, 0)
 
 
@@ -405,26 +411,6 @@ def _least(node: Formula, total: int | np.ndarray, n: int) -> int | np.ndarray:
     return (total + 1) // 2 if bound is None else min(bound, n) + 1
 
 
-def _columns(node: Formula, args: list[np.ndarray], model: Model) -> np.ndarray:
-    """Extension of ``node`` in ``model`` as a boolean node column, given
-    its children's columns ``args``; each count is compared with its
-    :func:`_least` threshold.
-    """
-    g = model.graph
-    if isinstance(node, Atom):
-        column = model.valuation.get(node.name)
-        return np.zeros(g.n, dtype=bool) if column is None else column
-    if isinstance(node, Not):
-        return ~args[0]
-    if isinstance(node, Or):
-        return args[0] | args[1]
-    if isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
-        return g.neighbor_sums(args[0]) >= _least(node, np.diff(g.indptr), g.n)
-    if isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
-        return np.full(g.n, int(np.count_nonzero(args[0])) >= _least(node, g.n, g.n))
-    raise TypeError(f"evaluation reached unexpanded node {node!r}")
-
-
 def extension(model: Model, f: Formula) -> frozenset[int]:
     """Set of nodes at which ``f`` holds.
 
@@ -439,7 +425,15 @@ def extension(model: Model, f: Formula) -> frozenset[int]:
                 UnknownAtomWarning,
                 stacklevel=2,
             )
-    column = _run(program, lambda node, args: _columns(node, args, model))
+    g = model.graph
+    degrees, none = np.diff(g.indptr), np.zeros(g.n, dtype=bool)
+    column = _run(
+        program,
+        lambda name: model.valuation.get(name, none),
+        np.array(True),  # a 0-d array: numpy's scalars take a slower path
+        lambda node, a: g.neighbor_sums(a) >= _least(node, degrees, g.n),
+        lambda node, a: np.full(g.n, int(np.count_nonzero(a)) >= _least(node, g.n, g.n)),
+    )
     return frozenset(np.flatnonzero(column).tolist())
 
 
@@ -565,12 +559,27 @@ def _program(core: Formula) -> _Program:
     )
 
 
-def _run(program: _Program, step: Callable[[Formula, list], object]):
-    """Evaluate ``program`` children first: ``step(node, args)`` gives a
-    node's value from its children's values.  Returns ``core``'s value."""
+def _run(program: _Program, atom: Callable, top, neighbours: Callable, everyone: Callable):
+    """Evaluate ``program`` children first, in either representation of
+    node sets: an atom's value is ``atom(name)``, ``~a`` is ``a ^ top``
+    (``top`` holds every node), ``a | b`` is the union, and a counting
+    node over ``a`` is ``neighbours(node, a)`` (``<>n``, ``W``) or
+    ``everyone(node, a)`` (``E_n``, ``GW``).  Returns ``core``'s value."""
     values: list = [None] * len(program)
     for j, (node, kids, last_read) in enumerate(program):
-        values[j] = step(node, [values[k] for k in kids])
+        args = [values[k] for k in kids]
+        if isinstance(node, Atom):
+            values[j] = atom(node.name)
+        elif isinstance(node, Not):
+            values[j] = args[0] ^ top
+        elif isinstance(node, Or):
+            values[j] = args[0] | args[1]
+        elif isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
+            values[j] = neighbours(node, args[0])
+        elif isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
+            values[j] = everyone(node, args[0])
+        else:
+            raise TypeError(f"evaluation reached unexpanded node {node!r}")
         for k in last_read:
             values[k] = None  # keep only the values still to be read
     return values[-1]
@@ -597,22 +606,35 @@ def _compile(g: Graph, program: _Program) -> Callable[[np.ndarray], np.ndarray]:
     valuation masks (bit ``i`` set: the atom holds at node ``i``) to the
     node bitsets of the formula's extension under each of them.
 
-    A chunk that holds every valuation holds every node bitset a step can
-    give, so each counting threshold is counted once, on all ``2^n``
+    Each popcount is compared with its :func:`_least` threshold, worked out
+    for every node at once; none exceeds ``n + 1``, which uint8 holds.  A
+    chunk that holds every valuation holds every node bitset a step can
+    give, so each neighbour threshold is counted once, on all ``2^n``
     bitsets, into a table that each step with that threshold reads at its
-    argument: ``W p`` and ``W ~p`` share one pass.  The tables live for
-    the call, at most one of ``2^n`` words per distinct threshold."""
+    argument: ``W p`` and ``W ~p`` share one pass.  The tables are keyed
+    by the threshold vector, so ``<>0 p`` and ``<>1 p`` read two, and live
+    for the call, at most one of ``2^n`` words per distinct threshold."""
     nbr = g.neighbor_masks
     degrees = np.diff(g.indptr)
-    full = np.uint32((1 << g.n) - 1)
+    full = np.array((1 << g.n) - 1, dtype=np.uint32)  # 0-d, as in extension
     every = 1 << g.n
 
+    def everyone(node: Formula, sets: np.ndarray) -> np.ndarray:
+        return np.where(np.bitwise_count(sets) >= _least(node, g.n, g.n), full, np.uint32(0))
+
     def extensions(masks: np.ndarray) -> np.ndarray:
-        tables: dict | None = {} if len(masks) == every else None
-        return _run(
-            program,
-            lambda node, args: _bitsets(node, args, masks, nbr, degrees, full, tables),
-        )
+        tables: dict = {}
+
+        def neighbours(node: Formula, sets: np.ndarray) -> np.ndarray:
+            least = np.broadcast_to(_least(node, degrees, g.n), degrees.shape)
+            if len(masks) < every:
+                return _counted(sets, nbr, least)
+            key = least.tobytes()
+            if key not in tables:
+                tables[key] = _counted(np.arange(every, dtype=np.uint32), nbr, least)
+            return tables[key].take(sets)
+
+        return _run(program, lambda name: masks, full, neighbours, everyone)
 
     return extensions
 
@@ -625,44 +647,6 @@ def _counted(sets: np.ndarray, nbr: np.ndarray, least: np.ndarray) -> np.ndarray
         hit = np.bitwise_count(sets & nbr[i]) >= at_least
         out |= hit.astype(np.uint32) << np.uint32(i)
     return out
-
-
-def _bitsets(
-    node: Formula,
-    args: list[np.ndarray],
-    masks: np.ndarray,
-    nbr: np.ndarray,
-    degrees: np.ndarray,
-    full: np.uint32,
-    tables: dict | None,
-) -> np.ndarray:
-    """Extension of ``node`` under each valuation in ``masks``, as node
-    bitsets, given its children's extensions ``args``.
-
-    Each popcount is compared with its :func:`_least` threshold, worked out
-    for every node at once; none exceeds ``n + 1``, which uint8 holds.
-    With ``tables`` (``masks`` holds every valuation), a neighbour count
-    is read from its threshold's table, keyed by the threshold vector, so
-    that ``<>0 p`` and ``<>1 p`` read two tables.
-    """
-    if isinstance(node, Atom):
-        return masks
-    if isinstance(node, Not):
-        return args[0] ^ full
-    if isinstance(node, Or):
-        return args[0] | args[1]
-    if isinstance(node, (NeighborCountOver, WeakNeighborMajority)):
-        least = np.broadcast_to(_least(node, degrees, len(degrees)), degrees.shape)
-        if tables is None:
-            return _counted(args[0], nbr, least)
-        key = least.tobytes()
-        if key not in tables:
-            tables[key] = _counted(np.arange(len(masks), dtype=np.uint32), nbr, least)
-        return tables[key].take(args[0])
-    if isinstance(node, (GlobalCountOver, WeakGlobalMajority)):
-        least = _least(node, len(degrees), len(degrees))
-        return np.where(np.bitwise_count(args[0]) >= least, full, np.uint32(0))
-    raise TypeError(f"evaluation reached unexpanded node {node!r}")
 
 
 def formula_possible(g: Graph, f: Formula, cap: int = DEFAULT_CAP) -> bool:

@@ -167,6 +167,8 @@ MUTANTS = [
         "key = type(node)",
         ("test_logic.py::test_program_keeps_subformulas_apart_by_their_bound",),
     ),
+    # the one negation step, shared by the bool columns and the bitsets
+    Mutant("logic.py", "args[0] ^ top", "args[0] | top", LOGIC),
     # the edge-key width: uint32 keys overflow from 65 537 nodes on
     Mutant(
         "graphs.py",
@@ -259,6 +261,13 @@ MUTANTS = [
         "return int(digits)\n    except ValueError:",
         "return int(digits)\n    except TypeError:",
         ("test_logic.py::test_a_counting_index_int_cannot_read_is_a_syntax_error_at_the_index",),
+    ),
+    # a node id int cannot read for its length is out of range, not a non-integer
+    Mutant(
+        "fileformat.py",
+        "if not digits.isdecimal():",
+        "if digits:",
+        ("test_fileformat.py::test_a_node_id_too_long_for_int_is_outside_the_graph_in_every_reader",),
     ),
 ]
 

@@ -695,13 +695,14 @@ _LONG_RUN = "9" * 5000  # beyond int's default limit of 4300 digits
     "fault, where",
     [(fault, where) for fault in ("name too long", "symlink loop") for where in ("graph", "valuation")]
     + [("long header", "canonical"), ("long header", "commented"), ("long index", "<>"),
-       ("long index", "E_")],
+       ("long index", "E_"), ("long id", "graph"), ("long id", "valuation")],
 )
 def test_a_fault_that_open_or_int_raises_exits_two_in_one_line(capsys, tmp_path, fault, where):
     """Input faults that Python's ``open`` or ``int`` finds, not the
     package: a path it cannot open, read as a graph or as a valuation, and
     a digit run beyond ``int``'s limit, in a header that each graph reader
-    reads and in either counting index.  Each is the input's, exit 2."""
+    reads, in either counting index and as a node id in either file.
+    Each is the input's, exit 2."""
     good = tmp_path / "g.txt"
     good.write_text("n 2\ncolors RB\n0 1\n")
     files, formula = {"graph": good, "valuation": good}, "p"
@@ -716,6 +717,12 @@ def test_a_fault_that_open_or_int_raises_exits_two_in_one_line(capsys, tmp_path,
         files["graph"] = tmp_path / "h.txt"
         files["graph"].write_text("\n".join(lines) + "\n")
         message = f"line {len(lines)}: expected 'n <count>'"
+    elif fault == "long id":
+        lines = ["n 2", "colors RB", f"0 {_LONG_RUN}"] if where == "graph" else [f"{_LONG_RUN} p"]
+        files[where] = tmp_path / "id.txt"
+        files[where].write_text("\n".join(lines) + "\n")
+        line = len(lines)
+        message = f"line {line}: node id of 5000 digits out of range for graph on 2 nodes"
     else:
         formula = f"p & {where}{_LONG_RUN} p"
         message = "counting index of 5000 digits is too long (at position 6)"

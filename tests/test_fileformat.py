@@ -413,6 +413,29 @@ def test_a_zero_node_coloring_round_trips(prefix):
         parse_graph_text("n 2\ncolors\n0 1\n")
 
 
+@pytest.mark.parametrize("digits", [4301, 5000])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_node_id_too_long_for_int_is_outside_the_graph_in_every_reader(digits, sign):
+    """``int`` refuses a digit run past its 4300-digit limit.  Each reader
+    (the canonical one hands the text on) names such an id out of range,
+    by its line and digit count, and none of its digits; a token of other
+    characters stays a non-integer."""
+    token = sign + "1" * digits
+    message = f"line 2: node id of {digits} digits out of range for graph on 2 nodes"
+    for text in (f"n 2\n0 {token}\n", f"n 2\n{token} 1 # line reader\n"):
+        with pytest.raises(FormatError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == message
+    with pytest.raises(FormatError) as err:
+        parse_valuation_text(f"# c\n{token} p\n", 2, ("p",))
+    assert str(err.value) == message
+    for text in (f"n 2\n0 {token}x\n", f"n 2\n0 +-{token}\n"):
+        with pytest.raises(FormatError, match="^line 2: non-integer node id$"):
+            parse_graph_text(text)
+    with pytest.raises(FormatError, match="^line 1: non-integer node id$"):
+        parse_valuation_text(f"{token}x p\n", 2, ("p",))
+
+
 @st.composite
 def _valuation_texts(draw):
     """A node count of 0..8, the lines of a valuation file and the atoms

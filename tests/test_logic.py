@@ -54,11 +54,9 @@ from majority_illusion.logic import (
     WeakNeighborMajority,
     _check_depth,
     _children,
-    _columns,
     _compile,
     _expanded_program,
     _program,
-    _run,
     _tokenize,
     _too_deep,
     expand,
@@ -378,8 +376,11 @@ def test_depth_limit_is_exact_at_every_entry_point(wrap):
     extension(model, ok)
     formula_possible(model.graph, ok)
     deep = wrap(ok)
+    # the text of ``deep``: ``ok``'s text in place of the atom of ``wrap(x)``
+    text = format_formula(wrap(Atom("x"))).replace("x", format_formula(ok))
     for call in (
-        lambda: parse_formula(format_formula(deep)),
+        lambda: format_formula(deep),
+        lambda: parse_formula(text),
         lambda: extension(model, deep),
         lambda: formula_possible(model.graph, deep),
     ):
@@ -395,6 +396,8 @@ def test_formula_errors_are_raised_on_every_call():
     very_deep = _nested(50 * MAX_FORMULA_DEPTH, Not)
     two_atoms = parse_formula("p | q")
     for _ in range(2):
+        with pytest.raises(PreconditionError, match="nested too deep"):
+            format_formula(very_deep)
         with pytest.raises(PreconditionError, match="nested too deep"):
             extension(model, very_deep)
         with pytest.raises(PreconditionError, match="nested too deep"):
@@ -831,26 +834,16 @@ def _frozensets(
 
 def every_subformula(model, f):
     """The node set of each of ``f``'s distinct subformulas, in program
-    order, from the boolean column table and from the frozenset table."""
+    order, from :func:`extension` on each and from the frozenset table."""
     all_nodes = frozenset(range(model.graph.n))
-    tables = (
-        lambda node, args: _columns(node, args, model),
-        lambda node, args: _frozensets(node, args, model, all_nodes),
-    )
     program = _program(expand(f))
-
-    def walk(table):
-        values = []
-
-        def step(node, args):
-            values.append(table(node, args))
-            return values[-1]
-
-        _run(program, step)
-        return values
-
-    columns, sets = map(walk, tables)
-    return [frozenset(np.flatnonzero(c).tolist()) for c in columns], sets
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownAtomWarning)
+        columns = [extension(model, node) for node, _, _ in program]
+    sets: list = []
+    for node, kids, _ in program:
+        sets.append(_frozensets(node, [sets[k] for k in kids], model, all_nodes))
+    return columns, sets
 
 
 _atom_sets = st.sets(st.sampled_from("pqr")).map(frozenset)
