@@ -46,9 +46,9 @@ import numpy as np
 
 from .analysis import IllusionKind, classify_network
 from .coloring import WINNER_CODES, ColoredGraph, Winner
-from .errors import InfeasibleError, InternalInvariantError, PreconditionError
+from .errors import InfeasibleError, InternalInvariantError, PreconditionError, shown
 from .feasibility import regular_exists
-from .graphs import MAX_NODES, _csr_graph, _key_dtype, _key_rows, check_size
+from .graphs import _csr_graph, _key_dtype, _key_rows, check_size
 from .graphs import make_graph  # noqa: F401  (perfbench looks it up here)
 
 
@@ -128,6 +128,11 @@ def construction_plan(n: int, k: int) -> ConstructionPlan:
         raise PreconditionError(
             f"no construction plan for n={n}, k={k} (failed: {', '.join(verdict.failed)})"
         )
+    return _plan(n, k)
+
+
+def _plan(n: int, k: int) -> ConstructionPlan:
+    """:func:`construction_plan`'s split, for a pair already accepted."""
     n_red = n // 2 + 1
     n_blue = n - n_red
     if n % 2 == 0:
@@ -368,8 +373,8 @@ def _deficits(members: np.ndarray, k: int, deg: np.ndarray) -> dict[int, int]:
 
 
 def _require_feasible(n: int, k: int) -> ConstructionPlan:
-    if n > MAX_NODES:
-        raise PreconditionError(f"node count {n} exceeds the limit of {MAX_NODES}")
+    """The plan for ``(n, k)``, from the one verdict that admits the pair."""
+    check_size(n, 0)
     verdict = regular_exists(n, k)
     if not verdict.possible:
         raise InfeasibleError(
@@ -378,7 +383,7 @@ def _require_feasible(n: int, k: int) -> ConstructionPlan:
             verdict,
         )
     check_size(n, n * k // 2)
-    return construction_plan(n, k)
+    return _plan(n, k)
 
 
 def _add_circulants(report: ConstructionReport, keys: np.ndarray, n: int, rows) -> np.ndarray:
@@ -528,7 +533,7 @@ def fast_construct_report(n: int, k: int) -> tuple[ColoredGraph, ConstructionRep
             "classes with an odd number of odd open ends)"
         )
     if k % 2 != 0:
-        raise PreconditionError(f"fast construction needs even k, got {k}")
+        raise PreconditionError(f"fast construction needs even k, got {shown(k)}")
     if n > 2 * k - 2:
         raise PreconditionError(
             f"fast construction needs n <= 2k - 2, got n={n}, k={k}"

@@ -37,7 +37,7 @@ from .analysis import (
     classify_network,
 )
 from .coloring import ColoredGraph
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, shown
 
 
 class Strictness(enum.Enum):
@@ -72,7 +72,7 @@ def cycle_feasible(n: int) -> CycleVerdict:
     """Verdicts for 2-regular graphs: strict illusions never, the weak
     majority-weak-majority always."""
     if n < 3:
-        raise PreconditionError(f"a cycle needs at least 3 nodes, got {n}")
+        raise PreconditionError(f"a cycle needs at least 3 nodes, got {shown(n)}")
     return CycleVerdict(
         n=n,
         majority_majority=False,
@@ -107,7 +107,7 @@ def complete_pq_feasible(n: int, p: Threshold, q: Threshold) -> CompletePqVerdic
     (or onto) the ``p`` threshold.
     """
     if n < 1:
-        raise PreconditionError(f"complete graph needs at least 1 node, got {n}")
+        raise PreconditionError(f"complete graph needs at least 1 node, got {shown(n)}")
     _check_threshold(p)
     _check_threshold(q)
 
@@ -156,10 +156,10 @@ def complete_majority_weak_classification(cg: ColoredGraph) -> CompleteWeakClass
 
 def _check_regular_domain(n: int, k: int) -> None:
     if n < 1 or k < 0:
-        raise PreconditionError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+        raise PreconditionError(f"need n >= 1 and k >= 0, got n={shown(n)}, k={shown(k)}")
     if k >= n or (n * k) % 2 == 1:
         raise PreconditionError(
-            f"no {k}-regular graph on {n} nodes exists (reason: no-regular-graph)"
+            f"no {shown(k)}-regular graph on {shown(n)} nodes exists (reason: no-regular-graph)"
         )
 
 

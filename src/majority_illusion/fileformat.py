@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coloring import AnyColoring, ColoredGraph, coloring_to_string, red_from_word
-from .errors import FormatError, GraphError
+from .errors import FormatError, GraphError, shown
 from .graphs import MAX_EDGES, Graph, check_size, make_graph
 
 
@@ -131,7 +131,7 @@ def _parse_lines(text: str) -> tuple[int, np.ndarray | None, list[tuple[int, int
             word = "".join(parts[1:])
             if len(word) != n or any(ch not in "RB" for ch in word):
                 raise FormatError(
-                    f"line {lineno}: colors must be {n} characters from {{R,B}}"
+                    f"line {lineno}: colors must be {shown(n)} characters from {{R,B}}"
                 )
             colors = red_from_word(word)
         else:
@@ -191,7 +191,7 @@ def parse_valuation_text(text: str, n: int, atoms: tuple[str, ...]) -> dict[str,
         node = _node_id(parts[0], lineno, n)
         if not 0 <= node < n:
             raise FormatError(
-                f"line {lineno}: node id {node} out of range for graph on {n} nodes"
+                f"line {lineno}: node id {shown(node)} out of range for graph on {n} nodes"
             )
         if seen[node]:
             raise FormatError(f"line {lineno}: duplicate node {node}")

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, shown
 
 # Largest node count any graph may declare, checked before anything is
 # allocated: a text header of a few bytes cannot ask for gigabytes.
@@ -156,7 +156,7 @@ class Graph:
 
     def check_node(self, i: int) -> None:
         if not 0 <= i < self.n:
-            raise GraphError(f"node id {i} out of range for graph on {self.n} nodes")
+            raise GraphError(f"node id {shown(i)} out of range for graph on {self.n} nodes")
 
 
 def _node_ids(n: int) -> np.ndarray:
@@ -174,7 +174,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     on out-of-range ids or self-loops, naming the first offending pair.
     """
     if n < 0:
-        raise GraphError(f"node count must be nonnegative, got {n}")
+        raise GraphError(f"node count must be nonnegative, got {shown(n)}")
     check_size(n, 0)
     pairs = _pair_array(n, edges)
     u, v = pairs[:, 0], pairs[:, 1]
@@ -248,24 +248,24 @@ def _pair_array(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.nda
 
 def _check_pair(u: int, v: int, n: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
-        raise GraphError(f"edge ({u}, {v}) uses a node id outside 0..{n - 1}")
+        raise GraphError(f"edge ({shown(u)}, {shown(v)}) uses a node id outside 0..{n - 1}")
     if u == v:
-        raise GraphError(f"edge ({u}, {v}) is a self-loop")
+        raise GraphError(f"edge ({shown(u)}, {shown(v)}) is a self-loop")
 
 
 def check_size(n: int, edge_count: int) -> None:
     """Raise :class:`GraphError` if ``n`` nodes or ``edge_count`` edges are
     over :data:`MAX_NODES` or :data:`MAX_EDGES`."""
     if n > MAX_NODES:
-        raise GraphError(f"node count {n} exceeds the limit of {MAX_NODES}")
+        raise GraphError(f"node count {shown(n)} exceeds the limit of {MAX_NODES}")
     if edge_count > MAX_EDGES:
-        raise GraphError(f"edge count {edge_count} exceeds the limit of {MAX_EDGES}")
+        raise GraphError(f"edge count {shown(edge_count)} exceeds the limit of {MAX_EDGES}")
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on ``n >= 3`` nodes (2-regular)."""
     if n < 3:
-        raise GraphError(f"a cycle needs at least 3 nodes, got {n}")
+        raise GraphError(f"a cycle needs at least 3 nodes, got {shown(n)}")
     check_size(n, n)
     i = np.arange(n, dtype=np.int64)
     return make_graph(n, np.stack((i, (i + 1) % n), axis=1))
@@ -274,7 +274,7 @@ def cycle_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     """Complete graph on ``n >= 1`` nodes ((n-1)-regular)."""
     if n < 1:
-        raise GraphError(f"a complete graph needs at least 1 node, got {n}")
+        raise GraphError(f"a complete graph needs at least 1 node, got {shown(n)}")
     check_size(n, n * (n - 1) // 2)
     return make_graph(n, np.stack(np.triu_indices(n, 1), axis=1))
 
@@ -286,13 +286,13 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
     ``n``) contributes a single edge per node.
     """
     if n < 1:
-        raise GraphError(f"a circulant graph needs at least 1 node, got {n}")
+        raise GraphError(f"a circulant graph needs at least 1 node, got {shown(n)}")
     offs = sorted(set(offsets))
     if not offs:
         raise GraphError("circulant offsets must be nonempty")
     for d in offs:
         if not 1 <= d <= n // 2:
-            raise GraphError(f"offset {d} outside valid range 1..{n // 2}")
+            raise GraphError(f"offset {shown(d)} outside valid range 1..{shown(n // 2)}")
     check_size(n, n * len(offs) - (n // 2 if 2 * offs[-1] == n else 0))
     i = np.arange(n, dtype=np.int64)
     return make_graph(

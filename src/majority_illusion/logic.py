@@ -17,15 +17,17 @@ every other node, and the walk over subformulas finds children, from the
 node's dataclass fields.  Surface syntax: atoms are identifiers, prefix
 operators bind tightest, then ``&``, ``|``, ``->`` (right-associative).
 
-Both evaluators run one program of the formula's unique subformulas,
-children first, with every double negation folded, through one step
-loop, :func:`_run`, which states the atom, ``~`` and ``|`` once and takes
-the two counting steps from its caller.  The model checker
-(:func:`extension`) holds each subformula as one boolean column over the
-nodes, counts true neighbours with the graph's own row sum,
-:meth:`Graph.neighbor_sums`, and reads nothing of the classifier
-(``analysis``, red-neighbour counts, local winners), so that it stays an
-independent check of it.  The satisfiability search
+A formula holds its depth from when it is built, so every entry point
+checks :data:`MAX_FORMULA_DEPTH` with one comparison, and from its first
+evaluation on it holds its program: its unique subformulas, children
+first, with every double negation folded.  Both evaluators run that
+program through one step loop, :func:`_run`, which states the atom,
+``~`` and ``|`` once and takes the two counting steps from its caller.
+The model checker (:func:`extension`) holds each subformula as one
+boolean column over the nodes, counts true neighbours with the graph's
+own row sum, :meth:`Graph.neighbor_sums`, and reads nothing of the
+classifier (``analysis``, red-neighbour counts, local winners), so that
+it stays an independent check of it.  The satisfiability search
 (:func:`formula_possible`) holds each as node bitsets, one per valuation,
 and when one chunk holds every valuation it counts each neighbour
 threshold once into a table that its steps read.  Both compare each
@@ -38,7 +40,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -56,9 +58,17 @@ MAX_FORMULA_DEPTH = 100
 
 
 class Formula:
-    """Base class for formula nodes; instances are immutable and hashable."""
+    """Base class for formula nodes; instances are immutable and hashable.
+    Each stores its ``depth`` when it is built (an atom's is 1), and keeps
+    its expanded program from its first evaluation on."""
 
-    __slots__ = ()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "depth", 1 + max((c.depth for c in _children(self)), default=0))
+
+    @cached_property
+    def _expanded(self) -> tuple[_Program, tuple[str, ...]]:
+        program = _program(expand(self))
+        return program, tuple(node.name for node, _, _ in program if isinstance(node, Atom))
 
 
 @dataclass(frozen=True)
@@ -167,18 +177,13 @@ def _too_deep() -> PreconditionError:
 
 
 def _check_depth(f: Formula) -> None:
-    """Reject ``f`` if it is nested deeper than :data:`MAX_FORMULA_DEPTH`.
-
-    Expansion, hashing and printing recurse once per level, and
-    expansion can triple the depth.  Walks one level of distinct nodes at a
-    time, so shared subformulas are not revisited.
-    """
-    level = [f]
-    for _ in range(MAX_FORMULA_DEPTH):
-        level = list({id(c): c for node in level for c in _children(node)}.values())
-        if not level:
-            return
-    raise _too_deep()
+    """Reject ``f`` if it is nested deeper than :data:`MAX_FORMULA_DEPTH`:
+    expansion, hashing and printing recurse once per level, and expansion
+    can triple the depth.  One comparison with ``f``'s stored depth."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"unknown formula node {f!r}")
+    if f.depth > MAX_FORMULA_DEPTH:
+        raise _too_deep()
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +535,7 @@ def _program(core: Formula) -> _Program:
     never reads another, so majority-majority runs 14 steps, not 23.
 
     An expansion shares no node object, so each node is walked once.
-    :func:`_expanded_program` caches the program: a tuple, so a cached
-    program cannot be changed."""
+    A formula keeps its program as a tuple, which cannot be changed."""
     # A subformula is keyed by its class, bound and children's positions,
     # so no lookup hashes a whole subtree; ``at`` maps each node object
     # visited to its position.
@@ -586,19 +590,11 @@ def _run(program: _Program, atom: Callable, top, neighbours: Callable, everyone:
 
 
 def _prepared(f: Formula) -> tuple[_Program, tuple[str, ...]]:
-    """The program of ``f``'s expansion and its atoms in program order.
-
-    The depth check runs on every call, before the cache hashes ``f``
-    (hashing recurses once per level), so a too-deep formula raises each
-    time; the expansion and the program are built once per formula."""
+    """The program of ``f``'s expansion and its atoms in program order,
+    kept on ``f`` from its first evaluation on; the depth check runs on
+    every call, so a too-deep formula raises each time."""
     _check_depth(f)
-    return _expanded_program(f)
-
-
-@lru_cache(maxsize=256)
-def _expanded_program(f: Formula) -> tuple[_Program, tuple[str, ...]]:
-    program = _program(expand(f))
-    return program, tuple(node.name for node, _, _ in program if isinstance(node, Atom))
+    return f._expanded
 
 
 def _compile(g: Graph, program: _Program) -> Callable[[np.ndarray], np.ndarray]:

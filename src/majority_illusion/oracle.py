@@ -74,7 +74,7 @@ import numpy as np
 
 from .analysis import IllusionKind
 from .coloring import Color, Coloring, TextEnum
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .graphs import Graph
 
 DEFAULT_CAP = 22
@@ -567,7 +567,7 @@ def enumerate_regular(n: int, k: int) -> Iterator[Graph]:
     or ``0 < n <= k``; on ``n = 0``, the one empty graph.
     """
     if n > 10:
-        raise PreconditionError(f"regular enumeration capped at 10 nodes, got {n}")
+        raise PreconditionError(f"regular enumeration capped at 10 nodes, got {shown(n)}")
     if n < 0 or k < 0:
         raise PreconditionError("n and k must be nonnegative")
     if k >= n and not (n == 0):

@@ -46,6 +46,7 @@ COLORING = ("test_coloring.py",)
 ANALYSIS = ("test_analysis.py",)
 FILEFORMAT = ("test_fileformat.py",)
 LOGIC = ("test_logic.py", "test_digests.py::test_logic_digest")
+DEPTH = ("test_logic.py::test_depth_limit_is_exact_at_every_entry_point",)
 TOP_UP = ("test_construct.py::test_blue_top_up_matches_the_set_based_top_up",)
 PAIRING = (
     "test_construct.py::test_bulk_pairing_matches_the_search",
@@ -169,6 +170,10 @@ MUTANTS = [
     ),
     # the one negation step, shared by the bool columns and the bitsets
     Mutant("logic.py", "args[0] ^ top", "args[0] | top", LOGIC),
+    # the depth rule: each node stores one more level than its deepest
+    # child, and the check refuses only a depth past the limit
+    Mutant("logic.py", "1 + max((c.depth", "max((c.depth", DEPTH),
+    Mutant("logic.py", "f.depth > MAX_FORMULA_DEPTH", "f.depth >= MAX_FORMULA_DEPTH", DEPTH),
     # the edge-key width: uint32 keys overflow from 65 537 nodes on
     Mutant(
         "graphs.py",

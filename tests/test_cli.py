@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -352,6 +353,20 @@ def test_the_readme_lists_every_script_the_workflow_runs():
     listed = set(re.findall(r"^python3? ((?:tests|perfbench)/\w+\.py)\b", block, re.M))
     assert "tests/pins.py" in scripts  # the pattern reads the workflow's steps
     assert scripts <= listed, scripts - listed
+
+
+def test_every_site_the_traced_benchmark_wraps_is_a_callable():
+    """The traced benchmark run replaces each ``(module, attribute)`` in
+    ``perfbench/tracing.py``'s ``WRAP_SITES`` where callers look it up; a
+    site renamed or removed would otherwise fail that run alone."""
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAP_SITES
+    for module, attribute, _ in tracing.WRAP_SITES:
+        site = getattr(importlib.import_module(module), attribute, None)
+        assert callable(site), (module, attribute)
 
 
 def test_oracle_cap_usage_error(capsys, tmp_path):
@@ -731,6 +746,36 @@ def test_a_fault_that_open_or_int_raises_exits_two_in_one_line(capsys, tmp_path,
         "--valuation", str(files["valuation"]),
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_ONES = "1" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "EDGE"], "edge (0, <4300 digits>) uses a node id outside 0..1"),
+        (["mc", "C5", "--formula", "p", "--global", "--valuation", "VALUATION"],
+         "line 1: node id <4300 digits> out of range for graph on 5 nodes"),
+        (["mc", "C5", "--formula", "p", "--node", _ONES],
+         "node id <4000 digits> out of range for graph on 5 nodes"),
+        (["gen", "cycle", _ONES], f"node count <4000 digits> exceeds the limit of {MAX_NODES}"),
+        (["construct", _ONES, "6"], f"node count <4000 digits> exceeds the limit of {MAX_NODES}"),
+        (["feasible", "10", _ONES],
+         "no <4000 digits>-regular graph on 10 nodes exists (reason: no-regular-graph)"),
+    ],
+    ids=["analyze", "mc --valuation", "mc --node", "gen cycle", "construct", "feasible"],
+)
+def test_a_huge_number_exits_two_in_a_short_line(capsys, tmp_path, argv, message):
+    """A node id or count of thousands of digits, in a graph, a valuation
+    or an argument, is named by its digit count, not printed whole."""
+    files = {"EDGE": f"n 2\n0 {'1' * 4300}\n", "VALUATION": f"{'1' * 4300} p\n",
+             "C5": write_graph(cycle_graph(5), coloring_from_string("RRBBB"))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 200
 
 
 def test_every_package_error_but_a_verdict_or_a_defect_is_a_precondition_error():

@@ -288,6 +288,31 @@ def test_node_count_above_the_cap_rejected_before_planning(build, k):
         build(MAX_NODES + 2, k)
 
 
+@pytest.mark.parametrize("build, n, k", [
+    (construct_regular_illusion, 16, 8),
+    (construct_regular_illusion, 45, 6),
+    (fast_construct, 30, 20),
+    (construct_regular_illusion, 12, 8),  # refused on its verdict
+])
+def test_a_construction_reads_one_feasibility_verdict(monkeypatch, build, n, k):
+    """The plan is worked out from the verdict that admitted the pair, so
+    each construction asks :func:`regular_exists` once."""
+    verdicts = []
+
+    def counted(n, k):
+        verdicts.append((n, k))
+        return regular_exists(n, k)
+
+    monkeypatch.setattr(construct, "regular_exists", counted)
+    try:
+        cg = build(n, k)
+    except InfeasibleError:
+        pass
+    else:
+        assert cg.graph.is_regular(k)
+    assert verdicts == [(n, k)]
+
+
 def test_proven_parity_gap_rejected():
     with pytest.raises(InfeasibleError, match="saturated-bipartite-parity"):
         construct_regular_illusion(12, 8)

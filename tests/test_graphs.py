@@ -26,7 +26,9 @@ from majority_illusion import (
     strict_illusion_from_proper,
     weak_majority_2_coloring,
 )
-from majority_illusion.graphs import MAX_EDGES, MAX_NODES
+from majority_illusion.errors import PreconditionError, shown
+from majority_illusion.feasibility import regular_exists
+from majority_illusion.graphs import MAX_EDGES, MAX_NODES, check_size
 
 from conftest import colored_graphs, graphs, reference_make_graph
 
@@ -83,6 +85,45 @@ def test_node_count_above_the_cap_rejected_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_an_error_message_prints_at_most_40_digits_of_a_number():
+    """Up to 40 digits a number is printed as ``str`` prints it; past them
+    as its exact digit count, also at and around every power of ten."""
+    for value in (0, 7, -7, 10**18, 2**63, 2**64 + 3, 10**40 - 1, 1.5):
+        assert shown(value) == str(value)
+    for digits in range(41, 4301, 7):
+        for value in (10 ** (digits - 1), 10**digits - 1, int("9" + "0" * (digits - 1)) + 1):
+            assert shown(value) == f"<{digits} digits>"
+            assert shown(-value) == f"-<{digits} digits>"
+
+
+# The most digits int reads from text, and a count past what str prints
+@pytest.mark.parametrize(
+    "value, text", [(int("1" * 4300), "<4300 digits>"), (10**5000, "<5001 digits>")],
+    ids=["4300 digits", "5001 digits"],
+)
+def test_a_huge_number_is_refused_by_its_digit_count(value, text):
+    """Every size and id check refuses a number of thousands of digits as
+    the input's fault, in a message of fixed length: ``str`` cannot print
+    one of more than 4300 digits at all."""
+    for call, message in [
+        (lambda: make_graph(2, [(0, value)]), f"edge (0, {text}) uses a node id outside 0..1"),
+        (lambda: make_graph(2, [(value, value)]), f"edge ({text}, {text}) uses a node id outside 0..1"),
+        (lambda: make_graph(-value, []), f"node count must be nonnegative, got -{text}"),
+        (lambda: cycle_graph(value), f"node count {text} exceeds the limit of {MAX_NODES}"),
+        (lambda: cycle_graph(-value), f"a cycle needs at least 3 nodes, got -{text}"),
+        (lambda: complete_graph(value), f"node count {text} exceeds the limit of {MAX_NODES}"),
+        (lambda: check_size(5, value), f"edge count {text} exceeds the limit of {MAX_EDGES}"),
+        (lambda: circulant_graph(5, [value]), f"offset {text} outside valid range 1..2"),
+        (lambda: next(enumerate_regular(value, 3)), f"regular enumeration capped at 10 nodes, got {text}"),
+        (lambda: cycle_graph(5).check_node(value), f"node id {text} out of range for graph on 5 nodes"),
+        (lambda: regular_exists(10, value),
+         f"no {text}-regular graph on 10 nodes exists (reason: no-regular-graph)"),
+    ]:
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

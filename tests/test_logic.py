@@ -34,6 +34,7 @@ from majority_illusion import (
     random_coloring,
     write_graph,
 )
+from majority_illusion import logic
 from majority_illusion.logic import (
     AGENT_MAJORITY_ILLUSION,
     AGENT_WEAK_MAJORITY_ILLUSION,
@@ -55,7 +56,7 @@ from majority_illusion.logic import (
     _check_depth,
     _children,
     _compile,
-    _expanded_program,
+    _prepared,
     _program,
     _tokenize,
     _too_deep,
@@ -406,6 +407,65 @@ def test_formula_errors_are_raised_on_every_call():
             formula_possible(model.graph, two_atoms)
 
 
+def _reference_depth(f):
+    return 1 + max(map(_reference_depth, _operands(f)), default=0)
+
+
+@st.composite
+def _shared_trees(draw):
+    """A formula that reuses subformula objects: each level puts the last
+    one under an operator, beside itself or an earlier level."""
+    levels = [draw(formulas)]
+    for _ in range(draw(st.integers(1, 8))):
+        last, other = levels[-1], draw(st.sampled_from(levels))
+        levels.append(draw(st.sampled_from([
+            Or(last, other), And(other, last), Implies(last, last), Not(last),
+            NeighborCountOver(1, last), GlobalMajority(last),
+        ])))
+    return levels[-1]
+
+
+@given(st.one_of(formulas, _shared_trees()))
+def test_every_node_stores_its_depth(f):
+    nodes, stack = {}, [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(_operands(node))
+    for node in nodes.values():
+        assert node.depth == _reference_depth(node)
+
+
+@pytest.mark.parametrize("kind", FORMULA_KINDS)
+def test_a_formula_is_walked_on_its_first_evaluation_only(monkeypatch, kind):
+    """The depth check reads the stored depth and the program is kept on
+    the formula, so a second call walks no node."""
+    model = triangle_model("RRB")
+    f = parse_formula(format_formula(illusion_formula(kind)))  # a fresh object
+    walked = []
+    children = logic._children
+    monkeypatch.setattr(logic, "_children", lambda node: walked.append(node) or children(node))
+    extension(model, f)
+    assert walked
+    walked.clear()
+    extension(model, f)
+    formula_possible(model.graph, f)
+    assert walked == []
+
+
+@pytest.mark.parametrize("value", ["p", None, 3, (Atom("p"),)])
+@pytest.mark.parametrize(
+    "call",
+    [lambda f: extension(triangle_model(), f), lambda f: formula_possible(cycle_graph(5), f),
+     format_formula],
+    ids=["extension", "formula_possible", "format_formula"],
+)
+def test_a_value_that_is_no_formula_is_a_type_error(call, value):
+    with pytest.raises(TypeError, match="unknown formula node"):
+        call(value)
+
+
 def test_unknown_atom_warns_and_is_false():
     model = triangle_model()
     with pytest.warns(UnknownAtomWarning):
@@ -754,8 +814,9 @@ def test_unknown_atoms_warn_left_to_right_and_at_the_caller():
 
 def test_each_expanded_formula_builds_one_program_of_tuples():
     f = illusion_formula(IllusionKind.MAJORITY_WEAK_MAJORITY)
-    program, atoms = _expanded_program(f)
-    assert _expanded_program(parse_formula(format_formula(f)))[0] is program
+    program, atoms = _prepared(f)
+    assert _prepared(f)[0] is program
+    assert _prepared(parse_formula(format_formula(f)))[0] == program
     assert isinstance(program, tuple)
     assert all(isinstance(step, tuple) for step in program)
     assert atoms == ("p",)
@@ -784,7 +845,7 @@ def test_program_keeps_subformulas_apart_by_their_bound():
 def test_programs_fold_double_negations(kind, steps):
     """The expansions of ``&``, ``M`` and ``GM`` make ``~~a``; no program
     step negates a negation (23 and 33 steps unfolded)."""
-    program = _expanded_program(illusion_formula(kind))[0]
+    program = _prepared(illusion_formula(kind))[0]
     assert len(program) == steps
     negations = [j for j, (node, _, _) in enumerate(program) if isinstance(node, Not)]
     assert not any(program[j][1][0] in negations for j in negations)
