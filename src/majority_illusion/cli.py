@@ -19,7 +19,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .coloring import (
     illusion_coloring,
 )
 from .construct import construct_regular_illusion_report, fast_construct_report
-from .errors import InfeasibleError, InternalInvariantError, PreconditionError
+from .errors import InfeasibleError, InternalInvariantError, PreconditionError, quoted
 from .feasibility import regular_exists
 from .fileformat import _name_words, parse_graph_text, parse_valuation_text, write_graph
 from .graphs import circulant_graph, complete_graph, cycle_graph
@@ -91,14 +91,14 @@ def _fraction(text: str) -> Fraction:
     exponent = _EXPONENT.search(text)
     if exponent and int(exponent.group(1).replace("_", "")) > _FRACTION_MAX_EXPONENT:
         raise argparse.ArgumentTypeError(
-            f"decimal exponent beyond {_FRACTION_MAX_EXPONENT} in {text!r}"
+            f"decimal exponent beyond {_FRACTION_MAX_EXPONENT} in {quoted(text)}"
         )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a fraction: {quoted(text)}") from None
     if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {text!r}")
+        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {quoted(text)}")
     return value
 
 
@@ -108,17 +108,13 @@ def _offsets(text: str) -> list[int]:
         return [int(part) for part in text.split(",")] if text else []
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}"
+            f"not a comma-separated list of integers: {quoted(text)}"
         ) from None
 
 
 def _json_text(payload: dict) -> str:
     payload = {"format_version": SCHEMA_VERSION, **payload}
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _json_out(payload: dict) -> None:
-    print(_json_text(payload))
 
 
 def _print_spliced(payload: dict, key: str, rendered: str) -> None:
@@ -188,12 +184,18 @@ def _cmd_color(args: argparse.Namespace) -> int:
         out = ColoredGraph(graph, weak_majority_2_coloring(graph, initial))
     else:
         out = illusion_coloring(graph, initial)
-    if args.format == "json":
-        payload = {"n": graph.n, "colors": coloring_to_string(out.red), "mode": args.mode}
-        _print_spliced(payload, "edges", _json_id_rows(graph.n, *graph.edge_arrays()))
-    else:
-        sys.stdout.write(write_graph(graph, out.red))
+    _print_colored(out, args.format, {"mode": args.mode})
     return 0
+
+
+def _print_colored(cg: ColoredGraph, fmt: str, fields: dict) -> None:
+    """Print ``cg`` in the text format, or for ``fmt`` ``"json"`` as its
+    node count, colors, edge list and the command's own ``fields``."""
+    if fmt == "json":
+        payload = {"n": cg.graph.n, "colors": coloring_to_string(cg.red), **fields}
+        _print_spliced(payload, "edges", _json_id_rows(cg.graph.n, *cg.graph.edge_arrays()))
+    else:
+        sys.stdout.write(write_graph(cg.graph, cg.red))
 
 
 def _agent_json_row(s: AgentStatus) -> str:
@@ -284,7 +286,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_feasible(args: argparse.Namespace) -> int:
     verdict = regular_exists(args.n, args.k)
     if args.format == "json":
-        _json_out(verdict.to_json_dict())
+        print(_json_text(verdict.to_json_dict()))
     else:
         word = "feasible" if verdict.possible else "infeasible"
         print(f"{args.k}-regular on {args.n} nodes: {word}")
@@ -298,17 +300,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         cg, report = fast_construct_report(args.n, args.k)
     else:
         cg, report = construct_regular_illusion_report(args.n, args.k)
-    if args.format == "json":
-        payload = {
-            "n": cg.graph.n,
-            "colors": coloring_to_string(cg.red),
-            "report": report.to_json_dict(),
-        }
-        edges = _json_id_rows(cg.graph.n, *cg.graph.edge_arrays())
-        _print_spliced(payload, "edges", edges)
-    else:
-        sys.stdout.write(write_graph(cg.graph, cg.red))
-        print(json.dumps(report.to_json_dict(), sort_keys=True), file=sys.stderr)
+    fields = {"report": report.to_json_dict()}
+    _print_colored(cg, args.format, fields)
+    if args.format != "json":
+        print(json.dumps(fields["report"], sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -317,13 +312,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     objective = Objective(args.objective)
     colors, score = best_coloring(graph, objective, cap=args.cap)
     if args.format == "json":
-        _json_out(
-            {
-                "objective": objective.value,
-                "score": score,
-                "colors": coloring_to_string(colors),
-            }
-        )
+        colors_text = coloring_to_string(colors)
+        print(_json_text({"objective": objective.value, "score": score, "colors": colors_text}))
     else:
         print(f"objective {objective.value}")
         print(f"score {score}")
@@ -369,8 +359,29 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0 if truth else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals quote the command line's tokens by
+    :func:`~majority_illusion.errors.quoted`.  argparse formats ``invalid
+    int value``, ``invalid choice`` and ``unrecognized arguments`` itself,
+    echoing a token, or an ``--option=value`` token's value, whole, as its
+    ``repr`` or as it is; :meth:`error` puts each one that quoting cuts
+    in quoted, longest first, so that none is cut inside a longer one.
+    ``add_subparsers`` makes every subparser of this class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str) -> NoReturn:
+        values = [token.partition("=")[2] for token in self._tokens]
+        for text in sorted(self._tokens + values, key=len, reverse=True):
+            if quoted(text) != repr(text):
+                message = message.replace(repr(text), quoted(text)).replace(text, quoted(text))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="millusion",
         description="Detect, construct, and certify majority illusions "
         "on 2-colored graphs.",
@@ -455,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: parsing leaves no state in it."""
+    """The process's one parser: a parse leaves no state in it that a
+    later parse reads."""
     return build_parser()
 
 

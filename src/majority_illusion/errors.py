@@ -1,7 +1,8 @@
 """Exception types shared across the package.  Every refusal of outside
 input is a :class:`PreconditionError` (CLI exit 2); :class:`InfeasibleError`
 is a verdict (exit 1) and :class:`InternalInvariantError` a defect (exit 3).
-Their messages print a number through :func:`shown`."""
+Their messages print a number through :func:`shown` and a piece of outside
+text through :func:`quoted`."""
 
 from __future__ import annotations
 
@@ -49,6 +50,16 @@ def shown(value: int) -> str:
     digits = int(math.log10(size))  # the count less one, give or take one
     digits += 1 + (size >= 10 ** (digits + 1)) - (size < 10**digits)
     return f"{'-' * (value < 0)}<{digits} digits>"
+
+
+def quoted(token: str) -> str:
+    """``token``, a piece of outside text, as an error message quotes it:
+    its ``repr`` up to 40 characters, else the ``repr`` of its first 20 and
+    its length (``'aaaaaaaaaaaaaaaaaaaa'... (5000 characters)``), so that no
+    argument or formula token swells a message."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
 
 
 class InternalInvariantError(RuntimeError):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .analysis import IllusionKind
 from .coloring import ColoredGraph, red_column
-from .errors import FormulaSyntaxError, PreconditionError
+from .errors import FormulaSyntaxError, PreconditionError, quoted
 from .graphs import Graph
 from .oracle import DEFAULT_CAP, _chunks, _check_cap
 
@@ -275,7 +275,7 @@ class _Parser:
         f = self.parse_binary(0)
         tok = self.peek()
         if tok is not None:
-            raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+            raise FormulaSyntaxError(f"unexpected token {quoted(tok.text)}", tok.pos)
         return f
 
     def parse_binary(self, at: int) -> Formula:
@@ -315,7 +315,7 @@ class _Parser:
             return NeighborCountOver(_index(index.text, index.pos), self.parse_unary())
         if tok.kind == "ident" and tok.text.startswith("E_"):
             if not tok.text[2:].isdigit():
-                raise FormulaSyntaxError(f"malformed counting index in {tok.text!r}", tok.pos)
+                raise FormulaSyntaxError(f"malformed counting index in {quoted(tok.text)}", tok.pos)
             return GlobalCountOver(_index(tok.text[2:], tok.pos + 2), self.parse_unary())
         if tok.kind == "ident":
             return Atom(tok.text)
@@ -326,7 +326,7 @@ class _Parser:
                 raise FormulaSyntaxError("unbalanced parenthesis", tok.pos)
             self.take()
             return f
-        raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        raise FormulaSyntaxError(f"unexpected token {quoted(tok.text)}", tok.pos)
 
 
 def parse_formula(text: str) -> Formula:

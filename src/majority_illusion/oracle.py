@@ -531,9 +531,8 @@ def illusion_possible(
     if 0 < n <= _TABLE_NODES and n <= cap:
         try:
             rows, start, top = _verdict_rows(n, kind)
-        except TypeError:  # an unhashable kind keys no cache and is no member
-            IllusionKind.parse(kind)
-            raise
+        except TypeError:  # an unhashable kind keys no cache: key it by its member
+            rows, start, top = _verdict_rows(n, IllusionKind.parse(kind))
         return bool(sum(map(rows.__getitem__, g.neighbor_masks.tolist()), start) & top)
     strict, least = _ILLUSION_TESTS[IllusionKind.parse(kind)]
     _check_cap(g, cap)

@@ -274,6 +274,40 @@ MUTANTS = [
         "if digits:",
         ("test_fileformat.py::test_a_node_id_too_long_for_int_is_outside_the_graph_in_every_reader",),
     ),
+    # make_graph takes two integer ids a pair, from an array by its header
+    # and from a list by every pair's length: no re-pairing or truncation
+    Mutant(
+        "graphs.py",
+        'edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu"',
+        "edges.ndim",
+        ("test_graphs.py::test_a_malformed_pair_is_refused_by_name",),
+    ),
+    Mutant(
+        "graphs.py",
+        "        if not set(map(len, edges)) <= {2}:\n            return None\n",
+        "",
+        ("test_graphs.py::test_a_malformed_pair_is_refused_by_name",),
+    ),
+    # an unhashable kind equal to a member's value answers as the member
+    Mutant(
+        "oracle.py",
+        "            rows, start, top = _verdict_rows(n, IllusionKind.parse(kind))\n",
+        "            raise\n",
+        ("test_oracle.py::test_an_unhashable_value_answers_as_its_member_at_every_size",),
+    ),
+    # a long outside token is quoted by the one rule, in argparse's messages too
+    Mutant(
+        "errors.py",
+        "    if len(token) <= 40:\n",
+        "    if True:\n",
+        ("test_cli.py::test_a_long_argument_is_quoted_in_a_short_refusal",),
+    ),
+    Mutant(
+        "cli.py",
+        "            if quoted(text) != repr(text):\n",
+        "            if False:\n",
+        ("test_cli.py::test_a_long_argument_is_quoted_in_a_short_refusal",),
+    ),
 ]
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import shlex
 import shutil
 import subprocess
@@ -33,6 +34,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 TIMEOUT_S = 60
+# argparse wraps a usage text at the terminal's width, or at this one where
+# the COLUMNS variable sets it: the pinned usage texts are laid out at it
+COLUMNS = "80"
 
 GRAPH = "gen circulant 12 --offsets 1,3"
 VALUATION = "# atoms per node\n0 p q\n1 p\n3 q r  # two\n\n5 p r\n8 q\n11 p q r\n7\n"
@@ -58,8 +62,11 @@ class Pin(NamedTuple):
 
     @property
     def id(self) -> str:
+        """The row's name: its pipeline, stdin and stream as a shell would
+        pick them out, a word of more than 40 characters shown by its length."""
+        words = (w if len(w) <= 40 else f"<{len(w)} characters>" for w in self.pipeline.split(" "))
         stdin = f" < {self.stdin}" if self.stdin else ""
-        return f"{self.pipeline}{stdin}{_REDIRECTS[self.stream]}"
+        return f"{' '.join(words)}{stdin}{_REDIRECTS[self.stream]}"
 
 
 def oracle(graph: str, objective: str, score: int, colors: str, options: str = "") -> Pin:
@@ -73,6 +80,7 @@ SEEDED = "gen circulant 3500 --offsets 1,3,7 | color --initial random --seed 7"
 ALL_RED = "gen circulant 4000 --offsets 1,3,7 | color"
 WITNESS = "construct 20000 50"  # 500 000 edges
 MAJORITY = "mc - --preset majority-majority --global"
+LONG_DIGITS, LONG_LETTERS = "1" * 5000, "a" * 5000
 
 PINS = [
     # smoke: the installed entry point, the array reader and writer, the JSON
@@ -206,6 +214,21 @@ PINS = [
     oracle("circulant 14 --offsets 7", STRICT, 6, "BBBBBBBBRRRRRR"),
     oracle("complete 16", STRICT, 0, "BBBBBBBBBBBBBBBB"),
     oracle("circulant 16 --offsets 8", STRICT, 7, "BBBBBBBBBRRRRRRR"),
+    # a refused argument of thousands of characters is quoted by its first 20
+    # and its length, in argparse's own messages too
+    Pin(f"construct 10 {LONG_DIGITS}", "err",
+        "usage: millusion construct [-h] [--fast] [--format {text,json}] n k\n"
+        "millusion construct: error: argument k: invalid int value: "
+        "'11111111111111111111'... (5000 characters)\n", exit=2),
+    Pin(f"oracle --objective {LONG_LETTERS}", "err",
+        "usage: millusion oracle [-h]\n"
+        "                        [--objective {max-strict-illusion-count,"
+        "max-weak-illusion-count,min-monochromatic}]\n"
+        "                        [--cap CAP] [--format {text,json}]\n"
+        "                        [file]\n"
+        "millusion oracle: error: argument --objective: invalid choice: "
+        "'aaaaaaaaaaaaaaaaaaaa'... (5000 characters) (choose from "
+        "'max-strict-illusion-count', 'max-weak-illusion-count', 'min-monochromatic')\n", exit=2),
 ]
 
 
@@ -236,6 +259,7 @@ def replay(pin: Pin, work: Path) -> str | None:
         try:
             done = subprocess.run(
                 ["millusion", *argv], input=data, cwd=work, timeout=TIMEOUT_S,
+                env={**os.environ, "COLUMNS": COLUMNS},
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT if merged else subprocess.PIPE,
             )
         except subprocess.TimeoutExpired:

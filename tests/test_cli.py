@@ -264,6 +264,7 @@ def _pipe(monkeypatch, stages, stdin, merged=False):
     """Run ``millusion`` stages in process, each reading the one before's
     stdout; every stage but the last must exit 0.  Returns the last one's
     exit code, stdout and stderr (its stderr in its stdout where ``merged``)."""
+    monkeypatch.setenv("COLUMNS", pins.COLUMNS)
     for argv in stages:
         last = argv is stages[-1]
         out = io.StringIO()
@@ -777,6 +778,43 @@ def test_a_huge_number_exits_two_in_a_short_line(capsys, tmp_path, argv, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err.encode()) < 200
 
+
+_DIGITS, _LETTERS = "1" * 5000, "a" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, long, short",
+    [
+        (["construct", "10", "VALUE"], _DIGITS, "x"),
+        (["gen", "circulant", "5", "VALUE"], _DIGITS, "1"),
+        (["gen", "circulant", "9", "--offsets", "1,VALUEx"], _DIGITS, ""),
+        (["oracle", "C5", "--objective", "VALUE"], _LETTERS, "a"),
+        (["mc", "C5", "--preset", "majority-majority", "--node", "VALUEx"], _DIGITS, ""),
+        (["mc", "C5", "--preset", "majority-majority", "--node=VALUEx"], _DIGITS, ""),
+        (["mc", "C5", "--formula", "E_VALUEz p", "--global"], _DIGITS, ""),
+        (["mc", "C5", "--formula", "p VALUE", "--global"], _LETTERS, "a"),
+        (["gen", "cycle", "5", "--bogus=VALUE"], _LETTERS, "a"),
+    ],
+    ids=["construct k", "gen extra", "gen --offsets", "oracle --objective", "mc --node",
+         "mc --node=", "mc E_ index", "mc token", "unknown --option="],
+)
+def test_a_long_argument_is_quoted_in_a_short_refusal(capsys, tmp_path, argv, long, short):
+    """A refusal quotes an argument or formula token of thousands of
+    characters by its first 20 and its length, whether argparse or the
+    package formats the message: it exits 2, at most 60 bytes longer than
+    the same refusal with a value of one character or none."""
+    (tmp_path / "C5").write_text(write_graph(cycle_graph(5), coloring_from_string("RRBBB")))
+
+    def refusal(value):
+        code, out, err = run(capsys, *[
+            str(tmp_path / a) if a == "C5" else a.replace("VALUE", value) for a in argv
+        ])
+        assert (code, out) == (2, "")
+        return err.encode()
+
+    err, brief = refusal(long), refusal(short)
+    assert b"... (500" in err
+    assert len(err) <= len(brief) + 60
 
 def test_every_package_error_but_a_verdict_or_a_defect_is_a_precondition_error():
     """``main`` exits 2 on a :class:`PreconditionError` and names no

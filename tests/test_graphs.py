@@ -26,7 +26,7 @@ from majority_illusion import (
     strict_illusion_from_proper,
     weak_majority_2_coloring,
 )
-from majority_illusion.errors import PreconditionError, shown
+from majority_illusion.errors import PreconditionError, quoted, shown
 from majority_illusion.feasibility import regular_exists
 from majority_illusion.graphs import MAX_EDGES, MAX_NODES, check_size
 
@@ -124,6 +124,15 @@ def test_a_huge_number_is_refused_by_its_digit_count(value, text):
         with pytest.raises(PreconditionError) as err:
             call()
         assert str(err.value) == message
+
+
+def test_a_long_text_is_quoted_by_its_first_20_characters_and_its_length():
+    """A text of more than 40 characters is quoted by its first 20 and its
+    length; a shorter one whole, by its ``repr``."""
+    long = "x" * 5000
+    assert quoted("R'B") == repr("R'B") and quoted(long[:40]) == repr(long[:40])
+    assert quoted(long[:41]) == "'xxxxxxxxxxxxxxxxxxxx'... (41 characters)"
+    assert quoted(long) == "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
 
 
 @pytest.mark.parametrize(
@@ -261,6 +270,83 @@ def test_array_builder_matches_the_set_builder(case, form):
         row = g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
         assert row == sorted(adj[i])
         assert g.neighbors(i) == adj[i]
+
+
+@pytest.mark.parametrize(
+    "n, edges, named",
+    [
+        (3, [(0, 1, 2)], "(0, 1, 2)"),
+        (3, [(0, 1, 2), (1, 2)], "(0, 1, 2)"),
+        (3, [(0,), (1, 2)], "(0)"),
+        (3, [(0, 1), (0, 1.5)], "(0, 1.5)"),
+        (3, [("0", "1")], "('0', '1')"),
+        (3, [(0, 1), 2], "2"),
+        (3, [(0, 10**5000, 1)], "(0, <5001 digits>, 1)"),
+        (4, np.array([[0, 1, 2], [1, 2, 3]]), "(0, 1, 2)"),
+        (4, np.array([[0, 1.7], [1, 2.2]]), "(0.0, 1.7)"),
+        (4, np.array([0, 1, 1, 2]), "0"),
+    ],
+    ids=["three", "three then two", "one then two", "float", "strings", "no pair",
+         "huge id in three", "(m, 3) array", "float array", "flat array"],
+)
+def test_a_malformed_pair_is_refused_by_name(n, edges, named):
+    """A pair that is not two integer ids is refused, named as given, and
+    not re-paired, truncated or parsed; so is every row of an array that is
+    not an integer ``(m, 2)`` array."""
+    with pytest.raises(GraphError) as err:
+        make_graph(n, edges)
+    assert str(err.value) == f"edge {named} is not two integer node ids"
+
+
+def test_integer_ids_of_any_integer_type_are_read():
+    """Pairs of bools or numpy integers, tuples of pairs, lists and arrays of
+    any integer dtype build the graph that pairs of ints build."""
+    path = make_graph(3, [(0, 1), (1, 2)])
+    for edges in (
+        [(False, True), (True, 2)],
+        [(np.int64(0), np.uint8(1)), [1, np.int32(2)]],
+        ((0, 1), (2, 1)),
+        np.array([[0, 1], [1, 2]], dtype=np.uint8),
+        np.array([[0, 1], [1, 2]], dtype=np.int32),
+        np.array([[0, 1], [1, 2]], dtype=object),
+    ):
+        assert make_graph(3, edges) == path
+
+
+def _named(pair) -> str:
+    return f"({', '.join(map(repr, pair))})"
+
+
+# Pairs as a list may hold them: two ids, in range or not, or anything else
+_SOME_IDS = st.integers(-2, 5)
+_MALFORMED = st.one_of(
+    st.tuples(_SOME_IDS),
+    st.tuples(_SOME_IDS, _SOME_IDS, _SOME_IDS),
+    st.tuples(_SOME_IDS, st.floats(-1, 5)),
+    st.tuples(st.sampled_from(["0", "1", "x"]), _SOME_IDS),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 5), st.lists(st.one_of(st.tuples(_SOME_IDS, _SOME_IDS), _MALFORMED), max_size=12))
+def test_the_first_bad_pair_is_named_and_no_other_list_is_refused(n, pairs):
+    """A list of well-formed pairs builds the set builder's graph; any other
+    list is refused at its first bad pair, in input order: one that is not
+    two integer ids, uses an id outside ``0..n-1`` or is a self-loop."""
+    for pair in pairs:
+        if len(pair) != 2 or not all(isinstance(x, int) for x in pair):
+            message = f"edge {_named(pair)} is not two integer node ids"
+        elif not all(0 <= x < n for x in pair):
+            message = f"edge {_named(pair)} uses a node id outside 0..{n - 1}"
+        elif pair[0] == pair[1]:
+            message = f"edge {_named(pair)} is a self-loop"
+        else:
+            continue
+        with pytest.raises(GraphError) as err:
+            make_graph(n, pairs)
+        assert str(err.value) == message
+        return
+    assert make_graph(n, pairs).adj == reference_make_graph(n, pairs)
 
 
 @given(colored_graphs(max_n=12, min_n=0))

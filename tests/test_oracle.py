@@ -625,6 +625,31 @@ def test_objectives_and_kinds_are_read_by_value_and_nothing_else():
                 illusion_possible(g, wrong)
 
 
+class _UnhashableText(str):
+    """A kind or objective text that equals a member's value but keys no cache."""
+
+    __hash__ = None
+
+
+def _complete_bipartite(half: int):
+    return make_graph(2 * half, [(u, half + v) for u in range(half) for v in range(half)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(4), circulant_graph(7, [1, 2]), _complete_bipartite(3),
+     cycle_graph(10), circulant_graph(10, [1, 2]), _complete_bipartite(5)],
+    ids=["C4", "C7(1,2)", "K3,3", "C10", "C10(1,2)", "K5,5"],
+)
+def test_an_unhashable_value_answers_as_its_member_at_every_size(g):
+    """A kind equal to a member's value but unhashable answers as the member
+    does, on the cached table path up to 8 nodes and on the scans above it;
+    so does such an objective."""
+    for kind in IllusionKind:
+        assert illusion_possible(g, _UnhashableText(kind.value)) == illusion_possible(g, kind)
+    for objective in Objective:
+        assert best_coloring(g, _UnhashableText(objective.value)) == best_coloring(g, objective)
+
 def test_no_strict_majority_illusion_on_odd_cycle():
     assert not illusion_possible(cycle_graph(5), IllusionKind.WEAK_MAJORITY_MAJORITY)
 
